@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Dict, Optional
@@ -101,7 +100,6 @@ def cmd_count(args) -> int:
     started = time.perf_counter()
     pres = _read_presentation(args.file)
     group = group_from_spec(args.group)
-    jobs = args.jobs or os.cpu_count() or 1
     inputs = {
         "file": args.file,
         "group": args.group,
@@ -111,7 +109,7 @@ def cmd_count(args) -> int:
         name, literal = _parse_binding(args.marker, "--marker")
         sigma = parse_permutation(literal, group.degree)
         result = meridian_search(pres, name, group, sigma, mode=args.mode,
-                                 materialize=args.list, jobs=jobs)
+                                 materialize=args.list, jobs=args.jobs)
         inputs["marker"] = {name: str(sigma)}
     else:
         pins = {}
@@ -119,7 +117,7 @@ def cmd_count(args) -> int:
             name, literal = _parse_binding(binding, "--pin")
             pins[name] = parse_permutation(literal, group.degree)
         result = count_homs(pres, group, pins, mode=args.mode,
-                            materialize=args.list, jobs=jobs)
+                            materialize=args.list, jobs=args.jobs)
         inputs["pins"] = {name: str(p) for name, p in pins.items()}
     results: Dict = {"count": result.count}
     lines = [f"count = {result.count}"]
@@ -221,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true",
                    help="list the homomorphisms found")
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker threads (default: all cores)")
+                   help="accepted for compatibility; the search runs on one "
+                        "thread and gives the same report for every value")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_count)
 

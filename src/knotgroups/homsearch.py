@@ -22,17 +22,20 @@ value on the marker word is a prescribed element.  A marker that is a bare
 generator (or its inverse) is pinned directly; any other marker word is
 handled by filtering complete assignments, which is slower but exact.
 
-Parallel runs split the first unpinned generator's value range across
-workers; partial counts are summed in a fixed chunk order, so results never
-depend on scheduling.  Presentations and groups are immutable and shared;
-each worker owns its private assignment stack.
+Both engines and the marker filter share one evaluator.  Each relator and
+marker word is compiled once per search into a program over the group's
+index form (``FiniteGroup.index_form``): one (generator slot, power table)
+step per syllable.  The search itself is one iterative depth-first walk over
+a list of element indices, so its depth is not bounded by the recursion
+limit.  The search runs on the calling thread; ``jobs`` is accepted for
+compatibility and changes nothing, so counts, listings, work counters and
+budget refusals never depend on it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceededError,
@@ -42,7 +45,7 @@ from .errors import (
     UnknownGeneratorError,
     UnknownMarkerError,
 )
-from .permgroups import FiniteGroup, Permutation, are_conjugate
+from .permgroups import FiniteGroup, IndexForm, Permutation, are_conjugate
 from .presentations import Presentation
 from .words import Word
 
@@ -51,17 +54,16 @@ DEFAULT_NAIVE_CAP = 10**7
 
 Assignment = Dict[str, Permutation]
 
+# One (generator slot, IndexForm.powers(exponent)) step per syllable.
+Program = Tuple[Tuple[int, Sequence[int]], ...]
+
 
 @dataclass
 class SearchStats:
-    """Work counters; additive across workers."""
+    """Work counters of one search."""
 
     nodes: int = 0
     relator_checks: int = 0
-
-    def merge(self, other: "SearchStats") -> None:
-        self.nodes += other.nodes
-        self.relator_checks += other.relator_checks
 
 
 @dataclass
@@ -95,121 +97,68 @@ def is_homomorphism(presentation: Presentation, group: FiniteGroup,
     )
 
 
-def _relator_triggers(presentation: Presentation,
-                      relators: Sequence[Word]) -> List[List[Word]]:
-    """triggers[i] = relators whose generators are all assigned once the
-    generator at position i receives its value."""
-    triggers: List[List[Word]] = [[] for _ in presentation.generators]
-    for rel in relators:
-        last = max(presentation.generator_index(g) for g in rel.generators())
-        triggers[last].append(rel)
-    return triggers
+def compile_word(word: Word, presentation: Presentation, form: IndexForm) -> Program:
+    """The program of ``word``; slots are generator positions in
+    ``presentation``."""
+    return tuple((presentation.generator_index(g), form.powers(e))
+                 for g, e in word.syllables)
 
 
-def _run_search(presentation: Presentation, group: FiniteGroup,
-                pins: Mapping[str, Permutation], mode: str,
-                materialize: bool,
-                leaf_filter: Optional[Callable[[Assignment], bool]],
-                node_budget: int,
-                restrict: Optional[Tuple[str, Sequence[Permutation]]],
-                relators: Sequence[Word],
-                ) -> HomSearchResult:
-    """Sequential search over one (possibly restricted) branch.
+def evaluate(program: Program, values: Sequence[int], products: Sequence[int]) -> int:
+    """Index of the compiled word's value when generator slot i has the
+    element of index ``values[i]`` (``products`` of the same IndexForm)."""
+    acc = 0
+    for slot, powers in program:
+        acc = products[powers[values[slot]] + acc]
+    return acc
 
-    Node and relator-check counters are defined so the totals are identical
-    however the first unpinned generator's values are partitioned: forced
-    (pinned) assignments are not nodes, and backtracking only sees relators
-    with at least one unpinned generator (fully pinned relators are checked
-    once by the caller).
+
+def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
+          checks: Sequence[Sequence[Program]], products: Sequence[int],
+          node_budget: int, stats: SearchStats) -> Iterator[List[int]]:
+    """Depth-first walk over index assignments, without recursion.
+
+    Level i takes each value in ``values[i]`` in turn, spends a node if
+    ``counted[i]``, and evaluates the programs ``checks[i]`` in order until
+    one fails; a value that passes them all descends to level i + 1.  The
+    caller passes one level more than there are generators, with a single
+    dummy value; an assignment that passes it is yielded (the live list:
+    copy what you keep).  Counters go to ``stats`` when the walk ends.
     """
-    gens = presentation.generators
-    ident = group.identity
-    stats = SearchStats()
-    collected: Optional[List[Assignment]] = [] if materialize else None
-    count = 0
-
-    def values_for(gen: str) -> Sequence[Permutation]:
-        if gen in pins:
-            return (pins[gen],)
-        if restrict is not None and restrict[0] == gen:
-            return restrict[1]
-        return group.elements
-
-    def spend_node() -> None:
-        stats.nodes += 1
-        if stats.nodes > node_budget:
-            raise BudgetExceededError(
-                f"search exceeded node budget {node_budget}"
-            )
-
-    def accept(assignment: Assignment) -> None:
-        nonlocal count
-        if leaf_filter is not None and not leaf_filter(assignment):
-            return
-        count += 1
-        if collected is not None:
-            collected.append(dict(assignment))
-
-    if mode == "naive":
-        def product_walk(assignment: Assignment, pos: int) -> None:
-            if pos == len(gens):
-                spend_node()
-                for rel in relators:
-                    stats.relator_checks += 1
-                    if rel.evaluate(assignment, group) != ident:
-                        return
-                accept(assignment)
-                return
-            gen = gens[pos]
-            for value in values_for(gen):
-                assignment[gen] = value
-                product_walk(assignment, pos + 1)
-            del assignment[gen]
-
-        product_walk({}, 0)
-
-    elif mode == "backtrack":
-        triggers = _relator_triggers(presentation, relators)
-
-        def backtrack(assignment: Assignment, pos: int) -> None:
-            if pos == len(gens):
-                accept(assignment)
-                return
-            gen = gens[pos]
-            pending = triggers[pos]
-            pinned = gen in pins
-            for value in values_for(gen):
-                if not pinned:
-                    spend_node()
-                assignment[gen] = value
-                ok = True
-                for rel in pending:
-                    stats.relator_checks += 1
-                    if rel.evaluate(assignment, group) != ident:
-                        ok = False
-                        break
-                if ok:
-                    backtrack(assignment, pos + 1)
-            del assignment[gen]
-
-        backtrack({}, 0)
-
-    else:
-        raise InvalidParameterError(f"unknown search mode {mode!r}")
-
-    return HomSearchResult(count, collected, stats)
-
-
-def _split_chunks(values: Sequence[Permutation], jobs: int) -> List[Sequence[Permutation]]:
-    jobs = max(1, min(jobs, len(values)))
-    size, extra = divmod(len(values), jobs)
-    chunks = []
-    start = 0
-    for i in range(jobs):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(values[start:end])
-        start = end
-    return chunks
+    last = len(values) - 1
+    assignment = [0] * len(values)
+    todo = [iter(v) for v in values]
+    nodes = relator_checks = 0
+    level = 0
+    while level >= 0:
+        for value in todo[level]:
+            if counted[level]:
+                nodes += 1
+                if nodes > node_budget:
+                    raise BudgetExceededError(
+                        f"search exceeded node budget {node_budget}"
+                    )
+            assignment[level] = value
+            for program in checks[level]:
+                relator_checks += 1
+                # evaluate(program, assignment, products), inlined: this
+                # loop is where the search spends its time
+                acc = 0
+                for slot, powers in program:
+                    acc = products[powers[assignment[slot]] + acc]
+                if acc:
+                    break
+            else:
+                if level == last:
+                    yield assignment
+                    continue
+                level += 1
+                todo[level] = iter(values[level])
+                break
+        else:
+            level -= 1
+    stats.nodes += nodes
+    stats.relator_checks += relator_checks
 
 
 def count_homs(presentation: Presentation, group: FiniteGroup,
@@ -218,16 +167,21 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
                jobs: int = 1,
                node_budget: int = DEFAULT_NODE_BUDGET,
                naive_cap: int = DEFAULT_NAIVE_CAP,
-               _leaf_filter: Optional[Callable[[Assignment], bool]] = None,
+               _marker: Optional[Tuple[Word, Permutation]] = None,
                ) -> HomSearchResult:
     """Count (or list) homomorphisms satisfying the pinning constraint.
 
     ``constraint`` maps generators to required images.  Counts from the two
     modes always agree; ``naive`` additionally refuses to start when
-    |A|^(unpinned) exceeds ``naive_cap``.  With ``jobs`` > 1 the value range
-    of the first unpinned generator is split across a thread pool and the
-    partial results are merged in chunk order, keeping the outcome
-    independent of scheduling.
+    |A|^(unpinned) exceeds ``naive_cap``.  ``jobs`` is accepted for
+    compatibility and ignored: the search is sequential and deterministic.
+    ``_marker`` = (word, sigma) keeps only assignments sending the word to
+    sigma.
+
+    Work counters: a node is one value tried for an unpinned generator
+    (backtrack) or one complete assignment (naive); a relator check is one
+    relator evaluation.  Backtracking settles relators on pinned generators
+    alone once, before the walk.
     """
     pins = check_constraint(presentation, group, constraint or {})
     unpinned = [g for g in presentation.generators if g not in pins]
@@ -241,47 +195,44 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     if mode not in ("naive", "backtrack"):
         raise InvalidParameterError(f"unknown search mode {mode!r}")
 
-    upfront = SearchStats()
-    relators = presentation.relators
-    if mode == "backtrack":
-        # relators entirely supported on pinned generators have a fixed
-        # value: settle them once instead of inside every worker
-        pinned_names = set(pins)
-        fully_pinned = [r for r in relators if r.generators() <= pinned_names]
-        if fully_pinned:
-            relators = tuple(r for r in relators
-                             if not r.generators() <= pinned_names)
-            ident = group.identity
-            for rel in fully_pinned:
-                upfront.relator_checks += 1
-                if rel.evaluate(pins, group) != ident:
-                    return HomSearchResult(0, [] if materialize else None,
-                                           upfront)
+    form = group.index_form
+    products = form.products
+    gens = presentation.generators
+    stats = SearchStats()
+    collected: Optional[List[Assignment]] = [] if materialize else None
+    # one level per generator, then the leaf level with one dummy value
+    values: List[Sequence[int]] = [
+        (form.index[pins[g]],) if g in pins else range(group.order) for g in gens
+    ] + [(0,)]
+    relators = [(rel, compile_word(rel, presentation, form))
+                for rel in presentation.relators]
+    if mode == "naive":
+        counted = [False] * len(gens) + [True]
+        checks: List[List[Program]] = [[] for _ in gens] + [[p for _, p in relators]]
+    else:
+        counted = [g not in pins for g in gens] + [False]
+        checks = [[] for _ in values]
+        pinned = [v[0] for v in values]  # unpinned slots hold 0, unread here
+        for rel, program in relators:
+            if rel.generators() <= pins.keys():
+                stats.relator_checks += 1
+                if evaluate(program, pinned, products):
+                    return HomSearchResult(0, collected, stats)
+            else:
+                last = max(presentation.generator_index(g) for g in rel.generators())
+                checks[last].append(program)
+    if _marker is not None:
+        marker = compile_word(_marker[0], presentation, form)
+        target = form.index[_marker[1]]
 
-    def run(restrict):
-        return _run_search(presentation, group, pins, mode, materialize,
-                           _leaf_filter, node_budget, restrict, relators)
-
-    if jobs <= 1 or not unpinned:
-        result = run(None)
-        result.stats.merge(upfront)
-        return result
-
-    split_gen = unpinned[0]
-    chunks = _split_chunks(group.elements, jobs)
-    results: List[HomSearchResult] = []
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(run, (split_gen, chunk)) for chunk in chunks]
-        for fut in futures:
-            results.append(fut.result())
-
-    merged = HomSearchResult(0, [] if materialize else None, upfront)
-    for part in results:
-        merged.count += part.count
-        merged.stats.merge(part.stats)
-        if materialize:
-            merged.assignments.extend(part.assignments)
-    return merged
+    count = 0
+    for assignment in _walk(values, counted, checks, products, node_budget, stats):
+        if _marker is not None and evaluate(marker, assignment, products) != target:
+            continue
+        count += 1
+        if collected is not None:
+            collected.append({g: form.elements[i] for g, i in zip(gens, assignment)})
+    return HomSearchResult(count, collected, stats)
 
 
 def _pin_from_marker(word: Word, target: Permutation
@@ -323,7 +274,7 @@ def meridian_search(presentation: Presentation, marker: str,
     return count_homs(
         presentation, group, None, mode=mode, materialize=materialize,
         jobs=jobs, node_budget=node_budget, naive_cap=naive_cap,
-        _leaf_filter=lambda asg: word.evaluate(asg, group) == sigma,
+        _marker=(word, sigma),
     )
 
 

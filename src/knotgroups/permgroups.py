@@ -13,7 +13,8 @@ Groups are tiny here (hard cap configurable, default 10^6), so they are
 materialized as explicit element lists; the homomorphism search needs the
 element list anyway, and conjugacy can then be decided by exhaustive search
 rather than cycle type, which matters in alternating groups where classes
-split.
+split.  For the search, a group also has an index form (``IndexForm``)
+that multiplies element indices instead of permutations.
 
 Points are 0-based internally; all I/O uses 1-based cycle notation such as
 ``(1,5,4,3,2)``, with ``()`` for the identity.
@@ -21,9 +22,10 @@ Points are 0-based internally; all I/O uses 1-based cycle notation such as
 
 from __future__ import annotations
 
+from array import array
 from itertools import permutations as _all_perms
 from math import factorial, lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegreeMismatchError,
@@ -33,6 +35,10 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 10**6
+
+# Groups up to this order get a full product table (order^2 two-byte
+# entries, 2 MiB at the limit); larger ones multiply on the fly.
+TABLE_MAX_ORDER = 1024
 
 
 class Permutation:
@@ -202,8 +208,8 @@ class FiniteGroup:
 
     The identity is always first; the rest of the list is in a fixed,
     deterministic order so that searches iterating over elements are
-    reproducible.  Instances are immutable after construction and safe to
-    share across worker threads.
+    reproducible.  Instances are immutable after construction, apart from
+    the index form, which is built on first use.
     """
 
     def __init__(self, degree: int, elements: Sequence[Permutation],
@@ -223,6 +229,14 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.label = label or f"gen:{degree}"
         self._index = index
+        self._index_form: Optional[IndexForm] = None
+
+    @property
+    def index_form(self) -> "IndexForm":
+        """The elements as indices, for fast products (built on first use)."""
+        if self._index_form is None:
+            self._index_form = IndexForm(self)
+        return self._index_form
 
     @property
     def order(self) -> int:
@@ -243,6 +257,118 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
+
+
+class IndexForm:
+    """A finite group's elements as the indices 0..n-1 of its element list.
+
+    Index 0 is the identity.  Words are evaluated by folding left to right
+    over two lookups:
+
+    * ``products[n*b + a]`` is the index of ``elements[a] * elements[b]``;
+    * ``powers(e)[i]`` is ``n`` times the index of ``elements[i] ** e``,
+
+    so one syllable ``g^e`` with g's image at index i turns an accumulated
+    index ``acc`` into ``products[powers(e)[i] + acc]``.
+
+    Up to ``TABLE_MAX_ORDER`` the products are a flat table.  Its column for
+    b (all a*b) is derived from the column of b's parent p in a breadth-first
+    walk over right multiplication by the group's generators, b = p*s: then
+    a*b = (a*p)*s is one lookup in the table of right multiplication by s.
+    That costs n*k permutation products for k generators and n^2 index
+    lookups.  Elements the generators do not reach get their column from
+    direct products.  Above the limit, products and powers are composed on
+    the fly from the permutations.
+    """
+
+    def __init__(self, group: FiniteGroup):
+        self.elements = group.elements
+        self.index = group._index
+        self.order = n = len(self.elements)
+        self._powers: Dict[int, Sequence[int]] = {}
+        # per element index i, the indices of i^0, i^1, ... up to its
+        # order; None above TABLE_MAX_ORDER
+        self._cycles: Optional[List[List[int]]] = None
+        if n > TABLE_MAX_ORDER:
+            self.products: Sequence[int] = _Products(self.elements, self.index)
+            return
+        elements, index = self.elements, self.index
+        rights = [[_lookup(index, g * s) for g in elements]
+                  for s in group.generators if s in index]
+        table = array("H", [0]) * (n * n)
+        table[:n] = array("H", range(n))
+        reached = bytearray(n)
+        reached[0] = 1
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                column = table[n * p: n * p + n]
+                for right in rights:
+                    b = right[p]
+                    if not reached[b]:
+                        reached[b] = 1
+                        table[n * b: n * b + n] = array("H", [right[x] for x in column])
+                        nxt.append(b)
+            frontier = nxt
+        for b in range(n):
+            if not reached[b]:
+                eb = elements[b]
+                table[n * b: n * b + n] = array("H", [_lookup(index, a * eb) for a in elements])
+        self.products = table
+        cycles = []
+        for i in range(n):
+            cycle, p = [0], i
+            while p:
+                cycle.append(p)
+                p = table[n * i + p]
+            cycles.append(cycle)
+        self._cycles = cycles
+
+    def powers(self, e: int) -> Sequence[int]:
+        """``n`` times the index of each element's ``e``-th power (cached)."""
+        table = self._powers.get(e)
+        if table is None:
+            if self._cycles is None:
+                table = _Powers(self.elements, self.index, e)
+            else:
+                table = tuple(self.order * c[e % len(c)] for c in self._cycles)
+            self._powers[e] = table
+        return table
+
+
+def _lookup(index: Dict[Permutation, int], p: Permutation) -> int:
+    try:
+        return index[p]
+    except KeyError:
+        raise InvalidParameterError(
+            f"{p} is not in the group's element list"
+        ) from None
+
+
+class _Products:
+    """``products`` of an IndexForm above TABLE_MAX_ORDER: each lookup
+    multiplies two permutations."""
+
+    def __init__(self, elements: Sequence[Permutation], index: Dict[Permutation, int]):
+        self.elements, self.index = elements, index
+
+    def __getitem__(self, k: int) -> int:
+        b, a = divmod(k, len(self.elements))
+        return _lookup(self.index, self.elements[a] * self.elements[b])
+
+
+class _Powers(dict):
+    """``powers(e)`` of an IndexForm above TABLE_MAX_ORDER, filled on demand."""
+
+    def __init__(self, elements: Sequence[Permutation], index: Dict[Permutation, int],
+                 e: int):
+        super().__init__()
+        self.elements, self.index, self.e = elements, index, e
+
+    def __missing__(self, i: int) -> int:
+        value = self[i] = len(self.elements) * _lookup(self.index, self.elements[i] ** self.e)
+        return value
 
 
 def symmetric_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

@@ -311,11 +311,12 @@ class _Parser:
             markers[name] = self.parse_word(declared)
 
     def parse_word(self, declared: set) -> Word:
-        word = self.parse_factor(declared)
+        # one Word (one free reduction) for the whole product, not one per '*'
+        syllables = list(self.parse_factor(declared).syllables)
         while self.peek().kind == "*":
             self.advance()
-            word = word * self.parse_factor(declared)
-        return word
+            syllables.extend(self.parse_factor(declared).syllables)
+        return Word(syllables)
 
     def parse_factor(self, declared: set) -> Word:
         tok = self.advance()

@@ -189,28 +189,3 @@ class Word:
 
 _IDENTITY = Word()
 
-
-# Functional aliases matching the operation names used throughout the tests.
-
-def reduce(raw: Iterable[Syllable]) -> Word:
-    return Word(raw)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    return ~u
-
-
-def power(u: Word, k: int) -> Word:
-    return u**k
-
-
-def conjugate(u: Word, g: Word) -> Word:
-    return u.conjugate(g)
-
-
-def evaluate(u: Word, images: Mapping[str, object], group):
-    return u.evaluate(images, group)

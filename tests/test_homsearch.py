@@ -1,4 +1,5 @@
-"""Homomorphism counting: engines, pins, markers, invariance, parallelism."""
+"""Homomorphism counting: engines, pins, markers, invariance, the compiled
+evaluator, and independence of ``jobs``."""
 
 import random
 from itertools import product
@@ -13,13 +14,16 @@ from knotgroups.errors import (
     UnknownMarkerError,
 )
 from knotgroups.homsearch import (
+    compile_word,
     count_homs,
+    evaluate,
     images_conjugate,
     is_homomorphism,
     meridian_invariant,
     meridian_search,
 )
 from knotgroups.permgroups import (
+    TABLE_MAX_ORDER,
     alternating_group,
     parse_permutation,
     symmetric_group,
@@ -31,6 +35,7 @@ S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 A4 = alternating_group(4)
 A5 = alternating_group(5)
+S7 = symmetric_group(7)
 
 SIGMA = parse_permutation("(1,5,4,3,2)", 5)
 F1 = rbg_family(1)
@@ -279,6 +284,89 @@ class TestParallelism:
         pins = dict(EXPLICIT_HOM)
         result = count_homs(F1, A5, pins, jobs=4)
         assert result.count == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_node_budget_is_global(self, jobs):
+        # the all-homs search of F1 into A5 visits 25,260 nodes; half of
+        # that must be refused whatever ``jobs`` says
+        assert count_homs(F1, A5).stats.nodes == 25260
+        with pytest.raises(BudgetExceededError):
+            count_homs(F1, A5, jobs=jobs, node_budget=12630)
+
+
+class TestDeepSearch:
+    def test_long_generator_chain(self):
+        # <x0..x1199 | x_i x_{i+1}^-1>: all generators equal, so one
+        # homomorphism per element; 1200 levels exceed the interpreter's
+        # default recursion limit of 1000
+        gens = [f"x{i}" for i in range(1200)]
+        relators = [Word(((gens[i], 1), (gens[i + 1], -1)))
+                    for i in range(len(gens) - 1)]
+        assert count_homs(Presentation(gens, relators), A5).count == 60
+
+
+def _random_word(rng, gens, length, max_exp=3):
+    exps = [e for e in range(-max_exp, max_exp + 1) if e]
+    return Word([(rng.choice(gens), rng.choice(exps)) for _ in range(length)])
+
+
+class TestCompiledEvaluator:
+    """The compiled programs against ``Word.evaluate``, the oracle."""
+
+    GENS = ("u", "v", "w")
+
+    @pytest.mark.parametrize("group", [S4, A5, S7], ids=["S4", "A5", "S7"])
+    def test_random_words_and_assignments(self, group):
+        rng = random.Random(2024 + group.order)
+        pres = Presentation(self.GENS)
+        form = group.index_form
+        for _ in range(40):
+            word = _random_word(rng, self.GENS, rng.randint(0, 12),
+                                max_exp=rng.choice((3, 70)))
+            program = compile_word(word, pres, form)
+            values = [rng.randrange(group.order) for _ in self.GENS]
+            images = {g: group.elements[i] for g, i in zip(self.GENS, values)}
+            got = evaluate(program, values, form.products)
+            assert group.elements[got] == word.evaluate(images, group)
+
+    @pytest.mark.parametrize("mode", ["naive", "backtrack"])
+    def test_pinned_search_above_table_limit(self, mode):
+        # S7 has no product table: a small pinned search multiplies on the
+        # fly, and must match a brute-force count with Word.evaluate
+        assert A5.order <= TABLE_MAX_ORDER < S7.order
+        # (2,3,7) triangle relations, which PSL(2,7) < S7 satisfies
+        pres = parse("< x,y | x^2, y^3, (x*y)^7 >")
+        x = parse_permutation("(1,2)(3,4)", 7)
+        oracle = sum(
+            1 for py in S7.elements
+            if is_homomorphism(pres, S7, {"x": x, "y": py})
+        )
+        assert oracle > 0
+        assert count_homs(pres, S7, {"x": x}, mode=mode).count == oracle
+
+    def test_word_marker_above_table_limit(self):
+        pres = parse("< x,y | x^2 >\nmeridian mu: x*y\n")
+        x = parse_permutation("(1,2)", 7)
+        sigma = parse_permutation("(1,2,3,4,5,6,7)", 7)
+        result = count_homs(pres, S7, {"x": x}, materialize=True,
+                            _marker=(pres.markers["mu"], sigma))
+        assert result.count == 1
+        assert result.assignments[0]["y"] == x * sigma
+
+    def test_word_marker_matches_oracle_in_table_groups(self):
+        rng = random.Random(31)
+        for group in (S4, A5):
+            for _ in range(3):
+                marker = _random_word(rng, ("x", "y", "a"), 4)
+                if len(marker.syllables) < 2:
+                    continue
+                pres = Presentation(F1.generators, F1.relators, {"mu": marker})
+                sigma = rng.choice(group.elements)
+                homs = count_homs(pres, group, materialize=True).assignments
+                oracle = sum(1 for h in homs if marker.evaluate(h, group) == sigma)
+                for mode in ("naive", "backtrack"):
+                    assert meridian_invariant(pres, "mu", group, sigma,
+                                              mode=mode) == oracle
 
 
 class TestAssignmentOrder:

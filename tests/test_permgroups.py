@@ -10,6 +10,8 @@ from knotgroups.errors import (
     NotAMemberError,
 )
 from knotgroups.permgroups import (
+    TABLE_MAX_ORDER,
+    FiniteGroup,
     Permutation,
     alternating_group,
     are_conjugate,
@@ -26,6 +28,8 @@ S4 = symmetric_group(4)
 S5 = symmetric_group(5)
 
 SIGMA = parse_permutation("(1,5,4,3,2)", 5)
+S3 = symmetric_group(3)
+PSL27 = group_from_spec("gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]")
 
 
 class TestPermutation:
@@ -182,3 +186,50 @@ def test_conjugacy_matches_cycle_type_in_s5(g, h):
 def test_lagrange_for_generated_subgroups(gens):
     order = generated_group(5, gens).order
     assert 120 % order == 0
+
+
+class TestIndexForm:
+    """The index form against products and powers of the permutations."""
+
+    @staticmethod
+    def _assert_matches(group, exponents=(-3, -2, -1, 0, 1, 2, 5, 10**9 + 1)):
+        form = group.index_form
+        n = group.order
+        assert form.order == n
+        for b, pb in enumerate(group.elements):
+            for a, pa in enumerate(group.elements):
+                assert group.elements[form.products[n * b + a]] == pa * pb
+        for e in exponents:
+            powers = form.powers(e)
+            for i, p in enumerate(group.elements):
+                assert powers[i] == n * group.elements.index(p**e)
+
+    @pytest.mark.parametrize("group", [S4, A5, PSL27], ids=["S4", "A5", "PSL27"])
+    def test_table_built_from_generators(self, group):
+        self._assert_matches(group)
+
+    def test_unreached_elements_use_direct_products(self):
+        # no generators, or generators of a proper subgroup only: the
+        # columns the breadth-first walk does not reach come from direct
+        # products
+        self._assert_matches(FiniteGroup(3, S3.elements, [], label="bare"))
+        rotation = parse_permutation("(1,2,3)", 3)
+        self._assert_matches(FiniteGroup(3, S3.elements, [rotation], label="sub"))
+
+    def test_built_once(self):
+        assert A5.index_form is A5.index_form
+
+    def test_above_table_limit_multiplies_on_the_fly(self):
+        s7 = symmetric_group(7)
+        assert s7.order > TABLE_MAX_ORDER >= PSL27.order
+        form = s7.index_form
+        n = s7.order
+        elems = s7.elements
+        for b, a, e in ((1, 2, 3), (4000, 17, -1), (5039, 5039, 7), (123, 0, 10**9)):
+            assert elems[form.products[n * b + a]] == elems[a] * elems[b]
+            assert form.powers(e)[a] == n * elems.index(elems[a] ** e)
+
+    def test_product_outside_element_list(self):
+        # a list that is not closed under products is refused, not misread
+        with pytest.raises(InvalidParameterError):
+            FiniteGroup(3, S3.elements[:3], [S3.elements[1]]).index_form

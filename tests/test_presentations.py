@@ -78,6 +78,23 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.column == 5  # points at the offending '>'
 
+    def test_long_product_spelled_out(self):
+        # the family relator written letter by letter, as `knotgroups
+        # family` or a benchmark input writes it, parses to the same word
+        m = 181
+        text = "y*x*" * m + "y*" + "x^-1*y^-1*" * m + "x^-1"
+        word = parse_word(text, ("x", "y", "a"))
+        assert word == rbg_family(m).relators[0]
+        assert parse_word("x*y*y^-1*x^-1*a", ("x", "y", "a")) == Word((("a", 1),))
+
+    def test_error_position_late_in_long_word(self):
+        text = "< x, y | " + "x*y*" * 50 + "x*z >"
+        with pytest.raises(UnknownGeneratorError, match="line 1, column 212"):
+            parse(text)
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse("< x, y |\n" + "x*y*" * 50 + "* >")
+        assert (err.value.line, err.value.column) == (2, 201)
+
     def test_reserved_keyword(self):
         with pytest.raises(PresentationSyntaxError):
             parse("< meridian | >")
