@@ -15,6 +15,7 @@ from .errors import (
     CoefficientOverflowError,
     DeficiencyError,
     DegreeMismatchError,
+    DerivativeTooLargeError,
     DuplicateGeneratorError,
     GroupTooLargeError,
     InputError,
@@ -79,6 +80,7 @@ __all__ = [
     "CoefficientOverflowError",
     "DeficiencyError",
     "DegreeMismatchError",
+    "DerivativeTooLargeError",
     "DuplicateGeneratorError",
     "FiniteGroup",
     "GroupRingElement",

@@ -122,8 +122,11 @@ def cmd_count(args) -> int:
     results: Dict = {"count": result.count}
     lines = [f"count = {result.count}"]
     if args.list:
+        # thousands of listed images share a few distinct elements
+        images = {a[g] for a in result.assignments for g in pres.generators}
+        text = {p: str(p) for p in images}
         listed = [
-            {g: str(assignment[g]) for g in pres.generators}
+            {g: text[assignment[g]] for g in pres.generators}
             for assignment in result.assignments
         ]
         results["assignments"] = listed

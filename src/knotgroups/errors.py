@@ -79,6 +79,10 @@ class GroupTooLargeError(ResourceError):
     """Group enumeration (or a naive product search) exceeds its cap."""
 
 
+class DerivativeTooLargeError(ResourceError):
+    """The abelianized Fox derivatives would expand to too many monomials."""
+
+
 class BudgetExceededError(ResourceError):
     """A search visited more nodes than its configured budget."""
 

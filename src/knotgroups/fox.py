@@ -10,10 +10,26 @@ which forces d(g^-1)/dg = -g^-1 and, for syllable powers,
     d(g^k)/dg = 1 + g + ... + g^(k-1)            (k > 0)
     d(g^k)/dg = -(g^-1 + g^-2 + ... + g^(-|k|))  (k < 0).
 
-Abelianizing generator-by-generator (each generator to t^weight) turns the
-derivatives of the relators into a matrix over Z[t, t^-1]; the gcd of its
-maximal minors generates the first elementary ideal, whose normal form is
-the Alexander polynomial of the presented group.
+:func:`fox_derivative` computes these noncommutative sums of words;
+together with :func:`abelianize_ring_element` it is the public API and the
+reference the fast path is tested against.
+
+The Alexander path never builds a word.  Abelianizing each generator g to
+t^a(g) sends a prefix to t^w, where w is the weighted exponent sum of the
+prefix, so one pass over a relator's syllables with a running w yields its
+whole row of the matrix: a syllable g^k adds t^w + t^(w+a) + ... +
+t^(w+(k-1)a) to column g when k > 0, and -(t^(w-a) + ... + t^(w+ka)) when
+k < 0, then w += k*a (Fox, *Free Differential Calculus I*, 1953).  A
+syllable of weight 0 adds k*t^w.  The number of monomials this writes is
+bounded by ``MAX_DERIVATIVE_TERMS``.
+
+The gcd of the maximal minors of the matrix generates the first elementary
+ideal, whose normal form is the Alexander polynomial of the presented
+group.  Each minor is a determinant by fraction-free (Bareiss) elimination
+over Z[t, t^-1]: every division by the previous pivot is exact by
+Sylvester's identity (Bareiss, *Sylvester's identity and multistep
+integer-preserving Gaussian elimination*, 1968), and a division that is
+not raises instead of returning a guess.
 """
 
 from __future__ import annotations
@@ -23,12 +39,17 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import (
     DeficiencyError,
+    DerivativeTooLargeError,
     MissingWeightError,
     NotInfiniteCyclicError,
 )
 from .laurent import LaurentPoly, gcd as laurent_gcd
 from .presentations import Presentation, abelianize
 from .words import Word
+
+# Most monomials the abelianized derivatives of one presentation may expand
+# to: the sum of |k| over its syllables g^k of nonzero weight.
+MAX_DERIVATIVE_TERMS = 10**6
 
 
 class GroupRingElement:
@@ -182,37 +203,96 @@ def _weights_or_raise(presentation: Presentation) -> Dict[str, int]:
     return report.weights
 
 
+def _fox_row(relator: Word, column: Mapping[str, int],
+             weights: Mapping[str, int]) -> Tuple[LaurentPoly, ...]:
+    """The abelianized derivatives of ``relator`` by every generator, in
+    one pass over its syllables; ``column`` maps each generator to its
+    position in the row."""
+    acc: list = [{} for _ in column]
+    w = 0
+    for name, k in relator.syllables:
+        a = weights[name]
+        terms = acc[column[name]]
+        if a == 0:
+            terms[w] = terms.get(w, 0) + k
+        elif k > 0:
+            for e in range(w, w + k * a, a):
+                terms[e] = terms.get(e, 0) + 1
+        else:
+            for e in range(w + k * a, w, a):
+                terms[e] = terms.get(e, 0) - 1
+        w += k * a
+    return tuple(
+        LaurentPoly._from_clean({e: c for e, c in terms.items() if c})
+        for terms in acc
+    )
+
+
 def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
     """Abelianized Fox derivative matrix of the presentation.
 
     Requires the abelianization to be infinite cyclic (weights defined);
-    raises NotInfiniteCyclicError otherwise.
+    raises NotInfiniteCyclicError otherwise, and DerivativeTooLargeError
+    when the rows would expand to more than ``MAX_DERIVATIVE_TERMS``
+    monomials.
     """
     weights = _weights_or_raise(presentation)
-    entries = [
-        [
-            abelianize_ring_element(fox_derivative(rel, g), weights)
-            for g in presentation.generators
-        ]
+    expanded = sum(
+        abs(k)
         for rel in presentation.relators
-    ]
+        for name, k in rel.syllables
+        if weights[name]
+    )
+    if expanded > MAX_DERIVATIVE_TERMS:
+        raise DerivativeTooLargeError(
+            f"the Fox derivatives expand to {expanded} monomials, over the "
+            f"limit of {MAX_DERIVATIVE_TERMS}"
+        )
+    column = {g: j for j, g in enumerate(presentation.generators)}
+    entries = [_fox_row(rel, column, weights) for rel in presentation.relators]
     return AlexanderMatrix(entries, presentation.generators)
 
 
 def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Determinant by cofactor expansion; exact, fine at in-scope sizes."""
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Step k replaces every entry below and right of the pivot p_k by
+    (p_k * a_ij - a_ik * a_kj) / p_(k-1), a division that is exact in
+    Z[t, t^-1]; a zero pivot is swapped with a nonzero entry below it,
+    flipping the sign.  Raises ArithmeticError if a division is not exact.
+    """
     n = len(matrix)
     if n == 0:
         return LaurentPoly.one()
-    if n == 1:
-        return matrix[0][0]
-    total = LaurentPoly.zero()
-    rest = [row[1:] for row in matrix]
-    for i in range(n):
-        minor = [rest[k] for k in range(n) if k != i]
-        term = matrix[i][0] * _det(minor)
-        total = total + (term if i % 2 == 0 else -term)
-    return total
+    rows = [list(row) for row in matrix]
+    negate = False
+    previous = None
+    for k in range(n - 1):
+        if rows[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not rows[i][k].is_zero), None)
+            if swap is None:
+                return LaurentPoly.zero()
+            rows[k], rows[swap] = rows[swap], rows[k]
+            negate = not negate
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                value = pivot * row[j]
+                if factor and pivot_row[j]:
+                    value = value - factor * pivot_row[j]
+                if value and previous is not None:
+                    quotient = value.exact_divide(previous)
+                    if quotient is None:
+                        raise ArithmeticError(
+                            f"Bareiss step {k}: {value} is not divisible by {previous}"
+                        )
+                    value = quotient
+                row[j] = value
+        previous = pivot
+    det = rows[n - 1][n - 1]
+    return -det if negate else det
 
 
 def alexander_polynomial(presentation: Presentation) -> LaurentPoly:

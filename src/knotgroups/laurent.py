@@ -41,6 +41,16 @@ class LaurentPoly:
             checked_int(c, "Laurent coefficient")
         self._coeffs = data
 
+    @classmethod
+    def _from_clean(cls, data: Dict[int, int]) -> "LaurentPoly":
+        """Wrap an int -> int map with no zero coefficients, which the
+        ring operations build themselves; only the range is checked."""
+        for c in data.values():
+            checked_int(c, "Laurent coefficient")
+        poly = object.__new__(cls)
+        poly._coeffs = data
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -106,12 +116,12 @@ class LaurentPoly:
             out[e] = out.get(e, 0) + c
             if out[e] == 0:
                 del out[e]
-        return LaurentPoly(out)
+        return LaurentPoly._from_clean(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._from_clean({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         q = self._coerce(other)
@@ -133,16 +143,16 @@ class LaurentPoly:
         for e1, c1 in self._coeffs.items():
             for e2, c2 in q._coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, 0) + checked_int(c1 * c2, "Laurent coefficient")
+                out[e] = out.get(e, 0) + c1 * c2
                 if out[e] == 0:
                     del out[e]
-        return LaurentPoly(out)
+        return LaurentPoly._from_clean(out)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the unit t^k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly._from_clean({e + k: c for e, c in self._coeffs.items()})
 
     # -- normalization and divisibility -------------------------------------
 
@@ -157,7 +167,7 @@ class LaurentPoly:
             return self
         lo = self.min_exp()
         sign = 1 if self._coeffs[lo] > 0 else -1
-        return LaurentPoly({e - lo: sign * c for e, c in self._coeffs.items()})
+        return LaurentPoly._from_clean({e - lo: sign * c for e, c in self._coeffs.items()})
 
     def is_associate(self, other: "LaurentPoly") -> bool:
         return self.normalize_up_to_units() == other.normalize_up_to_units()
@@ -174,7 +184,7 @@ class LaurentPoly:
         if quo is None:
             return None
         offset = self.min_exp() - divisor.min_exp()
-        return LaurentPoly({i + offset: c for i, c in enumerate(quo) if c != 0})
+        return LaurentPoly._from_clean({i + offset: c for i, c in enumerate(quo) if c != 0})
 
     def divides(self, other: "LaurentPoly") -> bool:
         return other.exact_divide(self) is not None
@@ -204,7 +214,7 @@ def _dense(p: LaurentPoly) -> list:
     """Coefficient list of t^-minexp * p, constant term first."""
     lo, hi = p.min_exp(), p.max_exp()
     out = [0] * (hi - lo + 1)
-    for e, c in p.terms():
+    for e, c in p._coeffs.items():
         out[e - lo] = c
     return out
 
@@ -257,7 +267,7 @@ def _pseudo_rem(a: list, b: list) -> list:
 
     Intermediates grow fast and are kept as unbounded exact integers; the
     caller strips content immediately, and only final gcd coefficients are
-    bounds-checked (via the LaurentPoly constructor).
+    bounds-checked (when they become a LaurentPoly).
     """
     da, db = _dense_deg(a), _dense_deg(b)
     rem = list(a[: da + 1])
@@ -293,7 +303,7 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         _, r = _content_and_primitive(r)
         a, b = b, r
     content = igcd(ca, cb)
-    result = LaurentPoly({i: content * c for i, c in enumerate(a) if c != 0})
+    result = LaurentPoly._from_clean({i: content * c for i, c in enumerate(a) if c != 0})
     return result.normalize_up_to_units()
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, JSON stability."""
 
 import json
+import time
 
 import pytest
 
@@ -83,6 +84,14 @@ class TestAlexCommand:
             ["-1 + t - t^2", "1 - t + t^2", "0"],
             ["-2*t^-1 + 1", "t^-1 - 1", "t^-1"],
         ]
+
+    def test_huge_exponents_exit_3_quickly(self, tmp_path, capsys):
+        path = write(tmp_path, "huge.pres", "< x, y | x^100000000*y*x^-100000001 >\n")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "alex", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert "monomials" in err
 
     def test_torsion_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "tor.pres", "< x | x^2 >\n")

@@ -5,13 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotgroups import fox
 from knotgroups.errors import (
     DeficiencyError,
+    DerivativeTooLargeError,
     MissingWeightError,
     NotInfiniteCyclicError,
 )
 from knotgroups.fox import (
     GroupRingElement,
+    _det,
+    _fox_row,
     abelianize_ring_element,
     alexander_matrix,
     alexander_polynomial,
@@ -133,6 +137,29 @@ class TestAlexanderMatrix:
             alexander_matrix(parse("< x,y | x*y*x^-1*y^-1 >"))
 
 
+class TestTermGuard:
+    def test_huge_exponents_refused(self):
+        with pytest.raises(DerivativeTooLargeError):
+            alexander_matrix(parse("< x, y | x^100000000*y*x^-100000001 >"))
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # x^3*y*x^-4 expands to 3 + 1 + 4 = 8 monomials
+        pres = parse("< x, y | x^3*y*x^-4 >")
+        monkeypatch.setattr(fox, "MAX_DERIVATIVE_TERMS", 8)
+        assert alexander_matrix(pres).shape == (1, 2)
+        monkeypatch.setattr(fox, "MAX_DERIVATIVE_TERMS", 7)
+        with pytest.raises(DerivativeTooLargeError):
+            alexander_matrix(pres)
+
+    def test_weight_zero_syllables_cost_one_term(self):
+        # y has weight 0, so y^N contributes N*t^w in one monomial
+        big = 100000000
+        pres = parse(f"< x, y | y*x*y^{big}*x^-1*y^-{big} >")
+        matrix = alexander_matrix(pres)
+        assert matrix[0, 0] == lp({})
+        assert matrix[0, 1] == lp({0: 1 - big, 1: big})
+
+
 class TestAlexanderPolynomial:
     def test_family_formula(self):
         for m in range(1, 6):
@@ -244,3 +271,100 @@ def test_alexander_invariance(base_idx):
     rng.shuffle(order)
     reordered = Presentation(order, base.relators)
     assert alexander_polynomial(reordered) == reference
+
+
+# -- one-pass rows against the noncommutative oracle ----------------------------
+
+long_words = st.lists(
+    st.tuples(gen_names, st.integers(min_value=-5, max_value=5)), max_size=12
+).map(Word)
+weight = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=300)
+@given(long_words, weight, weight, weight)
+def test_one_pass_row_matches_fox_derivative(w, wx, wy, wa):
+    weights = {"x": wx, "y": wy, "a": wa}
+    gens = ("x", "y", "a")
+    row = _fox_row(w, {g: j for j, g in enumerate(gens)}, weights)
+    assert row == tuple(
+        abelianize_ring_element(fox_derivative(w, g), weights) for g in gens
+    )
+
+
+# -- Bareiss against cofactor expansion -------------------------------------------
+
+
+def cofactor_det(matrix):
+    """Determinant by expansion along the first column (the oracle)."""
+    n = len(matrix)
+    if n == 0:
+        return LaurentPoly.one()
+    total = LaurentPoly.zero()
+    for i in range(n):
+        minor = [row[1:] for k, row in enumerate(matrix) if k != i]
+        term = matrix[i][0] * cofactor_det(minor)
+        total = total + (term if i % 2 == 0 else -term)
+    return total
+
+
+# half the entries zero, so zero pivots (row swaps) and singular matrices
+# come up often
+entries = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.dictionaries(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-4, max_value=4),
+        min_size=1, max_size=3,
+    ).map(LaurentPoly),
+)
+
+
+def square(n):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=5).flatmap(square))
+def test_bareiss_matches_cofactor(matrix):
+    assert _det(matrix) == cofactor_det(matrix)
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=2, max_value=5).flatmap(square), entries, entries)
+def test_bareiss_singular(matrix, p, q):
+    # last row = p * first row + q * second-to-last row
+    matrix[-1] = [p * a + q * b for a, b in zip(matrix[0], matrix[-2])]
+    assert _det(matrix) == LaurentPoly.zero()
+    assert cofactor_det(matrix) == LaurentPoly.zero()
+
+
+class TestBareiss:
+    def test_zero_pivot_swaps_rows_and_flips_sign(self):
+        t = lp({1: 1})
+        matrix = [[lp({}), t, lp({0: 2})],
+                  [lp({0: 1}), lp({0: 1, 1: 1}), lp({})],
+                  [t, lp({}), lp({-1: 3})]]
+        assert _det(matrix) == cofactor_det(matrix)
+        swapped = [matrix[1], matrix[0], matrix[2]]
+        assert _det(swapped) == -_det(matrix)
+
+    def test_later_zero_pivot(self):
+        # the (2,2) entry vanishes only after the first elimination step
+        one, two = lp({0: 1}), lp({0: 2})
+        matrix = [[one, one, one, one],
+                  [one, one, two, one],
+                  [one, two, one, one],
+                  [one, one, one, two]]
+        assert _det(matrix) == cofactor_det(matrix) == lp({0: -1})
+
+    def test_zero_column_is_singular(self):
+        t = lp({1: 1})
+        matrix = [[t, lp({})], [lp({0: 5}), lp({})]]
+        assert _det(matrix) == LaurentPoly.zero()
+
+    def test_inexact_division_raises(self, monkeypatch):
+        monkeypatch.setattr(LaurentPoly, "exact_divide", lambda self, d: None)
+        one, two = lp({0: 1}), lp({0: 2})
+        with pytest.raises(ArithmeticError):
+            _det([[two, one, one], [one, two, one], [one, one, two]])

@@ -53,6 +53,13 @@ class TestArithmetic:
         with pytest.raises(CoefficientOverflowError):
             lp({0: 2**63})
 
+    def test_overflow_raises_from_sums(self):
+        half = lp({1: 2**62})
+        with pytest.raises(CoefficientOverflowError):
+            half + half
+        with pytest.raises(CoefficientOverflowError):
+            half - (-half)
+
 
 class TestNormalize:
     def test_alternating_normalizes_to_ascending(self):
@@ -204,3 +211,17 @@ def test_normalize_constant_on_associates(p, k, flip):
 @given(small_polys)
 def test_text_round_trip(p):
     assert parse_laurent(format_laurent(p)) == p
+
+
+@given(small_polys, small_polys, st.integers(min_value=-4, max_value=4))
+def test_operation_results_are_canonical(p, q, k):
+    # results built without the public constructor still hold no zero
+    # coefficients, so equality and hashing stay structural
+    results = [p + q, p - q, p * q, -p, p.shift(k), p.normalize_up_to_units()]
+    quotient = (p * q).exact_divide(q)
+    if quotient is not None:
+        results.append(quotient)
+    for r in results:
+        assert all(c != 0 for _, c in r.terms())
+        assert r == LaurentPoly(r.terms())
+        assert hash(r) == hash(LaurentPoly(r.terms()))
