@@ -17,6 +17,7 @@ from .errors import (
     DegreeMismatchError,
     DerivativeTooLargeError,
     DuplicateGeneratorError,
+    GcdTooLargeError,
     GroupTooLargeError,
     InputError,
     InvalidParameterError,
@@ -29,6 +30,7 @@ from .errors import (
     ResourceError,
     UnknownGeneratorError,
     UnknownMarkerError,
+    WordTooLargeError,
     ZeroPolynomialError,
 )
 from .fox import (
@@ -83,6 +85,7 @@ __all__ = [
     "DerivativeTooLargeError",
     "DuplicateGeneratorError",
     "FiniteGroup",
+    "GcdTooLargeError",
     "GroupRingElement",
     "GroupTooLargeError",
     "HomSearchResult",
@@ -102,6 +105,7 @@ __all__ = [
     "UnknownGeneratorError",
     "UnknownMarkerError",
     "Word",
+    "WordTooLargeError",
     "ZeroPolynomialError",
     "abelianize",
     "abelianize_ring_element",

@@ -83,6 +83,14 @@ class DerivativeTooLargeError(ResourceError):
     """The abelianized Fox derivatives would expand to too many monomials."""
 
 
+class WordTooLargeError(ResourceError):
+    """The powers in a presentation text would build too many syllables."""
+
+
+class GcdTooLargeError(ResourceError):
+    """A polynomial gcd would run on operands of too high a degree."""
+
+
 class BudgetExceededError(ResourceError):
     """A search visited more nodes than its configured budget."""
 

@@ -8,6 +8,7 @@ File grammar (UTF-8, whitespace insignificant inside ``< >``)::
     markerline   := 'meridian' name ':' word        (one per line)
     word         := factor ('*' factor)*
     factor       := name ['^' integer] | '(' word ')' ['^' integer]
+    integer      := ['-'] digit+     (decimal digits, as ``int`` reads them)
 
 Example::
 
@@ -17,10 +18,16 @@ Example::
 
 The canonical renderer emits this same grammar, so ``parse(render(P)) == P``
 for every presentation value and ``render(parse(s)) == s`` on canonical text.
+
+A power ``(w)^k`` is built from the cyclic reduction of w, after its length
+is known; the powers of one text may build at most ``MAX_WORD_SYLLABLES``
+syllables in total, and past that parsing raises WordTooLargeError rather
+than filling memory.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -29,9 +36,16 @@ from .errors import (
     InvalidParameterError,
     PresentationSyntaxError,
     UnknownGeneratorError,
+    WordTooLargeError,
     checked_int,
 )
-from .words import Word, check_generator_name
+from .words import (
+    Word,
+    check_generator_name,
+    power_length,
+    power_syllables,
+    reduce_syllables,
+)
 
 
 class Presentation:
@@ -104,10 +118,7 @@ class Presentation:
     def render(self) -> str:
         """Canonical text form (grammar above), ending in a newline."""
         rel = ", ".join(str(r) for r in self.relators)
-        head = f"< {', '.join(self.generators)} | {rel} >" if rel else (
-            f"< {', '.join(self.generators)} | >"
-        )
-        lines = [head]
+        lines = [f"< {', '.join(self.generators)} | {rel + ' ' if rel else ''}>"]
         for name, w in self.markers.items():
             lines.append(f"meridian {name}: {w}")
         return "\n".join(lines) + "\n"
@@ -152,124 +163,101 @@ def rbg_family(m: int) -> Presentation:
 
 # -- parsing -------------------------------------------------------------------
 
+# One match per token: a symbol, an integer, a stray '-' or a name.  No
+# alternative matches whitespace, so findall skips it.
+_SCAN = re.compile(r"[<>|,*^():]|-?\d+|-|[^\s<>|,*^():]+")
+_SYMBOLS = frozenset("<>|,*^():")
+
+# Syllables that the powers ``(w)^k``, |k| > 1, of one text may build in total.
+MAX_WORD_SYLLABLES = 10**6
+
 
 def parse(text: str) -> Presentation:
     """Parse presentation text in the module grammar.
 
     Names are maximal runs of characters outside the reserved set
-    ``^*(),|<>:`` and whitespace; a name may not begin with a digit or
-    ``-`` (those start integer tokens), and ``meridian`` is reserved as
-    the marker-line keyword.
+    ``^*(),|<>:`` and whitespace; a name may not begin with a decimal
+    digit or ``-`` (those start integer tokens), and ``meridian`` is
+    reserved as the marker-line keyword.
 
     Raises PresentationSyntaxError (with line/column), UnknownGeneratorError,
-    or DuplicateGeneratorError.
+    DuplicateGeneratorError, or WordTooLargeError when the powers would
+    build more than ``MAX_WORD_SYLLABLES`` syllables.
     """
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    return parser.parse_presentation()
+    return _Parser(text).parse_presentation()
 
 
 def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse a single word (e.g. ``(y*x)^-3`` or ``x^-1*a*x``)."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    declared = set(generators)
-    word = parser.parse_word(declared)
+    parser = _Parser(text)
+    # a generator the scanner would not read as one name token never occurs
+    names = {g for g in generators if _kind(g) == "name" and _SCAN.fullmatch(g)}
+    word = parser.parse_word(names)
     parser.expect_end()
     return word
 
 
-@dataclass
-class _Token:
-    kind: str  # 'name', 'int', or a literal symbol
-    value: str
-    line: int
-    column: int
+def _kind(tok: str) -> str:
+    """'name', 'int', 'end' (the empty token closing the list) or the symbol."""
+    if tok in _SYMBOLS:
+        return tok
+    if not tok:
+        return "end"
+    return "int" if tok[0] == "-" or tok[0].isdecimal() else "name"
 
 
-_SYMBOLS = set("<>|,*^():")
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "-" or ch.isdigit():
-            start = i
-            j = i + 1 if ch == "-" else i
-            if j >= len(text) or not text[j].isdigit():
-                raise PresentationSyntaxError(f"stray {ch!r}", line, col)
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[start:j], line, col))
-            col += j - i
-            i = j
-            continue
-        # name: maximal run of non-space, non-symbol characters
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in _SYMBOLS:
-            j += 1
-        tokens.append(_Token("name", text[i:j], line, col))
-        col += j - i
-        i = j
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+def _found(tok: str) -> str:
+    return repr(tok) if tok else "end of input"
 
 
 class _Parser:
-    def __init__(self, tokens: list):
-        self.tokens = tokens
+    """Parser over the token strings of one text.  Tokens carry no
+    positions: an error finds its token's line and column by scanning the
+    text again."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _SCAN.findall(text)
+        if "-" in self.tokens:
+            raise self.error("stray '-'", self.tokens.index("-"))
+        self.tokens.append("")
         self.pos = 0
+        self.built = 0  # syllables built by powers so far
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def where(self, index: int) -> Tuple[int, int]:
+        offset = ([m.start() for m in _SCAN.finditer(self.text)] + [len(self.text)])[index]
+        return (self.text.count("\n", 0, offset) + 1,
+                offset - self.text.rfind("\n", 0, offset))
 
-    def advance(self) -> _Token:
+    def error(self, message: str, index: int) -> PresentationSyntaxError:
+        return PresentationSyntaxError(message, *self.where(index))
+
+    def expect(self, kind: str, what: str) -> str:
         tok = self.tokens[self.pos]
+        if _kind(tok) != kind:
+            raise self.error(f"expected {what}, found {_found(tok)}", self.pos)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != kind:
-            raise PresentationSyntaxError(
-                f"expected {what}, found {tok.value!r}" if tok.kind != "end"
-                else f"expected {what}, found end of input",
-                tok.line, tok.column,
-            )
-        return tok
-
     def expect_end(self) -> None:
-        tok = self.advance()
-        if tok.kind != "end":
-            raise PresentationSyntaxError(
-                f"unexpected trailing {tok.value!r}", tok.line, tok.column
-            )
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self.error(f"unexpected trailing {tok!r}", self.pos)
+
+    def exponent(self, index: int) -> int:
+        tok = self.tokens[index]
+        if _kind(tok) != "int":
+            raise self.error(f"expected an integer exponent, found {_found(tok)}", index)
+        return int(tok)
 
     # grammar productions -----------------------------------------------
 
     def parse_presentation(self) -> Presentation:
         self.expect("<", "'<'")
-        generators = [self.expect("name", "generator name").value]
-        while self.peek().kind == ",":
-            self.advance()
-            generators.append(self.expect("name", "generator name").value)
+        generators = [self.expect("name", "generator name")]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            generators.append(self.expect("name", "generator name"))
         dup = {g for g in generators if generators.count(g) > 1}
         if dup:
             raise DuplicateGeneratorError(
@@ -282,65 +270,77 @@ class _Parser:
         declared = set(generators)
         self.expect("|", "'|'")
         relators = []
-        if self.peek().kind != ">":
+        if self.tokens[self.pos] != ">":
             relators.append(self.parse_word(declared))
-            while self.peek().kind == ",":
-                self.advance()
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
                 relators.append(self.parse_word(declared))
         self.expect(">", "'>'")
-        markers = self.parse_markers(declared)
-        return Presentation(generators, relators, markers)
+        return Presentation(generators, relators, self.parse_markers(declared))
 
     def parse_markers(self, declared: set) -> Dict[str, Word]:
         markers: Dict[str, Word] = {}
-        while True:
-            tok = self.peek()
-            if tok.kind == "end":
-                self.advance()
-                return markers
-            if tok.kind != "name" or tok.value != "meridian":
-                raise PresentationSyntaxError(
-                    f"expected a 'meridian' marker line, found {tok.value!r}",
-                    tok.line, tok.column,
-                )
-            self.advance()
-            name = self.expect("name", "marker name").value
+        while self.tokens[self.pos]:
+            if self.tokens[self.pos] != "meridian":
+                raise self.error("expected a 'meridian' marker line, found "
+                                 f"{self.tokens[self.pos]!r}", self.pos)
+            self.pos += 1
+            name = self.expect("name", "marker name")
             if name in markers:
                 raise DuplicateGeneratorError(f"marker {name!r} declared twice")
             self.expect(":", "':'")
             markers[name] = self.parse_word(declared)
+        return markers
 
     def parse_word(self, declared: set) -> Word:
-        # one Word (one free reduction) for the whole product, not one per '*'
-        syllables = list(self.parse_factor(declared).syllables)
-        while self.peek().kind == "*":
-            self.advance()
-            syllables.extend(self.parse_factor(declared).syllables)
-        return Word(syllables)
-
-    def parse_factor(self, declared: set) -> Word:
-        tok = self.advance()
-        if tok.kind == "name":
-            if tok.value not in declared:
+        # The raw syllables of the whole word go into one list, reduced once
+        # at the end; a parenthesized group is reduced and raised to its
+        # power where it closes.  Open groups wait on a list, not on the
+        # call stack, so nesting depth is not bounded by recursion.
+        tokens, pos = self.tokens, self.pos
+        raw: list = []
+        outer: list = []
+        while True:
+            tok = tokens[pos]
+            if tok in declared:
+                if tokens[pos + 1] == "^":
+                    raw.append((tok, self.exponent(pos + 2)))
+                    pos += 3
+                else:
+                    raw.append((tok, 1))
+                    pos += 1
+            elif tok == "(":
+                outer.append(raw)
+                raw = []
+                pos += 1
+                continue
+            elif _kind(tok) == "name":
+                line, column = self.where(pos)
                 raise UnknownGeneratorError(
-                    f"undeclared generator {tok.value!r} "
-                    f"(line {tok.line}, column {tok.column})"
+                    f"undeclared generator {tok!r} (line {line}, column {column})"
                 )
-            base = Word.generator(tok.value)
-        elif tok.kind == "(":
-            base = self.parse_word(declared)
-            self.expect(")", "')'")
-        else:
-            found = repr(tok.value) if tok.kind != "end" else "end of input"
-            raise PresentationSyntaxError(
-                f"expected a generator or '(', found {found}",
-                tok.line, tok.column,
-            )
-        if self.peek().kind == "^":
-            self.advance()
-            exp = self.expect("int", "an integer exponent")
-            return base ** int(exp.value)
-        return base
+            else:
+                raise self.error(f"expected a generator or '(', found {_found(tok)}", pos)
+            while tokens[pos] != "*":
+                if not outer:
+                    self.pos = pos
+                    # every name matched the declared set, so none needs a check
+                    return Word._trusted(reduce_syllables(raw))
+                if tokens[pos] != ")":
+                    raise self.error(f"expected ')', found {_found(tokens[pos])}", pos)
+                k = self.exponent(pos + 2) if tokens[pos + 1] == "^" else 1
+                pos += 3 if tokens[pos + 1] == "^" else 1
+                group = reduce_syllables(raw)
+                if abs(k) > 1:
+                    self.built += power_length(group, k)
+                    if self.built > MAX_WORD_SYLLABLES:
+                        raise WordTooLargeError(
+                            f"the powers expand to at least {self.built} syllables, "
+                            f"over the limit of {MAX_WORD_SYLLABLES}"
+                        )
+                raw = outer.pop()
+                raw.extend(power_syllables(group, k))
+            pos += 1
 
 
 # -- Smith normal form and abelianization ---------------------------------------
@@ -472,7 +472,6 @@ def abelianize(presentation: Presentation) -> AbelianizationReport:
     # columns = relator vectors in Z^g
     a = [[rel[i][j] for i in range(r)] for j in range(g)]
     if r == 0:
-        a = [[] for _ in range(g)]
         diag, u = [], [[int(i == j) for j in range(g)] for i in range(g)]
         rank = 0
     else:

@@ -45,17 +45,65 @@ def reduce_syllables(raw: Iterable[Syllable]) -> Tuple[Syllable, ...]:
     dropped, and cancellations cascade (a stack pass gives the normal form
     in one sweep).  Idempotent.
     """
-    stack: list[list] = []
+    stack: list = []
     for name, exp in raw:
-        if exp == 0:
+        if not exp:
             continue
         if stack and stack[-1][0] == name:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([name, exp])
-    return tuple((name, exp) for name, exp in stack)
+            exp += stack.pop()[1]
+            if not exp:
+                continue
+        stack.append((name, exp))
+    return tuple(stack)
+
+
+def _cyclic_split(s: Tuple[Syllable, ...]) -> Tuple[int, int, bool]:
+    """Split a reduced syllable tuple as u c u^-1 with c cyclically reduced
+    up to its ends: returns (|u|, |c|, merge), where ``merge`` says that
+    c's last and first syllables share a generator (and so merge, without
+    cancelling, where c meets the next copy of c)."""
+    i, j = 0, len(s) - 1
+    while i < j and s[i][0] == s[j][0] and s[i][1] == -s[j][1]:
+        i += 1
+        j -= 1
+    return i, j - i + 1, j > i and s[i][0] == s[j][0]
+
+
+def power_length(s: Tuple[Syllable, ...], k: int) -> int:
+    """Number of syllables of w^k for the reduced syllables ``s`` of w,
+    in O(|w|) time, without building the power."""
+    if not s or k == 0:
+        return 0
+    k = abs(k)
+    u, c, merge = _cyclic_split(s)
+    if c == 1:
+        return 2 * u + 1
+    return 2 * u + k * c - (k - 1 if merge else 0)
+
+
+def power_syllables(s: Tuple[Syllable, ...], k: int) -> Tuple[Syllable, ...]:
+    """Reduced syllables of w^k for the reduced syllables ``s`` of w.
+
+    Built directly from w = u c u^-1: u c^k u^-1, where copies of c meet
+    with no cancellation, so the result has ``power_length(s, k)``
+    syllables and costs nothing more to build."""
+    if not s or k == 0:
+        return ()
+    if k < 0:
+        s, k = tuple((g, -e) for g, e in reversed(s)), -k
+    u, c, merge = _cyclic_split(s)
+    head, core, tail = s[:u], s[u:u + c], s[u + c:]
+    if c == 1:
+        g, e = core[0]
+        middle = ((g, e * k),)
+    elif merge:
+        # c^k = c0 B m B m ... B c_last, with m the merged junction syllable
+        body = core[1:-1]
+        junction = ((core[0][0], core[-1][1] + core[0][1]),)
+        middle = core[:1] + (body + junction) * (k - 1) + body + core[-1:]
+    else:
+        middle = core * k
+    return head + middle + tail
 
 
 class Word:
@@ -78,6 +126,15 @@ class Word:
         for name, _ in reduced:
             check_generator_name(name)
         self._syllables = reduced
+
+    @classmethod
+    def _trusted(cls, syllables: Tuple[Syllable, ...]) -> "Word":
+        """Wrap a reduced syllable tuple whose generator names are already
+        valid (the results of word operations, and parsed words whose
+        names were matched against a declared set)."""
+        word = object.__new__(cls)
+        word._syllables = syllables
+        return word
 
     # -- construction helpers ------------------------------------------
 
@@ -122,25 +179,15 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self._syllables + other._syllables)
+        return Word._trusted(reduce_syllables(self._syllables + other._syllables))
 
     def __invert__(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self._syllables)))
+        return Word._trusted(tuple((g, -e) for g, e in reversed(self._syllables)))
 
     def __pow__(self, k: int) -> "Word":
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return _IDENTITY
-        base = self if k > 0 else ~self
-        k = abs(k)
-        result = _IDENTITY
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return Word._trusted(power_syllables(self._syllables, k))
 
     def conjugate(self, g: "Word") -> "Word":
         """Conjugate by ``g``: returns ``g * self * ~g``."""

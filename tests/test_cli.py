@@ -54,6 +54,12 @@ class TestParseCommand:
         code, _, _ = run(capsys, "parse", "/nonexistent/file.pres")
         assert code == 2
 
+    def test_power_of_conjugate(self, tmp_path, capsys):
+        path = write(tmp_path, "conj.pres", "< x, y | (x*y*x^-1)^1000000000 >")
+        code, out, _ = run(capsys, "parse", path)
+        assert code == 0
+        assert out.strip() == "< x, y | x*y^1000000000*x^-1 >"
+
 
 class TestAlexCommand:
     def test_family_m1(self, tmp_path, capsys):
@@ -92,6 +98,37 @@ class TestAlexCommand:
         assert time.perf_counter() - started < 1.0
         assert code == 3
         assert "monomials" in err
+
+    def test_superscript_exponent_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "sup.pres", "< x | x^\u00b2 >\n")
+        code, _, err = run(capsys, "alex", path)
+        assert code == 2
+        assert "expected an integer exponent, found '\u00b2' (line 1, column 9)" in err
+
+    def test_huge_power_exits_3_quickly(self, tmp_path, capsys):
+        path = write(tmp_path, "power.pres", "< x, y | (y*x)^1000000000 >\n")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "alex", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert "syllables" in err
+
+    def test_wide_gcd_ends_quickly(self, tmp_path, capsys):
+        # weights 1, 1000, 10^6: minors of breadth ~10^6 meet in one gcd
+        path = write(tmp_path, "wide.pres", "< x, y, z | x^1000*y^-1, y^1000*z^-1 >\n")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "alex", path)
+        assert time.perf_counter() - started < 2.0
+        assert code == 3
+        assert "gcd" in err
+
+    def test_gcd_with_a_monomial_is_immediate(self, tmp_path, capsys):
+        path = write(tmp_path, "mono.pres", "< x, y | x^16000*y^-1 >\n")
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "alex", path)
+        assert time.perf_counter() - started < 2.0
+        assert code == 0
+        assert out.strip() == "1"
 
     def test_torsion_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "tor.pres", "< x | x^2 >\n")

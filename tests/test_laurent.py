@@ -1,14 +1,18 @@
 """Exact Laurent arithmetic, unit normalization, gcd, text form."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from knotgroups.errors import (
     CoefficientOverflowError,
+    GcdTooLargeError,
     InvalidParameterError,
     ZeroPolynomialError,
 )
 from knotgroups.laurent import (
+    MAX_GCD_DEGREE,
     LaurentPoly,
     format_laurent,
     gcd,
@@ -124,6 +128,20 @@ class TestGcd:
         q = common * lp({0: 2, 3: 1})
         assert gcd(p, q) == common
 
+    def test_monomial_gives_integer_gcd_at_any_breadth(self):
+        wide = lp({0: 6, 10**9: -4, -10**9: 10})
+        assert gcd(lp({7: -3}), wide) == LaurentPoly.one()
+        assert gcd(wide, lp({-5: 4})) == lp({0: 2})
+        assert gcd(lp({3: -12}), lp({8: 18})) == lp({0: 6})
+
+    def test_breadth_guard(self):
+        at_cap = lp({0: -1, MAX_GCD_DEGREE: 1})
+        assert gcd(at_cap, lp({0: -1, 1: 1})) == lp({0: 1, 1: -1})
+        with pytest.raises(GcdTooLargeError, match="breadth"):
+            gcd(lp({0: -1, MAX_GCD_DEGREE + 1: 1}), lp({0: -1, 1: 1}))
+        with pytest.raises(GcdTooLargeError):
+            gcd(lp({0: 1, 1: 1}), lp({0: 1, 10**9: 1}))
+
 
 class TestDivision:
     def test_exact(self):
@@ -191,6 +209,23 @@ def test_gcd_divides_both(p, q):
     else:
         assert g.divides(p)
         assert g.divides(q)
+
+
+@given(small_polys, small_polys, small_polys)
+def test_gcd_keeps_a_common_factor(p, q, r):
+    # leading coefficients other than +-1 exercise the remainder's rescaling
+    g = gcd(p * r, q * r)
+    if not g.is_zero:
+        assert r.divides(g)
+        assert g.divides(p * r) and g.divides(q * r)
+
+
+@given(st.integers(min_value=-6, max_value=6).filter(bool),
+       st.integers(min_value=-10, max_value=10), small_polys)
+def test_gcd_with_monomial_is_integer_gcd(c, j, q):
+    content = math.gcd(*(coeff for _, coeff in q.terms()))
+    assert gcd(lp({j: c}), q) == lp({0: math.gcd(c, content)})
+    assert gcd(q, lp({j: c})) == lp({0: math.gcd(c, content)})
 
 
 @given(small_polys, small_polys, small_polys)

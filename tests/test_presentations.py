@@ -1,16 +1,21 @@
 """Presentation parsing, rendering, the family generator, abelianization."""
 
 import random
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from knotgroups import presentations
 from knotgroups.errors import (
+    DerivativeTooLargeError,
     DuplicateGeneratorError,
     InvalidParameterError,
     PresentationSyntaxError,
     UnknownGeneratorError,
+    WordTooLargeError,
 )
+from knotgroups.fox import alexander_matrix
 from knotgroups.presentations import (
     Presentation,
     abelianize,
@@ -94,6 +99,12 @@ class TestParse:
         with pytest.raises(PresentationSyntaxError) as err:
             parse("< x, y |\n" + "x*y*" * 50 + "* >")
         assert (err.value.line, err.value.column) == (2, 201)
+
+    def test_word_generators_that_are_not_names(self):
+        # parsed words skip name checks, so only name tokens may match
+        with pytest.raises(PresentationSyntaxError, match="found '-1'"):
+            parse_word("-1", ("-1",))
+        assert parse_word("(x)^2", ("(", "x", "x y")) == Word((("x", 2),))
 
     def test_reserved_keyword(self):
         with pytest.raises(PresentationSyntaxError):
@@ -317,3 +328,216 @@ def test_random_render_parse_round_trip():
             markers["mu"] = Word([(rng.choice(gens), rng.choice((-1, 1)))])
         pres = Presentation(gens, relators, markers)
         assert parse(pres.render()) == pres
+
+
+# -- the parser against oracles that share no code with it ---------------------
+#
+# A word is built as a small syntax tree: ("gen", name, exp) or
+# ("group", [factors], exp), exp None meaning no '^'.  The expected word
+# comes from expanding the tree letter by letter and reducing with a stack,
+# and from Word operations; the text is the tree rendered with random
+# whitespace and redundant parentheses.
+
+NAMES = ("x", "y1", "g-2", "h'", "é", "²b")
+exps = st.one_of(st.none(), st.integers(min_value=-3, max_value=3))
+factors = st.recursive(
+    st.tuples(st.just("gen"), st.sampled_from(NAMES), exps),
+    lambda inner: st.tuples(st.just("group"), st.lists(inner, min_size=1, max_size=3), exps),
+    max_leaves=10,
+)
+word_trees = st.lists(factors, min_size=1, max_size=4)
+GAPS = ("", "", " ", "\n", "\t", " \n  ")
+rngs = st.integers(min_value=0, max_value=2**32).map(random.Random)
+
+
+def _letters(factor):
+    kind, body, e = factor
+    e = 1 if e is None else e
+    if kind == "gen":
+        return [(body, 1 if e > 0 else -1)] * abs(e)
+    inner = [letter for f in body for letter in _letters(f)]
+    if e < 0:
+        inner = [(g, -s) for g, s in reversed(inner)]
+    return inner * abs(e)
+
+
+def _free_reduce(letters):
+    stack = []
+    for g, s in letters:
+        if stack and stack[-1] == (g, -s):
+            stack.pop()
+        else:
+            stack.append((g, s))
+    syllables = []
+    for g, s in stack:
+        if syllables and syllables[-1][0] == g:
+            syllables[-1][1] += s
+        else:
+            syllables.append([g, s])
+    return tuple((g, e) for g, e in syllables)
+
+
+def _word_of(factor):
+    kind, body, e = factor
+    e = 1 if e is None else e
+    if kind == "gen":
+        return Word.generator(body, e)
+    product = Word.identity()
+    for f in body:
+        product = product * _word_of(f)
+    return product**e
+
+
+def _tokens(factor, rng):
+    """The factor as tokens, possibly wrapped in redundant parentheses."""
+    kind, body, e = factor
+    if kind == "gen":
+        toks = [body]
+    else:
+        toks = ["("] + _word_tokens(body, rng) + [")"]
+    if e is not None:
+        toks += ["^", str(e)]
+    if rng.random() < 0.2:
+        toks = ["("] + toks + [")"]
+    return toks
+
+
+def _word_tokens(tree, rng):
+    toks = []
+    for i, f in enumerate(tree):
+        toks += (["*"] if i else []) + _tokens(f, rng)
+    return toks
+
+
+def _join(tokens, rng):
+    """Text of the tokens with random gaps, and the offset of each token;
+    the keyword 'meridian' keeps whitespace on both sides."""
+    text, offsets = "", []
+    for i, tok in enumerate(tokens):
+        gap = rng.choice(GAPS)
+        if i and not gap and "meridian" in (tok, tokens[i - 1]):
+            gap = " "
+        text += gap
+        offsets.append(len(text))
+        text += tok
+    return text + rng.choice(GAPS), offsets
+
+
+def _line_column(text, offset):
+    before = text[:offset]
+    return before.count("\n") + 1, len(before) - before.rfind("\n")
+
+
+@settings(max_examples=200)
+@given(word_trees, rngs)
+def test_parse_word_matches_letter_expansion(tree, rng):
+    text, _ = _join(_word_tokens(tree, rng), rng)
+    expected = _free_reduce([letter for f in tree for letter in _letters(f)])
+    parsed = parse_word(text, NAMES)
+    assert parsed.syllables == expected
+    product = Word.identity()
+    for f in tree:
+        product = product * _word_of(f)
+    assert parsed == product
+
+
+syllable_lists = st.lists(
+    st.tuples(st.sampled_from(NAMES), st.integers(min_value=-3, max_value=3)), max_size=8
+)
+
+
+@given(st.lists(syllable_lists, max_size=4), st.lists(syllable_lists, max_size=3))
+def test_render_parse_round_trip(relators, markers):
+    words = [Word(raw) for raw in markers]
+    pres = Presentation(
+        NAMES, [Word(raw) for raw in relators],
+        {f"m{i}": w for i, w in enumerate(words) if w},
+    )
+    assert parse(pres.render()) == pres
+
+
+def _presentation_tokens(relators, markers, rng):
+    toks = ["<"] + [t for n in NAMES for t in (",", n)][1:] + ["|"]
+    for i, tree in enumerate(relators):
+        toks += ([","] if i else []) + _word_tokens(tree, rng)
+    toks.append(">")
+    for i, tree in enumerate(markers):
+        toks += ["meridian", f"mu{i}", ":"] + _word_tokens(tree, rng)
+    return toks
+
+
+def _nonidentity(tree):
+    return bool(_free_reduce([letter for f in tree for letter in _letters(f)]))
+
+
+@settings(max_examples=100)
+@given(st.lists(word_trees, min_size=1, max_size=3),
+       st.lists(word_trees.filter(_nonidentity), max_size=2),
+       st.sampled_from(("undeclared", "stray", "exponent")),
+       rngs)
+def test_injected_error_position(relators, markers, fault, rng):
+    toks = _presentation_tokens(relators, markers, rng)
+    body = toks.index("|") + 1
+    text, _ = _join(toks, rng)
+    assert parse(text).generators == NAMES  # the clean text parses
+    if fault == "undeclared":
+        spots = [i for i in range(body, len(toks)) if toks[i] in NAMES]
+        at = rng.choice(spots)
+        toks[at] = "zz"
+    elif fault == "stray":
+        at = rng.randint(0, len(toks))
+        toks.insert(at, "-")
+    else:
+        spots = [i for i in range(len(toks)) if toks[i - 1] == "^"]
+        assume(spots)
+        at = rng.choice(spots)
+        toks[at] = "²"
+    text, offsets = _join(toks, rng)
+    if fault == "stray":
+        # a gap keeps the '-' from joining a name or an integer
+        text = text[:offsets[at]] + " - " + text[offsets[at] + 1:]
+        offsets[at] += 1
+    line, column = _line_column(text, offsets[at])
+    if fault == "undeclared":
+        with pytest.raises(UnknownGeneratorError,
+                           match=rf"'zz' \(line {line}, column {column}\)$"):
+            parse(text)
+        return
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(
+        "stray '-'" if fault == "stray" else "expected an integer exponent, found '²'"
+    )
+
+
+class TestPowers:
+    def test_power_of_conjugate_stays_short(self):
+        word = parse_word("(x*y*x^-1)^1000000000", ("x", "y"))
+        assert str(word) == "x*y^1000000000*x^-1"
+
+    def test_huge_power_refused_before_building(self):
+        started = time.perf_counter()
+        with pytest.raises(WordTooLargeError):
+            parse("< x, y | (y*x)^1000000000 >")
+        assert time.perf_counter() - started < 1.0
+
+    def test_cap_counts_every_power_of_the_text(self, monkeypatch):
+        monkeypatch.setattr(presentations, "MAX_WORD_SYLLABLES", 120)
+        assert len(parse("< x, y | (x*y)^30, (y*x)^30 >").relators) == 2  # 120
+        with pytest.raises(WordTooLargeError):
+            parse("< x, y | (x*y)^30, (y*x)^30 >\nmeridian m: (x*y)^-2\n")
+        with pytest.raises(WordTooLargeError):
+            parse("< x, y | ((x*y)^20)^3 >")  # 40 + 120 built
+        # plain products and single powers of one syllable build nothing
+        assert parse("< x, y | " + "x*y*" * 100 + "x^1000000000 >").relators
+
+    def test_huge_exponents_still_reach_the_derivative_guard(self):
+        pres = parse("< x, y | x^100000000*y*x^-100000001 >")
+        with pytest.raises(DerivativeTooLargeError):
+            alexander_matrix(pres)
+
+    def test_deep_nesting(self):
+        depth = 4999  # deeper than the recursion limit
+        word = parse_word("(" * depth + "x*y" + ")^-1" * depth, ("x", "y"))
+        assert word == parse_word("y^-1*x^-1", ("x", "y"))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotgroups.errors import InvalidParameterError, MissingImageError
 from knotgroups.permgroups import Permutation, symmetric_group, alternating_group
-from knotgroups.words import Word, reduce_syllables
+from knotgroups.words import Word, power_length, power_syllables, reduce_syllables
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
@@ -171,3 +171,29 @@ def test_evaluate_is_multiplicative(u, v, data):
     lhs = (u * v).evaluate(images, S4)
     rhs = u.evaluate(images, S4) * v.evaluate(images, S4)
     assert lhs == rhs
+
+
+# -- powers built from the cyclic reduction ------------------------------------
+
+conjugated_words = st.tuples(words, words).map(lambda uc: uc[0] * uc[1] * ~uc[0])
+
+
+@given(st.one_of(words, conjugated_words), st.integers(min_value=-6, max_value=6))
+def test_power_against_repeated_reduction(u, k):
+    # oracle: the public constructor reducing k copies of the letters
+    step = u.syllables if k >= 0 else tuple((g, -e) for g, e in reversed(u.syllables))
+    expected = Word(step * abs(k))
+    assert power_syllables(u.syllables, k) == expected.syllables
+    assert power_length(u.syllables, k) == len(expected.syllables)
+    assert u**k == expected
+    for result in (u**k, u * expected, ~expected):
+        assert result == Word(result.syllables)  # operators keep normal form
+
+
+def test_power_length_without_building():
+    conj = (("x", 2), ("y", 1), ("x", -3))  # x^2 y x^-3: ends merge to x^-1
+    assert power_length(conj, 10**12) == 2 * 10**12 + 1
+    assert power_length((("x", 1), ("y", 1), ("x", -1)), -10**12) == 3
+    assert power_syllables((("x", 1), ("y", 1), ("x", -1)), 10**9) == (
+        ("x", 1), ("y", 10**9), ("x", -1))
+
