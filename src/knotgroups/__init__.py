@@ -50,7 +50,7 @@ from .homsearch import (
     meridian_invariant,
     meridian_search,
 )
-from .laurent import LaurentPoly, breadth, format_laurent, gcd, normalize_up_to_units, parse_laurent
+from .laurent import LaurentPoly, format_laurent, gcd, parse_laurent
 from .permgroups import (
     FiniteGroup,
     Permutation,
@@ -113,7 +113,6 @@ __all__ = [
     "alexander_polynomial",
     "alternating_group",
     "are_conjugate",
-    "breadth",
     "count_homs",
     "find_conjugator",
     "format_laurent",
@@ -125,7 +124,6 @@ __all__ = [
     "is_homomorphism",
     "meridian_invariant",
     "meridian_search",
-    "normalize_up_to_units",
     "parse",
     "parse_laurent",
     "parse_permutation",

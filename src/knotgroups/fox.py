@@ -72,10 +72,6 @@ class GroupRingElement:
     def zero(cls) -> "GroupRingElement":
         return cls()
 
-    @classmethod
-    def from_word(cls, word: Word, coeff: int = 1) -> "GroupRingElement":
-        return cls(((word, coeff),))
-
     @property
     def terms(self) -> Dict[Word, int]:
         return dict(self._terms)

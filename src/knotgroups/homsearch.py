@@ -45,7 +45,7 @@ from .errors import (
     UnknownGeneratorError,
     UnknownMarkerError,
 )
-from .permgroups import FiniteGroup, IndexForm, Permutation, are_conjugate
+from .permgroups import FiniteGroup, IndexForm, Permutation, are_conjugate, product_exceeds
 from .presentations import Presentation
 from .words import Word
 
@@ -186,11 +186,9 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     pins = check_constraint(presentation, group, constraint or {})
     unpinned = [g for g in presentation.generators if g not in pins]
     if mode == "naive":
-        space = group.order ** len(unpinned)
-        if space > naive_cap:
+        if product_exceeds([group.order] * len(unpinned), naive_cap):
             raise GroupTooLargeError(
-                f"naive search space {group.order}^{len(unpinned)} = {space} "
-                f"exceeds cap {naive_cap}"
+                f"naive search space {group.order}^{len(unpinned)} exceeds cap {naive_cap}"
             )
     if mode not in ("naive", "backtrack"):
         raise InvalidParameterError(f"unknown search mode {mode!r}")

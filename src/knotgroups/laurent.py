@@ -3,7 +3,7 @@
 Elements of Z[t, t^-1] are stored as sparse exponent -> coefficient maps
 with no zero coefficients; the empty map is the zero polynomial.  The ring
 is a UFD whose units are +-t^k, and several consumers only care about
-values up to units, hence :func:`normalize_up_to_units`.
+values up to units, hence :meth:`LaurentPoly.normalize_up_to_units`.
 
 Coefficients are kept inside a checked 64-bit range; leaving it raises
 CoefficientOverflowError rather than producing a huge silent result.
@@ -69,23 +69,11 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        """The monomial coeff * t^exp."""
-        return cls({exp: coeff})
-
-    @classmethod
-    def from_int(cls, n: int) -> "LaurentPoly":
-        return cls({0: n})
-
     # -- structure -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
 
     def terms(self) -> Tuple[Tuple[int, int], ...]:
         """(exponent, coefficient) pairs sorted by ascending exponent."""
@@ -331,14 +319,6 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     content = igcd(ca, cb)
     result = LaurentPoly._from_clean({i: content * c for i, c in enumerate(a) if c != 0})
     return result.normalize_up_to_units()
-
-
-def breadth(p: LaurentPoly) -> int:
-    return p.breadth()
-
-
-def normalize_up_to_units(p: LaurentPoly) -> LaurentPoly:
-    return p.normalize_up_to_units()
 
 
 # -- text form ---------------------------------------------------------------

@@ -23,8 +23,9 @@ Points are 0-based internally; all I/O uses 1-based cycle notation such as
 from __future__ import annotations
 
 from array import array
-from itertools import permutations as _all_perms
-from math import factorial, lcm
+from itertools import accumulate, permutations as _all_perms
+from math import lcm
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -371,12 +372,18 @@ class _Powers(dict):
         return value
 
 
+def product_exceeds(factors: Iterable[int], cap: int) -> bool:
+    """Whether the product of ``factors`` exceeds ``cap``, multiplying only
+    until it does, so a huge product is never built."""
+    return any(p > cap for p in accumulate(factors, mul, initial=1))
+
+
 def symmetric_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """S_n, elements in lexicographic image order (identity first)."""
     if n < 1:
         raise InvalidParameterError("degree must be at least 1")
-    if factorial(n) > cap:
-        raise GroupTooLargeError(f"|S_{n}| = {factorial(n)} exceeds cap {cap}")
+    if product_exceeds(range(2, n + 1), cap):
+        raise GroupTooLargeError(f"|S_{n}| = {n}! exceeds cap {cap}")
     elems = [Permutation(p) for p in _all_perms(range(n))]
     gens = [Permutation.from_cycles([(1, 2)], n)] if n >= 2 else []
     if n >= 3:
@@ -388,9 +395,8 @@ def alternating_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """A_n, the even permutations of S_n in lexicographic image order."""
     if n < 1:
         raise InvalidParameterError("degree must be at least 1")
-    size = factorial(n) // 2 if n >= 2 else 1
-    if size > cap:
-        raise GroupTooLargeError(f"|A_{n}| = {size} exceeds cap {cap}")
+    if product_exceeds(range(3, n + 1), cap):  # n!/2 = 3*4*...*n
+        raise GroupTooLargeError(f"|A_{n}| = {n}!/2 exceeds cap {cap}")
     elems = [p for p in (Permutation(q) for q in _all_perms(range(n))) if p.is_even()]
     gens = []
     if n >= 3:

@@ -16,8 +16,18 @@ Example::
     meridian meridian_B: x
     meridian meridian_G: a
 
+Names follow the one name rule of ``words`` (nonempty, no whitespace, none
+of ``^*(),|<>:``, not beginning with a decimal digit or ``-``), which is
+also what the scanner reads as a name; ``meridian`` is the marker-line
+keyword and names no generator.  ``Presentation`` is the one semantic
+boundary: it checks every generator and marker name by that rule and
+refuses duplicate generators, for parsed and constructed values alike.
+The parser checks only syntax, undeclared names (whose positions only it
+knows) and the keyword.
+
 The canonical renderer emits this same grammar, so ``parse(render(P)) == P``
-for every presentation value and ``render(parse(s)) == s`` on canonical text.
+for every value ``Presentation`` accepts and ``render(parse(s)) == s`` on
+canonical text.
 
 A power ``(w)^k`` is built from the cyclic reduction of w, after its length
 is known; the powers of one text may build at most ``MAX_WORD_SYLLABLES``
@@ -40,8 +50,10 @@ from .errors import (
     checked_int,
 )
 from .words import (
+    RESERVED_NAME_CHARS,
     Word,
     check_generator_name,
+    is_generator_name,
     power_length,
     power_syllables,
     reduce_syllables,
@@ -86,8 +98,7 @@ class Presentation:
 
         marks: Dict[str, Word] = {}
         for name, w in (markers or {}).items():
-            if not name or name in marks:
-                raise DuplicateGeneratorError(f"bad or repeated marker name {name!r}")
+            check_generator_name(name)
             self._check_support(w, f"marker {name!r}")
             if w.is_identity:
                 raise InvalidParameterError(
@@ -163,10 +174,11 @@ def rbg_family(m: int) -> Presentation:
 
 # -- parsing -------------------------------------------------------------------
 
-# One match per token: a symbol, an integer, a stray '-' or a name.  No
-# alternative matches whitespace, so findall skips it.
-_SCAN = re.compile(r"[<>|,*^():]|-?\d+|-|[^\s<>|,*^():]+")
-_SYMBOLS = frozenset("<>|,*^():")
+# One match per token: a symbol (the reserved name characters), an integer,
+# a stray '-' or a name.  No alternative matches whitespace, so findall
+# skips it.
+_SCAN = re.compile(r"[{0}]|-?\d+|-|[^\s{0}]+".format(
+    re.escape("".join(sorted(RESERVED_NAME_CHARS)))))
 
 # Syllables that the powers ``(w)^k``, |k| > 1, of one text may build in total.
 MAX_WORD_SYLLABLES = 10**6
@@ -175,14 +187,9 @@ MAX_WORD_SYLLABLES = 10**6
 def parse(text: str) -> Presentation:
     """Parse presentation text in the module grammar.
 
-    Names are maximal runs of characters outside the reserved set
-    ``^*(),|<>:`` and whitespace; a name may not begin with a decimal
-    digit or ``-`` (those start integer tokens), and ``meridian`` is
-    reserved as the marker-line keyword.
-
     Raises PresentationSyntaxError (with line/column), UnknownGeneratorError,
-    DuplicateGeneratorError, or WordTooLargeError when the powers would
-    build more than ``MAX_WORD_SYLLABLES`` syllables.
+    DuplicateGeneratorError (from ``Presentation``), or WordTooLargeError
+    when the powers would build more than ``MAX_WORD_SYLLABLES`` syllables.
     """
     return _Parser(text).parse_presentation()
 
@@ -190,8 +197,8 @@ def parse(text: str) -> Presentation:
 def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse a single word (e.g. ``(y*x)^-3`` or ``x^-1*a*x``)."""
     parser = _Parser(text)
-    # a generator the scanner would not read as one name token never occurs
-    names = {g for g in generators if _kind(g) == "name" and _SCAN.fullmatch(g)}
+    # a generator that breaks the name rule is never read as one name token
+    names = {g for g in generators if is_generator_name(g)}
     word = parser.parse_word(names)
     parser.expect_end()
     return word
@@ -199,7 +206,7 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
 
 def _kind(tok: str) -> str:
     """'name', 'int', 'end' (the empty token closing the list) or the symbol."""
-    if tok in _SYMBOLS:
+    if tok in RESERVED_NAME_CHARS:
         return tok
     if not tok:
         return "end"
@@ -258,15 +265,9 @@ class _Parser:
         while self.tokens[self.pos] == ",":
             self.pos += 1
             generators.append(self.expect("name", "generator name"))
-        dup = {g for g in generators if generators.count(g) > 1}
-        if dup:
-            raise DuplicateGeneratorError(
-                f"generator {sorted(dup)[0]!r} declared twice"
-            )
-        if "meridian" in generators:
-            raise PresentationSyntaxError(
-                "'meridian' is reserved for marker lines", 1, 1
-            )
+        if "meridian" in generators:  # names sit at tokens 1, 3, 5, ...
+            raise self.error("'meridian' is reserved for marker lines",
+                             1 + 2 * generators.index("meridian"))
         declared = set(generators)
         self.expect("|", "'|'")
         relators = []

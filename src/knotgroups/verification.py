@@ -21,13 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import homsearch
 from .fox import abelianize_ring_element, alexander_matrix, alexander_polynomial, fox_derivative
 from .laurent import LaurentPoly, gcd as laurent_gcd, parse_laurent
-from .permgroups import (
-    FiniteGroup,
-    alternating_group,
-    are_conjugate,
-    parse_permutation,
-    symmetric_group,
-)
+from .permgroups import FiniteGroup, are_conjugate, group_from_spec, parse_permutation
 from .presentations import Presentation, parse, rbg_family
 from .words import Word, reduce_syllables
 
@@ -76,13 +70,7 @@ class Context:
 
     def group(self, label: str) -> FiniteGroup:
         if label not in self._groups:
-            builders = {
-                "S3": lambda: symmetric_group(3),
-                "S4": lambda: symmetric_group(4),
-                "A4": lambda: alternating_group(4),
-                "A5": lambda: alternating_group(5),
-            }
-            self._groups[label] = builders[label]()
+            self._groups[label] = group_from_spec(label)
         return self._groups[label]
 
 

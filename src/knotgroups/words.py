@@ -6,6 +6,15 @@ empty word is the identity.  Free groups have unique reduced normal forms,
 so structural equality of reduced words is equality in the free group.
 
 Words are immutable and hashable; all operations return new words.
+
+Generator names follow one rule, the name token of the presentation grammar
+(``presentations``): a nonempty string with no whitespace and none of the
+reserved characters ``^*(),|<>:``, not beginning with a decimal digit or
+``-`` (those begin integers).  This module owns the rule:
+``check_generator_name`` enforces it for ``Word``, ``Word.generator`` and
+``Presentation`` (generator and marker names), and the parser builds its
+scanner from ``RESERVED_NAME_CHARS``, so every accepted name reads back as
+one name token.
 """
 
 from __future__ import annotations
@@ -18,23 +27,28 @@ Syllable = Tuple[str, int]
 
 # Characters with a fixed meaning in the presentation grammar; they can
 # never be part of a generator name.  ':' is reserved for marker lines.
-RESERVED_NAME_CHARS = set("^*(),|<>:")
+RESERVED_NAME_CHARS = frozenset("^*(),|<>:")
+
+
+def is_generator_name(name) -> bool:
+    """Whether ``name`` follows the name rule (module docstring)."""
+    if not isinstance(name, str) or not name or name[0] == "-" or name[0].isdecimal():
+        return False
+    for ch in name:
+        if ch.isspace() or ch in RESERVED_NAME_CHARS:
+            return False
+    return True
 
 
 def check_generator_name(name: str) -> str:
-    """Validate a generator name and return it.
-
-    Names are nonempty, contain no whitespace and none of the reserved
-    grammar characters.
-    """
-    if not isinstance(name, str) or not name:
-        raise InvalidParameterError("generator names must be nonempty strings")
-    for ch in name:
-        if ch.isspace() or ch in RESERVED_NAME_CHARS:
-            raise InvalidParameterError(
-                f"invalid generator name {name!r}: "
-                f"may not contain whitespace or any of {''.join(sorted(RESERVED_NAME_CHARS))}"
-            )
+    """Return ``name``, or raise InvalidParameterError if it breaks the
+    name rule."""
+    if not is_generator_name(name):
+        raise InvalidParameterError(
+            f"invalid name {name!r}: names are nonempty, contain no whitespace "
+            f"or any of {''.join(sorted(RESERVED_NAME_CHARS))}, and do not begin "
+            "with a decimal digit or '-'"
+        )
     return name
 
 

@@ -208,6 +208,24 @@ class TestCountCommand:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (("--group", "S20000"), "|S_20000| = 20000! exceeds cap 1000000"),
+        (("--group", "S200000"), "|S_200000| = 200000! exceeds cap 1000000"),
+        (("--group", "A3000"), "|A_3000| = 3000!/2 exceeds cap 1000000"),
+        (("--group", "A5", "--mode", "naive"),
+         "naive search space 60^3000 exceeds cap 10000000"),
+    ])
+    def test_huge_size_refused_quickly(self, tmp_path, capsys, args, message):
+        # sizes are reported symbolically: printing 20000! or 60^3000 would
+        # pass the interpreter's limit on converting an int to text
+        gens = ", ".join(f"g{i}" for i in range(3000))
+        path = write(tmp_path, "wide.pres", f"< {gens} | g0*g1 >\n")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "count", path, *args)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert err == f"error: {message}\n"
+
     def test_bad_pin_syntax_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "f1.pres", FAMILY_M1)
         code, _, _ = run(capsys, "count", path, "--group", "A5", "--pin", "x")

@@ -102,6 +102,10 @@ class TestCountHoms:
     def test_naive_cap(self):
         with pytest.raises(GroupTooLargeError):
             count_homs(F1, A5, mode="naive", naive_cap=1000)
+        # two unpinned generators: 60^2 = 3600 assignments, cap inclusive
+        with pytest.raises(GroupTooLargeError, match="60\\^2 exceeds cap 3599"):
+            count_homs(F1, A5, {"x": SIGMA}, mode="naive", naive_cap=3599)
+        assert count_homs(F1, A5, {"x": SIGMA}, mode="naive", naive_cap=3600).count == 6
 
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):

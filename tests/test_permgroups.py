@@ -102,6 +102,15 @@ class TestBuild:
         for group in (A4, A5, S4, generated_group(3, [parse_permutation("(1,2)", 3)])):
             assert group.elements[0].is_identity
 
+    def test_order_caps_are_exact(self):
+        assert symmetric_group(5, cap=120).order == 120
+        assert alternating_group(5, cap=60).order == 60
+        assert alternating_group(2, cap=1).order == 1
+        with pytest.raises(GroupTooLargeError, match=r"\|S_5\| = 5! exceeds cap 119"):
+            symmetric_group(5, cap=119)
+        with pytest.raises(GroupTooLargeError, match=r"\|A_5\| = 5!/2 exceeds cap 59"):
+            alternating_group(5, cap=59)
+
     def test_too_large(self):
         with pytest.raises(GroupTooLargeError):
             symmetric_group(5, cap=100)

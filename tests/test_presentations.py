@@ -68,6 +68,8 @@ class TestParse:
     def test_duplicate_generator(self):
         with pytest.raises(DuplicateGeneratorError):
             parse("< x,x | >")
+        with pytest.raises(DuplicateGeneratorError, match="generator 'x' declared twice"):
+            parse("< x, y, x | >")
 
     def test_duplicate_marker(self):
         with pytest.raises(DuplicateGeneratorError):
@@ -109,6 +111,9 @@ class TestParse:
     def test_reserved_keyword(self):
         with pytest.raises(PresentationSyntaxError):
             parse("< meridian | >")
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse("< x,\n  y, meridian | >")
+        assert (err.value.line, err.value.column) == (2, 6)
 
     def test_trailing_junk(self):
         with pytest.raises(PresentationSyntaxError):
@@ -308,6 +313,57 @@ def test_presentation_rejects_foreign_generators():
 def test_presentation_rejects_identity_marker():
     with pytest.raises(InvalidParameterError):
         Presentation(("x",), (), {"mu": Word()})
+
+
+def test_presentation_names_follow_the_grammar():
+    with pytest.raises(InvalidParameterError):
+        Presentation(("1x", "-y"))
+    x = Word.generator("x")
+    for name in ("a b", "", "2m", "m:"):
+        with pytest.raises(InvalidParameterError):
+            Presentation(("x",), (), {name: x})
+
+
+# Names drawn from valid and invalid strings; the oracle below states the
+# grammar's name token without the package's code.
+NAME_POOL = ("x", "y1", "g-2", "h'", "é", "²b", "meridian",
+             "1x", "-y", "a b", "x^", "", "٣q", "t\u2003", "p)")
+name_draws = st.one_of(st.sampled_from(NAME_POOL), st.text(max_size=3))
+
+
+def _is_name_token(name):
+    return (name != "" and not name[0].isdecimal() and name[0] != "-"
+            and not any(ch.isspace() or ch in "^*(),|<>:" for ch in name))
+
+
+@settings(max_examples=200)
+@given(st.lists(name_draws, min_size=1, max_size=5, unique=True),
+       st.lists(name_draws, max_size=3, unique=True),
+       st.lists(st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                                   st.integers(min_value=-3, max_value=3)),
+                         max_size=6), max_size=3))
+def test_every_accepted_presentation_round_trips(gens, marker_names, raw_relators):
+    valid = [g for g in gens if _is_name_token(g)] or ["x"]
+    words = [Word([(valid[i % len(valid)], e) for i, e in raw]) for raw in raw_relators]
+    markers = {name: Word.generator(valid[0]) for name in marker_names}
+    ok = (all(_is_name_token(g) and g != "meridian" for g in gens)
+          and all(_is_name_token(name) for name in marker_names))
+    try:
+        pres = Presentation(gens, words, markers)
+    except InvalidParameterError:
+        assert not ok
+        return
+    assert ok
+    assert parse(pres.render()) == pres
+
+
+def test_many_generators_parse_in_linear_time():
+    n = 40000
+    text = "< " + ", ".join(f"g{i}" for i in range(n)) + " | g0*g1^-1 >\n"
+    started = time.perf_counter()
+    pres = parse(text)
+    assert time.perf_counter() - started < 2.0
+    assert len(pres.generators) == n
 
 
 def test_random_render_parse_round_trip():

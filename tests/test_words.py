@@ -42,6 +42,12 @@ class TestReduction:
             Word((("x^", 1),))
         with pytest.raises(InvalidParameterError):
             Word((("", 1),))
+        # names that would scan as integers or a stray '-'
+        for name in ("1x", "-y", "\u0663"):
+            with pytest.raises(InvalidParameterError):
+                Word(((name, 1),))
+            with pytest.raises(InvalidParameterError):
+                Word.generator(name)
 
 
 class TestOperators:
