@@ -13,6 +13,7 @@ Exact integer arithmetic throughout; no floating point anywhere.
 from .errors import (
     BudgetExceededError,
     CoefficientOverflowError,
+    CountTooLargeError,
     DeficiencyError,
     DegreeMismatchError,
     DerivativeTooLargeError,
@@ -80,6 +81,7 @@ __all__ = [
     "AlexanderMatrix",
     "BudgetExceededError",
     "CoefficientOverflowError",
+    "CountTooLargeError",
     "DeficiencyError",
     "DegreeMismatchError",
     "DerivativeTooLargeError",

@@ -26,8 +26,13 @@ import sys
 import time
 from typing import Dict, Optional
 
-from . import verification
-from .errors import InputError, InvalidParameterError, KnotGroupsError, ResourceError
+from .errors import (
+    CountTooLargeError,
+    InputError,
+    InvalidParameterError,
+    KnotGroupsError,
+    ResourceError,
+)
 from .fox import alexander_matrix, alexander_polynomial
 from .homsearch import count_homs, meridian_search
 from .permgroups import group_from_spec, parse_permutation
@@ -119,8 +124,15 @@ def cmd_count(args) -> int:
         result = count_homs(pres, group, pins, mode=args.mode,
                             materialize=args.list, jobs=args.jobs)
         inputs["pins"] = {name: str(p) for name, p in pins.items()}
+    try:
+        # free generators multiply a count by |A| each, past what str() prints
+        count_text = str(result.count)
+    except ValueError:
+        raise CountTooLargeError(
+            f"count has more than {sys.get_int_max_str_digits()} decimal digits"
+        ) from None
     results: Dict = {"count": result.count}
-    lines = [f"count = {result.count}"]
+    lines = [f"count = {count_text}"]
     if args.list:
         # thousands of listed images share a few distinct elements
         images = {a[g] for a in result.assignments for g in pres.generators}
@@ -157,6 +169,10 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: the suite's source is compiled on every import when
+    # no bytecode is cached, and no other command needs it
+    from . import verification
+
     started = time.perf_counter()
     override = _read_presentation(args.override) if args.override else None
     jobs = args.jobs or 1

@@ -95,6 +95,10 @@ class BudgetExceededError(ResourceError):
     """A search visited more nodes than its configured budget."""
 
 
+class CountTooLargeError(ResourceError):
+    """A count has more decimal digits than the interpreter will print."""
+
+
 # Arbitrary-precision integers never wrap in Python, so "overflow" is a
 # policy bound: everything in scope fits comfortably in 64 bits, and a value
 # outside that range signals runaway input rather than a legitimate result.

@@ -13,9 +13,21 @@ pinned:
 ``backtrack``
     Assigns generators in declaration order and evaluates each relator as
     soon as its last generator receives a value (a static trigger table is
-    precomputed per presentation), pruning dead branches early.
+    precomputed per presentation), pruning dead branches early.  It walks
+    the search up to conjugacy: conjugation by an element of A that
+    commutes with every pinned image (and with the marker target) maps
+    solutions to solutions, so the first unpinned generator takes one value
+    per orbit of that centralizer H, and each solution found counts as
+    many as its orbit holds (Holt-Eick-O'Brien, *Handbook of Computational
+    Group Theory*, 2005).  When counting, a generator in no relator and not
+    in the marker word is not walked at all: it multiplies the count by
+    |A|, or by 1 if pinned.
 
-Both engines return identical counts; the test suite leans on that.
+Both engines return identical counts and identical listings, in the same
+order: a backtrack listing expands each solution over its orbit and sorts.
+The test suite leans on that.  The work counters (``SearchStats``) count
+the walk actually made, so backtrack's ``nodes`` and ``relator_checks``
+cover the reduced walk, while ``naive`` still counts every assignment.
 
 The meridian invariant of a marked presentation counts homomorphisms whose
 value on the marker word is a prescribed element.  A marker that is a bare
@@ -100,8 +112,13 @@ def is_homomorphism(presentation: Presentation, group: FiniteGroup,
 def compile_word(word: Word, presentation: Presentation, form: IndexForm) -> Program:
     """The program of ``word``; slots are generator positions in
     ``presentation``."""
-    return tuple((presentation.generator_index(g), form.powers(e))
-                 for g, e in word.syllables)
+    slots = {g: presentation.generator_index(g) for g in word.generators()}
+    return _compile(word, slots, form)
+
+
+def _compile(word: Word, slots: Mapping[str, int], form: IndexForm) -> Program:
+    """The program of ``word`` with generator g read from slot ``slots[g]``."""
+    return tuple((slots[g], form.powers(e)) for g, e in word.syllables)
 
 
 def evaluate(program: Program, values: Sequence[int], products: Sequence[int]) -> int:
@@ -161,6 +178,75 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
     stats.relator_checks += relator_checks
 
 
+def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[int]:
+    """Indices of elements generating (a subgroup of A containing) the
+    centralizer in A of the elements of index ``fixed``.
+
+    When that centralizer is all of A, these are A's own generators.
+    Otherwise they are picked greedily: in index order, every centralizing
+    element outside the subgroup generated so far joins the generators.
+    """
+    form = group.index_form
+    n, products = form.order, form.products
+    members: Sequence[int] = range(n)
+    for p in fixed:
+        members = [h for h in members if products[n * p + h] == products[n * h + p]]
+    if len(members) == n:
+        return [form.index[s] for s in group.generators if s in form.index]
+    gens: List[int] = []
+    inside = bytearray(n)
+    inside[0] = 1
+    elements = [0]
+    for h in members:
+        if inside[h]:
+            continue
+        gens.append(h)
+        # close the subgroup again under right multiplication by every
+        # generator; at most log2 |H| rounds, each about |H| * len(gens)
+        frontier = list(elements)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in gens:
+                    y = products[n * s + x]
+                    if not inside[y]:
+                        inside[y] = 1
+                        elements.append(y)
+                        nxt.append(y)
+            frontier = nxt
+    return gens
+
+
+def _conjugation_orbits(form: IndexForm, gens: Sequence[int]
+                        ) -> Dict[int, List[Tuple[int, int]]]:
+    """The orbits of the subgroup generated by ``gens`` acting on A by
+    conjugation, x -> h*x*h^-1, found breadth first.
+
+    Keyed by representative (the smallest index in the orbit), in
+    increasing order; each orbit lists (point, t) pairs with
+    t*rep*t^-1 = point, the representative first with t = 0.
+    """
+    n, products, inverse = form.order, form.products, form.powers(-1)
+    # conj[k][x] = s*x*s^-1 for s = gens[k]: two lookups per entry
+    conj = [[products[n * products[inverse[s] + x] + s] for x in range(n)]
+            for s in gens]
+    seen = bytearray(n)
+    orbits: Dict[int, List[Tuple[int, int]]] = {}
+    for rep in range(n):
+        if seen[rep]:
+            continue
+        seen[rep] = 1
+        orbit = [(rep, 0)]
+        for point, t in orbit:  # grows while it is read
+            for s, table in zip(gens, conj):
+                y = table[point]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append((y, products[n * t + s]))  # s*t
+        orbits[rep] = orbit
+    return orbits
+
+
 def count_homs(presentation: Presentation, group: FiniteGroup,
                constraint: Mapping[str, Permutation] | None = None,
                mode: str = "backtrack", materialize: bool = False,
@@ -171,17 +257,27 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
                ) -> HomSearchResult:
     """Count (or list) homomorphisms satisfying the pinning constraint.
 
-    ``constraint`` maps generators to required images.  Counts from the two
-    modes always agree; ``naive`` additionally refuses to start when
-    |A|^(unpinned) exceeds ``naive_cap``.  ``jobs`` is accepted for
-    compatibility and ignored: the search is sequential and deterministic.
-    ``_marker`` = (word, sigma) keeps only assignments sending the word to
-    sigma.
+    ``constraint`` maps generators to required images.  Counts and listings
+    from the two modes always agree; listings come in the plain walk's
+    order (index tuples in declaration order, lexicographically).
+    ``naive`` additionally refuses to start when |A|^(unpinned) exceeds
+    ``naive_cap``.  ``jobs`` is accepted for compatibility and ignored: the
+    search is sequential and deterministic.  ``_marker`` = (word, sigma)
+    keeps only assignments sending the word to sigma.
+
+    Backtracking walks up to conjugacy (module docstring): H centralizes
+    the walked pinned images and sigma, the first unpinned walked
+    generator takes the smallest index of each H-orbit, and a solution
+    counts its orbit's size; a listing conjugates it once per orbit point
+    and sorts.  When counting, a generator in no relator and not in the
+    marker word is not walked and multiplies the count by |A| (1 if
+    pinned).
 
     Work counters: a node is one value tried for an unpinned generator
     (backtrack) or one complete assignment (naive); a relator check is one
-    relator evaluation.  Backtracking settles relators on pinned generators
-    alone once, before the walk.
+    relator evaluation.  Both count the reduced walk in backtrack and every
+    assignment in naive.  Backtracking settles relators on pinned
+    generators alone once, before the walk.
     """
     pins = check_constraint(presentation, group, constraint or {})
     unpinned = [g for g in presentation.generators if g not in pins]
@@ -194,21 +290,30 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
         raise InvalidParameterError(f"unknown search mode {mode!r}")
 
     form = group.index_form
-    products = form.products
-    gens = presentation.generators
+    n, products = form.order, form.products
     stats = SearchStats()
     collected: Optional[List[Assignment]] = [] if materialize else None
-    # one level per generator, then the leaf level with one dummy value
+    # the walked generators, in declaration order; a counting backtrack
+    # leaves out the generators no relator or marker word constrains
+    walked = presentation.generators
+    free = 0
+    if mode == "backtrack" and not materialize:
+        bound = set(_marker[0].generators()) if _marker is not None else set()
+        for rel in presentation.relators:
+            bound.update(rel.generators())
+        walked = tuple(g for g in walked if g in bound)
+        free = sum(1 for g in unpinned if g not in bound)
+    slots = {g: i for i, g in enumerate(walked)}
+    # one level per walked generator, then the leaf level with one dummy value
     values: List[Sequence[int]] = [
-        (form.index[pins[g]],) if g in pins else range(group.order) for g in gens
+        (form.index[pins[g]],) if g in pins else range(n) for g in walked
     ] + [(0,)]
-    relators = [(rel, compile_word(rel, presentation, form))
-                for rel in presentation.relators]
+    relators = [(rel, _compile(rel, slots, form)) for rel in presentation.relators]
     if mode == "naive":
-        counted = [False] * len(gens) + [True]
-        checks: List[List[Program]] = [[] for _ in gens] + [[p for _, p in relators]]
+        counted = [False] * len(walked) + [True]
+        checks: List[List[Program]] = [[] for _ in walked] + [[p for _, p in relators]]
     else:
-        counted = [g not in pins for g in gens] + [False]
+        counted = [g not in pins for g in walked] + [False]
         checks = [[] for _ in values]
         pinned = [v[0] for v in values]  # unpinned slots hold 0, unread here
         for rel, program in relators:
@@ -217,19 +322,46 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
                 if evaluate(program, pinned, products):
                     return HomSearchResult(0, collected, stats)
             else:
-                last = max(presentation.generator_index(g) for g in rel.generators())
-                checks[last].append(program)
+                checks[max(slots[g] for g in rel.generators())].append(program)
+    fixed = [values[slots[g]][0] for g in walked if g in pins]
     if _marker is not None:
-        marker = compile_word(_marker[0], presentation, form)
+        marker = _compile(_marker[0], slots, form)
         target = form.index[_marker[1]]
+        fixed.append(target)
+
+    # the first unpinned walked generator ranges over orbit representatives;
+    # otherwise every orbit is one point
+    first = next((i for i, g in enumerate(walked) if g not in pins), None)
+    if mode == "backtrack" and first is not None:
+        orbits = _conjugation_orbits(form, _centralizer_generators(group, fixed))
+        values[first] = tuple(orbits)
+    else:
+        first = 0
+        orbits = {v: [(v, 0)] for v in values[0]}
 
     count = 0
+    leaves: List[Tuple[int, ...]] = []
+    inverse = form.powers(-1)
     for assignment in _walk(values, counted, checks, products, node_budget, stats):
         if _marker is not None and evaluate(marker, assignment, products) != target:
             continue
-        count += 1
+        orbit = orbits[assignment[first]]
+        count += len(orbit)
         if collected is not None:
-            collected.append({g: form.elements[i] for g, i in zip(gens, assignment)})
+            leaf = assignment[:-1]
+            # one solution per orbit point: the leaf conjugated by t,
+            # v -> t*v*t^-1
+            leaves.extend(
+                tuple(products[n * products[inverse[t] + v] + t] for v in leaf)
+                for _, t in orbit
+            )
+    if collected is not None:
+        leaves.sort()
+        elements = form.elements
+        collected.extend({g: elements[i] for g, i in zip(walked, leaf)}
+                         for leaf in leaves)
+    if count and free:
+        count *= n ** free
     return HomSearchResult(count, collected, stats)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, JSON stability."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -225,6 +226,29 @@ class TestCountCommand:
         assert time.perf_counter() - started < 1.0
         assert code == 3
         assert err == f"error: {message}\n"
+
+    def test_free_generators_multiply_the_count(self, tmp_path, capsys):
+        # g2..g999 lie in no relator: each multiplies the count by |A5| = 60
+        # without being walked, and g0*g1 leaves 60 choices for the pair
+        gens = ", ".join(f"g{i}" for i in range(1000))
+        path = write(tmp_path, "wide.pres", f"< {gens} | g0*g1 >\n")
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "count", path, "--group", "A5")
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        assert out == f"count = {60 ** 999}\n"
+
+    def test_count_past_the_int_to_str_limit_exits_3(self, tmp_path, capsys):
+        # 60^2999 has 5333 decimal digits, more than str() converts
+        gens = ", ".join(f"g{i}" for i in range(3000))
+        path = write(tmp_path, "wide.pres", f"< {gens} | g0*g1 >\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "count", path, "--group", "A5", "--json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: count has more than {limit} decimal digits\n"
 
     def test_bad_pin_syntax_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "f1.pres", FAMILY_M1)

@@ -14,6 +14,7 @@ from knotgroups.errors import (
     UnknownMarkerError,
 )
 from knotgroups.homsearch import (
+    _centralizer_generators,
     compile_word,
     count_homs,
     evaluate,
@@ -25,6 +26,7 @@ from knotgroups.homsearch import (
 from knotgroups.permgroups import (
     TABLE_MAX_ORDER,
     alternating_group,
+    group_from_spec,
     parse_permutation,
     symmetric_group,
 )
@@ -36,6 +38,9 @@ S4 = symmetric_group(4)
 A4 = alternating_group(4)
 A5 = alternating_group(5)
 S7 = symmetric_group(7)
+# the dihedral group of order 8, whose center is {(), (1,3)(2,4)}
+D4 = group_from_spec("gen:4:[(1,2,3,4),(1,3)]")
+PSL27 = group_from_spec("gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]")
 
 SIGMA = parse_permutation("(1,5,4,3,2)", 5)
 F1 = rbg_family(1)
@@ -291,11 +296,12 @@ class TestParallelism:
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_node_budget_is_global(self, jobs):
-        # the all-homs search of F1 into A5 visits 25,260 nodes; half of
-        # that must be refused whatever ``jobs`` says
-        assert count_homs(F1, A5).stats.nodes == 25260
+        # the all-homs search of F1 into A5 visits 1,805 nodes (x walks the
+        # 5 conjugacy classes of A5); half of that must be refused whatever
+        # ``jobs`` says
+        assert count_homs(F1, A5).stats.nodes == 1805
         with pytest.raises(BudgetExceededError):
-            count_homs(F1, A5, jobs=jobs, node_budget=12630)
+            count_homs(F1, A5, jobs=jobs, node_budget=1805 // 2)
 
 
 class TestDeepSearch:
@@ -395,3 +401,120 @@ class TestPeriodicity:
             base = count_homs(rbg_family(1), S3, {gen: sigma}).count
             shifted = count_homs(rbg_family(7), S3, {gen: sigma}).count
             assert base == shifted
+
+
+class TestOrbitWeightedSearch:
+    """Backtrack walks one value per conjugation orbit for the first unpinned
+    generator and leaves free generators out; ``naive`` walks everything.
+    Counts and listings, in order, must agree."""
+
+    GROUPS = [(S3, 3), (S4, 3), (A4, 3), (A5, 2), (D4, 3)]
+    IDS = ["S3", "S4", "A4", "A5", "D4"]
+
+    @staticmethod
+    def assert_matches_naive(search):
+        """``search(mode, materialize)`` runs one engine; returns the count."""
+        naive = search("naive", True)
+        listed = search("backtrack", True)
+        counted = search("backtrack", False)
+        assert counted.count == listed.count == naive.count == len(naive.assignments)
+        assert listed.assignments == naive.assignments
+        return naive.count
+
+    @staticmethod
+    def random_presentation(rng, rank, free=0, markers=None):
+        """``rank`` generators in shuffled relators, then ``free`` more in
+        none, declared in a random order."""
+        bound = [f"g{i}" for i in range(rank)]
+        names = bound + [f"f{i}" for i in range(free)]
+        rng.shuffle(names)
+        relators = [_random_word(rng, bound, rng.randint(1, 5), max_exp=2)
+                    for _ in range(rng.randint(1, 2))]
+        return Presentation(names, relators, markers)
+
+    def check(self, pres, group, pins):
+        return self.assert_matches_naive(
+            lambda mode, listing: count_homs(pres, group, pins, mode=mode,
+                                             materialize=listing))
+
+    @pytest.mark.parametrize("pinned", [0, 1, 2])
+    @pytest.mark.parametrize("group,rank", GROUPS, ids=IDS)
+    def test_random_pins(self, group, rank, pinned):
+        rng = random.Random(100 * pinned + group.order)
+        for _ in range(10):
+            pres = self.random_presentation(rng, rank + pinned // 2)
+            pins = {g: rng.choice(group.elements)
+                    for g in rng.sample(pres.generators, pinned)}
+            self.check(pres, group, pins)
+
+    @pytest.mark.parametrize("group,literals", [
+        (S3, ("(1,2)", "(1,2,3)")),
+        (S4, ("(1,2)", "(1,2,3,4)")),
+        (A4, ("(1,2)(3,4)", "(1,2,3)")),
+        (A5, ("(1,2,3)", "(1,2,3,4,5)")),
+    ], ids=IDS[:4])
+    def test_pins_with_trivial_centralizer(self, group, literals):
+        values = [parse_permutation(text, group.degree) for text in literals]
+        form = group.index_form
+        assert _centralizer_generators(group, [form.index[v] for v in values]) == []
+        rng = random.Random(400 + group.order)
+        for _ in range(10):
+            pres = self.random_presentation(rng, 3)
+            pinned = rng.sample(pres.generators, 2)
+            self.check(pres, group, dict(zip(pinned, values)))
+
+    @pytest.mark.parametrize("group,central", [
+        (S4, "()"), (A5, "()"), (D4, "()"), (D4, "(1,3)(2,4)"),
+    ])
+    def test_identity_and_central_pins(self, group, central):
+        # the centralizer of a central pin is the whole group, which then
+        # acts through its own generators
+        value = parse_permutation(central, group.degree)
+        form = group.index_form
+        assert (_centralizer_generators(group, [form.index[value]])
+                == [form.index[s] for s in group.generators])
+        rng = random.Random(500 + group.order)
+        for _ in range(10):
+            pres = self.random_presentation(rng, 3 if group.order < 60 else 2)
+            self.check(pres, group, {rng.choice(pres.generators): value})
+
+    @pytest.mark.parametrize("group,rank", GROUPS, ids=IDS)
+    def test_word_markers(self, group, rank):
+        rng = random.Random(600 + group.order)
+        for _ in range(10):
+            bound = [f"g{i}" for i in range(rank)]
+            marker = _random_word(rng, bound, rng.randint(2, 4), max_exp=2)
+            if len(marker.syllables) < 2:
+                continue
+            pres = self.random_presentation(rng, rank, markers={"mu": marker})
+            sigma = rng.choice(group.elements)
+            self.assert_matches_naive(
+                lambda mode, listing: meridian_search(pres, "mu", group, sigma, mode=mode,
+                                                      materialize=listing))
+
+    @pytest.mark.parametrize("group", [S3, A4, D4], ids=["S3", "A4", "D4"])
+    def test_free_generators(self, group):
+        rng = random.Random(700 + group.order)
+        for _ in range(10):
+            pres = self.random_presentation(rng, 2, free=2)
+            pins = {g: rng.choice(group.elements)
+                    for g in rng.sample(pres.generators, rng.randint(0, 2))}
+            self.check(pres, group, pins)
+
+    def test_free_generator_factors(self):
+        pres = parse("< f0, g0, f1, g1, f2 | g0*g1 >")
+        assert count_homs(pres, A5).count == 60 ** 4
+        assert count_homs(pres, A5, {"f1": SIGMA}).count == 60 ** 3
+        assert count_homs(pres, A5, {"f1": SIGMA, "g1": SIGMA}).count == 60 ** 2
+        # the free generators are not walked: x in one of A5's 5 classes,
+        # then 60 values of g1
+        assert count_homs(pres, A5).stats.nodes == 5 + 5 * 60
+
+    def test_psl27_meridian_listing(self):
+        # the benchmark's group: x pinned to an element of order 3 whose
+        # centralizer has order 3, so y walks 58 orbits instead of 168 values
+        sigma = parse_permutation("(2,3,5)(4,7,6)", 7)
+        count = self.assert_matches_naive(
+            lambda mode, listing: meridian_search(F1, "meridian_B", PSL27, sigma,
+                                                  mode=mode, materialize=listing))
+        assert count > 0

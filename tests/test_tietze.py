@@ -1,0 +1,174 @@
+"""Tietze moves against the invariants: random chains of moves must keep the
+Alexander polynomial and every pinned and marker count.
+
+The moves only rewrite presentations, so these checks share no code with
+the search: the counts of a moved presentation, found by backtracking,
+must equal the counts of the original one, found by the naive engine.
+Reference: Crowell-Fox, *Introduction to Knot Theory*, ch. II.
+"""
+
+import random
+
+import pytest
+
+from knotgroups.fox import alexander_polynomial
+from knotgroups.homsearch import count_homs, meridian_invariant
+from knotgroups.permgroups import alternating_group, parse_permutation, symmetric_group
+from knotgroups.presentations import Presentation, parse, parse_word, rbg_family
+from knotgroups.words import Word
+
+
+class Moved:
+    """A presentation after some moves, with the map from the original
+    generator names to their current names."""
+
+    def __init__(self, presentation, names):
+        self.presentation = presentation
+        self.names = names
+
+    def rebuild(self, generators=None, relators=None, rename=None):
+        p = self.presentation
+        rename = rename or {}
+
+        def apply(word):
+            return Word([(rename.get(g, g), e) for g, e in word.syllables])
+
+        return Moved(
+            Presentation(
+                [rename.get(g, g) for g in (generators or p.generators)],
+                [apply(r) for r in (p.relators if relators is None else relators)],
+                {name: apply(w) for name, w in p.markers.items()},
+            ),
+            {old: rename.get(new, new) for old, new in self.names.items()},
+        )
+
+
+def random_word(rng, generators, length):
+    return Word([(rng.choice(generators), rng.choice((-1, 1))) for _ in range(length)])
+
+
+def cyclically_permute(rng, moved):
+    rels = list(moved.presentation.relators)
+    i = rng.randrange(len(rels))
+    syllables = rels[i].syllables
+    cut = rng.randrange(len(syllables))
+    rels[i] = Word(syllables[cut:] + syllables[:cut])
+    return moved.rebuild(relators=rels)
+
+
+def invert(rng, moved):
+    rels = list(moved.presentation.relators)
+    i = rng.randrange(len(rels))
+    rels[i] = ~rels[i]
+    return moved.rebuild(relators=rels)
+
+
+def conjugate(rng, moved):
+    rels = list(moved.presentation.relators)
+    i = rng.randrange(len(rels))
+    w = random_word(rng, moved.presentation.generators, rng.randint(1, 2))
+    rels[i] = w * rels[i] * ~w
+    return moved.rebuild(relators=rels)
+
+
+def add_consequence(rng, moved):
+    # a product of conjugates of relators (and their inverses) lies in
+    # their normal closure
+    rels = moved.presentation.relators
+    gens = moved.presentation.generators
+    product = Word.identity()
+    for rel in rng.sample(rels, min(2, len(rels))):
+        w = random_word(rng, gens, rng.randint(0, 1))
+        product = product * w * rel ** rng.choice((-1, 1)) * ~w
+    return moved.rebuild(relators=rels + (product,))
+
+
+def add_generator(rng, moved):
+    # a new generator z with its defining relator z^-1 * w, w in the others
+    gens = moved.presentation.generators
+    z = f"z{len(gens)}"
+    definition = random_word(rng, gens, rng.randint(1, 3))
+    relator = Word.generator(z, -1) * definition
+    return moved.rebuild(generators=gens + (z,),
+                         relators=moved.presentation.relators + (relator,))
+
+
+def rename_generators(rng, moved):
+    gens = moved.presentation.generators
+    fresh = [f"r{i}" for i in range(len(gens))]
+    rng.shuffle(fresh)
+    return moved.rebuild(rename=dict(zip(gens, fresh)))
+
+
+def permute_generators(rng, moved):
+    gens = list(moved.presentation.generators)
+    rng.shuffle(gens)
+    return moved.rebuild(generators=gens)
+
+
+MOVES = (cyclically_permute, invert, conjugate, add_consequence, add_generator,
+         rename_generators, permute_generators)
+
+
+def random_moves(rng, presentation, steps):
+    moved = Moved(presentation, {g: g for g in presentation.generators})
+    for _ in range(steps):
+        moved = rng.choice(MOVES)(rng, moved)
+    return moved
+
+
+TREFOIL = parse("< x, y | x*y*x*y^-1*x^-1*y^-1 >\nmeridian mu: x\nmeridian nu: x*y\n")
+
+
+def marked_family(m):
+    fam = rbg_family(m)
+    markers = dict(fam.markers)
+    markers["conjugate"] = parse_word("x^-1*a*x", fam.generators)
+    return Presentation(fam.generators, fam.relators, markers)
+
+
+BASES = [("trefoil", TREFOIL), ("family m=1", marked_family(1)),
+         ("family m=2", marked_family(2))]
+# The walk follows declaration order, so a chain that moves a relator's
+# generators apart walks up to |A|^3 nodes; A5 gets single moves instead.
+GROUPS = [symmetric_group(3), alternating_group(4), symmetric_group(4)]
+
+
+def invariants(presentation, names, group, sigma, mode):
+    """Alexander polynomial, total count, one pinned count per original
+    generator and one count per marker, all at ``sigma``."""
+    pinned = [count_homs(presentation, group, {names[g]: sigma}, mode=mode).count
+              for g in sorted(names)]
+    markers = [meridian_invariant(presentation, name, group, sigma, mode=mode)
+               for name in sorted(presentation.markers)]
+    return str(alexander_polynomial(presentation)), pinned, markers
+
+
+@pytest.mark.parametrize("name,base", BASES, ids=[b[0] for b in BASES])
+@pytest.mark.parametrize("group", GROUPS, ids=[g.label for g in GROUPS])
+def test_random_moves_keep_invariants(name, base, group):
+    rng = random.Random(f"{name} {group.label}")
+    sigma = parse_permutation("(1,2,3)", group.degree)
+    identity = {g: g for g in base.generators}
+    expected = invariants(base, identity, group, sigma, "naive")
+    total = count_homs(base, group, mode="naive").count
+    for _ in range(8):
+        moved = random_moves(rng, base, rng.randint(1, 5))
+        got = invariants(moved.presentation, moved.names, group, sigma, "backtrack")
+        assert got == expected, moved.presentation.render()
+        assert count_homs(moved.presentation, group).count == total
+
+
+@pytest.mark.parametrize("move", MOVES, ids=[m.__name__ for m in MOVES])
+def test_each_move_alone(move):
+    # every move, applied once to the family, against the paper's counts
+    rng = random.Random(move.__name__)
+    a5 = alternating_group(5)
+    sigma = parse_permutation("(1,5,4,3,2)", 5)
+    for _ in range(3):
+        moved = move(rng, Moved(marked_family(1), {g: g for g in "xya"}))
+        pres = moved.presentation
+        assert str(alexander_polynomial(pres)) == "1 - t + t^2"
+        assert meridian_invariant(pres, "meridian_B", a5, sigma) == 6
+        assert meridian_invariant(pres, "meridian_G", a5, sigma) == 1
+        assert count_homs(pres, a5, {moved.names["x"]: sigma}).count == 6
