@@ -25,9 +25,16 @@ bounded by ``MAX_DERIVATIVE_TERMS``.
 
 The gcd of the maximal minors of the matrix generates the first elementary
 ideal, whose normal form is the Alexander polynomial of the presented
-group.  Each minor is a determinant by fraction-free (Bareiss) elimination
-over Z[t, t^-1]: every division by the previous pivot is exact by
-Sylvester's identity (Bareiss, *Sylvester's identity and multistep
+group.  Fox's fundamental formula, abelianized, says that the columns
+weighted by t^a(g) - 1 sum to zero in every row, so within one set of rows
+the minor without column k is +-D_j * (t^a(k) - 1) / (t^a(j) - 1), where
+D_j is the minor without column j (Crowell and Fox, *Introduction to Knot
+Theory*, ch. VII).  The weights have gcd 1, so the gcd over k of these
+minors is D_j / Phi_j with Phi_j = (t^|a(j)| - 1) / (t - 1): one
+determinant per row set suffices, and the gcd over row sets is divided
+once by Phi_j.  Each determinant is computed by fraction-free (Bareiss)
+elimination over Z[t, t^-1]: every division by the previous pivot is exact
+by Sylvester's identity (Bareiss, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, 1968), and a division that is
 not raises instead of returning a guess.
 """
@@ -43,7 +50,7 @@ from .errors import (
     MissingWeightError,
     NotInfiniteCyclicError,
 )
-from .laurent import LaurentPoly, gcd as laurent_gcd
+from .laurent import LaurentPoly, check_dense_breadth, gcd as laurent_gcd
 from .presentations import Presentation, abelianize
 from .words import Word
 
@@ -166,12 +173,14 @@ def abelianize_ring_element(element: GroupRingElement,
 
 class AlexanderMatrix:
     """Matrix of abelianized Fox derivatives: rows are relators, columns
-    are generators of the presentation."""
+    are generators of the presentation, and ``weights[j]`` is the exponent
+    of t that generator j abelianizes to."""
 
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]],
-                 generators: Tuple[str, ...]):
+                 generators: Tuple[str, ...], weights: Sequence[int]):
         self.entries = tuple(tuple(row) for row in entries)
         self.generators = generators
+        self.weights = tuple(weights)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -246,7 +255,8 @@ def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
         )
     column = {g: j for j, g in enumerate(presentation.generators)}
     entries = [_fox_row(rel, column, weights) for rel in presentation.relators]
-    return AlexanderMatrix(entries, presentation.generators)
+    return AlexanderMatrix(entries, presentation.generators,
+                           [weights[g] for g in presentation.generators])
 
 
 def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
@@ -295,13 +305,17 @@ def alexander_polynomial(presentation: Presentation) -> LaurentPoly:
     """Generator of the first elementary ideal, in normalized form.
 
     With g generators, this is the gcd of all (g-1) x (g-1) minors of the
-    Alexander matrix.  A single convenient minor is often enough in
-    practice, but the gcd of all of them is independent of the choice of
-    presentation of the same group, so that is what we compute.
+    Alexander matrix, which does not depend on the presentation of the
+    group.  By Fox's fundamental formula it is computed from one minor per
+    set of g-1 rows: delete the column j of weight +-1, or failing one the
+    nonzero weight of least magnitude, take the gcd D of these minors over
+    row sets, and divide D exactly by (t^|a(j)| - 1) / (t - 1).
 
     The free group of rank 1 (no relators) yields 1.  Raises
-    DeficiencyError when there are fewer than g-1 relators and
-    NotInfiniteCyclicError when no weights exist.
+    DeficiencyError when there are fewer than g-1 relators,
+    NotInfiniteCyclicError when no weights exist, and GcdTooLargeError
+    when a gcd or the final division would make an operand of breadth
+    above ``laurent.MAX_GCD_DEGREE`` dense.
     """
     size = len(presentation.generators) - 1
     if len(presentation.relators) < size:
@@ -310,15 +324,28 @@ def alexander_polynomial(presentation: Presentation) -> LaurentPoly:
             f"have {len(presentation.relators)}"
         )
     matrix = alexander_matrix(presentation)
-    rows, cols = matrix.shape
     if size == 0:
         return LaurentPoly.one()
+    weights = matrix.weights
+    deleted = min((j for j, a in enumerate(weights) if a),
+                  key=lambda j: abs(weights[j]))
+    a = abs(weights[deleted])
+    division = f"division of the minors' gcd by (t^{a} - 1)/(t - 1), an operand"
+    check_dense_breadth(a - 1, division)
+    # (t^a - 1)/(t - 1) = 1 + t + ... + t^(a-1) divides every minor without
+    # column `deleted`, so their gcd equals it exactly when the answer is 1
+    phi = LaurentPoly._from_clean(dict.fromkeys(range(a), 1))
+    kept = [j for j in range(len(weights)) if j != deleted]
     result = LaurentPoly.zero()
-    one = LaurentPoly.one()
-    for row_idx in combinations(range(rows), size):
-        for col_idx in combinations(range(cols), size):
-            minor = [[matrix.entries[i][j] for j in col_idx] for i in row_idx]
-            result = laurent_gcd(result, _det(minor))
-            if result == one:
-                return result
+    for row_idx in combinations(range(len(matrix.entries)), size):
+        minor = [[matrix.entries[i][j] for j in kept] for i in row_idx]
+        result = laurent_gcd(result, _det(minor))
+        if result == phi:
+            return LaurentPoly.one()
+    if a > 1:
+        check_dense_breadth(result.breadth(), division)
+        quotient = result.exact_divide(phi)
+        if quotient is None:
+            raise ArithmeticError(f"{phi} does not divide the minors' gcd {result}")
+        result = quotient
     return result.normalize_up_to_units()

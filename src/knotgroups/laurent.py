@@ -22,7 +22,8 @@ from .errors import (
 )
 
 
-# Highest breadth of a gcd operand that is not a monomial.  The dense
+# Highest breadth of a gcd operand that is not a monomial, and of either
+# operand of the Alexander polynomial's final exact division.  The dense
 # pseudo-remainder sequence costs at least breadth^2 integer steps: one
 # exact division of breadth 4000 by breadth 2000 took 0.35 s (CPython 3.11,
 # 2-vCPU Xeon).  Breadths past this come from huge exponents.
@@ -285,6 +286,15 @@ def _pseudo_rem(a: list, b: list) -> list:
     return rem[: db] if db > 0 else [0]
 
 
+def check_dense_breadth(breadth: int, what: str) -> None:
+    """Raise GcdTooLargeError, naming ``what``, if an operand of this
+    breadth is past ``MAX_GCD_DEGREE`` and so may not be made dense."""
+    if breadth > MAX_GCD_DEGREE:
+        raise GcdTooLargeError(
+            f"{what} of breadth {breadth}, over the limit of {MAX_GCD_DEGREE}"
+        )
+
+
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """A greatest common divisor in Z[t, t^-1], in normalized form.
 
@@ -302,12 +312,7 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return p.normalize_up_to_units()
     if len(p._coeffs) == 1 or len(q._coeffs) == 1:
         return LaurentPoly._from_clean({0: igcd(*p._coeffs.values(), *q._coeffs.values())})
-    degree = max(p.breadth(), q.breadth())
-    if degree > MAX_GCD_DEGREE:
-        raise GcdTooLargeError(
-            f"gcd of polynomials of breadth {degree}, over the limit of "
-            f"{MAX_GCD_DEGREE}"
-        )
+    check_dense_breadth(max(p.breadth(), q.breadth()), "gcd of polynomials")
     ca, a = _content_and_primitive(_dense(p))
     cb, b = _content_and_primitive(_dense(q))
     if _dense_deg(a) < _dense_deg(b):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, permutations as _all_perms
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -230,6 +230,9 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.label = label or f"gen:{degree}"
         self._index = index
+        # per generator s, the index of elements[i] * s at position i, when
+        # the builder formed those products anyway (trusted, not checked)
+        self._right_products: Optional[List[List[int]]] = None
         self._index_form: Optional[IndexForm] = None
 
     @property
@@ -275,11 +278,13 @@ class IndexForm:
     Up to ``TABLE_MAX_ORDER`` the products are a flat table.  Its column for
     b (all a*b) is derived from the column of b's parent p in a breadth-first
     walk over right multiplication by the group's generators, b = p*s: then
-    a*b = (a*p)*s is one lookup in the table of right multiplication by s.
-    That costs n*k permutation products for k generators and n^2 index
-    lookups.  Elements the generators do not reach get their column from
-    direct products.  Above the limit, products and powers are composed on
-    the fly from the permutations.
+    a*b = (a*p)*s is one lookup in the table of right multiplication by s,
+    and a whole column is one C-level gather.  The tables of right
+    multiplication cost n*k permutation products for k generators, none
+    when the group was built by a walk that recorded them
+    (``generated_group``).  Elements the generators do not reach get their
+    column from direct products.  Above the limit, products and powers are
+    composed on the fly from the permutations.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -294,8 +299,10 @@ class IndexForm:
             self.products: Sequence[int] = _Products(self.elements, self.index)
             return
         elements, index = self.elements, self.index
-        rights = [[_lookup(index, g * s) for g in elements]
-                  for s in group.generators if s in index]
+        rights = group._right_products
+        if rights is None:
+            rights = [[_lookup(index, g * s) for g in elements]
+                      for s in group.generators if s in index]
         table = array("H", [0]) * (n * n)
         table[:n] = array("H", range(n))
         reached = bytearray(n)
@@ -304,12 +311,12 @@ class IndexForm:
         while frontier:
             nxt = []
             for p in frontier:
-                column = table[n * p: n * p + n]
+                gather = itemgetter(*table[n * p: n * p + n])
                 for right in rights:
                     b = right[p]
                     if not reached[b]:
                         reached[b] = 1
-                        table[n * b: n * b + n] = array("H", [right[x] for x in column])
+                        table[n * b: n * b + n] = array("H", gather(right))
                         nxt.append(b)
             frontier = nxt
         for b in range(n):
@@ -412,7 +419,8 @@ def generated_group(degree: int, generators: Sequence[Permutation],
     """Subgroup of S_degree generated by ``generators``.
 
     Breadth-first closure starting from the identity; element order is the
-    deterministic BFS discovery order.
+    deterministic BFS discovery order.  The walk forms every product h*g,
+    so it records their indices for the group's index form.
     """
     if degree < 1:
         raise InvalidParameterError("degree must be at least 1")
@@ -421,24 +429,26 @@ def generated_group(degree: int, generators: Sequence[Permutation],
         if g.degree != degree:
             raise DegreeMismatchError("generator degree differs from group degree")
     ident = Permutation.identity(degree)
-    seen = {ident}
+    seen = {ident: 0}
     ordered = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                prod = h * g
-                if prod not in seen:
-                    seen.add(prod)
-                    ordered.append(prod)
-                    nxt.append(prod)
-                    if len(seen) > cap:
-                        raise GroupTooLargeError(
-                            f"generated group exceeds cap {cap}"
-                        )
-        frontier = nxt
-    return FiniteGroup(degree, ordered, gens, label=label or f"gen:{degree}")
+    rights: List[List[int]] = [[] for _ in gens]
+    # the list grows while it is walked, so h runs through the elements in
+    # discovery order, and rights[k][i] is the index of ordered[i] * gens[k]
+    for h in ordered:
+        for g, right in zip(gens, rights):
+            prod = h * g
+            at = seen.get(prod)
+            if at is None:
+                at = seen[prod] = len(ordered)
+                ordered.append(prod)
+                if len(seen) > cap:
+                    raise GroupTooLargeError(
+                        f"generated group exceeds cap {cap}"
+                    )
+            right.append(at)
+    group = FiniteGroup(degree, ordered, gens, label=label or f"gen:{degree}")
+    group._right_products = rights
+    return group
 
 
 def group_from_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

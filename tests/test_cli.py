@@ -115,13 +115,34 @@ class TestAlexCommand:
         assert "syllables" in err
 
     def test_wide_gcd_ends_quickly(self, tmp_path, capsys):
-        # weights 1, 1000, 10^6: minors of breadth ~10^6 meet in one gcd
-        path = write(tmp_path, "wide.pres", "< x, y, z | x^1000*y^-1, y^1000*z^-1 >\n")
+        # weights 1001 and 1000, no column of weight 1: the one minor has
+        # breadth ~10^6 and must be divided by (t^1000 - 1)/(t - 1)
+        path = write(tmp_path, "wide.pres", "< x, y | x^1000*y^-1001 >\n")
         started = time.perf_counter()
         code, _, err = run(capsys, "alex", path)
         assert time.perf_counter() - started < 2.0
         assert code == 3
         assert "gcd" in err
+
+    def test_wide_weights_with_a_unit_column_need_no_gcd(self, tmp_path, capsys):
+        # weights 1, 1000, 10^6 present the free group on x: deleting x's
+        # column leaves one minor, a monomial
+        path = write(tmp_path, "free.pres", "< x, y, z | x^1000*y^-1, y^1000*z^-1 >\n")
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "alex", path)
+        assert time.perf_counter() - started < 2.0
+        assert code == 0
+        assert out.strip() == "1"
+
+    def test_huge_divisor_exits_3_quickly(self, tmp_path, capsys):
+        # T(400000, 400001): the divisor (t^400000 - 1)/(t - 1) alone is
+        # past the gcd breadth limit, so it is never built densely
+        path = write(tmp_path, "torus.pres", "< x, y | x^400000*y^-400001 >\n")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "alex", path)
+        assert time.perf_counter() - started < 2.0
+        assert code == 3
+        assert "breadth 399999" in err
 
     def test_gcd_with_a_monomial_is_immediate(self, tmp_path, capsys):
         path = write(tmp_path, "mono.pres", "< x, y | x^16000*y^-1 >\n")

@@ -1,14 +1,16 @@
 """Free differential calculus, derivative matrix, Alexander polynomial."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotgroups import fox
+from knotgroups import fox, laurent
 from knotgroups.errors import (
     DeficiencyError,
     DerivativeTooLargeError,
+    GcdTooLargeError,
     MissingWeightError,
     NotInfiniteCyclicError,
 )
@@ -22,8 +24,16 @@ from knotgroups.fox import (
     fox_derivative,
 )
 from knotgroups.laurent import LaurentPoly, gcd as laurent_gcd
-from knotgroups.presentations import Presentation, parse, parse_word, rbg_family
+from knotgroups.presentations import (
+    Presentation,
+    abelianize,
+    parse,
+    parse_word,
+    rbg_family,
+)
 from knotgroups.words import Word
+from test_knot_symmetry import torus_presentation, wirtinger_torus
+from test_tietze import MOVES, Moved, random_word
 
 
 def lp(coeffs):
@@ -368,3 +378,145 @@ class TestBareiss:
         one, two = lp({0: 1}), lp({0: 2})
         with pytest.raises(ArithmeticError):
             _det([[two, one, one], [one, two, one], [one, one, two]])
+
+
+# -- one minor per row set against all maximal minors ---------------------------
+
+
+def all_minors_alexander(presentation):
+    """The gcd of every (g-1) x (g-1) minor of the Alexander matrix, one
+    Bareiss elimination each: the definition, and the oracle of
+    ``alexander_polynomial``, which computes one minor per row set."""
+    size = len(presentation.generators) - 1
+    matrix = alexander_matrix(presentation)
+    rows, cols = matrix.shape
+    if size == 0:
+        return LaurentPoly.one()
+    result = LaurentPoly.zero()
+    for row_idx in combinations(range(rows), size):
+        for col_idx in combinations(range(cols), size):
+            minor = [[matrix.entries[i][j] for j in col_idx] for i in row_idx]
+            result = laurent_gcd(result, _det(minor))
+            if result == LaurentPoly.one():
+                return result
+    return result.normalize_up_to_units()
+
+
+TORUS_PQ = ((2, 3), (3, 4), (2, 5), (3, 5), (4, 7), (5, 6))
+
+# Bases of the random chains: knot groups whose matrices all have a column
+# of weight 1, and torus presentations x^p * y^-q, whose weights are q and p.
+MOVE_BASES = [rbg_family(1), rbg_family(2), wirtinger_torus(3)] + [
+    torus_presentation(p, q) for p, q in TORUS_PQ
+]
+
+
+def add_null_relator(rng, moved):
+    """A commutator of random words: it abelianizes to 0, so the group
+    changes but its abelianization and weights do not."""
+    gens = moved.presentation.generators
+    u = random_word(rng, gens, rng.randint(1, 2))
+    v = random_word(rng, gens, rng.randint(1, 2))
+    return moved.rebuild(relators=moved.presentation.relators + (u * v * ~u * ~v,))
+
+
+@st.composite
+def moved_presentations(draw):
+    """A base from ``MOVE_BASES`` after up to four random Tietze moves or
+    added null relators; either kind of step can add a relator, so many
+    presentations have more relators than a maximal minor needs."""
+    base = draw(st.sampled_from(MOVE_BASES))
+    rng = draw(st.randoms(use_true_random=False))
+    moved = Moved(base, {g: g for g in base.generators})
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        moved = rng.choice(MOVES + (add_null_relator,))(rng, moved)
+    return moved.presentation
+
+
+@settings(max_examples=150, deadline=None)
+@given(moved_presentations())
+def test_one_minor_per_row_set_matches_all_minors(presentation):
+    assert alexander_polynomial(presentation) == all_minors_alexander(presentation)
+
+
+@pytest.mark.parametrize("p,q", TORUS_PQ)
+def test_no_unit_weight_column_matches_all_minors(p, q):
+    # a surplus relator, a conjugate of the first, and a generator z of
+    # weight 2q that no column of weight +-1 can stand in for
+    base = torus_presentation(p, q)
+    pres = Presentation(
+        ("y", "z", "x"),
+        base.relators + (
+            parse_word(f"y*x^{p}*y^-{q + 1}", ("x", "y")),
+            parse_word("z^-1*x^2", ("x", "z")),
+        ),
+    )
+    assert sorted(abs(a) for a in alexander_matrix(pres).weights) == [p, q, 2 * q]
+    assert alexander_polynomial(pres) == all_minors_alexander(pres)
+    assert alexander_polynomial(pres) == alexander_polynomial(base)
+
+
+class TestDivisionGuard:
+    # x^4*y^-7: weights 7 and 4, so the one minor 1 + t^7 + t^14 + t^21
+    # (breadth 21) is divided by 1 + t + t^2 + t^3 (breadth 3)
+    PRES = "< x, y | x^4*y^-7 >"
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        expected = alexander_polynomial(parse(self.PRES))
+        monkeypatch.setattr(laurent, "MAX_GCD_DEGREE", 21)
+        assert alexander_polynomial(parse(self.PRES)) == expected
+        monkeypatch.setattr(laurent, "MAX_GCD_DEGREE", 20)
+        with pytest.raises(GcdTooLargeError, match="breadth 21,"):
+            alexander_polynomial(parse(self.PRES))
+
+    def test_divisor_checked_before_any_minor(self, monkeypatch):
+        monkeypatch.setattr(laurent, "MAX_GCD_DEGREE", 2)
+        monkeypatch.setattr(fox, "_det", lambda minor: pytest.fail("minor computed"))
+        with pytest.raises(GcdTooLargeError, match="breadth 3,"):
+            alexander_polynomial(parse(self.PRES))
+
+
+def test_zero_weight_column_is_never_deleted():
+    # y abelianizes to 0, so the minor without y's column is zero and
+    # the one without x's column carries the polynomial
+    pres = parse("< y, x | y*x*y^-1*x^-1*y >")
+    matrix = alexander_matrix(pres)
+    assert matrix.weights == (0, 1)
+    assert matrix[0, 1] == LaurentPoly.zero()
+    assert alexander_polynomial(pres) == all_minors_alexander(pres) != LaurentPoly.zero()
+
+
+# -- Fox's fundamental formula on the one-pass matrix ----------------------------
+
+
+def assert_fundamental_formula(presentation):
+    """Every row of the one-pass matrix, with column j weighted by
+    t^a(j) - 1, sums to zero: each relator abelianizes to t^0."""
+    weights = abelianize(presentation).weights
+    matrix = alexander_matrix(presentation)
+    assert matrix.weights == tuple(weights[g] for g in presentation.generators)
+    factors = [lp({weights[g]: 1}) - 1 for g in presentation.generators]
+    for row in matrix.entries:
+        total = LaurentPoly.zero()
+        for entry, factor in zip(row, factors):
+            total = total + entry * factor
+        assert total == LaurentPoly.zero()
+
+
+FORMULA_CASES = (
+    [(f"family m={m}", rbg_family(m)) for m in (1, 2, 5, 30)]
+    + [(f"T(2,{n})", wirtinger_torus(n)) for n in (3, 5, 7, 9)]
+    + [(f"x^{p}*y^-{q}", torus_presentation(p, q)) for p, q in TORUS_PQ]
+)
+
+
+@pytest.mark.parametrize("name,presentation", FORMULA_CASES,
+                         ids=[c[0] for c in FORMULA_CASES])
+def test_fundamental_formula_on_rows(name, presentation):
+    assert_fundamental_formula(presentation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(moved_presentations())
+def test_fundamental_formula_after_moves(presentation):
+    assert_fundamental_formula(presentation)

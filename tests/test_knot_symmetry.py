@@ -1,6 +1,6 @@
 """Alexander polynomials of knots against facts that share no code with
 the engines: symmetry Delta(t) = +-t^k Delta(t^-1), Delta(1) = +-1, and the
-closed form of the torus knots T(2, n).  Coefficients are read out as plain
+closed forms of the torus knots.  Coefficients are read out as plain
 (exponent, coefficient) pairs and checked with integer arithmetic only."""
 
 import pytest
@@ -18,6 +18,12 @@ def wirtinger_torus(n):
         for i in range(n)
     ]
     return parse(f"< {', '.join(gens)} | {', '.join(rels)} >")
+
+
+def torus_presentation(p, q):
+    """< x, y | x^p * y^-q >, the group of the torus knot T(p, q) for
+    coprime p, q; x and y abelianize to t^q and t^p."""
+    return parse(f"< x, y | x^{p}*y^-{q} >")
 
 
 def coefficients(poly):
@@ -50,3 +56,40 @@ def test_torus_closed_form(n):
     # Delta_T(2,n) = (t^n + 1) / (t + 1) = 1 - t + t^2 - ... + t^(n-1)
     poly = alexander_polynomial(wirtinger_torus(n))
     assert poly.terms() == tuple((e, (-1) ** e) for e in range(n))
+
+
+def int_mul(a, b):
+    """Product of two coefficient lists, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def int_div(num, den):
+    """Exact quotient of two coefficient lists (den monic, as here)."""
+    num = list(num)
+    quotient = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        c = quotient[k] = num[k + len(den) - 1] // den[-1]
+        for i, d in enumerate(den):
+            num[k + i] -= c * d
+    assert not any(num)
+    return quotient
+
+
+def t_power_minus_one(k):
+    return [-1] + [0] * (k - 1) + [1]
+
+
+@pytest.mark.parametrize("p,q", ((2, 3), (3, 4), (2, 5), (3, 5), (4, 7), (5, 6)))
+def test_torus_knot_without_unit_weight(p, q):
+    # no generator abelianizes to t^+-1, so the polynomial comes out of the
+    # exact division by (t^p - 1)/(t - 1):
+    # Delta_T(p,q) = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1))
+    expected = int_div(int_mul(t_power_minus_one(p * q), t_power_minus_one(1)),
+                       int_mul(t_power_minus_one(p), t_power_minus_one(q)))
+    poly = alexander_polynomial(torus_presentation(p, q))
+    assert poly.terms() == tuple((e, c) for e, c in enumerate(expected) if c)
+    assert_knot_polynomial(poly)

@@ -228,6 +228,17 @@ class TestIndexForm:
     def test_built_once(self):
         assert A5.index_form is A5.index_form
 
+    def test_generated_group_needs_no_permutation_products(self, monkeypatch):
+        # the closure recorded every h*s, so the table is index lookups only
+        spec = "gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]"
+        group = group_from_spec(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(Permutation, "__mul__", lambda p, q: pytest.fail("product"))
+            patch.setattr(Permutation, "__pow__", lambda p, e: pytest.fail("power"))
+            form = group.index_form
+            form.powers(-1)
+        self._assert_matches(group)
+
     def test_above_table_limit_multiplies_on_the_fly(self):
         s7 = symmetric_group(7)
         assert s7.order > TABLE_MAX_ORDER >= PSL27.order
@@ -242,3 +253,34 @@ class TestIndexForm:
         # a list that is not closed under products is refused, not misread
         with pytest.raises(InvalidParameterError):
             FiniteGroup(3, S3.elements[:3], [S3.elements[1]]).index_form
+
+
+def _frontier_closure(degree, gens):
+    """Elements of <gens> level by level, each level in the order its
+    members were first reached: the discovery order listings rely on."""
+    ordered = [Permutation.identity(degree)]
+    seen = set(ordered)
+    frontier = list(ordered)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                if h * g not in seen:
+                    seen.add(h * g)
+                    nxt.append(h * g)
+        ordered += nxt
+        frontier = nxt
+    return ordered
+
+
+@pytest.mark.parametrize("spec", [
+    "gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]",
+    "gen:5:[(1,2,3),(1,2,3,4,5)]",
+    "gen:4:[(1,2),(),(1,2),(3,4)]",
+])
+def test_generated_element_order_and_cap(spec):
+    group = group_from_spec(spec)
+    assert list(group.elements) == _frontier_closure(group.degree, group.generators)
+    assert group_from_spec(spec, cap=group.order).elements == group.elements
+    with pytest.raises(GroupTooLargeError, match=f"exceeds cap {group.order - 1}"):
+        group_from_spec(spec, cap=group.order - 1)
