@@ -26,6 +26,7 @@ import sys
 import time
 from typing import Dict, Optional
 
+from . import fox
 from .errors import (
     CountTooLargeError,
     InputError,
@@ -33,7 +34,7 @@ from .errors import (
     KnotGroupsError,
     ResourceError,
 )
-from .fox import alexander_matrix, alexander_polynomial
+from .fox import alexander_polynomial
 from .homsearch import count_homs, meridian_search
 from .permgroups import group_from_spec, parse_permutation
 from .presentations import parse, rbg_family
@@ -78,11 +79,16 @@ def cmd_parse(args) -> int:
 def cmd_alex(args) -> int:
     started = time.perf_counter()
     pres = _read_presentation(args.file)
-    poly = alexander_polynomial(pres)
+    matrix = None
+    if args.matrix and len(pres.relators) >= len(pres.generators) - 1:
+        # built once, for both answers; a deficient presentation is left to
+        # alexander_polynomial, whose DeficiencyError comes first
+        matrix = fox.alexander_matrix(pres)
+    poly = alexander_polynomial(pres, matrix)
     results = {"alexander_polynomial": str(poly)}
     lines = [str(poly)]
     if args.matrix:
-        rows = alexander_matrix(pres).text_rows()
+        rows = matrix.text_rows()
         results["matrix"] = rows
         lines.append(json.dumps(rows))
     report = {

@@ -42,7 +42,7 @@ not raises instead of returning a guess.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DeficiencyError,
@@ -301,7 +301,8 @@ def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     return -det if negate else det
 
 
-def alexander_polynomial(presentation: Presentation) -> LaurentPoly:
+def alexander_polynomial(presentation: Presentation,
+                         matrix: Optional[AlexanderMatrix] = None) -> LaurentPoly:
     """Generator of the first elementary ideal, in normalized form.
 
     With g generators, this is the gcd of all (g-1) x (g-1) minors of the
@@ -311,8 +312,9 @@ def alexander_polynomial(presentation: Presentation) -> LaurentPoly:
     nonzero weight of least magnitude, take the gcd D of these minors over
     row sets, and divide D exactly by (t^|a(j)| - 1) / (t - 1).
 
-    The free group of rank 1 (no relators) yields 1.  Raises
-    DeficiencyError when there are fewer than g-1 relators,
+    ``matrix`` is the presentation's ``alexander_matrix`` when the caller
+    has built it already.  The free group of rank 1 (no relators) yields
+    1.  Raises DeficiencyError when there are fewer than g-1 relators,
     NotInfiniteCyclicError when no weights exist, and GcdTooLargeError
     when a gcd or the final division would make an operand of breadth
     above ``laurent.MAX_GCD_DEGREE`` dense.
@@ -323,7 +325,8 @@ def alexander_polynomial(presentation: Presentation) -> LaurentPoly:
             f"need at least {size} relators for a {size}x{size} minor, "
             f"have {len(presentation.relators)}"
         )
-    matrix = alexander_matrix(presentation)
+    if matrix is None:
+        matrix = alexander_matrix(presentation)
     if size == 0:
         return LaurentPoly.one()
     weights = matrix.weights

@@ -23,7 +23,8 @@ Points are 0-based internally; all I/O uses 1-based cycle notation such as
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, permutations as _all_perms
+from functools import partial
+from itertools import accumulate, compress, permutations as _all_perms, product
 from math import lcm
 from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -37,8 +38,9 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 10**6
 
-# Groups up to this order get a full product table (order^2 two-byte
-# entries, 2 MiB at the limit); larger ones multiply on the fly.
+# Groups up to this order get a full product table (order^2 entries of
+# one byte up to order 256 and two bytes above, 2 MiB at the limit);
+# larger ones multiply on the fly.
 TABLE_MAX_ORDER = 1024
 
 
@@ -218,13 +220,11 @@ class FiniteGroup:
         elems = tuple(elements)
         if not elems or not elems[0].is_identity:
             raise InvalidParameterError("element list must start with the identity")
-        index = {}
-        for pos, g in enumerate(elems):
-            if g.degree != degree:
-                raise DegreeMismatchError("element degree differs from group degree")
-            if g in index:
-                raise InvalidParameterError("duplicate element in group list")
-            index[g] = pos
+        if any(g.degree != degree for g in elems):
+            raise DegreeMismatchError("element degree differs from group degree")
+        index = dict(zip(elems, range(len(elems))))
+        if len(index) != len(elems):
+            raise InvalidParameterError("duplicate element in group list")
         self.degree = degree
         self.elements = elems
         self.generators = tuple(generators)
@@ -275,16 +275,19 @@ class IndexForm:
     so one syllable ``g^e`` with g's image at index i turns an accumulated
     index ``acc`` into ``products[powers(e)[i] + acc]``.
 
-    Up to ``TABLE_MAX_ORDER`` the products are a flat table.  Its column for
-    b (all a*b) is derived from the column of b's parent p in a breadth-first
-    walk over right multiplication by the group's generators, b = p*s: then
-    a*b = (a*p)*s is one lookup in the table of right multiplication by s,
-    and a whole column is one C-level gather.  The tables of right
-    multiplication cost n*k permutation products for k generators, none
-    when the group was built by a walk that recorded them
-    (``generated_group``).  Elements the generators do not reach get their
-    column from direct products.  Above the limit, products and powers are
-    composed on the fly from the permutations.
+    Up to ``TABLE_MAX_ORDER`` the products are a flat table, column after
+    column: one byte per entry up to order 256, two bytes above.  The
+    column for b (all a*b) is derived from the column of b's parent p in a
+    breadth-first walk over right multiplication by the group's
+    generators, b = p*s: then a*b = (a*p)*s is one lookup in the table of
+    right multiplication by s, so a whole column is one C-level pass, a
+    ``bytes.translate`` for byte columns and an ``operator.itemgetter``
+    gather for two-byte ones.  The tables of right multiplication cost n*k
+    compositions of image tuples for k generators (``_packing``), none when
+    the group was built by a walk that recorded them (``generated_group``).
+    Elements the generators do not reach get their column from direct
+    products.  Above the limit, products and powers are composed on the
+    fly from the permutations.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -296,40 +299,48 @@ class IndexForm:
         # order; None above TABLE_MAX_ORDER
         self._cycles: Optional[List[List[int]]] = None
         if n > TABLE_MAX_ORDER:
-            self.products: Sequence[int] = _Products(self.elements, self.index)
+            self.products: Sequence[int] = _Products(self.elements)
             return
-        elements, index = self.elements, self.index
+        direct = None
         rights = group._right_products
         if rights is None:
-            rights = [[_lookup(index, g * s) for g in elements]
-                      for s in group.generators if s in index]
-        table = array("H", [0]) * (n * n)
-        table[:n] = array("H", range(n))
-        reached = bytearray(n)
-        reached[0] = 1
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                gather = itemgetter(*table[n * p: n * p + n])
-                for right in rights:
-                    b = right[p]
-                    if not reached[b]:
-                        reached[b] = 1
-                        table[n * b: n * b + n] = array("H", gather(right))
-                        nxt.append(b)
-            frontier = nxt
-        for b in range(n):
-            if not reached[b]:
-                eb = elements[b]
-                table[n * b: n * b + n] = array("H", [_lookup(index, a * eb) for a in elements])
-        self.products = table
+            direct = _Products(self.elements)
+            rights = [direct.column(s) for s in group.generators if s in self.index]
+        # a column is a permutation of the indices, so columns compose like
+        # permutations: col_b = col_p * right_s
+        if n <= 256:
+            pack, compose = bytes, bytes.translate
+            rights = [_byte_table(right) for right in rights]
+        else:
+            pack = partial(array, "H")
+
+            def compose(col, right):
+                return array("H", itemgetter(*col)(right))
+        cols: List = [None] * n
+        cols[0] = pack(range(n))
+        walked = [0]
+        # the list grows while it is walked: breadth-first from the identity
+        for p in walked:
+            for right in rights:
+                b = right[p]
+                if cols[b] is None:
+                    cols[b] = compose(cols[p], right)
+                    walked.append(b)
+        for b, col in enumerate(cols):
+            if col is None:
+                direct = direct or _Products(self.elements)
+                cols[b] = pack(direct.column(self.elements[b]))
+        if n <= 256:
+            self.products = b"".join(cols)
+        else:
+            self.products = array("H")
+            self.products.frombytes(b"".join(cols))
         cycles = []
-        for i in range(n):
+        for i, col in enumerate(cols):
             cycle, p = [0], i
             while p:
                 cycle.append(p)
-                p = table[n * i + p]
+                p = col[p]
             cycles.append(cycle)
         self._cycles = cycles
 
@@ -338,44 +349,76 @@ class IndexForm:
         table = self._powers.get(e)
         if table is None:
             if self._cycles is None:
-                table = _Powers(self.elements, self.index, e)
+                table = _Powers(self.products, e)
             else:
                 table = tuple(self.order * c[e % len(c)] for c in self._cycles)
             self._powers[e] = table
         return table
 
 
-def _lookup(index: Dict[Permutation, int], p: Permutation) -> int:
-    try:
-        return index[p]
-    except KeyError:
-        raise InvalidParameterError(
-            f"{p} is not in the group's element list"
-        ) from None
+def _byte_table(images: Sequence[int]) -> bytes:
+    """A permutation of at most 256 points as a ``bytes.translate`` table."""
+    return bytes(images).ljust(256, b"\0")
+
+
+def _compose_tuples(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(map(q.__getitem__, p))
+
+
+def _packing(degree: int):
+    """How permutations of ``degree`` points compose in C, as
+    ``(pack, table, compose)``: ``pack`` turns an image tuple into a
+    hashable key, ``table`` turns one into a right operand, and
+    ``compose(pack(p), table(q)) == pack(p * q)``.  Up to 256 points a key
+    is a byte string, which caches its hash, and ``bytes.translate``
+    composes; above, a key is the image tuple itself."""
+    if degree <= 256:
+        return bytes, _byte_table, bytes.translate
+    return tuple, tuple, _compose_tuples
 
 
 class _Products:
-    """``products`` of an IndexForm above TABLE_MAX_ORDER: each lookup
-    multiplies two permutations."""
+    """Products of a group's elements by index, each composed when asked:
+    the ``products`` of an IndexForm above TABLE_MAX_ORDER, and the
+    columns an IndexForm cannot derive from its generators."""
 
-    def __init__(self, elements: Sequence[Permutation], index: Dict[Permutation, int]):
-        self.elements, self.index = elements, index
+    def __init__(self, elements: Sequence[Permutation]):
+        self.elements = elements
+        self._pack, self._table, self._compose = _packing(elements[0].degree)
+        self._keys = [self._pack(g._images) for g in elements]
+        self._at = dict(zip(self._keys, range(len(elements))))
+
+    def _find(self, key) -> int:
+        try:
+            return self._at[key]
+        except KeyError:
+            raise InvalidParameterError(
+                f"{Permutation._raw(tuple(key))} is not in the group's element list"
+            ) from None
+
+    def index_of(self, p: Permutation) -> int:
+        return self._find(self._pack(p._images))
+
+    def column(self, s: Permutation) -> List[int]:
+        """The index of a*s for every element a, in element order."""
+        compose, table = self._compose, self._table(s._images)
+        return [self._find(compose(a, table)) for a in self._keys]
 
     def __getitem__(self, k: int) -> int:
         b, a = divmod(k, len(self.elements))
-        return _lookup(self.index, self.elements[a] * self.elements[b])
+        return self._find(self._compose(self._keys[a], self._table(self.elements[b]._images)))
 
 
 class _Powers(dict):
     """``powers(e)`` of an IndexForm above TABLE_MAX_ORDER, filled on demand."""
 
-    def __init__(self, elements: Sequence[Permutation], index: Dict[Permutation, int],
-                 e: int):
+    def __init__(self, products: _Products, e: int):
         super().__init__()
-        self.elements, self.index, self.e = elements, index, e
+        self.products, self.e = products, e
 
     def __missing__(self, i: int) -> int:
-        value = self[i] = len(self.elements) * _lookup(self.index, self.elements[i] ** self.e)
+        elements = self.products.elements
+        value = self[i] = len(elements) * self.products.index_of(elements[i] ** self.e)
         return value
 
 
@@ -391,7 +434,7 @@ def symmetric_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise InvalidParameterError("degree must be at least 1")
     if product_exceeds(range(2, n + 1), cap):
         raise GroupTooLargeError(f"|S_{n}| = {n}! exceeds cap {cap}")
-    elems = [Permutation(p) for p in _all_perms(range(n))]
+    elems = list(map(Permutation._raw, _all_perms(range(n))))
     gens = [Permutation.from_cycles([(1, 2)], n)] if n >= 2 else []
     if n >= 3:
         gens.append(Permutation.from_cycles([tuple(range(1, n + 1))], n))
@@ -404,7 +447,12 @@ def alternating_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise InvalidParameterError("degree must be at least 1")
     if product_exceeds(range(3, n + 1), cap):  # n!/2 = 3*4*...*n
         raise GroupTooLargeError(f"|A_{n}| = {n}!/2 exceeds cap {cap}")
-    elems = [p for p in (Permutation(q) for q in _all_perms(range(n))) if p.is_even()]
+    # permutations() and product() both run in lexicographic order, so each
+    # permutation meets its Lehmer code, whose digit sum is its number of
+    # inversions
+    lehmer = product(*map(range, range(n, 0, -1)))
+    even = (not sum(code) & 1 for code in lehmer)
+    elems = list(map(Permutation._raw, compress(_all_perms(range(n)), even)))
     gens = []
     if n >= 3:
         gens.append(Permutation.from_cycles([(1, 2, 3)], n))
@@ -428,15 +476,17 @@ def generated_group(degree: int, generators: Sequence[Permutation],
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatchError("generator degree differs from group degree")
-    ident = Permutation.identity(degree)
+    pack, table, compose = _packing(degree)
+    ident = pack(range(degree))
     seen = {ident: 0}
     ordered = [ident]
+    tables = [table(g._images) for g in gens]
     rights: List[List[int]] = [[] for _ in gens]
     # the list grows while it is walked, so h runs through the elements in
     # discovery order, and rights[k][i] is the index of ordered[i] * gens[k]
     for h in ordered:
-        for g, right in zip(gens, rights):
-            prod = h * g
+        for g, right in zip(tables, rights):
+            prod = compose(h, g)
             at = seen.get(prod)
             if at is None:
                 at = seen[prod] = len(ordered)
@@ -446,7 +496,8 @@ def generated_group(degree: int, generators: Sequence[Permutation],
                         f"generated group exceeds cap {cap}"
                     )
             right.append(at)
-    group = FiniteGroup(degree, ordered, gens, label=label or f"gen:{degree}")
+    elements = list(map(Permutation._raw, map(tuple, ordered)))
+    group = FiniteGroup(degree, elements, gens, label=label or f"gen:{degree}")
     group._right_products = rights
     return group
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from knotgroups import cli, verification
+from knotgroups import cli, fox, verification
 from knotgroups.presentations import parse, rbg_family
 from knotgroups.words import Word
 
@@ -91,6 +91,37 @@ class TestAlexCommand:
             ["-1 + t - t^2", "1 - t + t^2", "0"],
             ["-2*t^-1 + 1", "t^-1 - 1", "t^-1"],
         ]
+
+    def test_matrix_built_once(self, tmp_path, capsys, monkeypatch):
+        # one Fox matrix and one Smith normal form serve both answers
+        calls = {}
+        for name in ("alexander_matrix", "abelianize"):
+            def counted(*args, _name=name, _real=getattr(fox, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(fox, name, counted)
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        code, out, _ = run(capsys, "alex", path, "--matrix", "--json")
+        assert code == 0
+        assert calls == {"alexander_matrix": 1, "abelianize": 1}
+        assert out == json.dumps({
+            "command": "alex",
+            "inputs": {"file": path},
+            "results": {
+                "alexander_polynomial": "1 - t + t^2",
+                "matrix": [["-1 + t - t^2", "1 - t + t^2", "0"],
+                           ["-2*t^-1 + 1", "t^-1 - 1", "t^-1"]],
+            },
+        }, sort_keys=True, indent=2) + "\n"
+
+    def test_matrix_of_deficient_presentation(self, tmp_path, capsys):
+        # the deficiency is reported with or without --matrix
+        path = write(tmp_path, "short.pres", "< x, y, z | x*y*x^-1*y^-1 >\n")
+        plain = run(capsys, "alex", path)
+        with_matrix = run(capsys, "alex", path, "--matrix")
+        assert plain == with_matrix
+        assert plain[0] == 2
+        assert "need at least 2 relators" in plain[2]
 
     def test_huge_exponents_exit_3_quickly(self, tmp_path, capsys):
         path = write(tmp_path, "huge.pres", "< x, y | x^100000000*y*x^-100000001 >\n")

@@ -1,5 +1,7 @@
 """Permutations, group construction by enumeration, conjugacy search."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,6 +104,22 @@ class TestBuild:
         for group in (A4, A5, S4, generated_group(3, [parse_permutation("(1,2)", 3)])):
             assert group.elements[0].is_identity
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lexicographic_order_and_parity(self, n):
+        # the Lehmer-code parity against cycle counting, in content and order
+        every = [Permutation(p) for p in permutations(range(n))]
+        assert list(symmetric_group(n).elements) == every
+        assert list(alternating_group(n).elements) == [p for p in every if p.is_even()]
+
+    def test_element_list_checks(self):
+        ident, swap = S3.elements[0], S3.elements[1]
+        with pytest.raises(InvalidParameterError, match="start with the identity"):
+            FiniteGroup(3, [swap, ident], [])
+        with pytest.raises(DegreeMismatchError):
+            FiniteGroup(3, [ident, Permutation.identity(4)], [])
+        with pytest.raises(InvalidParameterError, match="duplicate"):
+            FiniteGroup(3, [ident, swap, swap], [])
+
     def test_order_caps_are_exact(self):
         assert symmetric_group(5, cap=120).order == 120
         assert alternating_group(5, cap=60).order == 60
@@ -193,8 +211,12 @@ def test_conjugacy_matches_cycle_type_in_s5(g, h):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(S5.elements), max_size=2))
 def test_lagrange_for_generated_subgroups(gens):
-    order = generated_group(5, gens).order
-    assert 120 % order == 0
+    group = generated_group(5, gens)
+    assert 120 % group.order == 0
+    # discovery order against the closure written out level by level, and
+    # the byte table against products and powers of the permutations
+    assert list(group.elements) == _frontier_closure(5, gens)
+    TestIndexForm._assert_matches(group, exponents=(-1, 2, 7))
 
 
 class TestIndexForm:
@@ -217,6 +239,26 @@ class TestIndexForm:
     def test_table_built_from_generators(self, group):
         self._assert_matches(group)
 
+    @pytest.mark.parametrize("spec", [
+        # 2^8: the largest group with a byte table
+        "gen:16:[(1,2),(3,4),(5,6),(7,8),(9,10),(11,12),(13,14),(15,16)]",
+        # order 360: a two-byte table
+        "A6",
+    ])
+    def test_both_sides_of_the_table_width_split(self, spec):
+        group = group_from_spec(spec)
+        assert isinstance(group.index_form.products, bytes) == (group.order <= 256)
+        self._assert_matches(group, exponents=(-1, 2))
+
+    def test_more_than_256_points(self):
+        # image tuples too wide for bytes: the closure and the direct
+        # products compose tuples
+        gens = [parse_permutation(c, 300) for c in ("(1,2,3)", "(1,2)", "(299,300)")]
+        group = generated_group(300, gens)
+        assert list(group.elements) == _frontier_closure(300, gens)
+        self._assert_matches(group)
+        self._assert_matches(FiniteGroup(300, group.elements, [], label="bare"))
+
     def test_unreached_elements_use_direct_products(self):
         # no generators, or generators of a proper subgroup only: the
         # columns the breadth-first walk does not reach come from direct
@@ -238,6 +280,15 @@ class TestIndexForm:
             form = group.index_form
             form.powers(-1)
         self._assert_matches(group)
+
+    @pytest.mark.parametrize("spec", ["S5", "A6"])
+    def test_builders_need_no_permutation_products(self, monkeypatch, spec):
+        # S_n and A_n come from itertools in lexicographic order, and the
+        # index form composes image tuples for their right products
+        with monkeypatch.context() as patch:
+            patch.setattr(Permutation, "__mul__", lambda p, q: pytest.fail("product"))
+            patch.setattr(Permutation, "cycles", lambda p: pytest.fail("cycles"))
+            group_from_spec(spec).index_form
 
     def test_above_table_limit_multiplies_on_the_fly(self):
         s7 = symmetric_group(7)
