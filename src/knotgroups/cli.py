@@ -84,9 +84,9 @@ def cmd_alex(args) -> int:
         # built once, for both answers; a deficient presentation is left to
         # alexander_polynomial, whose DeficiencyError comes first
         matrix = fox.alexander_matrix(pres)
-    poly = alexander_polynomial(pres, matrix)
-    results = {"alexander_polynomial": str(poly)}
-    lines = [str(poly)]
+    poly = str(alexander_polynomial(pres, matrix))
+    results = {"alexander_polynomial": poly}
+    lines = [poly]
     if args.matrix:
         rows = matrix.text_rows()
         results["matrix"] = rows
@@ -266,9 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first ``main`` call, not at import: ``parse_args`` leaves a
+# parser as it was (each call fills a new namespace, ``append`` copies its
+# list, help reads the terminal width when it is printed), so one parser
+# serves every call in a process
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

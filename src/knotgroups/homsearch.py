@@ -296,11 +296,11 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     # the walked generators, in declaration order; a counting backtrack
     # leaves out the generators no relator or marker word constrains
     walked = presentation.generators
+    supports = [rel.generators() for rel in presentation.relators]
     free = 0
     if mode == "backtrack" and not materialize:
         bound = set(_marker[0].generators()) if _marker is not None else set()
-        for rel in presentation.relators:
-            bound.update(rel.generators())
+        bound.update(*supports)
         walked = tuple(g for g in walked if g in bound)
         free = sum(1 for g in unpinned if g not in bound)
     slots = {g: i for i, g in enumerate(walked)}
@@ -308,7 +308,8 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     values: List[Sequence[int]] = [
         (form.index[pins[g]],) if g in pins else range(n) for g in walked
     ] + [(0,)]
-    relators = [(rel, _compile(rel, slots, form)) for rel in presentation.relators]
+    relators = [(support, _compile(rel, slots, form))
+                for rel, support in zip(presentation.relators, supports)]
     if mode == "naive":
         counted = [False] * len(walked) + [True]
         checks: List[List[Program]] = [[] for _ in walked] + [[p for _, p in relators]]
@@ -316,13 +317,13 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
         counted = [g not in pins for g in walked] + [False]
         checks = [[] for _ in values]
         pinned = [v[0] for v in values]  # unpinned slots hold 0, unread here
-        for rel, program in relators:
-            if rel.generators() <= pins.keys():
+        for support, program in relators:
+            if support <= pins.keys():
                 stats.relator_checks += 1
                 if evaluate(program, pinned, products):
                     return HomSearchResult(0, collected, stats)
             else:
-                checks[max(slots[g] for g in rel.generators())].append(program)
+                checks[max(slots[g] for g in support)].append(program)
     fixed = [values[slots[g]][0] for g in walked if g in pins]
     if _marker is not None:
         marker = _compile(_marker[0], slots, form)

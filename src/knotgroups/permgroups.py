@@ -22,8 +22,8 @@ Points are 0-based internally; all I/O uses 1-based cycle notation such as
 
 from __future__ import annotations
 
+import struct
 from array import array
-from functools import partial
 from itertools import accumulate, compress, permutations as _all_perms, product
 from math import lcm
 from operator import itemgetter, mul
@@ -312,10 +312,11 @@ class IndexForm:
             pack, compose = bytes, bytes.translate
             rights = [_byte_table(right) for right in rights]
         else:
-            pack = partial(array, "H")
+            # columns stay tuples while walked, packed once at the end
+            pack = tuple
 
             def compose(col, right):
-                return array("H", itemgetter(*col)(right))
+                return itemgetter(*col)(right)
         cols: List = [None] * n
         cols[0] = pack(range(n))
         walked = [0]
@@ -333,8 +334,9 @@ class IndexForm:
         if n <= 256:
             self.products = b"".join(cols)
         else:
+            pack_column = struct.Struct(f"={n}H").pack
             self.products = array("H")
-            self.products.frombytes(b"".join(cols))
+            self.products.frombytes(b"".join([pack_column(*col) for col in cols]))
         cycles = []
         for i, col in enumerate(cols):
             cycle, p = [0], i

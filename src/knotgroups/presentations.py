@@ -122,9 +122,8 @@ class Presentation:
 
     def relation_matrix(self) -> list:
         """Exponent-sum matrix, one row per relator, one column per generator."""
-        return [
-            [r.exponent_sum(g) for g in self.generators] for r in self.relators
-        ]
+        sums = [r.exponent_sums() for r in self.relators]
+        return [[s.get(g, 0) for g in self.generators] for s in sums]
 
     def render(self) -> str:
         """Canonical text form (grammar above), ending in a newline."""

@@ -394,3 +394,63 @@ class TestVerifyCommand:
     def test_unreadable_override_exits_2(self, capsys, quick_checks):
         code, _, _ = run(capsys, "verify", "--override", "/nonexistent.pres")
         assert code == 2
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; no call leaves a trace
+    in the next."""
+
+    def test_later_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        assert run(capsys, "parse", path)[0] == 0
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert run(capsys, "parse", path)[:2] == (0, FAMILY_M1)
+        code, out, _ = run(capsys, "alex", path, "--matrix")
+        assert code == 0 and out.splitlines()[0] == "1 - t + t^2"
+        code, out, _ = run(capsys, "count", path, "--group", "A5",
+                           "--pin", "x=(1,5,4,3,2)")
+        assert code == 0 and out.splitlines()[0] == "count = 6"
+        code, out, _ = run(capsys, "count", path, "--group", "A5",
+                           "--marker", "meridian_B=(1,5,4,3,2)", "--list")
+        assert code == 0 and out.splitlines()[0] == "count = 6"
+        assert run(capsys, "family", "--m", "1")[:2] == (0, FAMILY_M1)
+
+    def test_pins_do_not_carry_over(self, tmp_path, capsys):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        code, out, _ = run(capsys, "count", path, "--group", "A5", "--json",
+                           "--pin", "x=(1,5,4,3,2)", "--pin", "y=(1,5,4,3,2)")
+        assert code == 0
+        assert sorted(json.loads(out)["inputs"]["pins"]) == ["x", "y"]
+        code, out, _ = run(capsys, "count", path, "--group", "A5", "--json")
+        assert code == 0
+        assert json.loads(out)["inputs"]["pins"] == {}
+
+    def test_usage_error_leaves_the_parser_as_it_was(self, tmp_path, capsys,
+                                                     monkeypatch):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        argv = ["count", path, "--group", "A5", "--pin", "x=(1,5,4,3,2)", "--json"]
+        monkeypatch.setattr(cli, "_parser", None)
+        first = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", path, "--group", "A5", "--no-such-option"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: knotgroups ") and "--no-such-option" in err
+        assert run(capsys, *argv) == first
+
+    @pytest.mark.parametrize("columns", ["60", "120"])
+    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch, columns):
+        # the width is read when help is printed, so the shared parser
+        # follows a change of terminal width like a fresh one
+        monkeypatch.setenv("COLUMNS", columns)
+        cli.main(["family", "--m", "1"])
+        capsys.readouterr()
+        for command in ([], ["parse"], ["alex"], ["count"], ["family"], ["verify"]):
+            helps = []
+            for parse_args in (cli.main, cli.build_parser().parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse_args(command + ["--help"])
+                assert exc.value.code == 0
+                helps.append(capsys.readouterr().out)
+            assert helps[0] == helps[1]
+            assert helps[0].startswith(" ".join(["usage: knotgroups"] + command))

@@ -1,5 +1,7 @@
 """Permutations, group construction by enumeration, conjugacy search."""
 
+import random
+from array import array
 from itertools import permutations
 
 import pytest
@@ -249,6 +251,20 @@ class TestIndexForm:
         group = group_from_spec(spec)
         assert isinstance(group.index_form.products, bytes) == (group.order <= 256)
         self._assert_matches(group, exponents=(-1, 2))
+
+    def test_sampled_products_at_the_top_of_the_two_byte_range(self):
+        # S6, order 720: the full oracle takes n^2 products, so sample the
+        # table and check two power tables in full
+        group = group_from_spec("S6")
+        form, n, elems = group.index_form, group.order, group.elements
+        assert isinstance(form.products, array) and form.products.typecode == "H"
+        assert len(form.products) == n * n
+        rng = random.Random(720)
+        for _ in range(2000):
+            a, b = rng.randrange(n), rng.randrange(n)
+            assert elems[form.products[n * b + a]] == elems[a] * elems[b]
+        for e in (-1, 7):
+            assert list(form.powers(e)) == [n * form.index[p**e] for p in elems]
 
     def test_more_than_256_points(self):
         # image tuples too wide for bytes: the closure and the direct

@@ -512,6 +512,18 @@ def test_render_parse_round_trip(relators, markers):
     assert parse(pres.render()) == pres
 
 
+@given(st.integers(min_value=1, max_value=len(NAMES)),
+       st.lists(syllable_lists, max_size=5))
+def test_relation_matrix_is_exponent_sums(rank, relators):
+    # a presentation on the first ``rank`` names; the others fold onto them
+    gens = NAMES[:rank]
+    fold = {g: gens[i % rank] for i, g in enumerate(NAMES)}
+    pres = Presentation(gens, [Word([(fold[g], e) for g, e in raw]) for raw in relators])
+    assert pres.relation_matrix() == [
+        [r.exponent_sum(g) for g in gens] for r in pres.relators
+    ]
+
+
 def _presentation_tokens(relators, markers, rng):
     toks = ["<"] + [t for n in NAMES for t in (",", n)][1:] + ["|"]
     for i, tree in enumerate(relators):
