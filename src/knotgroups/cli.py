@@ -209,28 +209,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="knotgroups",
-        description="Knot-group invariants: Alexander polynomials via the "
-                    "free differential calculus, and meridian-pinned "
-                    "homomorphism counts into finite permutation groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a presentation file and echo it")
+def _parse_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_parse)
 
-    p = sub.add_parser("alex", help="Alexander polynomial of a presentation")
+
+def _alex_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--matrix", action="store_true",
                    help="also print the derivative matrix")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_alex)
 
-    p = sub.add_parser("count", help="count homomorphisms into a finite group")
+
+def _count_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--group", required=True,
                    help="target group: S4, A5, or gen:DEGREE:[(..),(..)]")
@@ -249,12 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_count)
 
-    p = sub.add_parser("family", help="emit a member of the presentation family")
+
+def _family_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(fn=cmd_family)
 
-    p = sub.add_parser("verify", help="run the pinned verification suite")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deep", action="store_true",
                    help="include the slow large-parameter checks")
     p.add_argument("--override", metavar="FILE",
@@ -263,21 +258,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
+
+_PROG = "knotgroups"
+
+# subcommand name -> (help line, the function that adds its arguments)
+_COMMANDS = {
+    "parse": ("parse a presentation file and echo it", _parse_arguments),
+    "alex": ("Alexander polynomial of a presentation", _alex_arguments),
+    "count": ("count homomorphisms into a finite group", _count_arguments),
+    "family": ("emit a member of the presentation family", _family_arguments),
+    "verify": ("run the pinned verification suite", _verify_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=_PROG,
+        description="Knot-group invariants: Alexander polynomials via the "
+                    "free differential calculus, and meridian-pinned "
+                    "homomorphism counts into finite permutation groups.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
-# built by the first ``main`` call, not at import: ``parse_args`` leaves a
-# parser as it was (each call fills a new namespace, ``append`` copies its
-# list, help reads the terminal width when it is printed), so one parser
-# serves every call in a process
-_parser: Optional[argparse.ArgumentParser] = None
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser that ``build_parser()`` gives subcommand ``name``, alone."""
+    parser = argparse.ArgumentParser(prog=f"{_PROG} {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse_argv(argv: list) -> argparse.Namespace:
+    # the full parser hands every word after a command name to that
+    # command's parser, so a call that names a command builds that parser
+    # alone, an eighth to a quarter of the full set-up; words it leaves
+    # over go to the full parser, so that its usage error is the one shown
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list] = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except InputError as exc:

@@ -311,12 +311,18 @@ class IndexForm:
         if n <= 256:
             pack, compose = bytes, bytes.translate
             rights = [_byte_table(right) for right in rights]
+            walked_form = None
         else:
-            # columns stay tuples while walked, packed once at the end
+            # a column is an image tuple while it is the parent of others,
+            # and two bytes per entry once it has been walked
             pack = tuple
+            pack_column = struct.Struct(f"={n}H").pack
 
             def compose(col, right):
                 return itemgetter(*col)(right)
+
+            def walked_form(col):
+                return array("H", pack_column(*col))
         cols: List = [None] * n
         cols[0] = pack(range(n))
         walked = [0]
@@ -327,16 +333,19 @@ class IndexForm:
                 if cols[b] is None:
                     cols[b] = compose(cols[p], right)
                     walked.append(b)
+            if walked_form:
+                cols[p] = walked_form(cols[p])
         for b, col in enumerate(cols):
             if col is None:
                 direct = direct or _Products(self.elements)
-                cols[b] = pack(direct.column(self.elements[b]))
+                col = pack(direct.column(self.elements[b]))
+                cols[b] = walked_form(col) if walked_form else col
         if n <= 256:
             self.products = b"".join(cols)
         else:
-            pack_column = struct.Struct(f"={n}H").pack
             self.products = array("H")
-            self.products.frombytes(b"".join([pack_column(*col) for col in cols]))
+            for col in cols:
+                self.products.extend(col)
         cycles = []
         for i, col in enumerate(cols):
             cycle, p = [0], i

@@ -396,14 +396,25 @@ class TestVerifyCommand:
         assert code == 2
 
 
-class TestSharedParser:
-    """``main`` parses with one parser per process; no call leaves a trace
-    in the next."""
+def parse_outcome(parse_args, argv, capsys):
+    """What parsing ``argv`` gives: the namespace's fields, or the exit
+    code and both streams of a usage error or of help."""
+    try:
+        fields = vars(parse_args(list(argv)))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+    return dict(sorted(fields.items()))
 
-    def test_later_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+
+class TestCommandParser:
+    """``main`` builds the parser of the command it runs, alone, and gets
+    every answer, usage error and help text the full parser gives."""
+
+    def test_valid_calls_build_no_full_parser(self, tmp_path, capsys,
+                                              monkeypatch):
         path = write(tmp_path, "f1.pres", FAMILY_M1)
-        assert run(capsys, "parse", path)[0] == 0
-        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("full parser built"))
         assert run(capsys, "parse", path)[:2] == (0, FAMILY_M1)
         code, out, _ = run(capsys, "alex", path, "--matrix")
         assert code == 0 and out.splitlines()[0] == "1 - t + t^2"
@@ -425,26 +436,37 @@ class TestSharedParser:
         assert code == 0
         assert json.loads(out)["inputs"]["pins"] == {}
 
-    def test_usage_error_leaves_the_parser_as_it_was(self, tmp_path, capsys,
-                                                     monkeypatch):
-        path = write(tmp_path, "f1.pres", FAMILY_M1)
-        argv = ["count", path, "--group", "A5", "--pin", "x=(1,5,4,3,2)", "--json"]
-        monkeypatch.setattr(cli, "_parser", None)
-        first = run(capsys, *argv)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["count", path, "--group", "A5", "--no-such-option"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: knotgroups ") and "--no-such-option" in err
-        assert run(capsys, *argv) == first
+    @pytest.mark.parametrize("argv", [
+        ("alex", "f.pres", "--json"),
+        ("alex", "f.pres", "--mat"),
+        ("alex", "--", "f.pres"),
+        ("count", "f.pres", "--group", "A5", "--pin", "x=(1,2)", "--pin", "y=(1,2)"),
+        ("count", "f.pres", "--group", "A5", "--marker", "m=(1,2)", "--jobs", "2"),
+        ("family", "--m", "3", "--out", "f.pres"),
+        ("verify", "--deep", "--jobs", "2"),
+        # refused by the command's own parser
+        ("alex",),
+        ("count", "f.pres"),
+        ("count", "f.pres", "--group", "A5", "--mode", "fast"),
+        ("count", "f.pres", "--group", "A5", "--pin", "x=(1,2)", "--marker", "m=(1,2)"),
+        ("count", "f.pres", "--group", "A5", "--j", "1"),
+        ("family", "--m", "three"),
+        # words the command's parser leaves over
+        ("alex", "f.pres", "g.pres"),
+        ("count", "f.pres", "--group", "A5", "--no-such-option"),
+        ("--no-such-option", "alex", "f.pres"),
+        # no command
+        (),
+        ("bogus", "f.pres"),
+        ("-h",),
+    ])
+    def test_same_outcome_as_the_full_parser(self, capsys, argv):
+        full = parse_outcome(cli.build_parser().parse_args, argv, capsys)
+        assert parse_outcome(cli._parse_argv, argv, capsys) == full
 
     @pytest.mark.parametrize("columns", ["60", "120"])
-    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch, columns):
-        # the width is read when help is printed, so the shared parser
-        # follows a change of terminal width like a fresh one
+    def test_help_matches_the_full_parser(self, capsys, monkeypatch, columns):
         monkeypatch.setenv("COLUMNS", columns)
-        cli.main(["family", "--m", "1"])
-        capsys.readouterr()
         for command in ([], ["parse"], ["alex"], ["count"], ["family"], ["verify"]):
             helps = []
             for parse_args in (cli.main, cli.build_parser().parse_args):
