@@ -5,17 +5,17 @@ Commands::
     knotgroups parse FILE                 echo the canonical presentation
     knotgroups alex FILE [--matrix]      Alexander polynomial (and matrix)
     knotgroups count FILE --group SPEC [--pin g=PERM | --marker NAME=PERM]
-                    [--mode naive|backtrack] [--list] [--jobs N]
+                    [--mode naive|backtrack] [--list]
     knotgroups family --m M [--out FILE] write a family presentation file
-    knotgroups verify [--deep] [--override FILE] [--jobs N]
+    knotgroups verify [--deep] [--override FILE]
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 budget or overflow refusal.
 
 ``--json`` emits a machine-readable report with sorted keys.  The JSON
-payload contains only deterministic fields (no wall times), so byte-equal
-reruns and ``--jobs`` independence can be asserted by callers; timings are
-printed to stderr in text mode instead.
+payload contains only deterministic fields (no wall times), so reruns
+produce byte-identical reports; timings are printed to stderr in text mode
+instead.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _read_presentation(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc}") from None
     return parse(text)
 
@@ -120,15 +120,17 @@ def cmd_count(args) -> int:
         name, literal = _parse_binding(args.marker, "--marker")
         sigma = parse_permutation(literal, group.degree)
         result = meridian_search(pres, name, group, sigma, mode=args.mode,
-                                 materialize=args.list, jobs=args.jobs)
+                                 materialize=args.list)
         inputs["marker"] = {name: str(sigma)}
     else:
         pins = {}
         for binding in args.pin or ():
             name, literal = _parse_binding(binding, "--pin")
+            if name in pins:
+                raise InvalidParameterError(f"generator {name!r} is pinned twice")
             pins[name] = parse_permutation(literal, group.degree)
         result = count_homs(pres, group, pins, mode=args.mode,
-                            materialize=args.list, jobs=args.jobs)
+                            materialize=args.list)
         inputs["pins"] = {name: str(p) for name, p in pins.items()}
     try:
         # free generators multiply a count by |A| each, past what str() prints
@@ -167,8 +169,11 @@ def cmd_count(args) -> int:
 def cmd_family(args) -> int:
     text = rbg_family(args.m).render()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot write {args.out}: {exc}") from None
     else:
         print(text, end="")
     return EXIT_OK
@@ -181,9 +186,7 @@ def cmd_verify(args) -> int:
 
     started = time.perf_counter()
     override = _read_presentation(args.override) if args.override else None
-    jobs = args.jobs or 1
-    outcomes = verification.run_all(deep=args.deep, jobs=jobs,
-                                    family_override=override)
+    outcomes = verification.run_all(deep=args.deep, family_override=override)
     all_ok = all(o.ok for o in outcomes)
     report = {
         "command": "verify",
@@ -236,9 +239,6 @@ def _count_arguments(p: argparse.ArgumentParser) -> None:
                    default="backtrack")
     p.add_argument("--list", action="store_true",
                    help="list the homomorphisms found")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="accepted for compatibility; the search runs on one "
-                        "thread and gives the same report for every value")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_count)
 
@@ -254,7 +254,6 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
                    help="include the slow large-parameter checks")
     p.add_argument("--override", metavar="FILE",
                    help="replace the m=1 family presentation (negative testing)")
-    p.add_argument("--jobs", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

@@ -39,9 +39,7 @@ marker word is compiled once per search into a program over the group's
 index form (``FiniteGroup.index_form``): one (generator slot, power table)
 step per syllable.  The search itself is one iterative depth-first walk over
 a list of element indices, so its depth is not bounded by the recursion
-limit.  The search runs on the calling thread; ``jobs`` is accepted for
-compatibility and changes nothing, so counts, listings, work counters and
-budget refusals never depend on it.
+limit.
 """
 
 from __future__ import annotations
@@ -250,7 +248,6 @@ def _conjugation_orbits(form: IndexForm, gens: Sequence[int]
 def count_homs(presentation: Presentation, group: FiniteGroup,
                constraint: Mapping[str, Permutation] | None = None,
                mode: str = "backtrack", materialize: bool = False,
-               jobs: int = 1,
                node_budget: int = DEFAULT_NODE_BUDGET,
                naive_cap: int = DEFAULT_NAIVE_CAP,
                _marker: Optional[Tuple[Word, Permutation]] = None,
@@ -261,9 +258,8 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     from the two modes always agree; listings come in the plain walk's
     order (index tuples in declaration order, lexicographically).
     ``naive`` additionally refuses to start when |A|^(unpinned) exceeds
-    ``naive_cap``.  ``jobs`` is accepted for compatibility and ignored: the
-    search is sequential and deterministic.  ``_marker`` = (word, sigma)
-    keeps only assignments sending the word to sigma.
+    ``naive_cap``.  ``_marker`` = (word, sigma) keeps only assignments
+    sending the word to sigma.
 
     Backtracking walks up to conjugacy (module docstring): H centralizes
     the walked pinned images and sigma, the first unpinned walked
@@ -382,7 +378,6 @@ def _pin_from_marker(word: Word, target: Permutation
 def meridian_search(presentation: Presentation, marker: str,
                     group: FiniteGroup, sigma: Permutation,
                     mode: str = "backtrack", materialize: bool = False,
-                    jobs: int = 1,
                     node_budget: int = DEFAULT_NODE_BUDGET,
                     naive_cap: int = DEFAULT_NAIVE_CAP) -> HomSearchResult:
     """Search for homomorphisms sending the marked word to ``sigma``.
@@ -400,18 +395,17 @@ def meridian_search(presentation: Presentation, marker: str,
     pins = _pin_from_marker(word, sigma)
     if pins is not None:
         return count_homs(presentation, group, pins, mode=mode,
-                          materialize=materialize, jobs=jobs,
-                          node_budget=node_budget, naive_cap=naive_cap)
+                          materialize=materialize, node_budget=node_budget,
+                          naive_cap=naive_cap)
     return count_homs(
         presentation, group, None, mode=mode, materialize=materialize,
-        jobs=jobs, node_budget=node_budget, naive_cap=naive_cap,
-        _marker=(word, sigma),
+        node_budget=node_budget, naive_cap=naive_cap, _marker=(word, sigma),
     )
 
 
 def meridian_invariant(presentation: Presentation, marker: str,
                        group: FiniteGroup, sigma: Permutation,
-                       mode: str = "backtrack", jobs: int = 1,
+                       mode: str = "backtrack",
                        node_budget: int = DEFAULT_NODE_BUDGET,
                        naive_cap: int = DEFAULT_NAIVE_CAP) -> int:
     """Number of homomorphisms sending the marked word to ``sigma``.
@@ -421,8 +415,7 @@ def meridian_invariant(presentation: Presentation, marker: str,
     it counts the representations pinning the meridian's image.
     """
     return meridian_search(presentation, marker, group, sigma, mode=mode,
-                           jobs=jobs, node_budget=node_budget,
-                           naive_cap=naive_cap).count
+                           node_budget=node_budget, naive_cap=naive_cap).count
 
 
 def images_conjugate(presentation: Presentation, group: FiniteGroup,

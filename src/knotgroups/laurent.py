@@ -30,6 +30,13 @@ from .errors import (
 MAX_GCD_DEGREE = 4000
 
 
+def _check_range(data: Dict[int, int]) -> None:
+    # the extremes alone: one C-level pass each, not a call per coefficient
+    if data:
+        checked_int(max(data.values()), "Laurent coefficient")
+        checked_int(min(data.values()), "Laurent coefficient")
+
+
 class LaurentPoly:
     """An element of Z[t, t^-1] with exact integer coefficients."""
 
@@ -46,16 +53,14 @@ class LaurentPoly:
             data[exp] = data.get(exp, 0) + c
             if data[exp] == 0:
                 del data[exp]
-        for c in data.values():
-            checked_int(c, "Laurent coefficient")
+        _check_range(data)
         self._coeffs = data
 
     @classmethod
     def _from_clean(cls, data: Dict[int, int]) -> "LaurentPoly":
         """Wrap an int -> int map with no zero coefficients, which the
         ring operations build themselves; only the range is checked."""
-        for c in data.values():
-            checked_int(c, "Laurent coefficient")
+        _check_range(data)
         poly = object.__new__(cls)
         poly._coeffs = data
         return poly

@@ -47,7 +47,7 @@ CHECK_BY_NAME = {check.name: check for check in verification.CHECKS}
 @pytest.fixture(scope="module")
 def ctx():
     # shared context caches groups and family presentations across criteria
-    return verification.Context(jobs=1)
+    return verification.Context()
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,17 @@ class TestParseCommand:
         code, _, _ = run(capsys, "parse", "/nonexistent/file.pres")
         assert code == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.pres"
+        path.write_bytes(b"\xff< x | >\n")
+        for argv in (["parse", str(path)], ["alex", str(path)],
+                     ["count", str(path), "--group", "A5"],
+                     ["verify", "--override", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+            assert err.count("\n") == 1
+
     def test_power_of_conjugate(self, tmp_path, capsys):
         path = write(tmp_path, "conj.pres", "< x, y | (x*y*x^-1)^1000000000 >")
         code, out, _ = run(capsys, "parse", path)
@@ -234,13 +245,13 @@ class TestCountCommand:
         assert len(listed) == 6
         assert all(entry["x"] == "(1,5,4,3,2)" for entry in listed)
 
-    def test_json_stable_across_runs_and_jobs(self, tmp_path, capsys):
+    def test_json_stable_across_runs(self, tmp_path, capsys):
         path = write(tmp_path, "f1.pres", FAMILY_M1)
         outputs = set()
-        for jobs in ("1", "4", "1"):
+        for _ in range(3):
             code, out, _ = run(
                 capsys, "count", path, "--group", "A5",
-                "--pin", "x=(1,5,4,3,2)", "--list", "--json", "--jobs", jobs,
+                "--pin", "x=(1,5,4,3,2)", "--list", "--json",
             )
             assert code == 0
             outputs.add(out)
@@ -307,6 +318,13 @@ class TestCountCommand:
         code, _, _ = run(capsys, "count", path, "--group", "A5", "--pin", "x")
         assert code == 2
 
+    def test_generator_pinned_twice_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        code, out, err = run(capsys, "count", path, "--group", "A5",
+                             "--pin", "x=(1,2,3)", "--pin", "x=(1,5,4,3,2)")
+        assert (code, out) == (2, "")
+        assert err == "error: generator 'x' is pinned twice\n"
+
 
 class TestFamilyCommand:
     def test_m1_matches_library(self, tmp_path, capsys):
@@ -341,6 +359,13 @@ class TestFamilyCommand:
         code, _, err = run(capsys, "family", "--m", "0")
         assert code == 2
         assert "positive" in err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "f.pres"
+        code, out, err = run(capsys, "family", "--m", "1", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1
 
     def test_m61_relator_size(self, capsys):
         code, out, _ = run(capsys, "family", "--m", "61")
@@ -441,19 +466,19 @@ class TestCommandParser:
         ("alex", "f.pres", "--mat"),
         ("alex", "--", "f.pres"),
         ("count", "f.pres", "--group", "A5", "--pin", "x=(1,2)", "--pin", "y=(1,2)"),
-        ("count", "f.pres", "--group", "A5", "--marker", "m=(1,2)", "--jobs", "2"),
         ("family", "--m", "3", "--out", "f.pres"),
-        ("verify", "--deep", "--jobs", "2"),
         # refused by the command's own parser
         ("alex",),
         ("count", "f.pres"),
         ("count", "f.pres", "--group", "A5", "--mode", "fast"),
         ("count", "f.pres", "--group", "A5", "--pin", "x=(1,2)", "--marker", "m=(1,2)"),
-        ("count", "f.pres", "--group", "A5", "--j", "1"),
         ("family", "--m", "three"),
         # words the command's parser leaves over
         ("alex", "f.pres", "g.pres"),
         ("count", "f.pres", "--group", "A5", "--no-such-option"),
+        ("count", "f.pres", "--group", "A5", "--marker", "m=(1,2)", "--jobs", "2"),
+        ("verify", "--deep", "--jobs", "2"),
+        ("count", "f.pres", "--group", "A5", "--j", "1"),  # --j is --json
         ("--no-such-option", "alex", "f.pres"),
         # no command
         (),
@@ -463,6 +488,16 @@ class TestCommandParser:
     def test_same_outcome_as_the_full_parser(self, capsys, argv):
         full = parse_outcome(cli.build_parser().parse_args, argv, capsys)
         assert parse_outcome(cli._parse_argv, argv, capsys) == full
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "f.pres", "--group", "A5", "--jobs", "2"),
+        ("verify", "--jobs", "2"),
+    ])
+    def test_jobs_is_refused(self, capsys, argv):
+        for parse_args in (cli._parse_argv, cli.build_parser().parse_args):
+            code, out, err = parse_outcome(parse_args, argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.endswith("error: unrecognized arguments: --jobs 2\n")
 
     @pytest.mark.parametrize("columns", ["60", "120"])
     def test_help_matches_the_full_parser(self, capsys, monkeypatch, columns):

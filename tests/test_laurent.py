@@ -56,6 +56,17 @@ class TestArithmetic:
             big * big
         with pytest.raises(CoefficientOverflowError):
             lp({0: 2**63})
+        # the range ends at +-(2**63 - 1), checked at both ends, in the
+        # constructor and in the ring operations
+        for c in (2**63 - 1, -(2**63 - 1)):
+            assert lp({0: c, 1: -c}).terms() == ((0, c), (1, -c))
+            assert (lp({0: c}) + lp({1: -c})).terms() == ((0, c), (1, -c))
+        for c in (2**63, -(2**63)):
+            other = -1 if c > 0 else 1  # beside it, one of the other sign
+            with pytest.raises(CoefficientOverflowError):
+                lp({0: c, 1: other})
+            with pytest.raises(CoefficientOverflowError):
+                lp({0: c // 2, 1: other}) + lp({0: c // 2})
 
     def test_overflow_raises_from_sums(self):
         half = lp({1: 2**62})
