@@ -29,6 +29,7 @@ from .errors import (
     NotInfiniteCyclicError,
     PresentationSyntaxError,
     ResourceError,
+    TooManyRowSetsError,
     UnknownGeneratorError,
     UnknownMarkerError,
     WordTooLargeError,
@@ -104,6 +105,7 @@ __all__ = [
     "PresentationSyntaxError",
     "ResourceError",
     "SearchStats",
+    "TooManyRowSetsError",
     "UnknownGeneratorError",
     "UnknownMarkerError",
     "Word",

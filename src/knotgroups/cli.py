@@ -150,9 +150,11 @@ def cmd_count(args) -> int:
             for assignment in result.assignments
         ]
         results["assignments"] = listed
-        lines.extend(
-            "  " + "  ".join(f"{g}={a[g]}" for g in pres.generators) for a in listed
-        )
+        if not args.json:
+            lines.extend(
+                "  " + "  ".join(f"{g}={a[g]}" for g in pres.generators)
+                for a in listed
+            )
     report = {
         "command": "count",
         "inputs": inputs,

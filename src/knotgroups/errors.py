@@ -91,8 +91,13 @@ class GcdTooLargeError(ResourceError):
     """A polynomial gcd would run on operands of too high a degree."""
 
 
+class TooManyRowSetsError(ResourceError):
+    """The maximal minors would run over too many sets of rows."""
+
+
 class BudgetExceededError(ResourceError):
-    """A search visited more nodes than its configured budget."""
+    """A search visited more nodes, or a listing held more homomorphisms,
+    than its limit allows."""
 
 
 class CountTooLargeError(ResourceError):

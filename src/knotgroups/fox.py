@@ -36,12 +36,14 @@ once by Phi_j.  Each determinant is computed by fraction-free (Bareiss)
 elimination over Z[t, t^-1]: every division by the previous pivot is exact
 by Sylvester's identity (Bareiss, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, 1968), and a division that is
-not raises instead of returning a guess.
+not raises instead of returning a guess.  The number of row sets is
+bounded by ``MAX_ROW_SETS``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -49,6 +51,7 @@ from .errors import (
     DerivativeTooLargeError,
     MissingWeightError,
     NotInfiniteCyclicError,
+    TooManyRowSetsError,
 )
 from .laurent import LaurentPoly, check_dense_breadth, gcd as laurent_gcd
 from .presentations import Presentation, abelianize
@@ -57,6 +60,10 @@ from .words import Word
 # Most monomials the abelianized derivatives of one presentation may expand
 # to: the sum of |k| over its syllables g^k of nonzero weight.
 MAX_DERIVATIVE_TERMS = 10**6
+
+# Most sets of rows the minors of one Alexander polynomial may run over, one
+# Bareiss determinant each.
+MAX_ROW_SETS = 1000
 
 
 class GroupRingElement:
@@ -315,9 +322,10 @@ def alexander_polynomial(presentation: Presentation,
     ``matrix`` is the presentation's ``alexander_matrix`` when the caller
     has built it already.  The free group of rank 1 (no relators) yields
     1.  Raises DeficiencyError when there are fewer than g-1 relators,
-    NotInfiniteCyclicError when no weights exist, and GcdTooLargeError
-    when a gcd or the final division would make an operand of breadth
-    above ``laurent.MAX_GCD_DEGREE`` dense.
+    NotInfiniteCyclicError when no weights exist, GcdTooLargeError when a
+    gcd or the final division would make an operand of breadth above
+    ``laurent.MAX_GCD_DEGREE`` dense, and TooManyRowSetsError, before any
+    minor, when there are more than ``MAX_ROW_SETS`` row sets.
     """
     size = len(presentation.generators) - 1
     if len(presentation.relators) < size:
@@ -338,9 +346,15 @@ def alexander_polynomial(presentation: Presentation,
     # (t^a - 1)/(t - 1) = 1 + t + ... + t^(a-1) divides every minor without
     # column `deleted`, so their gcd equals it exactly when the answer is 1
     phi = LaurentPoly._from_clean(dict.fromkeys(range(a), 1))
+    rows = len(matrix.entries)
+    if comb(rows, size) > MAX_ROW_SETS:
+        raise TooManyRowSetsError(
+            f"the minors run over C({rows}, {size}) sets of rows, over the "
+            f"limit of {MAX_ROW_SETS}"
+        )
     kept = [j for j in range(len(weights)) if j != deleted]
     result = LaurentPoly.zero()
-    for row_idx in combinations(range(len(matrix.entries)), size):
+    for row_idx in combinations(range(rows), size):
         minor = [[matrix.entries[i][j] for j in kept] for i in row_idx]
         result = laurent_gcd(result, _det(minor))
         if result == phi:

@@ -59,8 +59,12 @@ from .permgroups import FiniteGroup, IndexForm, Permutation, are_conjugate, prod
 from .presentations import Presentation
 from .words import Word
 
-DEFAULT_NODE_BUDGET = 10**9
-DEFAULT_NAIVE_CAP = 10**7
+# Resource limits, read at each call, never passed per call: the nodes one
+# search may visit, the assignments a naive search may walk, and the
+# homomorphisms one listing may hold.
+MAX_SEARCH_NODES = 10**9
+MAX_NAIVE_ASSIGNMENTS = 10**7
+MAX_LISTED_HOMS = 10**5
 
 Assignment = Dict[str, Permutation]
 
@@ -248,8 +252,6 @@ def _conjugation_orbits(form: IndexForm, gens: Sequence[int]
 def count_homs(presentation: Presentation, group: FiniteGroup,
                constraint: Mapping[str, Permutation] | None = None,
                mode: str = "backtrack", materialize: bool = False,
-               node_budget: int = DEFAULT_NODE_BUDGET,
-               naive_cap: int = DEFAULT_NAIVE_CAP,
                _marker: Optional[Tuple[Word, Permutation]] = None,
                ) -> HomSearchResult:
     """Count (or list) homomorphisms satisfying the pinning constraint.
@@ -258,8 +260,10 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     from the two modes always agree; listings come in the plain walk's
     order (index tuples in declaration order, lexicographically).
     ``naive`` additionally refuses to start when |A|^(unpinned) exceeds
-    ``naive_cap``.  ``_marker`` = (word, sigma) keeps only assignments
-    sending the word to sigma.
+    ``MAX_NAIVE_ASSIGNMENTS``; a search refuses to visit more than
+    ``MAX_SEARCH_NODES`` nodes, and a listing to hold more than
+    ``MAX_LISTED_HOMS`` homomorphisms.  ``_marker`` = (word, sigma) keeps
+    only assignments sending the word to sigma.
 
     Backtracking walks up to conjugacy (module docstring): H centralizes
     the walked pinned images and sigma, the first unpinned walked
@@ -278,9 +282,10 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     pins = check_constraint(presentation, group, constraint or {})
     unpinned = [g for g in presentation.generators if g not in pins]
     if mode == "naive":
-        if product_exceeds([group.order] * len(unpinned), naive_cap):
+        if product_exceeds([group.order] * len(unpinned), MAX_NAIVE_ASSIGNMENTS):
             raise GroupTooLargeError(
-                f"naive search space {group.order}^{len(unpinned)} exceeds cap {naive_cap}"
+                f"naive search space {group.order}^{len(unpinned)} exceeds cap "
+                f"{MAX_NAIVE_ASSIGNMENTS}"
             )
     if mode not in ("naive", "backtrack"):
         raise InvalidParameterError(f"unknown search mode {mode!r}")
@@ -339,7 +344,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     count = 0
     leaves: List[Tuple[int, ...]] = []
     inverse = form.powers(-1)
-    for assignment in _walk(values, counted, checks, products, node_budget, stats):
+    for assignment in _walk(values, counted, checks, products, MAX_SEARCH_NODES, stats):
         if _marker is not None and evaluate(marker, assignment, products) != target:
             continue
         orbit = orbits[assignment[first]]
@@ -352,6 +357,10 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
                 tuple(products[n * products[inverse[t] + v] + t] for v in leaf)
                 for _, t in orbit
             )
+            if len(leaves) > MAX_LISTED_HOMS:
+                raise BudgetExceededError(
+                    f"listing exceeded the limit of {MAX_LISTED_HOMS} homomorphisms"
+                )
     if collected is not None:
         leaves.sort()
         elements = form.elements
@@ -377,9 +386,8 @@ def _pin_from_marker(word: Word, target: Permutation
 
 def meridian_search(presentation: Presentation, marker: str,
                     group: FiniteGroup, sigma: Permutation,
-                    mode: str = "backtrack", materialize: bool = False,
-                    node_budget: int = DEFAULT_NODE_BUDGET,
-                    naive_cap: int = DEFAULT_NAIVE_CAP) -> HomSearchResult:
+                    mode: str = "backtrack", materialize: bool = False
+                    ) -> HomSearchResult:
     """Search for homomorphisms sending the marked word to ``sigma``.
 
     Markers that are a bare generator (or its inverse) are pinned inside
@@ -395,27 +403,21 @@ def meridian_search(presentation: Presentation, marker: str,
     pins = _pin_from_marker(word, sigma)
     if pins is not None:
         return count_homs(presentation, group, pins, mode=mode,
-                          materialize=materialize, node_budget=node_budget,
-                          naive_cap=naive_cap)
-    return count_homs(
-        presentation, group, None, mode=mode, materialize=materialize,
-        node_budget=node_budget, naive_cap=naive_cap, _marker=(word, sigma),
-    )
+                          materialize=materialize)
+    return count_homs(presentation, group, None, mode=mode,
+                      materialize=materialize, _marker=(word, sigma))
 
 
 def meridian_invariant(presentation: Presentation, marker: str,
                        group: FiniteGroup, sigma: Permutation,
-                       mode: str = "backtrack",
-                       node_budget: int = DEFAULT_NODE_BUDGET,
-                       naive_cap: int = DEFAULT_NAIVE_CAP) -> int:
+                       mode: str = "backtrack") -> int:
     """Number of homomorphisms sending the marked word to ``sigma``.
 
     This is the knot invariant attached to a marked meridian: for a knot
     group with marked meridian and a finite group A with a chosen element,
     it counts the representations pinning the meridian's image.
     """
-    return meridian_search(presentation, marker, group, sigma, mode=mode,
-                           node_budget=node_budget, naive_cap=naive_cap).count
+    return meridian_search(presentation, marker, group, sigma, mode=mode).count
 
 
 def images_conjugate(presentation: Presentation, group: FiniteGroup,

@@ -9,8 +9,8 @@ right actions.  Every stored or printed example in this package assumes it.
 Conjugacy and homomorphism *counts* do not depend on the convention, but
 whether a *specific* generator assignment satisfies a relator does.
 
-Groups are tiny here (hard cap configurable, default 10^6), so they are
-materialized as explicit element lists; the homomorphism search needs the
+Groups are tiny here (at most ``MAX_GROUP_ORDER`` = 10^6 elements), so they
+are materialized as explicit element lists; the homomorphism search needs the
 element list anyway, and conjugacy can then be decided by exhaustive search
 rather than cycle type, which matters in alternating groups where classes
 split.  For the search, a group also has an index form (``IndexForm``)
@@ -36,7 +36,8 @@ from .errors import (
     NotAMemberError,
 )
 
-DEFAULT_ORDER_CAP = 10**6
+# Most elements a group may have; read at each build, never passed per call.
+MAX_GROUP_ORDER = 10**6
 
 # Groups up to this order get a full product table (order^2 entries of
 # one byte up to order 256 and two bytes above, 2 MiB at the limit);
@@ -439,12 +440,12 @@ def product_exceeds(factors: Iterable[int], cap: int) -> bool:
     return any(p > cap for p in accumulate(factors, mul, initial=1))
 
 
-def symmetric_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def symmetric_group(n: int) -> FiniteGroup:
     """S_n, elements in lexicographic image order (identity first)."""
     if n < 1:
         raise InvalidParameterError("degree must be at least 1")
-    if product_exceeds(range(2, n + 1), cap):
-        raise GroupTooLargeError(f"|S_{n}| = {n}! exceeds cap {cap}")
+    if product_exceeds(range(2, n + 1), MAX_GROUP_ORDER):
+        raise GroupTooLargeError(f"|S_{n}| = {n}! exceeds cap {MAX_GROUP_ORDER}")
     elems = list(map(Permutation._raw, _all_perms(range(n))))
     gens = [Permutation.from_cycles([(1, 2)], n)] if n >= 2 else []
     if n >= 3:
@@ -452,12 +453,12 @@ def symmetric_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return FiniteGroup(n, elems, gens, label=f"S{n}")
 
 
-def alternating_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def alternating_group(n: int) -> FiniteGroup:
     """A_n, the even permutations of S_n in lexicographic image order."""
     if n < 1:
         raise InvalidParameterError("degree must be at least 1")
-    if product_exceeds(range(3, n + 1), cap):  # n!/2 = 3*4*...*n
-        raise GroupTooLargeError(f"|A_{n}| = {n}!/2 exceeds cap {cap}")
+    if product_exceeds(range(3, n + 1), MAX_GROUP_ORDER):  # n!/2 = 3*4*...*n
+        raise GroupTooLargeError(f"|A_{n}| = {n}!/2 exceeds cap {MAX_GROUP_ORDER}")
     # permutations() and product() both run in lexicographic order, so each
     # permutation meets its Lehmer code, whose digit sum is its number of
     # inversions
@@ -473,8 +474,8 @@ def alternating_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return FiniteGroup(n, elems, gens, label=f"A{n}")
 
 
-def generated_group(degree: int, generators: Sequence[Permutation],
-                    cap: int = DEFAULT_ORDER_CAP, label: str = "") -> FiniteGroup:
+def generated_group(degree: int, generators: Sequence[Permutation], *,
+                    label: str = "") -> FiniteGroup:
     """Subgroup of S_degree generated by ``generators``.
 
     Breadth-first closure starting from the identity; element order is the
@@ -502,9 +503,9 @@ def generated_group(degree: int, generators: Sequence[Permutation],
             if at is None:
                 at = seen[prod] = len(ordered)
                 ordered.append(prod)
-                if len(seen) > cap:
+                if len(seen) > MAX_GROUP_ORDER:
                     raise GroupTooLargeError(
-                        f"generated group exceeds cap {cap}"
+                        f"generated group exceeds cap {MAX_GROUP_ORDER}"
                     )
             right.append(at)
     elements = list(map(Permutation._raw, map(tuple, ordered)))
@@ -513,14 +514,14 @@ def generated_group(degree: int, generators: Sequence[Permutation],
     return group
 
 
-def group_from_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def group_from_spec(spec: str) -> FiniteGroup:
     """Build a group from a spec string: ``S4``, ``A5``, or
     ``gen:DEGREE:[(1,2,3),(1,2)]``."""
     s = spec.strip()
     if s.startswith("S") and s[1:].isdigit():
-        return symmetric_group(int(s[1:]), cap)
+        return symmetric_group(int(s[1:]))
     if s.startswith("A") and s[1:].isdigit():
-        return alternating_group(int(s[1:]), cap)
+        return alternating_group(int(s[1:]))
     if s.startswith("gen:"):
         parts = s.split(":", 2)
         if len(parts) != 3 or not parts[1].isdigit():
@@ -530,7 +531,7 @@ def group_from_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         if not body.startswith("[") or not body.endswith("]"):
             raise InvalidParameterError(f"bad group spec {spec!r}")
         gens = _parse_permutation_list(body[1:-1], degree)
-        return generated_group(degree, gens, cap, label=s)
+        return generated_group(degree, gens, label=s)
     raise InvalidParameterError(f"bad group spec {spec!r}")
 
 

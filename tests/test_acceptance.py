@@ -22,7 +22,7 @@ Criteria covered:
 7. the family polynomials have pairwise distinct breadths for m = 1..5
 8. property suites: product rule, abelianized derivative identity, free
    reduction idempotence, gcd/normal-form laws, count partition identity,
-   and determinism across worker counts
+   and a pinned listing whose length equals its count
 """
 
 import pytest

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from knotgroups import cli, fox, verification
-from knotgroups.presentations import parse, rbg_family
+from knotgroups import cli, fox, homsearch, verification
+from knotgroups.presentations import Presentation, parse, rbg_family
 from knotgroups.words import Word
+from test_knot_symmetry import wirtinger_torus
 
 FAMILY_M1 = rbg_family(1).render()
 TREFOIL = "< a,b | a*b*a*b^-1*a^-1*b^-1 >\n"
@@ -194,6 +195,20 @@ class TestAlexCommand:
         assert code == 0
         assert out.strip() == "1"
 
+    def test_many_row_sets_exit_3_quickly(self, tmp_path, capsys):
+        # T(2,13) with its 13 Wirtinger relators and their conjugates by x1:
+        # C(26, 12) = 9,657,700 sets of rows, refused before any minor
+        base, x1 = wirtinger_torus(13), Word.generator("x1")
+        conjugates = tuple(x1 * rel * ~x1 for rel in base.relators)
+        pres = Presentation(base.generators, base.relators + conjugates, {})
+        path = write(tmp_path, "t213.pres", pres.render())
+        started = time.perf_counter()
+        code, out, err = run(capsys, "alex", path)
+        assert time.perf_counter() - started < 2.0
+        assert (code, out) == (3, "")
+        assert err == ("error: the minors run over C(26, 12) sets of rows, "
+                       f"over the limit of {fox.MAX_ROW_SETS}\n")
+
     def test_torsion_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "tor.pres", "< x | x^2 >\n")
         code, _, err = run(capsys, "alex", path)
@@ -312,6 +327,29 @@ class TestCountCommand:
         assert out == ""
         limit = sys.get_int_max_str_digits()
         assert err == f"error: count has more than {limit} decimal digits\n"
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_huge_listing_exits_3_quickly(self, tmp_path, capsys, json_flag):
+        # 60^4 = 12,960,000 homomorphisms, refused once the listing passes
+        # its limit
+        path = write(tmp_path, "free4.pres", "< x, y, z, w | >\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "count", path, "--group", "A5", "--list",
+                             *json_flag)
+        assert time.perf_counter() - started < 5.0
+        assert (code, out) == (3, "")
+        assert err == (f"error: listing exceeded the limit of "
+                       f"{homsearch.MAX_LISTED_HOMS} homomorphisms\n")
+
+    def test_text_listing_matches_json(self, tmp_path, capsys):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        argv = ("count", path, "--group", "A5", "--pin", "x=(1,5,4,3,2)", "--list")
+        code, out, _ = run(capsys, *argv)
+        listed = json.loads(run(capsys, *argv, "--json")[1])["results"]["assignments"]
+        assert code == 0
+        assert out.splitlines() == ["count = 6"] + [
+            "  " + "  ".join(f"{g}={a[g]}" for g in ("x", "y", "a")) for a in listed
+        ]
 
     def test_bad_pin_syntax_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "f1.pres", FAMILY_M1)

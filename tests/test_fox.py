@@ -13,6 +13,7 @@ from knotgroups.errors import (
     GcdTooLargeError,
     MissingWeightError,
     NotInfiniteCyclicError,
+    TooManyRowSetsError,
 )
 from knotgroups.fox import (
     GroupRingElement,
@@ -474,6 +475,30 @@ class TestDivisionGuard:
         monkeypatch.setattr(fox, "_det", lambda minor: pytest.fail("minor computed"))
         with pytest.raises(GcdTooLargeError, match="breadth 3,"):
             alexander_polynomial(parse(self.PRES))
+
+
+class TestRowSetGuard:
+    # T(2,5) and the conjugate of its first relator by x1: 6 relators, so
+    # C(6, 4) = 15 sets of 4 rows
+    BASE = wirtinger_torus(5)
+    x1 = Word.generator("x1")
+    PRES = Presentation(BASE.generators,
+                        BASE.relators + (x1 * BASE.relators[0] * ~x1,), {})
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        expected = alexander_polynomial(self.BASE)
+        monkeypatch.setattr(fox, "MAX_ROW_SETS", 15)
+        assert alexander_polynomial(self.PRES) == expected
+        monkeypatch.setattr(fox, "MAX_ROW_SETS", 14)
+        with pytest.raises(TooManyRowSetsError,
+                           match=r"C\(6, 4\) sets of rows, over the limit of 14$"):
+            alexander_polynomial(self.PRES)
+
+    def test_checked_before_any_minor(self, monkeypatch):
+        monkeypatch.setattr(fox, "MAX_ROW_SETS", 14)
+        monkeypatch.setattr(fox, "_det", lambda minor: pytest.fail("minor computed"))
+        with pytest.raises(TooManyRowSetsError):
+            alexander_polynomial(self.PRES)
 
 
 def test_zero_weight_column_is_never_deleted():

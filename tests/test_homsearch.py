@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from knotgroups import homsearch
 from knotgroups.errors import (
     BudgetExceededError,
     GroupTooLargeError,
@@ -105,17 +106,35 @@ class TestCountHoms:
         with pytest.raises(NotAMemberError):
             count_homs(F1, A5, {"x": parse_permutation("(1,2)", 5)})
 
-    def test_naive_cap(self):
+    def test_naive_cap(self, monkeypatch):
+        monkeypatch.setattr(homsearch, "MAX_NAIVE_ASSIGNMENTS", 1000)
         with pytest.raises(GroupTooLargeError):
-            count_homs(F1, A5, mode="naive", naive_cap=1000)
+            count_homs(F1, A5, mode="naive")
         # two unpinned generators: 60^2 = 3600 assignments, cap inclusive
+        monkeypatch.setattr(homsearch, "MAX_NAIVE_ASSIGNMENTS", 3599)
         with pytest.raises(GroupTooLargeError, match="60\\^2 exceeds cap 3599"):
-            count_homs(F1, A5, {"x": SIGMA}, mode="naive", naive_cap=3599)
-        assert count_homs(F1, A5, {"x": SIGMA}, mode="naive", naive_cap=3600).count == 6
+            count_homs(F1, A5, {"x": SIGMA}, mode="naive")
+        monkeypatch.setattr(homsearch, "MAX_NAIVE_ASSIGNMENTS", 3600)
+        assert count_homs(F1, A5, {"x": SIGMA}, mode="naive").count == 6
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 50)
         with pytest.raises(BudgetExceededError):
-            count_homs(F1, A5, node_budget=50)
+            count_homs(F1, A5)
+
+    @pytest.mark.parametrize("mode", ["naive", "backtrack"])
+    def test_listing_limit_is_exact(self, monkeypatch, mode):
+        # 6 homomorphisms, which backtrack finds as orbits of the
+        # centralizer of SIGMA and expands before it counts them
+        monkeypatch.setattr(homsearch, "MAX_LISTED_HOMS", 6)
+        result = count_homs(F1, A5, {"x": SIGMA}, mode=mode, materialize=True)
+        assert len(result.assignments) == 6
+        monkeypatch.setattr(homsearch, "MAX_LISTED_HOMS", 5)
+        with pytest.raises(BudgetExceededError,
+                           match="listing exceeded the limit of 5 homomorphisms"):
+            count_homs(F1, A5, {"x": SIGMA}, mode=mode, materialize=True)
+        # a count holds no listing
+        assert count_homs(F1, A5, {"x": SIGMA}, mode=mode).count == 6
 
     def test_all_pinned_gives_one(self):
         assert count_homs(F1, A5, dict(EXPLICIT_HOM)).count == 1
@@ -280,30 +299,34 @@ class TestImagesConjugate:
 
 class TestParallelism:
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_node_budget_is_global(self, threads):
+    def test_node_budget_is_global(self, threads, monkeypatch):
         # the all-homs search of F1 into A5 visits 1,805 nodes (x walks the
-        # 5 conjugacy classes of A5); half of that must be refused, and
-        # searches run side by side on several threads share no count
-        barrier = threading.Barrier(threads)
-        outcomes = [None] * threads
+        # 5 conjugacy classes of A5); searches run side by side on several
+        # threads share no count, so each is accepted at a limit of 1,805
+        # and refused at half of it
+        def side_by_side():
+            barrier = threading.Barrier(threads)
+            outcomes = [None] * threads
 
-        def search(slot):
-            barrier.wait()
-            nodes = count_homs(F1, A5).stats.nodes
-            try:
-                count_homs(F1, A5, node_budget=1805 // 2)
-            except BudgetExceededError:
-                outcomes[slot] = (nodes, "refused")
-            else:
-                outcomes[slot] = (nodes, "accepted")
+            def search(slot):
+                barrier.wait()
+                try:
+                    outcomes[slot] = count_homs(F1, A5).stats.nodes
+                except BudgetExceededError:
+                    outcomes[slot] = "refused"
 
-        workers = [threading.Thread(target=search, args=(slot,))
-                   for slot in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-        assert outcomes == [(1805, "refused")] * threads
+            workers = [threading.Thread(target=search, args=(slot,))
+                       for slot in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            return outcomes
+
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 1805)
+        assert side_by_side() == [1805] * threads
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 1805 // 2)
+        assert side_by_side() == ["refused"] * threads
 
 
 class TestDeepSearch:

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotgroups import permgroups
 from knotgroups.errors import (
     DegreeMismatchError,
     GroupTooLargeError,
@@ -34,6 +35,12 @@ S5 = symmetric_group(5)
 SIGMA = parse_permutation("(1,5,4,3,2)", 5)
 S3 = symmetric_group(3)
 PSL27 = group_from_spec("gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]")
+
+
+@pytest.fixture
+def order_cap(monkeypatch):
+    """Sets ``permgroups.MAX_GROUP_ORDER`` for the rest of a test."""
+    return lambda cap: monkeypatch.setattr(permgroups, "MAX_GROUP_ORDER", cap)
 
 
 class TestPermutation:
@@ -122,23 +129,29 @@ class TestBuild:
         with pytest.raises(InvalidParameterError, match="duplicate"):
             FiniteGroup(3, [ident, swap, swap], [])
 
-    def test_order_caps_are_exact(self):
-        assert symmetric_group(5, cap=120).order == 120
-        assert alternating_group(5, cap=60).order == 60
-        assert alternating_group(2, cap=1).order == 1
+    def test_order_caps_are_exact(self, order_cap):
+        order_cap(120)
+        assert symmetric_group(5).order == 120
+        order_cap(60)
+        assert alternating_group(5).order == 60
+        order_cap(1)
+        assert alternating_group(2).order == 1
+        order_cap(119)
         with pytest.raises(GroupTooLargeError, match=r"\|S_5\| = 5! exceeds cap 119"):
-            symmetric_group(5, cap=119)
+            symmetric_group(5)
+        order_cap(59)
         with pytest.raises(GroupTooLargeError, match=r"\|A_5\| = 5!/2 exceeds cap 59"):
-            alternating_group(5, cap=59)
+            alternating_group(5)
 
-    def test_too_large(self):
+    def test_too_large(self, order_cap):
+        order_cap(100)
         with pytest.raises(GroupTooLargeError):
-            symmetric_group(5, cap=100)
+            symmetric_group(5)
+        order_cap(30)
         with pytest.raises(GroupTooLargeError):
             generated_group(
                 5,
                 [parse_permutation("(1,2)", 5), parse_permutation("(1,2,3,4,5)", 5)],
-                cap=30,
             )
 
     def test_from_spec(self):
@@ -345,9 +358,11 @@ def _frontier_closure(degree, gens):
     "gen:5:[(1,2,3),(1,2,3,4,5)]",
     "gen:4:[(1,2),(),(1,2),(3,4)]",
 ])
-def test_generated_element_order_and_cap(spec):
+def test_generated_element_order_and_cap(spec, order_cap):
     group = group_from_spec(spec)
     assert list(group.elements) == _frontier_closure(group.degree, group.generators)
-    assert group_from_spec(spec, cap=group.order).elements == group.elements
+    order_cap(group.order)
+    assert group_from_spec(spec).elements == group.elements
+    order_cap(group.order - 1)
     with pytest.raises(GroupTooLargeError, match=f"exceeds cap {group.order - 1}"):
-        group_from_spec(spec, cap=group.order - 1)
+        group_from_spec(spec)
