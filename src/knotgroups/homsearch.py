@@ -11,35 +11,37 @@ pinned:
     parity oracle for the other engine.
 
 ``backtrack``
-    Assigns generators in declaration order and evaluates each relator as
-    soon as its last generator receives a value (a static trigger table is
-    precomputed per presentation), pruning dead branches early.  It walks
-    the search up to conjugacy: conjugation by an element of A that
-    commutes with every pinned image (and with the marker target) maps
-    solutions to solutions, so the first unpinned generator takes one value
-    per orbit of that centralizer H, and each solution found counts as
-    many as its orbit holds (Holt-Eick-O'Brien, *Handbook of Computational
-    Group Theory*, 2005).  When counting, a generator in no relator and not
-    in the marker word is not walked at all: it multiplies the count by
-    |A|, or by 1 if pinned.
+    Assigns the pinned generators first, then the others, each part in
+    declaration order, and evaluates each relator as soon as its last
+    generator receives a value (a static trigger table is precomputed per
+    presentation), pruning dead branches early.  It walks the search up to
+    conjugacy: conjugation by an element of A that commutes with every
+    pinned image maps solutions to solutions, so the first unpinned
+    generator takes one value per orbit of that centralizer H, and each
+    solution found counts as many as its orbit holds (Holt-Eick-O'Brien,
+    *Handbook of Computational Group Theory*, 2005).  When counting, a
+    generator in no relator is not walked at all: it multiplies the count
+    by |A|, or by 1 if pinned.
 
 Both engines return identical counts and identical listings, in the same
-order: a backtrack listing expands each solution over its orbit and sorts.
-The test suite leans on that.  The work counters (``SearchStats``) count
-the walk actually made, so backtrack's ``nodes`` and ``relator_checks``
-cover the reduced walk, while ``naive`` still counts every assignment.
+order: a listing maps each solution back to declaration order (backtrack
+first expands it over its orbit) and sorts.  The test suite leans on that.
+The work counters (``SearchStats``) count the walk actually made, so
+backtrack's ``nodes`` and ``relator_checks`` cover the reduced walk, while
+``naive`` still counts every assignment.
 
 The meridian invariant of a marked presentation counts homomorphisms whose
-value on the marker word is a prescribed element.  A marker that is a bare
-generator (or its inverse) is pinned directly; any other marker word is
-handled by filtering complete assignments, which is slower but exact.
+value on the marker word is a prescribed element sigma.  A marker that is a
+bare generator (or its inverse) is pinned directly; any other marker word w
+becomes one more relator w*c^-1 on one more generator c, pinned to sigma.
+So a search has one kind of pin, a level with a single value, and one kind
+of condition, a relator checked at its last walked level.
 
-Both engines and the marker filter share one evaluator.  Each relator and
-marker word is compiled once per search into a program over the group's
-index form (``FiniteGroup.index_form``): one (generator slot, power table)
-step per syllable.  The search itself is one iterative depth-first walk over
-a list of element indices, so its depth is not bounded by the recursion
-limit.
+Both engines share one evaluator.  Each relator is compiled once per search
+into a program over the group's index form (``FiniteGroup.index_form``): one
+(generator slot, power table) step per syllable.  The search itself is one
+iterative depth-first walk over a list of element indices, so its depth is
+not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -252,7 +254,6 @@ def _conjugation_orbits(form: IndexForm, gens: Sequence[int]
 def count_homs(presentation: Presentation, group: FiniteGroup,
                constraint: Mapping[str, Permutation] | None = None,
                mode: str = "backtrack", materialize: bool = False,
-               _marker: Optional[Tuple[Word, Permutation]] = None,
                ) -> HomSearchResult:
     """Count (or list) homomorphisms satisfying the pinning constraint.
 
@@ -262,22 +263,22 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     ``naive`` additionally refuses to start when |A|^(unpinned) exceeds
     ``MAX_NAIVE_ASSIGNMENTS``; a search refuses to visit more than
     ``MAX_SEARCH_NODES`` nodes, and a listing to hold more than
-    ``MAX_LISTED_HOMS`` homomorphisms.  ``_marker`` = (word, sigma) keeps
-    only assignments sending the word to sigma.
+    ``MAX_LISTED_HOMS`` homomorphisms.
 
-    Backtracking walks up to conjugacy (module docstring): H centralizes
-    the walked pinned images and sigma, the first unpinned walked
-    generator takes the smallest index of each H-orbit, and a solution
-    counts its orbit's size; a listing conjugates it once per orbit point
-    and sorts.  When counting, a generator in no relator and not in the
-    marker word is not walked and multiplies the count by |A| (1 if
-    pinned).
+    Both modes walk the pinned generators first, each at its one value,
+    then the others, each part in declaration order; a listing maps its
+    leaves back to declaration order and sorts them.  Backtracking checks
+    a relator at the level of its last walked generator and walks up to
+    conjugacy (module docstring): H centralizes the walked pinned images,
+    the first unpinned walked generator takes the smallest index of each
+    H-orbit, and a solution counts its orbit's size; a listing conjugates
+    it once per orbit point.  When counting, a generator in no relator is
+    not walked and multiplies the count by |A| (1 if pinned).
 
     Work counters: a node is one value tried for an unpinned generator
     (backtrack) or one complete assignment (naive); a relator check is one
     relator evaluation.  Both count the reduced walk in backtrack and every
-    assignment in naive.  Backtracking settles relators on pinned
-    generators alone once, before the walk.
+    assignment in naive.
     """
     pins = check_constraint(presentation, group, constraint or {})
     unpinned = [g for g in presentation.generators if g not in pins]
@@ -294,14 +295,13 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     n, products = form.order, form.products
     stats = SearchStats()
     collected: Optional[List[Assignment]] = [] if materialize else None
-    # the walked generators, in declaration order; a counting backtrack
-    # leaves out the generators no relator or marker word constrains
-    walked = presentation.generators
+    # the walked generators, pinned first; a counting backtrack leaves out
+    # the generators no relator constrains
+    walked = tuple(g for g in presentation.generators if g in pins) + tuple(unpinned)
     supports = [rel.generators() for rel in presentation.relators]
     free = 0
     if mode == "backtrack" and not materialize:
-        bound = set(_marker[0].generators()) if _marker is not None else set()
-        bound.update(*supports)
+        bound = set().union(*supports)
         walked = tuple(g for g in walked if g in bound)
         free = sum(1 for g in unpinned if g not in bound)
     slots = {g: i for i, g in enumerate(walked)}
@@ -309,32 +309,21 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     values: List[Sequence[int]] = [
         (form.index[pins[g]],) if g in pins else range(n) for g in walked
     ] + [(0,)]
-    relators = [(support, _compile(rel, slots, form))
-                for rel, support in zip(presentation.relators, supports)]
+    relators = [_compile(rel, slots, form) for rel in presentation.relators]
     if mode == "naive":
         counted = [False] * len(walked) + [True]
-        checks: List[List[Program]] = [[] for _ in walked] + [[p for _, p in relators]]
+        checks: List[List[Program]] = [[] for _ in walked] + [relators]
     else:
         counted = [g not in pins for g in walked] + [False]
         checks = [[] for _ in values]
-        pinned = [v[0] for v in values]  # unpinned slots hold 0, unread here
-        for support, program in relators:
-            if support <= pins.keys():
-                stats.relator_checks += 1
-                if evaluate(program, pinned, products):
-                    return HomSearchResult(0, collected, stats)
-            else:
-                checks[max(slots[g] for g in support)].append(program)
-    fixed = [values[slots[g]][0] for g in walked if g in pins]
-    if _marker is not None:
-        marker = _compile(_marker[0], slots, form)
-        target = form.index[_marker[1]]
-        fixed.append(target)
+        for support, program in zip(supports, relators):
+            checks[max(slots[g] for g in support)].append(program)
 
     # the first unpinned walked generator ranges over orbit representatives;
     # otherwise every orbit is one point
     first = next((i for i, g in enumerate(walked) if g not in pins), None)
     if mode == "backtrack" and first is not None:
+        fixed = [v[0] for v in values[:first]]  # the walked pinned images
         orbits = _conjugation_orbits(form, _centralizer_generators(group, fixed))
         values[first] = tuple(orbits)
     else:
@@ -344,17 +333,17 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     count = 0
     leaves: List[Tuple[int, ...]] = []
     inverse = form.powers(-1)
+    # a listing walks every generator; its leaves go back to declaration order
+    order = [slots[g] for g in presentation.generators] if materialize else []
     for assignment in _walk(values, counted, checks, products, MAX_SEARCH_NODES, stats):
-        if _marker is not None and evaluate(marker, assignment, products) != target:
-            continue
         orbit = orbits[assignment[first]]
         count += len(orbit)
         if collected is not None:
-            leaf = assignment[:-1]
             # one solution per orbit point: the leaf conjugated by t,
             # v -> t*v*t^-1
             leaves.extend(
-                tuple(products[n * products[inverse[t] + v] + t] for v in leaf)
+                tuple(products[n * products[inverse[t] + assignment[i]] + t]
+                      for i in order)
                 for _, t in orbit
             )
             if len(leaves) > MAX_LISTED_HOMS:
@@ -364,7 +353,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     if collected is not None:
         leaves.sort()
         elements = form.elements
-        collected.extend({g: elements[i] for g, i in zip(walked, leaf)}
+        collected.extend({g: elements[i] for g, i in zip(presentation.generators, leaf)}
                          for leaf in leaves)
     if count and free:
         count *= n ** free
@@ -390,8 +379,9 @@ def meridian_search(presentation: Presentation, marker: str,
                     ) -> HomSearchResult:
     """Search for homomorphisms sending the marked word to ``sigma``.
 
-    Markers that are a bare generator (or its inverse) are pinned inside
-    the search; other marker words are checked on complete assignments.
+    A marker that is a bare generator (or its inverse) pins that generator.
+    Any other marker word w becomes a relator w*c^-1 on a new generator c
+    pinned to ``sigma``; c is left out of the listed assignments.
     """
     if marker not in presentation.markers:
         raise UnknownMarkerError(
@@ -404,8 +394,16 @@ def meridian_search(presentation: Presentation, marker: str,
     if pins is not None:
         return count_homs(presentation, group, pins, mode=mode,
                           materialize=materialize)
-    return count_homs(presentation, group, None, mode=mode,
-                      materialize=materialize, _marker=(word, sigma))
+    c = "c"
+    while c in presentation.generators:
+        c += "'"
+    augmented = Presentation(presentation.generators + (c,),
+                             presentation.relators + (word * ~Word.generator(c),))
+    result = count_homs(augmented, group, {c: sigma}, mode=mode,
+                        materialize=materialize)
+    for assignment in result.assignments or ():
+        del assignment[c]
+    return result
 
 
 def meridian_invariant(presentation: Presentation, marker: str,

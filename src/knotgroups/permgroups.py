@@ -518,13 +518,13 @@ def group_from_spec(spec: str) -> FiniteGroup:
     """Build a group from a spec string: ``S4``, ``A5``, or
     ``gen:DEGREE:[(1,2,3),(1,2)]``."""
     s = spec.strip()
-    if s.startswith("S") and s[1:].isdigit():
+    if s.startswith("S") and s[1:].isdecimal():
         return symmetric_group(int(s[1:]))
-    if s.startswith("A") and s[1:].isdigit():
+    if s.startswith("A") and s[1:].isdecimal():
         return alternating_group(int(s[1:]))
     if s.startswith("gen:"):
         parts = s.split(":", 2)
-        if len(parts) != 3 or not parts[1].isdigit():
+        if len(parts) != 3 or not parts[1].isdecimal():
             raise InvalidParameterError(f"bad group spec {spec!r}")
         degree = int(parts[1])
         body = parts[2].strip()

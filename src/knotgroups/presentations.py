@@ -157,9 +157,16 @@ def rbg_family(m: int) -> Presentation:
     arising from the RBG construction of knot pairs with a common trace.
     The markers record that x (equivalently y) represents the meridian
     conjugacy class of one knot of the pair and a that of the other.
+    The powers (yx)^m and (yx)^-m build 4m syllables, at most
+    ``MAX_WORD_SYLLABLES`` as in ``parse``.
     """
     if not isinstance(m, int) or m < 1:
         raise InvalidParameterError(f"family parameter must be a positive integer, got {m!r}")
+    if 4 * m > MAX_WORD_SYLLABLES:
+        raise WordTooLargeError(
+            f"the powers expand to {4 * m} syllables, over the limit of "
+            f"{MAX_WORD_SYLLABLES}"
+        )
     x, y, a = (Word.generator(g) for g in ("x", "y", "a"))
     yx = y * x
     relator1 = yx**m * y * yx**-m * ~x

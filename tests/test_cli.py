@@ -363,6 +363,27 @@ class TestCountCommand:
         assert (code, out) == (2, "")
         assert err == "error: generator 'x' is pinned twice\n"
 
+    @pytest.mark.parametrize("spec", ["S\u00b2", "A\u00b2", "gen:\u00b2:[(1,2)]"])
+    def test_superscript_group_degree_exits_2(self, tmp_path, capsys, spec):
+        # '\u00b2' passes str.isdigit() but is not a decimal digit
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        code, out, err = run(capsys, "count", path, "--group", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad group spec {spec!r}\n"
+
+    def test_pin_on_last_generator_lists_in_declaration_order(self, tmp_path, capsys):
+        # a is declared last and walked first; the listing is the unpinned
+        # listing's, restricted to a = sigma, in the same order
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        argv = ("count", path, "--group", "A4", "--list", "--json")
+        full = json.loads(run(capsys, *argv)[1])["results"]["assignments"]
+        for mode in ("backtrack", "naive"):
+            code, out, _ = run(capsys, *argv, "--pin", "a=(1,2,3)", "--mode", mode)
+            listed = json.loads(out)["results"]["assignments"]
+            assert code == 0
+            assert listed == [h for h in full if h["a"] == "(1,2,3)"]
+            assert len(listed) > 1
+
 
 class TestFamilyCommand:
     def test_m1_matches_library(self, tmp_path, capsys):
@@ -410,6 +431,13 @@ class TestFamilyCommand:
         assert code == 0
         pres = parse(out)
         assert len(pres.relators[0].syllables) == 4 * 61 + 2
+
+    def test_huge_m_exits_3_quickly(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "family", "--m", "1000000000")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, "")
+        assert "syllables" in err and err.count("\n") == 1
 
 
 @pytest.fixture

@@ -204,9 +204,10 @@ class TestMeridianInvariant:
         assert result.assignments[0]["x"] == ~SIGMA
 
     def test_word_marker_post_filter(self):
-        # marker x^-1*a*x pins nothing; assignments are filtered on the
-        # evaluated word.  Counts agree with the conjugation-invariance
-        # identity below by construction.
+        # marker x^-1*a*x pins no generator of the presentation; it becomes
+        # a relator x^-1*a*x*c^-1 on a new generator c pinned to the target.
+        # Counts agree with the conjugation-invariance identity below by
+        # construction.
         pres = parse(
             "< x,a | >\nmeridian mu: x^-1*a*x\n"
         )
@@ -380,11 +381,12 @@ class TestCompiledEvaluator:
         assert count_homs(pres, S7, {"x": x}, mode=mode).count == oracle
 
     def test_word_marker_above_table_limit(self):
-        pres = parse("< x,y | x^2 >\nmeridian mu: x*y\n")
+        # the marker x*y as meridian_search builds it: a relator x*y*c^-1
+        # on a new generator c pinned to sigma
+        pres = parse("< x,y,c | x^2, x*y*c^-1 >")
         x = parse_permutation("(1,2)", 7)
         sigma = parse_permutation("(1,2,3,4,5,6,7)", 7)
-        result = count_homs(pres, S7, {"x": x}, materialize=True,
-                            _marker=(pres.markers["mu"], sigma))
+        result = count_homs(pres, S7, {"x": x, "c": sigma}, materialize=True)
         assert result.count == 1
         assert result.assignments[0]["y"] == x * sigma
 
@@ -402,6 +404,37 @@ class TestCompiledEvaluator:
                 for mode in ("naive", "backtrack"):
                     assert meridian_invariant(pres, "mu", group, sigma,
                                               mode=mode) == oracle
+
+
+class TestPinnedFirst:
+    """Pinned generators are walked first; markers that are words become a
+    relator on a new pinned generator."""
+
+    @pytest.mark.parametrize("mode", ["naive", "backtrack"])
+    def test_failing_pinned_relator_walks_nothing(self, mode):
+        # x^2 on the pinned x alone fails at the pinned level
+        pres = parse("< y, x | x^2, y*x*y^-1*x^-1 >")
+        result = count_homs(pres, A5, {"x": SIGMA}, mode=mode, materialize=True)
+        assert (result.count, result.assignments) == (0, [])
+        if mode == "backtrack":
+            assert result.stats.nodes == 0
+
+    @pytest.mark.parametrize("mode", ["naive", "backtrack"])
+    def test_word_marker_beside_generators_named_c(self, mode):
+        # the marker's new generator must not take the name c or c'
+        pres = parse("< c, c', x | c*x*c^-1*x^-1, c'^2 >\nmeridian w: c*c'\n")
+        sigma = parse_permutation("(1,2,3)", 4)
+        # every assignment, in the listing order (index tuples in
+        # declaration order), checked with Word.evaluate
+        oracle = [h for h in (dict(zip(pres.generators, values))
+                              for values in product(S4.elements, repeat=3))
+                  if is_homomorphism(pres, S4, h)
+                  and pres.markers["w"].evaluate(h, S4) == sigma]
+        listed = meridian_search(pres, "w", S4, sigma, mode=mode, materialize=True)
+        counted = meridian_search(pres, "w", S4, sigma, mode=mode)
+        assert counted.count == listed.count == len(oracle) > 0
+        assert listed.assignments == oracle
+        assert {tuple(h) for h in listed.assignments} == {pres.generators}
 
 
 class TestAssignmentOrder:

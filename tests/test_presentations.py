@@ -590,6 +590,17 @@ class TestPowers:
             parse("< x, y | (y*x)^1000000000 >")
         assert time.perf_counter() - started < 1.0
 
+    def test_family_powers_under_the_same_cap(self, monkeypatch):
+        # (yx)^m and (yx)^-m build 4m syllables
+        with pytest.raises(WordTooLargeError):
+            rbg_family(250_001)
+        monkeypatch.setattr(presentations, "MAX_WORD_SYLLABLES", 40)
+        assert rbg_family(10) == parse(
+            "< x, y, a | (y*x)^10*y*(y*x)^-10*x^-1, x^-1*a*x*a^-1*x^-1*y*a*y^-1 >\n"
+            "meridian meridian_B: x\nmeridian meridian_G: a\n")
+        with pytest.raises(WordTooLargeError):
+            rbg_family(11)
+
     def test_cap_counts_every_power_of_the_text(self, monkeypatch):
         monkeypatch.setattr(presentations, "MAX_WORD_SYLLABLES", 120)
         assert len(parse("< x, y | (x*y)^30, (y*x)^30 >").relators) == 2  # 120
