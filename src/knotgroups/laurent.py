@@ -7,10 +7,17 @@ values up to units, hence :meth:`LaurentPoly.normalize_up_to_units`.
 
 Coefficients are kept inside a checked 64-bit range; leaving it raises
 CoefficientOverflowError rather than producing a huge silent result.
+
+The text form is terms ``c``, ``c*t``, ``c*t^e``, ``t`` or ``t^e`` joined by
+``+`` or ``-`` (``c`` decimal digits, ``e`` with an optional ``-``), read by
+one anchored pattern; anything else (``2t``, ``t^+2``, ``_``) is an
+InvalidParameterError.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from math import gcd as igcd
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -355,58 +362,27 @@ def format_laurent(p: LaurentPoly) -> str:
     return " ".join(pieces)
 
 
+# One term: "c", "c*t", "c*t^e", "t" or "t^e".  A text is a first term,
+# whose sign is optional, and then signed terms; _SIGNED_TERM reads the
+# terms out of a text that _LAURENT matched.  The patterns are compiled on
+# first use, by the re module's cache, not at import.
+_TERM = r"(?:(\d+)\*)?t(?:\^(-?\d+))?|(\d+)"
+_LAURENT = rf"[+-]?\s*(?:{_TERM})(?:\s*[+-]\s*(?:{_TERM}))*"
+_SIGNED_TERM = rf"\s*([+-]?)\s*(?:{_TERM})"
+
+
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse the text form emitted by :func:`format_laurent`."""
     s = text.strip()
-    if not s:
-        raise InvalidParameterError("empty Laurent polynomial text")
-    if s == "0":
-        return LaurentPoly.zero()
+    if not re.fullmatch(_LAURENT, s):
+        raise InvalidParameterError(f"cannot parse Laurent text {text!r}")
     out: Dict[int, int] = {}
-    pos = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    while True:
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-        start = pos
-        while pos < len(s) and not s[pos].isspace() and s[pos] not in "+-":
-            # '-' inside "t^-2" must not split the term
-            if s[pos] == "^" and pos + 1 < len(s) and s[pos + 1] in "+-":
-                pos += 2
-                continue
-            pos += 1
-        term = s[start:pos]
-        if not term:
-            raise InvalidParameterError(f"cannot parse Laurent text {text!r}")
-        exp, coeff = _parse_term(term, text)
-        out[exp] = out.get(exp, 0) + sign * coeff
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-        if pos == len(s):
-            return LaurentPoly(out)
-        if s[pos] not in "+-":
-            raise InvalidParameterError(f"cannot parse Laurent text {text!r}")
-        sign = -1 if s[pos] == "-" else 1
-        pos += 1
-
-
-def _parse_term(term: str, full: str) -> Tuple[int, int]:
-    if "t" not in term:
-        try:
-            return 0, int(term)
-        except ValueError:
-            raise InvalidParameterError(f"cannot parse Laurent text {full!r}") from None
-    coeff_part, _, t_part = term.partition("t")
-    coeff_part = coeff_part.rstrip("*")
-    coeff = 1 if coeff_part == "" else int(coeff_part)
-    if t_part == "":
-        return 1, coeff
-    if not t_part.startswith("^"):
-        raise InvalidParameterError(f"cannot parse Laurent text {full!r}")
     try:
-        return int(t_part[1:]), coeff
-    except ValueError:
-        raise InvalidParameterError(f"cannot parse Laurent text {full!r}") from None
+        for sign, coeff, exp, constant in re.findall(_SIGNED_TERM, s):
+            e = int(exp) if exp else 0 if constant else 1
+            c = int(constant or coeff or 1)
+            out[e] = out.get(e, 0) + (-c if sign == "-" else c)
+    except ValueError:  # int() refuses digits only past its digit limit
+        raise InvalidParameterError(f"Laurent text has a number of more than "
+                                    f"{sys.get_int_max_str_digits()} digits") from None
+    return LaurentPoly(out)

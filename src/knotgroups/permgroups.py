@@ -9,20 +9,27 @@ right actions.  Every stored or printed example in this package assumes it.
 Conjugacy and homomorphism *counts* do not depend on the convention, but
 whether a *specific* generator assignment satisfies a relator does.
 
-Groups are tiny here (at most ``MAX_GROUP_ORDER`` = 10^6 elements), so they
-are materialized as explicit element lists; the homomorphism search needs the
+Groups are tiny here (at most ``MAX_GROUP_ORDER`` = 10^6 elements, and at
+most ``MAX_GROUP_POINTS`` = 10^7 points over all elements), so they are
+materialized as explicit element lists; the homomorphism search needs the
 element list anyway, and conjugacy can then be decided by exhaustive search
 rather than cycle type, which matters in alternating groups where classes
 split.  For the search, a group also has an index form (``IndexForm``)
 that multiplies element indices instead of permutations.
 
 Points are 0-based internally; all I/O uses 1-based cycle notation such as
-``(1,5,4,3,2)``, with ``()`` for the identity.
+``(1,5,4,3,2)``, with ``()`` for the identity.  A literal (spaces removed)
+is ``()``, empty, or cycles of at least two decimal points; a ``gen:`` list
+is such literals, comma separated.  Each grammar is one anchored pattern,
+and anything else (signs, ``_``, tabs, empty or unbalanced pieces) is an
+InvalidParameterError.
 """
 
 from __future__ import annotations
 
+import re
 import struct
+import sys
 from array import array
 from itertools import accumulate, compress, permutations as _all_perms, product
 from math import lcm
@@ -38,6 +45,10 @@ from .errors import (
 
 # Most elements a group may have; read at each build, never passed per call.
 MAX_GROUP_ORDER = 10**6
+
+# Most points a group may hold, order times degree: this bounds the memory of
+# the degree-long image tuples (S9 on its 9 points holds 3.3 * 10^6).
+MAX_GROUP_POINTS = 10**7
 
 # Groups up to this order get a full product table (order^2 entries of
 # one byte up to order 256 and two bytes above, 2 MiB at the limit);
@@ -83,7 +94,8 @@ class Permutation:
                 seen.add(p)
             for i, p in enumerate(cycle):
                 images[p - 1] = cycle[(i + 1) % len(cycle)] - 1
-        return cls(images)
+        # every point in range and none repeated: the images are a bijection
+        return cls._raw(tuple(images))
 
     # -- structure ------------------------------------------------------
 
@@ -186,24 +198,32 @@ class Permutation:
         return f"Permutation{str(self)!r}"
 
 
+# A permutation literal: "()" or one or more cycles of at least two points;
+# a gen: list, its spaces removed, is such literals in brackets.  The
+# patterns are compiled on first use, by the re module's cache.
+_LITERAL = r"\(\)|(?:\(\d+(?:,\d+)+\))+"
+_GEN_LIST = rf"\[(?:(?:{_LITERAL})(?:,(?:{_LITERAL}))*)?\]"
+
+
+def _decimal(digits: str, what: str) -> int:
+    # int() refuses a run of decimal digits only past its digit limit
+    try:
+        return int(digits)
+    except ValueError:
+        raise InvalidParameterError(
+            f"{what} has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation: ``(1,5,4,3,2)``, ``(1,2)(3,4)``, ``()``."""
     s = text.replace(" ", "")
-    if s == "()" or s == "":
-        return Permutation.identity(degree)
-    if not s.startswith("(") or not s.endswith(")"):
+    if s and not re.fullmatch(_LITERAL, s):
         raise InvalidParameterError(f"bad permutation literal {text!r}")
-    cycles = []
-    for chunk in s[1:-1].split(")("):
-        if not chunk:
-            continue
-        try:
-            cycle = tuple(int(p) for p in chunk.split(","))
-        except ValueError:
-            raise InvalidParameterError(f"bad permutation literal {text!r}") from None
-        if len(cycle) < 2:
-            raise InvalidParameterError(f"bad permutation literal {text!r}")
-        cycles.append(cycle)
+    cycles = [
+        [_decimal(p, "a cycle point") for p in cycle.split(",")]
+        for cycle in re.findall(r"\d+(?:,\d+)+", s)
+    ]
     return Permutation.from_cycles(cycles, degree)
 
 
@@ -374,7 +394,7 @@ def _byte_table(images: Sequence[int]) -> bytes:
 
 
 def _compose_tuples(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(map(q.__getitem__, p))
+    return itemgetter(*p)(q)  # above 256 points, so always a tuple
 
 
 def _packing(degree: int):
@@ -474,6 +494,13 @@ def alternating_group(n: int) -> FiniteGroup:
     return FiniteGroup(n, elems, gens, label=f"A{n}")
 
 
+def _check_degree(degree: int) -> int:
+    if degree > MAX_GROUP_POINTS:
+        raise GroupTooLargeError(
+            f"degree {degree} exceeds the cap of {MAX_GROUP_POINTS} points")
+    return degree
+
+
 def generated_group(degree: int, generators: Sequence[Permutation], *,
                     label: str = "") -> FiniteGroup:
     """Subgroup of S_degree generated by ``generators``.
@@ -488,6 +515,8 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatchError("generator degree differs from group degree")
+    _check_degree(degree)
+    cap = min(MAX_GROUP_ORDER, MAX_GROUP_POINTS // degree)  # degree points each
     pack, table, compose = _packing(degree)
     ident = pack(range(degree))
     seen = {ident: 0}
@@ -503,10 +532,10 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
             if at is None:
                 at = seen[prod] = len(ordered)
                 ordered.append(prod)
-                if len(seen) > MAX_GROUP_ORDER:
+                if len(seen) > cap:
                     raise GroupTooLargeError(
-                        f"generated group exceeds cap {MAX_GROUP_ORDER}"
-                    )
+                        f"generated group exceeds cap {cap} (at most "
+                        f"{MAX_GROUP_ORDER} elements, {MAX_GROUP_POINTS} points)")
             right.append(at)
     elements = list(map(Permutation._raw, map(tuple, ordered)))
     group = FiniteGroup(degree, elements, gens, label=label or f"gen:{degree}")
@@ -518,40 +547,19 @@ def group_from_spec(spec: str) -> FiniteGroup:
     """Build a group from a spec string: ``S4``, ``A5``, or
     ``gen:DEGREE:[(1,2,3),(1,2)]``."""
     s = spec.strip()
-    if s.startswith("S") and s[1:].isdecimal():
-        return symmetric_group(int(s[1:]))
-    if s.startswith("A") and s[1:].isdecimal():
-        return alternating_group(int(s[1:]))
-    if s.startswith("gen:"):
-        parts = s.split(":", 2)
-        if len(parts) != 3 or not parts[1].isdecimal():
-            raise InvalidParameterError(f"bad group spec {spec!r}")
-        degree = int(parts[1])
-        body = parts[2].strip()
-        if not body.startswith("[") or not body.endswith("]"):
-            raise InvalidParameterError(f"bad group spec {spec!r}")
-        gens = _parse_permutation_list(body[1:-1], degree)
-        return generated_group(degree, gens, label=s)
-    raise InvalidParameterError(f"bad group spec {spec!r}")
-
-
-def _parse_permutation_list(body: str, degree: int) -> list:
-    """Split ``(1,2,3),(1,2)`` into permutation literals (paren-aware)."""
-    out = []
-    depth = 0
-    current = ""
-    for ch in body + ",":
-        if ch == "," and depth == 0:
-            if current.strip():
-                out.append(parse_permutation(current.strip(), degree))
-            current = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        current += ch
-    return out
+    m = re.fullmatch(r"([SA])(\d+)|gen:(\d+):(.*)", s, re.DOTALL)
+    if not m:
+        raise InvalidParameterError(f"bad group spec {spec!r}")
+    kind, n, degree_digits, body = m.groups()
+    if kind:
+        n = _decimal(n, "a group degree")
+        return symmetric_group(n) if kind == "S" else alternating_group(n)
+    degree = _check_degree(_decimal(degree_digits, "a group degree"))
+    body = body.strip().replace(" ", "")
+    if not re.fullmatch(_GEN_LIST, body):
+        raise InvalidParameterError(f"bad group spec {spec!r}")
+    gens = [parse_permutation(lit, degree) for lit in re.findall(_LITERAL, body)]
+    return generated_group(degree, gens, label=s)
 
 
 def find_conjugator(g: Permutation, h: Permutation, group: FiniteGroup

@@ -38,6 +38,7 @@ than filling memory.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -261,7 +262,11 @@ class _Parser:
         tok = self.tokens[index]
         if _kind(tok) != "int":
             raise self.error(f"expected an integer exponent, found {_found(tok)}", index)
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # a run of digits longer than int() reads
+            raise self.error(f"exponent of more than {sys.get_int_max_str_digits()} "
+                             "digits", index) from None
 
     # grammar productions -----------------------------------------------
 

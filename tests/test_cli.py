@@ -149,6 +149,15 @@ class TestAlexCommand:
         assert code == 2
         assert "expected an integer exponent, found '\u00b2' (line 1, column 9)" in err
 
+    def test_exponent_past_the_digit_limit_exits_2_quickly(self, tmp_path, capsys):
+        path = write(tmp_path, "long.pres", f"< x, y | x^{'9' * 5000}*y^-1 >\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "alex", path)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: exponent of more than {limit} digits (line 1, column 12)\n"
+
     def test_huge_power_exits_3_quickly(self, tmp_path, capsys):
         path = write(tmp_path, "power.pres", "< x, y | (y*x)^1000000000 >\n")
         started = time.perf_counter()
@@ -370,6 +379,59 @@ class TestCountCommand:
         code, out, err = run(capsys, "count", path, "--group", spec)
         assert (code, out) == (2, "")
         assert err == f"error: bad group spec {spec!r}\n"
+
+    @pytest.mark.parametrize("spec", [
+        "gen:7:[(1,2)(3,4),)]", "gen:5:[,(1,2)]", "gen:5:[(1,2),,(3,4)]",
+        "gen:5:[)()]", "gen:5:[(1,2)()]", "gen:5:[(+1,2)]", "gen:5:[(1_0,2)]",
+    ])
+    def test_malformed_group_list_exits_2(self, tmp_path, capsys, spec):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        code, out, err = run(capsys, "count", path, "--group", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad group spec {spec!r}\n"
+
+    @pytest.mark.parametrize("literal", [
+        "(1,2)()", "()()", "(+1,2)", "(1_0,2)", "(1,\t2)", "(1,2",
+    ])
+    @pytest.mark.parametrize("option", ["--pin", "--marker"])
+    def test_malformed_literal_exits_2(self, tmp_path, capsys, literal, option):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        name = "x" if option == "--pin" else "meridian_B"
+        code, out, err = run(capsys, "count", path, "--group", "A5",
+                             option, f"{name}={literal}")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad permutation literal {literal!r}\n"
+
+    @pytest.mark.parametrize("spec", ["S{}", "gen:{}:[(1,2)]"])
+    def test_degree_past_the_digit_limit_exits_2_quickly(self, tmp_path, capsys, spec):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        spec = spec.format("9" * 5000)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "count", path, "--group", spec)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: a group degree has more than {limit} digits\n"
+
+    def test_degree_past_the_point_cap_exits_3_quickly(self, tmp_path, capsys):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "count", path, "--group", "gen:300000000:[(1,2)]")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, "")
+        assert err == "error: degree 300000000 exceeds the cap of 10000000 points\n"
+
+    def test_wide_group_past_the_point_cap_exits_3(self, tmp_path, capsys):
+        # S9 on 1000 points is under the order cap, but its elements would
+        # hold 3.6 * 10^8 points; the walk stops at 10^4 elements
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "count", path, "--group",
+                             "gen:1000:[(1,2,3,4,5,6,7,8,9),(1,2)]")
+        assert time.perf_counter() - started < 2.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error: generated group exceeds cap 10000 ")
+        assert err.count("\n") == 1
 
     def test_pin_on_last_generator_lists_in_declaration_order(self, tmp_path, capsys):
         # a is declared last and walked first; the listing is the unpinned

@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic, unit normalization, gcd, text form."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -189,9 +190,23 @@ class TestTextForm:
         assert parse_laurent(text) == p
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "t^", "1 +", "q + 1", "t**2"):
+        for bad in ("", "t^", "1 +", "q + 1", "t**2", "xt", "0^t", "2t", "t^+2",
+                    "1_0", "1_0*t", "t^1_0", "1 2", "t t", "+", "--t", "1 + - t",
+                    "*t", "2*", "2^3", "t^-"):
             with pytest.raises(InvalidParameterError):
                 parse_laurent(bad)
+
+    def test_parse_reads_signs_and_spaces(self):
+        assert parse_laurent("- t") == lp({1: -1})
+        assert parse_laurent("+1-t+t^2") == lp({0: 1, 1: -1, 2: 1})
+        assert parse_laurent(" 3*t^-2 - 2*t^-2 ") == lp({-2: 1})
+        assert parse_laurent("1 - 1") == LaurentPoly.zero()
+
+    def test_number_past_the_digit_limit_is_an_input_error(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        for text in (digits, f"t^{digits}", f"1 + {digits}*t"):
+            with pytest.raises(InvalidParameterError, match="more than"):
+                parse_laurent(text)
 
 
 # -- property tests -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Permutations, group construction by enumeration, conjugacy search."""
 
 import random
+import sys
 from array import array
 from itertools import permutations
 
@@ -43,6 +44,12 @@ def order_cap(monkeypatch):
     return lambda cap: monkeypatch.setattr(permgroups, "MAX_GROUP_ORDER", cap)
 
 
+@pytest.fixture
+def point_cap(monkeypatch):
+    """Sets ``permgroups.MAX_GROUP_POINTS`` for the rest of a test."""
+    return lambda cap: monkeypatch.setattr(permgroups, "MAX_GROUP_POINTS", cap)
+
+
 class TestPermutation:
     def test_composition_applies_left_factor_first(self):
         # (p * q)(i) = q(p(i)); fixed convention used everywhere
@@ -78,9 +85,21 @@ class TestPermutation:
             assert str(parse_permutation(text, 5)) == text
 
     def test_parse_rejects(self):
-        for bad in ("(1,2", "(0,1)", "(1,1)", "(6,7)", "(1)"):
+        # signs, digit separators, tabs and a repeated "()" are no literal
+        for bad in ("(1,2", "(0,1)", "(1,1)", "(6,7)", "(1)", "(+1,2)", "(1,+2)",
+                    "(1_0,2)", "(1,\t2)", "(1,2)()", "()()", "()(1,2)", ")(",
+                    "(1,2),(3,4)", "-(1,2)"):
             with pytest.raises(InvalidParameterError):
                 parse_permutation(bad, 5)
+
+    def test_spaces_are_removed_first(self):
+        assert parse_permutation(" ( 1 , 2 ) ( 3,4 ) ", 5) == parse_permutation("(1,2)(3,4)", 5)
+        assert parse_permutation("", 5) == parse_permutation(" () ", 5) == Permutation.identity(5)
+
+    def test_point_past_the_digit_limit_is_an_input_error(self):
+        point = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(InvalidParameterError, match="cycle point has more than"):
+            parse_permutation(f"(1,{point})", 5)
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
@@ -158,9 +177,55 @@ class TestBuild:
         assert group_from_spec("A5").order == 60
         assert group_from_spec("S4").order == 24
         assert group_from_spec("gen:5:[(1,2,3),(1,2)]").order == 6
-        for bad in ("B5", "gen:5", "gen:x:[(1,2)]", "A"):
-            with pytest.raises(InvalidParameterError):
+        # empty or unbalanced pieces of a list are refused, not skipped or
+        # half read
+        for bad in ("B5", "gen:5", "gen:x:[(1,2)]", "A", "gen:5:[,(1,2)]",
+                    "gen:5:[(1,2),,(3,4)]", "gen:5:[(1,2),]", "gen:5:[,]",
+                    "gen:7:[(1,2)(3,4),)]", "gen:5:[)()]", "gen:5:[(1,2,3),(1,2))]",
+                    "gen:5:[(1,2,3,(1,2)]", "gen:5:[(1,2)()]", "gen:5:[(+1,2)]",
+                    "gen:5:[(1_0,2)]", "gen:5:[(1,\t2)]", "gen:5:(1,2)", "gen:5:[(1,2)",
+                    "S 4", "A+5", "S4_0", "gen: 5:[(1,2)]", "gen:+5:[(1,2)]"):
+            with pytest.raises(InvalidParameterError, match="bad group spec"):
                 group_from_spec(bad)
+
+    def test_spec_lists(self):
+        assert group_from_spec("gen:5:[]").order == 1
+        assert group_from_spec("gen:5:[ ]").order == 1
+        spaced = group_from_spec(" gen:7: [ (1,2,3,4,5,6,7) , (2, 3, 5) (4,7,6),(3,7)(5,6) ] ")
+        assert spaced.order == 168
+        assert spaced.generators == PSL27.generators
+        assert group_from_spec("gen:4:[(),(1,2)]").generators == (
+            Permutation.identity(4), parse_permutation("(1,2)", 4))
+
+    @pytest.mark.parametrize("spec", [
+        "S{}", "A{}", "gen:{}:[(1,2)]", "gen:5:[(1,{})]",
+    ])
+    def test_numbers_past_the_digit_limit_are_input_errors(self, spec):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(InvalidParameterError, match="has more than"):
+            group_from_spec(spec.format(digits))
+
+    def test_point_caps_are_exact(self, point_cap):
+        # S4 on 4 points holds 24 * 4 = 96 points, and on 6 points 144
+        s4_gens = "[(1,2,3,4),(1,2)]"
+        point_cap(96)
+        assert group_from_spec(f"gen:4:{s4_gens}").order == 24
+        point_cap(95)
+        with pytest.raises(GroupTooLargeError, match="exceeds cap 23 "):
+            group_from_spec(f"gen:4:{s4_gens}")
+        point_cap(144)
+        assert group_from_spec(f"gen:6:{s4_gens}").order == 24
+        with pytest.raises(GroupTooLargeError, match="exceeds cap 20 "):
+            group_from_spec(f"gen:7:{s4_gens}")
+
+    def test_degree_over_the_point_cap_is_refused_first(self, point_cap):
+        point_cap(10)
+        assert group_from_spec("gen:10:[]").order == 1
+        # the generator is never read: it would be out of range
+        with pytest.raises(GroupTooLargeError, match="degree 11 exceeds the cap of 10 points"):
+            group_from_spec("gen:11:[(12,13)]")
+        with pytest.raises(GroupTooLargeError, match="degree 11 exceeds the cap of 10 points"):
+            generated_group(11, [])
 
     def test_closure_property(self):
         g = generated_group(4, [parse_permutation("(1,2,3)", 4)])
@@ -232,6 +297,20 @@ def test_lagrange_for_generated_subgroups(gens):
     # the byte table against products and powers of the permutations
     assert list(group.elements) == _frontier_closure(5, gens)
     TestIndexForm._assert_matches(group, exponents=(-1, 2, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=4))),
+    st.booleans())
+def test_spec_round_trip(degree_and_images, spaced):
+    # generators rendered with str come back from a gen: spec unchanged
+    degree, images = degree_and_images
+    gens = [Permutation(p) for p in images]
+    sep = " , " if spaced else ","
+    group = group_from_spec(f"gen:{degree}:[{sep.join(map(str, gens))}]")
+    assert group.degree == degree
+    assert group.generators == tuple(gens)
 
 
 class TestIndexForm:

@@ -1,6 +1,7 @@
 """Presentation parsing, rendering, the family generator, abelianization."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -84,6 +85,12 @@ class TestParse:
             parse("< x |\n x* >")
         assert err.value.line == 2
         assert err.value.column == 5  # points at the offending '>'
+
+    def test_exponent_past_the_digit_limit(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(PresentationSyntaxError, match="exponent of more than") as err:
+            parse(f"< x, y |\n x^{digits}*y^-1 >")
+        assert (err.value.line, err.value.column) == (2, 4)
 
     def test_long_product_spelled_out(self):
         # the family relator written letter by letter, as `knotgroups
