@@ -7,7 +7,7 @@ Commands::
     knotgroups count FILE --group SPEC [--pin g=PERM | --marker NAME=PERM]
                     [--mode naive|backtrack] [--list]
     knotgroups family --m M [--out FILE] write a family presentation file
-    knotgroups verify [--deep] [--override FILE]
+    knotgroups verify                     run every pinned check of the paper
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 budget or overflow refusal.
@@ -33,10 +33,11 @@ from .errors import (
     InvalidParameterError,
     KnotGroupsError,
     ResourceError,
+    quoted,
 )
 from .fox import alexander_polynomial
 from .homsearch import count_homs, meridian_search
-from .permgroups import group_from_spec, parse_permutation
+from .permgroups import _decimal, group_from_spec, parse_permutation
 from .presentations import parse, rbg_family
 
 EXIT_OK = 0
@@ -103,7 +104,7 @@ def cmd_alex(args) -> int:
 def _parse_binding(text: str, what: str) -> tuple:
     name, sep, literal = text.partition("=")
     if not sep or not name or not literal:
-        raise InvalidParameterError(f"bad {what} {text!r}, expected NAME=PERM")
+        raise InvalidParameterError(f"bad {what} {quoted(text)}, expected NAME=PERM")
     return name, literal
 
 
@@ -127,7 +128,7 @@ def cmd_count(args) -> int:
         for binding in args.pin or ():
             name, literal = _parse_binding(binding, "--pin")
             if name in pins:
-                raise InvalidParameterError(f"generator {name!r} is pinned twice")
+                raise InvalidParameterError(f"generator {quoted(name)} is pinned twice")
             pins[name] = parse_permutation(literal, group.degree)
         result = count_homs(pres, group, pins, mode=args.mode,
                             materialize=args.list)
@@ -169,7 +170,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_family(args) -> int:
-    text = rbg_family(args.m).render()
+    # decimal digits, as every integer of the input is read: int() alone
+    # would also take a sign, surrounding spaces and '_'
+    if not args.m.isdecimal():
+        raise InvalidParameterError(f"--m takes decimal digits, got {quoted(args.m)}")
+    text = rbg_family(_decimal(args.m, "--m")).render()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -187,13 +192,11 @@ def cmd_verify(args) -> int:
     from . import verification
 
     started = time.perf_counter()
-    override = _read_presentation(args.override) if args.override else None
-    outcomes = verification.run_all(deep=args.deep, family_override=override)
+    outcomes = verification.run_all()
     all_ok = all(o.ok for o in outcomes)
     report = {
         "command": "verify",
-        "inputs": {"deep": args.deep, "expectations_version":
-                   verification.EXPECTATIONS_VERSION},
+        "inputs": {"expectations_version": verification.EXPECTATIONS_VERSION},
         "results": {
             "all_ok": all_ok,
             "checks": [
@@ -246,16 +249,12 @@ def _count_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _family_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", required=True)
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(fn=cmd_family)
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--deep", action="store_true",
-                   help="include the slow large-parameter checks")
-    p.add_argument("--override", metavar="FILE",
-                   help="replace the m=1 family presentation (negative testing)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

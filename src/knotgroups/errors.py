@@ -104,6 +104,21 @@ class CountTooLargeError(ResourceError):
     """A count has more decimal digits than the interpreter will print."""
 
 
+# Characters of user input that an error message quotes: a longer input is
+# cut, with its length, so that its error stays one short line.
+QUOTE_LIMIT = 80
+
+
+def quoted(value) -> str:
+    """``repr(value)``, or, when that is longer than ``QUOTE_LIMIT``
+    characters, its first ``QUOTE_LIMIT`` in ASCII and its length."""
+    text = repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    head = text[:QUOTE_LIMIT].encode("ascii", "backslashreplace")[:QUOTE_LIMIT]
+    return f"{head.decode()}... ({len(text)} characters)"
+
+
 # Arbitrary-precision integers never wrap in Python, so "overflow" is a
 # policy bound: everything in scope fits comfortably in 64 bits, and a value
 # outside that range signals runaway input rather than a legitimate result.

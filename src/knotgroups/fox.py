@@ -52,6 +52,7 @@ from .errors import (
     MissingWeightError,
     NotInfiniteCyclicError,
     TooManyRowSetsError,
+    quoted,
 )
 from .laurent import LaurentPoly, check_dense_breadth, gcd as laurent_gcd
 from .presentations import Presentation, abelianize
@@ -172,7 +173,7 @@ def abelianize_ring_element(element: GroupRingElement,
         total = 0
         for g, e in word.syllables:
             if g not in weights:
-                raise MissingWeightError(f"no abelianization weight for {g!r}")
+                raise MissingWeightError(f"no abelianization weight for {quoted(g)}")
             total += e * weights[g]
         out[total] = out.get(total, 0) + coeff
     return LaurentPoly(out)

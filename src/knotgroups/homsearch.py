@@ -56,6 +56,7 @@ from .errors import (
     NotAMemberError,
     UnknownGeneratorError,
     UnknownMarkerError,
+    quoted,
 )
 from .permgroups import FiniteGroup, IndexForm, Permutation, are_conjugate, product_exceeds
 from .presentations import Presentation
@@ -95,7 +96,7 @@ def check_constraint(presentation: Presentation, group: FiniteGroup,
     out = {}
     for gen, value in pins.items():
         if gen not in presentation.generators:
-            raise UnknownGeneratorError(f"pinned generator {gen!r} not declared")
+            raise UnknownGeneratorError(f"pinned generator {quoted(gen)} not declared")
         if value not in group:
             raise NotAMemberError(
                 f"pinned value {value} is not an element of {group.label}"
@@ -289,7 +290,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
                 f"{MAX_NAIVE_ASSIGNMENTS}"
             )
     if mode not in ("naive", "backtrack"):
-        raise InvalidParameterError(f"unknown search mode {mode!r}")
+        raise InvalidParameterError(f"unknown search mode {quoted(mode)}")
 
     form = group.index_form
     n, products = form.order, form.products
@@ -385,7 +386,7 @@ def meridian_search(presentation: Presentation, marker: str,
     """
     if marker not in presentation.markers:
         raise UnknownMarkerError(
-            f"no marker {marker!r}; have {sorted(presentation.markers)}"
+            f"no marker {quoted(marker)}; have {quoted(sorted(presentation.markers))}"
         )
     if sigma not in group:
         raise NotAMemberError(f"{sigma} is not an element of {group.label}")

@@ -26,6 +26,7 @@ from .errors import (
     InvalidParameterError,
     ZeroPolynomialError,
     checked_int,
+    quoted,
 )
 
 
@@ -375,7 +376,7 @@ def parse_laurent(text: str) -> LaurentPoly:
     """Parse the text form emitted by :func:`format_laurent`."""
     s = text.strip()
     if not re.fullmatch(_LAURENT, s):
-        raise InvalidParameterError(f"cannot parse Laurent text {text!r}")
+        raise InvalidParameterError(f"cannot parse Laurent text {quoted(text)}")
     out: Dict[int, int] = {}
     try:
         for sign, coeff, exp, constant in re.findall(_SIGNED_TERM, s):

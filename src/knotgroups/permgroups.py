@@ -10,11 +10,11 @@ Conjugacy and homomorphism *counts* do not depend on the convention, but
 whether a *specific* generator assignment satisfies a relator does.
 
 Groups are tiny here (at most ``MAX_GROUP_ORDER`` = 10^6 elements, and at
-most ``MAX_GROUP_POINTS`` = 10^7 points over all elements), so they are
-materialized as explicit element lists; the homomorphism search needs the
-element list anyway, and conjugacy can then be decided by exhaustive search
-rather than cycle type, which matters in alternating groups where classes
-split.  For the search, a group also has an index form (``IndexForm``)
+most ``MAX_GROUP_POINTS`` = 10^7 points, about 80 MB of image tuples), so
+they are materialized as explicit element lists; the homomorphism search
+needs the element list anyway, and conjugacy can then be decided by
+exhaustive search rather than cycle type, which matters in alternating
+groups where classes split.  For the search, a group also has an index form (``IndexForm``)
 that multiplies element indices instead of permutations.
 
 Points are 0-based internally; all I/O uses 1-based cycle notation such as
@@ -41,13 +41,16 @@ from .errors import (
     GroupTooLargeError,
     InvalidParameterError,
     NotAMemberError,
+    quoted,
 )
 
 # Most elements a group may have; read at each build, never passed per call.
 MAX_GROUP_ORDER = 10**6
 
-# Most points a group may hold, order times degree: this bounds the memory of
-# the degree-long image tuples (S9 on its 9 points holds 3.3 * 10^6).
+# Most points a group may hold, each an 8-byte slot of an image tuple: order
+# times degree (S9 on its 9 points holds 3.3 * 10^6).  Above 256 points the
+# identity and each generator are built afresh, with a new 32-byte int object
+# per point, so each of their points counts four more (_fresh_points).
 MAX_GROUP_POINTS = 10**7
 
 # Groups up to this order get a full product table (order^2 entries of
@@ -219,7 +222,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation: ``(1,5,4,3,2)``, ``(1,2)(3,4)``, ``()``."""
     s = text.replace(" ", "")
     if s and not re.fullmatch(_LITERAL, s):
-        raise InvalidParameterError(f"bad permutation literal {text!r}")
+        raise InvalidParameterError(f"bad permutation literal {quoted(text)}")
     cycles = [
         [_decimal(p, "a cycle point") for p in cycle.split(",")]
         for cycle in re.findall(r"\d+(?:,\d+)+", s)
@@ -494,11 +497,21 @@ def alternating_group(n: int) -> FiniteGroup:
     return FiniteGroup(n, elems, gens, label=f"A{n}")
 
 
-def _check_degree(degree: int) -> int:
-    if degree > MAX_GROUP_POINTS:
+def _fresh_points(degree: int, generators: int) -> int:
+    """Points beyond order times degree for the identity and ``generators``
+    generators: their new int objects, none up to 256 points, where every
+    image is one of the interpreter's shared small ints."""
+    return 0 if degree <= 256 else 4 * degree * (1 + generators)
+
+
+def _check_degree(degree: int, generators: int) -> None:
+    """Refuse a degree at which the identity and ``generators`` generators
+    alone would pass ``MAX_GROUP_POINTS``, before any of them is built."""
+    points = degree + _fresh_points(degree, generators)
+    if points > MAX_GROUP_POINTS:
         raise GroupTooLargeError(
-            f"degree {degree} exceeds the cap of {MAX_GROUP_POINTS} points")
-    return degree
+            f"degree {degree} exceeds the cap of {MAX_GROUP_POINTS} points: "
+            f"the identity and generators count {points}")
 
 
 def generated_group(degree: int, generators: Sequence[Permutation], *,
@@ -515,8 +528,10 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatchError("generator degree differs from group degree")
-    _check_degree(degree)
-    cap = min(MAX_GROUP_ORDER, MAX_GROUP_POINTS // degree)  # degree points each
+    _check_degree(degree, len(gens))
+    # degree points an element, after the identity's and generators' ints
+    cap = min(MAX_GROUP_ORDER,
+              (MAX_GROUP_POINTS - _fresh_points(degree, len(gens))) // degree)
     pack, table, compose = _packing(degree)
     ident = pack(range(degree))
     seen = {ident: 0}
@@ -549,16 +564,18 @@ def group_from_spec(spec: str) -> FiniteGroup:
     s = spec.strip()
     m = re.fullmatch(r"([SA])(\d+)|gen:(\d+):(.*)", s, re.DOTALL)
     if not m:
-        raise InvalidParameterError(f"bad group spec {spec!r}")
+        raise InvalidParameterError(f"bad group spec {quoted(spec)}")
     kind, n, degree_digits, body = m.groups()
     if kind:
         n = _decimal(n, "a group degree")
         return symmetric_group(n) if kind == "S" else alternating_group(n)
-    degree = _check_degree(_decimal(degree_digits, "a group degree"))
+    degree = _decimal(degree_digits, "a group degree")
     body = body.strip().replace(" ", "")
     if not re.fullmatch(_GEN_LIST, body):
-        raise InvalidParameterError(f"bad group spec {spec!r}")
-    gens = [parse_permutation(lit, degree) for lit in re.findall(_LITERAL, body)]
+        raise InvalidParameterError(f"bad group spec {quoted(spec)}")
+    literals = re.findall(_LITERAL, body)
+    _check_degree(degree, len(literals))  # before any literal is read
+    gens = [parse_permutation(lit, degree) for lit in literals]
     return generated_group(degree, gens, label=s)
 
 

@@ -49,6 +49,7 @@ from .errors import (
     UnknownGeneratorError,
     WordTooLargeError,
     checked_int,
+    quoted,
 )
 from .words import (
     RESERVED_NAME_CHARS,
@@ -85,7 +86,7 @@ class Presentation:
                     "'meridian' is reserved for marker lines"
                 )
             if name in seen:
-                raise DuplicateGeneratorError(f"generator {name!r} declared twice")
+                raise DuplicateGeneratorError(f"generator {quoted(name)} declared twice")
             seen.add(name)
         self.generators = gens
         self._gen_index = {g: i for i, g in enumerate(gens)}
@@ -100,10 +101,10 @@ class Presentation:
         marks: Dict[str, Word] = {}
         for name, w in (markers or {}).items():
             check_generator_name(name)
-            self._check_support(w, f"marker {name!r}")
+            self._check_support(w, f"marker {quoted(name)}")
             if w.is_identity:
                 raise InvalidParameterError(
-                    f"marker {name!r} reduces to the identity word"
+                    f"marker {quoted(name)} reduces to the identity word"
                 )
             marks[name] = w
         self.markers = marks
@@ -112,14 +113,14 @@ class Presentation:
         for g in w.generators():
             if g not in self._gen_index:
                 raise UnknownGeneratorError(
-                    f"{what} uses undeclared generator {g!r}"
+                    f"{what} uses undeclared generator {quoted(g)}"
                 )
 
     def generator_index(self, name: str) -> int:
         try:
             return self._gen_index[name]
         except KeyError:
-            raise UnknownGeneratorError(f"undeclared generator {name!r}") from None
+            raise UnknownGeneratorError(f"undeclared generator {quoted(name)}") from None
 
     def relation_matrix(self) -> list:
         """Exponent-sum matrix, one row per relator, one column per generator."""
@@ -164,9 +165,10 @@ def rbg_family(m: int) -> Presentation:
     if not isinstance(m, int) or m < 1:
         raise InvalidParameterError(f"family parameter must be a positive integer, got {m!r}")
     if 4 * m > MAX_WORD_SYLLABLES:
+        # 4m itself may have more digits than str() prints
         raise WordTooLargeError(
-            f"the powers expand to {4 * m} syllables, over the limit of "
-            f"{MAX_WORD_SYLLABLES}"
+            f"the powers expand to 4m syllables, over the limit of "
+            f"{MAX_WORD_SYLLABLES} for m over {MAX_WORD_SYLLABLES // 4}"
         )
     x, y, a = (Word.generator(g) for g in ("x", "y", "a"))
     yx = y * x
@@ -221,7 +223,7 @@ def _kind(tok: str) -> str:
 
 
 def _found(tok: str) -> str:
-    return repr(tok) if tok else "end of input"
+    return quoted(tok) if tok else "end of input"
 
 
 class _Parser:
@@ -256,7 +258,7 @@ class _Parser:
     def expect_end(self) -> None:
         tok = self.tokens[self.pos]
         if tok:
-            raise self.error(f"unexpected trailing {tok!r}", self.pos)
+            raise self.error(f"unexpected trailing {quoted(tok)}", self.pos)
 
     def exponent(self, index: int) -> int:
         tok = self.tokens[index]
@@ -295,11 +297,11 @@ class _Parser:
         while self.tokens[self.pos]:
             if self.tokens[self.pos] != "meridian":
                 raise self.error("expected a 'meridian' marker line, found "
-                                 f"{self.tokens[self.pos]!r}", self.pos)
+                                 f"{quoted(self.tokens[self.pos])}", self.pos)
             self.pos += 1
             name = self.expect("name", "marker name")
             if name in markers:
-                raise DuplicateGeneratorError(f"marker {name!r} declared twice")
+                raise DuplicateGeneratorError(f"marker {quoted(name)} declared twice")
             self.expect(":", "':'")
             markers[name] = self.parse_word(declared)
         return markers
@@ -329,7 +331,7 @@ class _Parser:
             elif _kind(tok) == "name":
                 line, column = self.where(pos)
                 raise UnknownGeneratorError(
-                    f"undeclared generator {tok!r} (line {line}, column {column})"
+                    f"undeclared generator {quoted(tok)} (line {line}, column {column})"
                 )
             else:
                 raise self.error(f"expected a generator or '(', found {_found(tok)}", pos)

@@ -4,7 +4,9 @@ Every number a user of this package should be able to reproduce lives here,
 in one versioned table, together with the checks that recompute it from
 scratch.  The CLI ``verify`` command and the acceptance test module both
 run exactly these checks, so there is a single source of truth for what
-"working" means.
+"working" means.  The suite is one fixed list: ``run_all()`` runs every
+check, in order, each time.  A check takes no arguments and builds its
+own families and groups, which costs well under a millisecond each.
 
 Each check carries a wall-clock budget; a check that computes the right
 values too slowly still fails.  Randomized checks draw from a fixed seed,
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 from . import homsearch
 from .fox import abelianize_ring_element, alexander_matrix, alexander_polynomial, fox_derivative
@@ -53,27 +55,6 @@ class CheckFailure(Exception):
 
 
 @dataclass
-class Context:
-    """Shared state for one verification run."""
-
-    family_override: Optional[Presentation] = None
-    _groups: Dict[str, FiniteGroup] = field(default_factory=dict)
-    _families: Dict[int, Presentation] = field(default_factory=dict)
-
-    def family(self, m: int) -> Presentation:
-        if m == 1 and self.family_override is not None:
-            return self.family_override
-        if m not in self._families:
-            self._families[m] = rbg_family(m)
-        return self._families[m]
-
-    def group(self, label: str) -> FiniteGroup:
-        if label not in self._groups:
-            self._groups[label] = group_from_spec(label)
-        return self._groups[label]
-
-
-@dataclass
 class CheckOutcome:
     name: str
     passed: bool
@@ -103,8 +84,7 @@ class CheckOutcome:
 class Check:
     name: str
     budget_seconds: float
-    fn: Callable[[Context], None]
-    deep_only: bool = False
+    fn: Callable[[], None]
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -115,9 +95,9 @@ def _expect(condition: bool, message: str) -> None:
 # -- individual checks ---------------------------------------------------------
 
 
-def check_alexander_family_formula(ctx: Context) -> None:
+def check_alexander_family_formula() -> None:
     for m in range(1, 6):
-        poly = alexander_polynomial(ctx.family(m))
+        poly = alexander_polynomial(rbg_family(m))
         want = EXPECTED["family_polynomial"](m).normalize_up_to_units()
         _expect(
             poly == want,
@@ -129,8 +109,8 @@ def check_alexander_family_formula(ctx: Context) -> None:
         )
 
 
-def check_alexander_matrix_entries(ctx: Context) -> None:
-    matrix = alexander_matrix(ctx.family(1))
+def check_alexander_matrix_entries() -> None:
+    matrix = alexander_matrix(rbg_family(1))
     _expect(matrix.shape == (2, 3), f"matrix shape {matrix.shape} != (2, 3)")
     for j, text in enumerate(EXPECTED["matrix_m1_row2"]):
         got, want = matrix[1, j], parse_laurent(text)
@@ -146,20 +126,19 @@ def check_alexander_matrix_entries(ctx: Context) -> None:
         )
 
 
-def _counts_for(ctx: Context, m: int) -> Tuple[int, int]:
-    a5 = ctx.group("A5")
+def _counts_for(m: int) -> Tuple[int, int]:
+    a5 = group_from_spec("A5")
     sigma = parse_permutation(EXPECTED["pinned_element"], 5)
-    fam = ctx.family(m)
+    fam = rbg_family(m)
     count_b = homsearch.meridian_invariant(fam, "meridian_B", a5, sigma, mode="naive")
     count_g = homsearch.meridian_invariant(fam, "meridian_G", a5, sigma, mode="naive")
     return count_b, count_g
 
 
-def _check_representation_counts(ctx: Context, ms: Tuple[int, ...],
-                                 first_budget: float) -> None:
+def _check_representation_counts(ms: Tuple[int, ...], first_budget: float) -> None:
     for i, m in enumerate(ms):
         start = time.perf_counter()
-        count_b, count_g = _counts_for(ctx, m)
+        count_b, count_g = _counts_for(m)
         elapsed = time.perf_counter() - start
         _expect(
             count_b == EXPECTED["meridian_B_count"],
@@ -173,12 +152,12 @@ def _check_representation_counts(ctx: Context, ms: Tuple[int, ...],
         _expect(elapsed <= budget, f"m={m}: took {elapsed:.2f}s > {budget:.0f}s")
 
 
-def check_representation_counts(ctx: Context) -> None:
-    _check_representation_counts(ctx, (1, 61), first_budget=1.0)
+def check_representation_counts() -> None:
+    _check_representation_counts((1, 61), first_budget=1.0)
 
 
-def check_representation_counts_deep(ctx: Context) -> None:
-    _check_representation_counts(ctx, (121, 181), first_budget=60.0)
+def check_representation_counts_deep() -> None:
+    _check_representation_counts((121, 181), first_budget=60.0)
 
 
 def _random_word(rng: random.Random, gens: Tuple[str, ...],
@@ -190,10 +169,10 @@ def _random_word(rng: random.Random, gens: Tuple[str, ...],
     return Word(raw)
 
 
-def check_mode_parity(ctx: Context) -> None:
-    a5 = ctx.group("A5")
+def check_mode_parity() -> None:
+    a5 = group_from_spec("A5")
     sigma = parse_permutation(EXPECTED["pinned_element"], 5)
-    f1 = ctx.family(1)
+    f1 = rbg_family(1)
     for gen in ("x", "a"):
         naive = homsearch.count_homs(f1, a5, {gen: sigma}, mode="naive").count
         back = homsearch.count_homs(f1, a5, {gen: sigma}, mode="backtrack").count
@@ -201,13 +180,13 @@ def check_mode_parity(ctx: Context) -> None:
             naive == back,
             f"family m=1, pin {gen}: naive {naive} != backtrack {back}",
         )
-    s3 = ctx.group("S3")
+    s3 = group_from_spec("S3")
     torsion = parse("< x | x^2 >")
     naive = homsearch.count_homs(torsion, s3, mode="naive").count
     back = homsearch.count_homs(torsion, s3, mode="backtrack").count
     _expect(naive == back == 4, f"< x | x^2 > into S3: naive {naive}, backtrack {back}")
 
-    s4 = ctx.group("S4")
+    s4 = group_from_spec("S4")
     rng = random.Random(RNG_SEED)
     gens = ("u", "v")
     for trial in range(50):
@@ -224,14 +203,14 @@ def check_mode_parity(ctx: Context) -> None:
         )
 
 
-def check_explicit_homomorphism(ctx: Context) -> None:
-    a5 = ctx.group("A5")
+def check_explicit_homomorphism() -> None:
+    a5 = group_from_spec("A5")
     assignment = {
         g: parse_permutation(text, 5) for g, text in EXPECTED["explicit_hom"].items()
     }
     sigma = parse_permutation(EXPECTED["pinned_element"], 5)
     for m in (1, 61):
-        fam = ctx.family(m)
+        fam = rbg_family(m)
         _expect(
             homsearch.is_homomorphism(fam, a5, assignment),
             f"m={m}: assignment is not a homomorphism",
@@ -248,7 +227,7 @@ def check_explicit_homomorphism(ctx: Context) -> None:
     )
 
 
-def _pin_buckets(ctx: Context, pres: Presentation, group: FiniteGroup) -> Dict:
+def _pin_buckets(pres: Presentation, group: FiniteGroup) -> Dict:
     """For every generator, the map (pinned value -> hom count), computed
     from one unconstrained enumeration."""
     result = homsearch.count_homs(pres, group, mode="backtrack", materialize=True)
@@ -260,37 +239,29 @@ def _pin_buckets(ctx: Context, pres: Presentation, group: FiniteGroup) -> Dict:
     return buckets
 
 
-def check_count_periodicity(ctx: Context) -> None:
-    cache: Dict[Tuple[str, int], Dict] = {}
-
-    def buckets(label: str, m: int) -> Dict:
-        key = (label, m)
-        if key not in cache:
-            cache[key] = _pin_buckets(ctx, ctx.family(m), ctx.group(label))
-        return cache[key]
-
+def check_count_periodicity() -> None:
     for label in ("S3", "A4", "A5"):
-        period = ctx.group(label).order
+        group = group_from_spec(label)
         for m in (1, 2, 3):
-            base = buckets(label, m)
+            base = _pin_buckets(rbg_family(m), group)
             for k in (1, 2):
-                shifted = buckets(label, m + period * k)
+                shifted = _pin_buckets(rbg_family(m + group.order * k), group)
                 _expect(
                     base == shifted,
                     f"{label}: pinned counts differ between m={m} "
-                    f"and m={m + period * k}",
+                    f"and m={m + group.order * k}",
                 )
 
 
-def check_breadths_distinct(ctx: Context) -> None:
-    breadths = [alexander_polynomial(ctx.family(m)).breadth() for m in range(1, 6)]
+def check_breadths_distinct() -> None:
+    breadths = [alexander_polynomial(rbg_family(m)).breadth() for m in range(1, 6)]
     _expect(
         len(set(breadths)) == len(breadths),
         f"breadths not pairwise distinct: {breadths}",
     )
 
 
-def check_property_suites(ctx: Context) -> None:
+def check_property_suites() -> None:
     rng = random.Random(RNG_SEED + 1)
     gens = ("x", "y", "a")
 
@@ -347,8 +318,8 @@ def check_property_suites(ctx: Context) -> None:
 
     # hom-count partition: summing the pinned counts over all images of the
     # meridian recovers the total number of homomorphisms
-    a4 = ctx.group("A4")
-    f1 = ctx.family(1)
+    a4 = group_from_spec("A4")
+    f1 = rbg_family(1)
     total = homsearch.count_homs(f1, a4).count
     parts = sum(
         homsearch.meridian_invariant(f1, "meridian_B", a4, sigma)
@@ -357,7 +328,7 @@ def check_property_suites(ctx: Context) -> None:
     _expect(parts == total, f"partition identity: sum {parts} != total {total}")
 
     # a pinned listing holds as many homomorphisms as its count says
-    a5 = ctx.group("A5")
+    a5 = group_from_spec("A5")
     sigma = parse_permutation(EXPECTED["pinned_element"], 5)
     result = homsearch.count_homs(f1, a5, {"x": sigma}, materialize=True)
     _expect(
@@ -375,8 +346,7 @@ CHECKS: List[Check] = [
     Check("alexander-family-formula", 1.0, check_alexander_family_formula),
     Check("alexander-matrix-entries", 1.0, check_alexander_matrix_entries),
     Check("representation-counts", 61.0, check_representation_counts),
-    Check("representation-counts-deep", 120.0, check_representation_counts_deep,
-          deep_only=True),
+    Check("representation-counts-deep", 120.0, check_representation_counts_deep),
     Check("mode-parity-oracle", 60.0, check_mode_parity),
     Check("explicit-homomorphism", 1.0, check_explicit_homomorphism),
     Check("count-periodicity", 300.0, check_count_periodicity),
@@ -385,10 +355,10 @@ CHECKS: List[Check] = [
 ]
 
 
-def run_check(check: Check, ctx: Context) -> CheckOutcome:
+def run_check(check: Check) -> CheckOutcome:
     start = time.perf_counter()
     try:
-        check.fn(ctx)
+        check.fn()
         passed, detail = True, ""
     except CheckFailure as exc:
         passed, detail = False, str(exc)
@@ -398,12 +368,5 @@ def run_check(check: Check, ctx: Context) -> CheckOutcome:
     return CheckOutcome(check.name, passed, seconds, check.budget_seconds, detail)
 
 
-def run_all(deep: bool = False,
-            family_override: Optional[Presentation] = None) -> List[CheckOutcome]:
-    ctx = Context(family_override=family_override)
-    outcomes = []
-    for check in CHECKS:
-        if check.deep_only and not deep:
-            continue
-        outcomes.append(run_check(check, ctx))
-    return outcomes
+def run_all() -> List[CheckOutcome]:
+    return [run_check(check) for check in CHECKS]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Tuple
 
-from .errors import InvalidParameterError, MissingImageError
+from .errors import InvalidParameterError, MissingImageError, quoted
 
 Syllable = Tuple[str, int]
 
@@ -45,7 +45,7 @@ def check_generator_name(name: str) -> str:
     name rule."""
     if not is_generator_name(name):
         raise InvalidParameterError(
-            f"invalid name {name!r}: names are nonempty, contain no whitespace "
+            f"invalid name {quoted(name)}: names are nonempty, contain no whitespace "
             f"or any of {''.join(sorted(RESERVED_NAME_CHARS))}, and do not begin "
             "with a decimal digit or '-'"
         )
@@ -222,7 +222,7 @@ class Word:
             try:
                 image = images[g]
             except KeyError:
-                raise MissingImageError(f"no image given for generator {g!r}") from None
+                raise MissingImageError(f"no image given for generator {quoted(g)}") from None
             acc = acc * image**e
         return acc
 

@@ -12,7 +12,7 @@ Criteria covered:
 2. the m=1 derivative matrix entries (second row exact, first row exact in
    the stored-relator convention and associate to the rotated form)
 3. meridian-pinned representation counts into A5 are 6 and 1 for
-   m in {1, 61}, and (deep) m in {121, 181}
+   m in {1, 61}, and (3-deep) m in {121, 181}
 4. naive product enumeration and backtracking agree everywhere sampled
 5. the explicit generator assignment is a homomorphism whose x and a
    images are non-conjugate, while the pinned 5-cycle is conjugate to its
@@ -44,19 +44,13 @@ CRITERIA = [
 CHECK_BY_NAME = {check.name: check for check in verification.CHECKS}
 
 
-@pytest.fixture(scope="module")
-def ctx():
-    # shared context caches groups and family presentations across criteria
-    return verification.Context()
-
-
 @pytest.mark.parametrize(
     "criterion, name",
     CRITERIA,
     ids=[f"criterion-{num}" for num, _ in CRITERIA],
 )
-def test_acceptance(criterion, name, ctx):
-    outcome = verification.run_check(CHECK_BY_NAME[name], ctx)
+def test_acceptance(criterion, name):
+    outcome = verification.run_check(CHECK_BY_NAME[name])
     print(f"ACCEPTANCE criterion {criterion} :: {outcome.status_line()}")
     assert outcome.passed, f"criterion {criterion}: {outcome.detail}"
     assert outcome.within_budget, (

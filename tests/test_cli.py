@@ -7,6 +7,8 @@ import time
 import pytest
 
 from knotgroups import cli, fox, homsearch, verification
+from knotgroups.errors import InvalidParameterError
+from knotgroups.laurent import parse_laurent
 from knotgroups.presentations import Presentation, parse, rbg_family
 from knotgroups.words import Word
 from test_knot_symmetry import wirtinger_torus
@@ -60,8 +62,7 @@ class TestParseCommand:
         path = tmp_path / "latin.pres"
         path.write_bytes(b"\xff< x | >\n")
         for argv in (["parse", str(path)], ["alex", str(path)],
-                     ["count", str(path), "--group", "A5"],
-                     ["verify", "--override", str(path)]):
+                     ["count", str(path), "--group", "A5"]):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
@@ -419,18 +420,23 @@ class TestCountCommand:
         code, out, err = run(capsys, "count", path, "--group", "gen:300000000:[(1,2)]")
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (3, "")
-        assert err == "error: degree 300000000 exceeds the cap of 10000000 points\n"
+        # the identity and the generator hold a new int per point, four
+        # points more each: 300000000 * (1 + 4 * 2)
+        assert err == ("error: degree 300000000 exceeds the cap of 10000000 points: "
+                       "the identity and generators count 2700000000\n")
 
     def test_wide_group_past_the_point_cap_exits_3(self, tmp_path, capsys):
         # S9 on 1000 points is under the order cap, but its elements would
-        # hold 3.6 * 10^8 points; the walk stops at 10^4 elements
+        # hold 3.6 * 10^8 points; the walk stops at 9988 elements, the 10^7
+        # points less the 4 * 1000 * 3 points of the new ints of the
+        # identity and the two generators, over 1000 points each
         path = write(tmp_path, "f1.pres", FAMILY_M1)
         started = time.perf_counter()
         code, out, err = run(capsys, "count", path, "--group",
                              "gen:1000:[(1,2,3,4,5,6,7,8,9),(1,2)]")
         assert time.perf_counter() - started < 2.0
         assert (code, out) == (3, "")
-        assert err.startswith("error: generated group exceeds cap 10000 ")
+        assert err.startswith("error: generated group exceeds cap 9988 ")
         assert err.count("\n") == 1
 
     def test_pin_on_last_generator_lists_in_declaration_order(self, tmp_path, capsys):
@@ -481,6 +487,26 @@ class TestFamilyCommand:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("m", ["1_0", "+3", " 3", "\u0663x", "three", "-3"])
+    def test_m_is_decimal_digits(self, capsys, m):
+        # int() alone would read '1_0' as 10 and ' +3' as 3
+        code, out, err = run(capsys, "family", "--m", m)
+        assert (code, out) == (2, "")
+        assert err == f"error: --m takes decimal digits, got {m!r}\n"
+
+    def test_m_past_the_digit_limit_exits_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "family", "--m", "9" * (limit + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: --m has more than {limit} digits\n"
+        # at the limit, 4m has one digit more than str() prints
+        code, out, err = run(capsys, "family", "--m", "9" * limit)
+        assert (code, out) == (3, "")
+        assert "syllables" in err and err.count("\n") == 1
+
+    def test_m181_matches_library(self, capsys):
+        assert run(capsys, "family", "--m", "181") == (0, rbg_family(181).render(), "")
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "f.pres"
         code, out, err = run(capsys, "family", "--m", "1", "--out", str(out_path))
@@ -529,24 +555,31 @@ class TestVerifyCommand:
         names = [c["name"] for c in report["results"]["checks"]]
         assert names == [c.name for c in quick_checks]
 
-    def test_corrupted_override_fails_named_check(self, tmp_path, capsys,
-                                                  quick_checks):
-        # same generators and markers, but a tampered first relator
-        corrupted = (
+    def test_json_runs_every_check(self, capsys):
+        code, out, _ = run(capsys, "verify", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["inputs"] == {"expectations_version": "1"}
+        assert report["results"]["all_ok"] is True
+        names = [c["name"] for c in report["results"]["checks"]]
+        assert names == [c.name for c in verification.CHECKS]
+        assert "representation-counts-deep" in names
+
+    def test_tampered_family_fails_named_check(self, capsys, monkeypatch,
+                                               quick_checks):
+        # same generators and markers, but a tampered first relator at m = 1
+        tampered = parse(
             "< x, y, a | y*x*y*x^-1*y^-1*x^-2, x^-1*a*x*a^-1*x^-1*y*a*y^-1 >\n"
             "meridian meridian_B: x\nmeridian meridian_G: a\n"
         )
-        path = write(tmp_path, "bad_family.pres", corrupted)
-        code, out, _ = run(capsys, "verify", "--override", path)
+        monkeypatch.setattr(verification, "rbg_family",
+                            lambda m: tampered if m == 1 else rbg_family(m))
+        code, out, _ = run(capsys, "verify")
         assert code == 1
         assert any(
             line.startswith("FAIL alexander-family-formula")
             for line in out.splitlines()
         )
-
-    def test_unreadable_override_exits_2(self, capsys, quick_checks):
-        code, _, _ = run(capsys, "verify", "--override", "/nonexistent.pres")
-        assert code == 2
 
 
 def parse_outcome(parse_args, argv, capsys):
@@ -606,6 +639,8 @@ class TestCommandParser:
         ("count", "f.pres", "--group", "A5", "--no-such-option"),
         ("count", "f.pres", "--group", "A5", "--marker", "m=(1,2)", "--jobs", "2"),
         ("verify", "--deep", "--jobs", "2"),
+        ("verify", "--deep"),
+        ("verify", "--override", "f"),
         ("count", "f.pres", "--group", "A5", "--j", "1"),  # --j is --json
         ("--no-such-option", "alex", "f.pres"),
         # no command
@@ -639,3 +674,65 @@ class TestCommandParser:
                 helps.append(capsys.readouterr().out)
             assert helps[0] == helps[1]
             assert helps[0].startswith(" ".join(["usage: knotgroups"] + command))
+
+
+class TestLongInputErrors:
+    """A refusal that quotes user input quotes at most its first
+    ``QUOTE_LIMIT`` characters, so that its error stays one short line."""
+
+    LONG = 100_000
+
+    @pytest.mark.parametrize("argv", [
+        ("--group", "gen:5:[(1,2)" + "x" * LONG + "]"),
+        ("--group", "A5", "--pin", "x" * LONG),
+        ("--group", "A5", "--pin", "x=(1,2" + ",3" * LONG),
+        ("--group", "A5", "--pin", "x" * LONG + "=(1,2,3)"),
+        ("--group", "A5", "--pin", "x" * LONG + "=(1,2,3)", "--pin", "x" * LONG + "=()"),
+        ("--group", "A5", "--marker", "m" * LONG),
+        ("--group", "A5", "--marker", "meridian_B=(1,2" + "," * LONG + ")"),
+        ("--group", "A5", "--marker", "m" * LONG + "=(1,2,3)"),
+    ], ids=["group", "pin-binding", "pin-literal", "pinned-name", "pinned-twice",
+            "marker-binding", "marker-literal", "marker-name"])
+    def test_count_option(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        code, out, err = run(capsys, "count", path, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+        assert " characters)" in err
+
+    @pytest.mark.parametrize("text", [
+        "< x | x*" + "y" * LONG + " >\n",                       # undeclared name
+        "< x | x >\n" + "z" * LONG,                             # stray token
+        "< x | x > " + "y" * LONG + "\n",                       # not a marker line
+        "< x, " + "y" * LONG + ", " + "y" * LONG + " | x >\n",  # declared twice
+        "< x | x >\nmeridian " + "m" * LONG + ": x\nmeridian " + "m" * LONG + ": x\n",
+        "< x | x^" + "\u00e9" * LONG + " >\n",                 # not an exponent
+        "< x | " + "\U0001d538" * LONG + " >\n",               # undeclared, 4-byte
+    ], ids=["undeclared", "trailing", "marker-line", "generator-twice",
+            "marker-twice", "exponent", "wide-characters"])
+    def test_presentation_file(self, tmp_path, capsys, text):
+        path = write(tmp_path, "long.pres", text)
+        code, out, err = run(capsys, "parse", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+        assert f"... ({self.LONG + 2} characters)" in err  # the quotes too
+
+    def test_laurent_text(self):
+        text = "1 + t^" + "x" * self.LONG
+        with pytest.raises(InvalidParameterError) as exc:
+            parse_laurent(text)
+        assert len(str(exc.value).encode()) < 300
+        assert str(exc.value).endswith(f"... ({len(text) + 2} characters)")
+
+    def test_short_input_is_quoted_whole(self, tmp_path, capsys):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        spec = "gen:5:[" + "x" * 71 + "]"  # 79 characters, 81 quoted
+        code, _, err = run(capsys, "count", path, "--group", spec)
+        assert code == 2
+        assert err == "error: bad group spec " + repr(spec)[:80] + "... (81 characters)\n"
+        spec = spec[:-2] + "]"  # 78 characters, 80 quoted
+        code, _, err = run(capsys, "count", path, "--group", spec)
+        assert code == 2
+        assert err == f"error: bad group spec {spec!r}\n"

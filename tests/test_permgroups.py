@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from array import array
 from itertools import permutations
 
@@ -226,6 +227,40 @@ class TestBuild:
             group_from_spec("gen:11:[(12,13)]")
         with pytest.raises(GroupTooLargeError, match="degree 11 exceeds the cap of 10 points"):
             generated_group(11, [])
+
+    def test_fresh_points_above_256_count_five_times(self, point_cap):
+        # above 256 points the identity and each generator hold a new int
+        # object per point: 300 + 4 * 300 = 1500 points for the identity
+        point_cap(1500)
+        assert group_from_spec("gen:300:[]").order == 1
+        point_cap(1499)
+        # refused before the generator is read: it would be out of range
+        with pytest.raises(GroupTooLargeError,
+                           match="degree 300 exceeds the cap of 1499 points: "
+                                 "the identity and generators count 1500$"):
+            group_from_spec("gen:300:[]")
+        with pytest.raises(GroupTooLargeError, match="generators count 2700$"):
+            group_from_spec("gen:300:[(301,302)]")
+        with pytest.raises(GroupTooLargeError, match="generators count 1500$"):
+            generated_group(300, [])
+        # one generator: 2 * 300 slots of the elements and 4 * 2 * 300 ints
+        swap = parse_permutation("(1,2)", 300)
+        point_cap(3000)
+        assert group_from_spec("gen:300:[(1,2)]").order == 2
+        assert generated_group(300, [swap]).order == 2
+        point_cap(2999)
+        with pytest.raises(GroupTooLargeError, match="exceeds cap 1 "):
+            group_from_spec("gen:300:[(1,2)]")
+        # at 256 points every image is a shared small int: one point each
+        point_cap(256)
+        assert group_from_spec("gen:256:[]").order == 1
+
+    def test_trivial_group_on_ten_million_points_refused_quickly(self):
+        # 10^7 new ints would take about 400 MB; nothing is built
+        started = time.perf_counter()
+        with pytest.raises(GroupTooLargeError, match="generators count 50000000$"):
+            group_from_spec("gen:10000000:[]")
+        assert time.perf_counter() - started < 1.0
 
     def test_closure_property(self):
         g = generated_group(4, [parse_permutation("(1,2,3)", 4)])
