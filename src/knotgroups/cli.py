@@ -31,13 +31,13 @@ from .errors import (
     CountTooLargeError,
     InputError,
     InvalidParameterError,
-    KnotGroupsError,
     ResourceError,
     quoted,
+    read_decimal,
 )
 from .fox import alexander_polynomial
 from .homsearch import count_homs, meridian_search
-from .permgroups import _decimal, group_from_spec, parse_permutation
+from .permgroups import group_from_spec, parse_permutation
 from .presentations import parse, rbg_family
 
 EXIT_OK = 0
@@ -174,7 +174,7 @@ def cmd_family(args) -> int:
     # would also take a sign, surrounding spaces and '_'
     if not args.m.isdecimal():
         raise InvalidParameterError(f"--m takes decimal digits, got {quoted(args.m)}")
-    text = rbg_family(_decimal(args.m, "--m")).render()
+    text = rbg_family(read_decimal(args.m, "--m has more than {} digits")).render()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -314,9 +314,6 @@ def main(argv: Optional[list] = None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except KnotGroupsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

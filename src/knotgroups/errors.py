@@ -5,6 +5,8 @@ Two broad families matter to callers (and to the CLI exit-code mapping):
 ``ResourceError`` covers explicit refusals to run past a configured bound.
 """
 
+import sys
+
 
 class KnotGroupsError(Exception):
     """Base class for all errors raised by this package."""
@@ -123,6 +125,16 @@ def quoted(value) -> str:
 # policy bound: everything in scope fits comfortably in 64 bits, and a value
 # outside that range signals runaway input rather than a legitimate result.
 CHECKED_INT_MAX = 2**63 - 1
+
+
+def read_decimal(digits: str, refusal: str, error=InvalidParameterError, *where) -> int:
+    """``int(digits)`` for decimal digits, perhaps signed, which int()
+    refuses only past its digit limit: then raise
+    ``error(refusal.format(limit), *where)``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(refusal.format(sys.get_int_max_str_digits()), *where) from None
 
 
 def checked_int(value, context="integer arithmetic"):

@@ -38,10 +38,11 @@ So a search has one kind of pin, a level with a single value, and one kind
 of condition, a relator checked at its last walked level.
 
 Both engines share one evaluator.  Each relator is compiled once per search
-into a program over the group's index form (``FiniteGroup.index_form``): one
-(generator slot, power table) step per syllable.  The search itself is one
-iterative depth-first walk over a list of element indices, so its depth is
-not bounded by the recursion limit.
+into a program over the group's element indices: one (generator slot, power
+table) step per syllable, each step one lookup in the group's product table
+(``FiniteGroup.columns``).  The search itself is one iterative depth-first
+walk over a list of element indices, so its depth is not bounded by the
+recursion limit.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .errors import (
     UnknownMarkerError,
     quoted,
 )
-from .permgroups import FiniteGroup, IndexForm, Permutation, are_conjugate, product_exceeds
+from .permgroups import FiniteGroup, Permutation, are_conjugate, product_exceeds
 from .presentations import Presentation
 from .words import Word
 
@@ -71,7 +72,7 @@ MAX_LISTED_HOMS = 10**5
 
 Assignment = Dict[str, Permutation]
 
-# One (generator slot, IndexForm.powers(exponent)) step per syllable.
+# One (generator slot, FiniteGroup.powers(exponent)) step per syllable.
 Program = Tuple[Tuple[int, Sequence[int]], ...]
 
 
@@ -114,30 +115,31 @@ def is_homomorphism(presentation: Presentation, group: FiniteGroup,
     )
 
 
-def compile_word(word: Word, presentation: Presentation, form: IndexForm) -> Program:
+def compile_word(word: Word, presentation: Presentation, group: FiniteGroup) -> Program:
     """The program of ``word``; slots are generator positions in
     ``presentation``."""
     slots = {g: presentation.generator_index(g) for g in word.generators()}
-    return _compile(word, slots, form)
+    return _compile(word, slots, group)
 
 
-def _compile(word: Word, slots: Mapping[str, int], form: IndexForm) -> Program:
+def _compile(word: Word, slots: Mapping[str, int], group: FiniteGroup) -> Program:
     """The program of ``word`` with generator g read from slot ``slots[g]``."""
-    return tuple((slots[g], form.powers(e)) for g, e in word.syllables)
+    return tuple((slots[g], group.powers(e)) for g, e in word.syllables)
 
 
-def evaluate(program: Program, values: Sequence[int], products: Sequence[int]) -> int:
+def evaluate(program: Program, values: Sequence[int],
+             columns: Sequence[Sequence[int]]) -> int:
     """Index of the compiled word's value when generator slot i has the
-    element of index ``values[i]`` (``products`` of the same IndexForm)."""
+    element of index ``values[i]`` (``columns`` of the same group)."""
     acc = 0
     for slot, powers in program:
-        acc = products[powers[values[slot]] + acc]
+        acc = columns[powers[values[slot]]][acc]
     return acc
 
 
 def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
-          checks: Sequence[Sequence[Program]], products: Sequence[int],
-          node_budget: int, stats: SearchStats) -> Iterator[List[int]]:
+          checks: Sequence[Sequence[Program]], columns: Sequence[Sequence[int]],
+          stats: SearchStats) -> Iterator[List[int]]:
     """Depth-first walk over index assignments, without recursion.
 
     Level i takes each value in ``values[i]`` in turn, spends a node if
@@ -145,8 +147,10 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
     one fails; a value that passes them all descends to level i + 1.  The
     caller passes one level more than there are generators, with a single
     dummy value; an assignment that passes it is yielded (the live list:
-    copy what you keep).  Counters go to ``stats`` when the walk ends.
+    copy what you keep).  Counters go to ``stats`` when the walk ends, and
+    more than ``MAX_SEARCH_NODES`` nodes are refused.
     """
+    node_budget = MAX_SEARCH_NODES
     last = len(values) - 1
     assignment = [0] * len(values)
     todo = [iter(v) for v in values]
@@ -163,11 +167,11 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
             assignment[level] = value
             for program in checks[level]:
                 relator_checks += 1
-                # evaluate(program, assignment, products), inlined: this
+                # evaluate(program, assignment, columns), inlined: this
                 # loop is where the search spends its time
                 acc = 0
                 for slot, powers in program:
-                    acc = products[powers[assignment[slot]] + acc]
+                    acc = columns[powers[assignment[slot]]][acc]
                 if acc:
                     break
             else:
@@ -191,13 +195,12 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[in
     Otherwise they are picked greedily: in index order, every centralizing
     element outside the subgroup generated so far joins the generators.
     """
-    form = group.index_form
-    n, products = form.order, form.products
+    n, columns = group.order, group.columns
     members: Sequence[int] = range(n)
     for p in fixed:
-        members = [h for h in members if products[n * p + h] == products[n * h + p]]
+        members = [h for h in members if columns[p][h] == columns[h][p]]
     if len(members) == n:
-        return [form.index[s] for s in group.generators if s in form.index]
+        return [group.index[s] for s in group.generators if s in group]
     gens: List[int] = []
     inside = bytearray(n)
     inside[0] = 1
@@ -213,7 +216,7 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[in
             nxt = []
             for x in frontier:
                 for s in gens:
-                    y = products[n * s + x]
+                    y = columns[s][x]
                     if not inside[y]:
                         inside[y] = 1
                         elements.append(y)
@@ -222,7 +225,7 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[in
     return gens
 
 
-def _conjugation_orbits(form: IndexForm, gens: Sequence[int]
+def _conjugation_orbits(group: FiniteGroup, gens: Sequence[int]
                         ) -> Dict[int, List[Tuple[int, int]]]:
     """The orbits of the subgroup generated by ``gens`` acting on A by
     conjugation, x -> h*x*h^-1, found breadth first.
@@ -231,10 +234,9 @@ def _conjugation_orbits(form: IndexForm, gens: Sequence[int]
     increasing order; each orbit lists (point, t) pairs with
     t*rep*t^-1 = point, the representative first with t = 0.
     """
-    n, products, inverse = form.order, form.products, form.powers(-1)
+    n, columns, inverse = group.order, group.columns, group.powers(-1)
     # conj[k][x] = s*x*s^-1 for s = gens[k]: two lookups per entry
-    conj = [[products[n * products[inverse[s] + x] + s] for x in range(n)]
-            for s in gens]
+    conj = [[columns[columns[inverse[s]][x]][s] for x in range(n)] for s in gens]
     seen = bytearray(n)
     orbits: Dict[int, List[Tuple[int, int]]] = {}
     for rep in range(n):
@@ -247,7 +249,7 @@ def _conjugation_orbits(form: IndexForm, gens: Sequence[int]
                 y = table[point]
                 if not seen[y]:
                     seen[y] = 1
-                    orbit.append((y, products[n * t + s]))  # s*t
+                    orbit.append((y, columns[t][s]))  # s*t
         orbits[rep] = orbit
     return orbits
 
@@ -292,8 +294,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     if mode not in ("naive", "backtrack"):
         raise InvalidParameterError(f"unknown search mode {quoted(mode)}")
 
-    form = group.index_form
-    n, products = form.order, form.products
+    n, columns = group.order, group.columns
     stats = SearchStats()
     collected: Optional[List[Assignment]] = [] if materialize else None
     # the walked generators, pinned first; a counting backtrack leaves out
@@ -308,9 +309,9 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     slots = {g: i for i, g in enumerate(walked)}
     # one level per walked generator, then the leaf level with one dummy value
     values: List[Sequence[int]] = [
-        (form.index[pins[g]],) if g in pins else range(n) for g in walked
+        (group.index[pins[g]],) if g in pins else range(n) for g in walked
     ] + [(0,)]
-    relators = [_compile(rel, slots, form) for rel in presentation.relators]
+    relators = [_compile(rel, slots, group) for rel in presentation.relators]
     if mode == "naive":
         counted = [False] * len(walked) + [True]
         checks: List[List[Program]] = [[] for _ in walked] + [relators]
@@ -325,7 +326,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     first = next((i for i, g in enumerate(walked) if g not in pins), None)
     if mode == "backtrack" and first is not None:
         fixed = [v[0] for v in values[:first]]  # the walked pinned images
-        orbits = _conjugation_orbits(form, _centralizer_generators(group, fixed))
+        orbits = _conjugation_orbits(group, _centralizer_generators(group, fixed))
         values[first] = tuple(orbits)
     else:
         first = 0
@@ -333,18 +334,17 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
 
     count = 0
     leaves: List[Tuple[int, ...]] = []
-    inverse = form.powers(-1)
+    inverse = group.powers(-1)
     # a listing walks every generator; its leaves go back to declaration order
     order = [slots[g] for g in presentation.generators] if materialize else []
-    for assignment in _walk(values, counted, checks, products, MAX_SEARCH_NODES, stats):
+    for assignment in _walk(values, counted, checks, columns, stats):
         orbit = orbits[assignment[first]]
         count += len(orbit)
         if collected is not None:
             # one solution per orbit point: the leaf conjugated by t,
             # v -> t*v*t^-1
             leaves.extend(
-                tuple(products[n * products[inverse[t] + assignment[i]] + t]
-                      for i in order)
+                tuple(columns[columns[inverse[t]][assignment[i]]][t] for i in order)
                 for _, t in orbit
             )
             if len(leaves) > MAX_LISTED_HOMS:
@@ -353,7 +353,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
                 )
     if collected is not None:
         leaves.sort()
-        elements = form.elements
+        elements = group.elements
         collected.extend({g: elements[i] for g, i in zip(presentation.generators, leaf)}
                          for leaf in leaves)
     if count and free:

@@ -17,7 +17,6 @@ InvalidParameterError.
 from __future__ import annotations
 
 import re
-import sys
 from math import gcd as igcd
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -27,6 +26,7 @@ from .errors import (
     ZeroPolynomialError,
     checked_int,
     quoted,
+    read_decimal,
 )
 
 
@@ -378,12 +378,9 @@ def parse_laurent(text: str) -> LaurentPoly:
     if not re.fullmatch(_LAURENT, s):
         raise InvalidParameterError(f"cannot parse Laurent text {quoted(text)}")
     out: Dict[int, int] = {}
-    try:
-        for sign, coeff, exp, constant in re.findall(_SIGNED_TERM, s):
-            e = int(exp) if exp else 0 if constant else 1
-            c = int(constant or coeff or 1)
-            out[e] = out.get(e, 0) + (-c if sign == "-" else c)
-    except ValueError:  # int() refuses digits only past its digit limit
-        raise InvalidParameterError(f"Laurent text has a number of more than "
-                                    f"{sys.get_int_max_str_digits()} digits") from None
+    refusal = "Laurent text has a number of more than {} digits"
+    for sign, coeff, exp, constant in re.findall(_SIGNED_TERM, s):
+        e = read_decimal(exp, refusal) if exp else 0 if constant else 1
+        c = read_decimal(constant or coeff or "1", refusal)
+        out[e] = out.get(e, 0) + (-c if sign == "-" else c)
     return LaurentPoly(out)

@@ -10,12 +10,12 @@ Conjugacy and homomorphism *counts* do not depend on the convention, but
 whether a *specific* generator assignment satisfies a relator does.
 
 Groups are tiny here (at most ``MAX_GROUP_ORDER`` = 10^6 elements, and at
-most ``MAX_GROUP_POINTS`` = 10^7 points, about 80 MB of image tuples), so
-they are materialized as explicit element lists; the homomorphism search
-needs the element list anyway, and conjugacy can then be decided by
-exhaustive search rather than cycle type, which matters in alternating
-groups where classes split.  For the search, a group also has an index form (``IndexForm``)
-that multiplies element indices instead of permutations.
+most ``MAX_GROUP_POINTS`` = 10^7 image slots), so they are materialized as
+explicit element lists; the homomorphism search needs the element list
+anyway, and conjugacy can then be decided by exhaustive search rather than
+cycle type, which matters in alternating groups where classes split.  For
+the search, a group also multiplies its elements by index, through a
+product table (``FiniteGroup.columns``).
 
 Points are 0-based internally; all I/O uses 1-based cycle notation such as
 ``(1,5,4,3,2)``, with ``()`` for the identity.  A literal (spaces removed)
@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import re
 import struct
-import sys
 from array import array
 from itertools import accumulate, compress, permutations as _all_perms, product
 from math import lcm
 from operator import itemgetter, mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegreeMismatchError,
@@ -42,6 +41,7 @@ from .errors import (
     InvalidParameterError,
     NotAMemberError,
     quoted,
+    read_decimal,
 )
 
 # Most elements a group may have; read at each build, never passed per call.
@@ -50,7 +50,9 @@ MAX_GROUP_ORDER = 10**6
 # Most points a group may hold, each an 8-byte slot of an image tuple: order
 # times degree (S9 on its 9 points holds 3.3 * 10^6).  Above 256 points the
 # identity and each generator are built afresh, with a new 32-byte int object
-# per point, so each of their points counts four more (_fresh_points).
+# per point, so each of their points counts four more (_fresh_points).  This
+# bounds the slots, not the per-element objects around them: S9 holds 26 MB
+# of slots but its build peaks at 184 MB.
 MAX_GROUP_POINTS = 10**7
 
 # Groups up to this order get a full product table (order^2 entries of
@@ -208,23 +210,13 @@ _LITERAL = r"\(\)|(?:\(\d+(?:,\d+)+\))+"
 _GEN_LIST = rf"\[(?:(?:{_LITERAL})(?:,(?:{_LITERAL}))*)?\]"
 
 
-def _decimal(digits: str, what: str) -> int:
-    # int() refuses a run of decimal digits only past its digit limit
-    try:
-        return int(digits)
-    except ValueError:
-        raise InvalidParameterError(
-            f"{what} has more than {sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation: ``(1,5,4,3,2)``, ``(1,2)(3,4)``, ``()``."""
     s = text.replace(" ", "")
     if s and not re.fullmatch(_LITERAL, s):
         raise InvalidParameterError(f"bad permutation literal {quoted(text)}")
     cycles = [
-        [_decimal(p, "a cycle point") for p in cycle.split(",")]
+        [read_decimal(p, "a cycle point has more than {} digits") for p in cycle.split(",")]
         for cycle in re.findall(r"\d+(?:,\d+)+", s)
     ]
     return Permutation.from_cycles(cycles, degree)
@@ -236,7 +228,30 @@ class FiniteGroup:
     The identity is always first; the rest of the list is in a fixed,
     deterministic order so that searches iterating over elements are
     reproducible.  Instances are immutable after construction, apart from
-    the index form, which is built on first use.
+    the product and power tables, which are built on first use.
+
+    For the search, elements are also their indices 0..n-1 in the list
+    (``index`` maps an element to its index; 0 is the identity), and a
+    word is evaluated by folding left to right over two lookups:
+
+    * ``columns[b][a]`` is the index of ``elements[a] * elements[b]``;
+    * ``powers(e)[i]`` is the index of ``elements[i] ** e``,
+
+    so one syllable ``g^e`` with g's image at index i turns an accumulated
+    index ``acc`` into ``columns[powers(e)[i]][acc]``.
+
+    Up to ``TABLE_MAX_ORDER`` each column is stored: one byte per entry up
+    to order 256, two bytes above.  The column for b (all a*b) is derived
+    from the column of b's parent p in a breadth-first walk over right
+    multiplication by the group's generators, b = p*s: then a*b = (a*p)*s
+    is one lookup in the table of right multiplication by s.  A column is a
+    permutation of the indices, so it composes as one (``_packing``): a
+    whole column is one C-level pass.  The tables of right multiplication
+    cost n*k compositions of image tuples for k generators, none when the
+    group was built by a walk that recorded them (``generated_group``).
+    Elements the generators do not reach get their column from direct
+    products.  Above the limit, products and powers are composed on the
+    fly from the permutations.
     """
 
     def __init__(self, degree: int, elements: Sequence[Permutation],
@@ -253,18 +268,15 @@ class FiniteGroup:
         self.elements = elems
         self.generators = tuple(generators)
         self.label = label or f"gen:{degree}"
-        self._index = index
+        self.index = index
         # per generator s, the index of elements[i] * s at position i, when
         # the builder formed those products anyway (trusted, not checked)
         self._right_products: Optional[List[List[int]]] = None
-        self._index_form: Optional[IndexForm] = None
-
-    @property
-    def index_form(self) -> "IndexForm":
-        """The elements as indices, for fast products (built on first use)."""
-        if self._index_form is None:
-            self._index_form = IndexForm(self)
-        return self._index_form
+        self._columns: Optional[Sequence[Sequence[int]]] = None
+        # per element index i, the indices of i^0, i^1, ... up to its
+        # order; None above TABLE_MAX_ORDER
+        self._cycles: Optional[List[List[int]]] = None
+        self._powers: Dict[int, Sequence[int]] = {}
 
     @property
     def order(self) -> int:
@@ -274,79 +286,48 @@ class FiniteGroup:
     def identity(self) -> Permutation:
         return self.elements[0]
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self._index
+    @property
+    def columns(self) -> Sequence[Sequence[int]]:
+        """The product table, column b holding every a*b (built on first use)."""
+        if self._columns is None:
+            if self.order > TABLE_MAX_ORDER:
+                self._columns = _Products(self.elements)
+            else:
+                self._columns, self._cycles = self._table(), []
+                for i, col in enumerate(self._columns):
+                    cycle, p = [0], i
+                    while p:
+                        cycle.append(p)
+                        p = col[p]
+                    self._cycles.append(cycle)
+        return self._columns
 
-    def __iter__(self):
-        return iter(self.elements)
+    def powers(self, e: int) -> Sequence[int]:
+        """The index of each element's ``e``-th power (cached)."""
+        table = self._powers.get(e)
+        if table is None:
+            columns = self.columns
+            if self._cycles is None:
+                elements = self.elements
+                table = _Composed(lambda i: columns.index_of(elements[i] ** e))
+            else:
+                table = tuple(c[e % len(c)] for c in self._cycles)
+            self._powers[e] = table
+        return table
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup({self.label}, order={self.order})"
-
-
-class IndexForm:
-    """A finite group's elements as the indices 0..n-1 of its element list.
-
-    Index 0 is the identity.  Words are evaluated by folding left to right
-    over two lookups:
-
-    * ``products[n*b + a]`` is the index of ``elements[a] * elements[b]``;
-    * ``powers(e)[i]`` is ``n`` times the index of ``elements[i] ** e``,
-
-    so one syllable ``g^e`` with g's image at index i turns an accumulated
-    index ``acc`` into ``products[powers(e)[i] + acc]``.
-
-    Up to ``TABLE_MAX_ORDER`` the products are a flat table, column after
-    column: one byte per entry up to order 256, two bytes above.  The
-    column for b (all a*b) is derived from the column of b's parent p in a
-    breadth-first walk over right multiplication by the group's
-    generators, b = p*s: then a*b = (a*p)*s is one lookup in the table of
-    right multiplication by s, so a whole column is one C-level pass, a
-    ``bytes.translate`` for byte columns and an ``operator.itemgetter``
-    gather for two-byte ones.  The tables of right multiplication cost n*k
-    compositions of image tuples for k generators (``_packing``), none when
-    the group was built by a walk that recorded them (``generated_group``).
-    Elements the generators do not reach get their column from direct
-    products.  Above the limit, products and powers are composed on the
-    fly from the permutations.
-    """
-
-    def __init__(self, group: FiniteGroup):
-        self.elements = group.elements
-        self.index = group._index
-        self.order = n = len(self.elements)
-        self._powers: Dict[int, Sequence[int]] = {}
-        # per element index i, the indices of i^0, i^1, ... up to its
-        # order; None above TABLE_MAX_ORDER
-        self._cycles: Optional[List[List[int]]] = None
-        if n > TABLE_MAX_ORDER:
-            self.products: Sequence[int] = _Products(self.elements)
-            return
+    def _table(self) -> List[Sequence[int]]:
+        n = self.order
         direct = None
-        rights = group._right_products
+        rights = self._right_products
         if rights is None:
             direct = _Products(self.elements)
-            rights = [direct.column(s) for s in group.generators if s in self.index]
-        # a column is a permutation of the indices, so columns compose like
-        # permutations: col_b = col_p * right_s
-        if n <= 256:
-            pack, compose = bytes, bytes.translate
-            rights = [_byte_table(right) for right in rights]
-            walked_form = None
-        else:
-            # a column is an image tuple while it is the parent of others,
-            # and two bytes per entry once it has been walked
-            pack = tuple
-            pack_column = struct.Struct(f"={n}H").pack
-
-            def compose(col, right):
-                return itemgetter(*col)(right)
-
-            def walked_form(col):
-                return array("H", pack_column(*col))
+            rights = [direct.column(s) for s in self.generators if s in self.index]
+        pack, table, compose = _packing(n)
+        rights = [table(right) for right in rights]
+        # a column above order 256 is an image tuple while it is the parent
+        # of others, and two bytes per entry once it has been walked
+        two_bytes = struct.Struct(f"={n}H").pack
+        store = bytes if n <= 256 else lambda col: array("H", two_bytes(*col))
         cols: List = [None] * n
         cols[0] = pack(range(n))
         walked = [0]
@@ -357,38 +338,24 @@ class IndexForm:
                 if cols[b] is None:
                     cols[b] = compose(cols[p], right)
                     walked.append(b)
-            if walked_form:
-                cols[p] = walked_form(cols[p])
+            cols[p] = store(cols[p])
         for b, col in enumerate(cols):
             if col is None:
                 direct = direct or _Products(self.elements)
-                col = pack(direct.column(self.elements[b]))
-                cols[b] = walked_form(col) if walked_form else col
-        if n <= 256:
-            self.products = b"".join(cols)
-        else:
-            self.products = array("H")
-            for col in cols:
-                self.products.extend(col)
-        cycles = []
-        for i, col in enumerate(cols):
-            cycle, p = [0], i
-            while p:
-                cycle.append(p)
-                p = col[p]
-            cycles.append(cycle)
-        self._cycles = cycles
+                cols[b] = store(direct.column(self.elements[b]))
+        return cols
 
-    def powers(self, e: int) -> Sequence[int]:
-        """``n`` times the index of each element's ``e``-th power (cached)."""
-        table = self._powers.get(e)
-        if table is None:
-            if self._cycles is None:
-                table = _Powers(self.products, e)
-            else:
-                table = tuple(self.order * c[e % len(c)] for c in self._cycles)
-            self._powers[e] = table
-        return table
+    def __contains__(self, p: Permutation) -> bool:
+        return p in self.index
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __repr__(self) -> str:
+        return f"FiniteGroup({self.label}, order={self.order})"
 
 
 def _byte_table(images: Sequence[int]) -> bytes:
@@ -414,8 +381,8 @@ def _packing(degree: int):
 
 class _Products:
     """Products of a group's elements by index, each composed when asked:
-    the ``products`` of an IndexForm above TABLE_MAX_ORDER, and the
-    columns an IndexForm cannot derive from its generators."""
+    the ``columns`` of a group above TABLE_MAX_ORDER, and the columns a
+    table cannot derive from its generators."""
 
     def __init__(self, elements: Sequence[Permutation]):
         self.elements = elements
@@ -439,21 +406,23 @@ class _Products:
         compose, table = self._compose, self._table(s._images)
         return [self._find(compose(a, table)) for a in self._keys]
 
-    def __getitem__(self, k: int) -> int:
-        b, a = divmod(k, len(self.elements))
-        return self._find(self._compose(self._keys[a], self._table(self.elements[b]._images)))
+    def __getitem__(self, b: int) -> "_Composed":
+        """Column b: the index of a*b for every element a, composed when read."""
+        compose, keys = self._compose, self._keys
+        right = self._table(self.elements[b]._images)
+        return _Composed(lambda a: self._find(compose(keys[a], right)))
 
 
-class _Powers(dict):
-    """``powers(e)`` of an IndexForm above TABLE_MAX_ORDER, filled on demand."""
+class _Composed(dict):
+    """A column or power table above TABLE_MAX_ORDER: entry i is
+    ``entry(i)``, computed when first read."""
 
-    def __init__(self, products: _Products, e: int):
+    def __init__(self, entry: Callable[[int], int]):
         super().__init__()
-        self.products, self.e = products, e
+        self.entry = entry
 
     def __missing__(self, i: int) -> int:
-        elements = self.products.elements
-        value = self[i] = len(elements) * self.products.index_of(elements[i] ** self.e)
+        value = self[i] = self.entry(i)
         return value
 
 
@@ -520,7 +489,7 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
 
     Breadth-first closure starting from the identity; element order is the
     deterministic BFS discovery order.  The walk forms every product h*g,
-    so it records their indices for the group's index form.
+    so it records their indices for the group's product table.
     """
     if degree < 1:
         raise InvalidParameterError("degree must be at least 1")
@@ -567,9 +536,9 @@ def group_from_spec(spec: str) -> FiniteGroup:
         raise InvalidParameterError(f"bad group spec {quoted(spec)}")
     kind, n, degree_digits, body = m.groups()
     if kind:
-        n = _decimal(n, "a group degree")
+        n = read_decimal(n, "a group degree has more than {} digits")
         return symmetric_group(n) if kind == "S" else alternating_group(n)
-    degree = _decimal(degree_digits, "a group degree")
+    degree = read_decimal(degree_digits, "a group degree has more than {} digits")
     body = body.strip().replace(" ", "")
     if not re.fullmatch(_GEN_LIST, body):
         raise InvalidParameterError(f"bad group spec {quoted(spec)}")

@@ -38,7 +38,6 @@ than filling memory.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -50,6 +49,7 @@ from .errors import (
     WordTooLargeError,
     checked_int,
     quoted,
+    read_decimal,
 )
 from .words import (
     RESERVED_NAME_CHARS,
@@ -264,11 +264,7 @@ class _Parser:
         tok = self.tokens[index]
         if _kind(tok) != "int":
             raise self.error(f"expected an integer exponent, found {_found(tok)}", index)
-        try:
-            return int(tok)
-        except ValueError:  # a run of digits longer than int() reads
-            raise self.error(f"exponent of more than {sys.get_int_max_str_digits()} "
-                             "digits", index) from None
+        return read_decimal(tok, "exponent of more than {} digits", self.error, index)
 
     # grammar productions -----------------------------------------------
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from knotgroups import cli, fox, homsearch, verification
+from knotgroups import cli, errors, fox, homsearch, verification
 from knotgroups.errors import InvalidParameterError
 from knotgroups.laurent import parse_laurent
 from knotgroups.presentations import Presentation, parse, rbg_family
@@ -27,6 +27,17 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def test_every_error_has_an_exit_code():
+    # main maps InputError to exit 2 and ResourceError to exit 3, and
+    # catches nothing else of the package
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.KnotGroupsError)]
+    assert errors.BudgetExceededError in classes and errors.NotAMemberError in classes
+    for cls in classes:
+        if cls is not errors.KnotGroupsError:
+            assert issubclass(cls, (errors.InputError, errors.ResourceError)), cls
 
 
 class TestParseCommand:
@@ -438,6 +449,22 @@ class TestCountCommand:
         assert (code, out) == (3, "")
         assert err.startswith("error: generated group exceeds cap 9988 ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, args, count, nodes", [
+        # A6, order 360: a product table of two bytes an entry
+        (FAMILY_M1, ("--group", "A6", "--marker", "meridian_B=(1,2,3,4,5)"),
+         31, (1156, 129600)),
+        # S7, order 5040, past TABLE_MAX_ORDER: each product composed when read
+        ("< x, y | x^2, y^3, (x*y)^7 >\n", ("--group", "S7", "--pin", "x=(1,2)(3,4)"),
+         96, (158, 5040)),
+    ], ids=["A6", "S7"])
+    def test_each_table_regime(self, tmp_path, capsys, text, args, count, nodes):
+        path = write(tmp_path, "p.pres", text)
+        for mode, mode_nodes in zip(("backtrack", "naive"), nodes):
+            code, out, _ = run(capsys, "count", path, *args, "--mode", mode, "--json")
+            report = json.loads(out)
+            assert code == 0
+            assert (report["results"]["count"], report["stats"]["nodes"]) == (count, mode_nodes)
 
     def test_pin_on_last_generator_lists_in_declaration_order(self, tmp_path, capsys):
         # a is declared last and walked first; the listing is the unpinned

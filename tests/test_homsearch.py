@@ -355,14 +355,13 @@ class TestCompiledEvaluator:
     def test_random_words_and_assignments(self, group):
         rng = random.Random(2024 + group.order)
         pres = Presentation(self.GENS)
-        form = group.index_form
         for _ in range(40):
             word = _random_word(rng, self.GENS, rng.randint(0, 12),
                                 max_exp=rng.choice((3, 70)))
-            program = compile_word(word, pres, form)
+            program = compile_word(word, pres, group)
             values = [rng.randrange(group.order) for _ in self.GENS]
             images = {g: group.elements[i] for g, i in zip(self.GENS, values)}
-            got = evaluate(program, values, form.products)
+            got = evaluate(program, values, group.columns)
             assert group.elements[got] == word.evaluate(images, group)
 
     @pytest.mark.parametrize("mode", ["naive", "backtrack"])
@@ -513,8 +512,7 @@ class TestOrbitWeightedSearch:
     ], ids=IDS[:4])
     def test_pins_with_trivial_centralizer(self, group, literals):
         values = [parse_permutation(text, group.degree) for text in literals]
-        form = group.index_form
-        assert _centralizer_generators(group, [form.index[v] for v in values]) == []
+        assert _centralizer_generators(group, [group.index[v] for v in values]) == []
         rng = random.Random(400 + group.order)
         for _ in range(10):
             pres = self.random_presentation(rng, 3)
@@ -528,9 +526,8 @@ class TestOrbitWeightedSearch:
         # the centralizer of a central pin is the whole group, which then
         # acts through its own generators
         value = parse_permutation(central, group.degree)
-        form = group.index_form
-        assert (_centralizer_generators(group, [form.index[value]])
-                == [form.index[s] for s in group.generators])
+        assert (_centralizer_generators(group, [group.index[value]])
+                == [group.index[s] for s in group.generators])
         rng = random.Random(500 + group.order)
         for _ in range(10):
             pres = self.random_presentation(rng, 3 if group.order < 60 else 2)

@@ -349,20 +349,19 @@ def test_spec_round_trip(degree_and_images, spaced):
 
 
 class TestIndexForm:
-    """The index form against products and powers of the permutations."""
+    """The group's elements as indices: its product columns and power
+    tables against products and powers of the permutations."""
 
     @staticmethod
     def _assert_matches(group, exponents=(-3, -2, -1, 0, 1, 2, 5, 10**9 + 1)):
-        form = group.index_form
-        n = group.order
-        assert form.order == n
+        columns = group.columns
         for b, pb in enumerate(group.elements):
             for a, pa in enumerate(group.elements):
-                assert group.elements[form.products[n * b + a]] == pa * pb
+                assert group.elements[columns[b][a]] == pa * pb
         for e in exponents:
-            powers = form.powers(e)
+            powers = group.powers(e)
             for i, p in enumerate(group.elements):
-                assert powers[i] == n * group.elements.index(p**e)
+                assert powers[i] == group.elements.index(p**e)
 
     @pytest.mark.parametrize("group", [S4, A5, PSL27], ids=["S4", "A5", "PSL27"])
     def test_table_built_from_generators(self, group):
@@ -376,22 +375,23 @@ class TestIndexForm:
     ])
     def test_both_sides_of_the_table_width_split(self, spec):
         group = group_from_spec(spec)
-        assert isinstance(group.index_form.products, bytes) == (group.order <= 256)
+        assert all(isinstance(col, bytes) == (group.order <= 256) for col in group.columns)
         self._assert_matches(group, exponents=(-1, 2))
 
     def test_sampled_products_at_the_top_of_the_two_byte_range(self):
         # S6, order 720: the full oracle takes n^2 products, so sample the
         # table and check two power tables in full
         group = group_from_spec("S6")
-        form, n, elems = group.index_form, group.order, group.elements
-        assert isinstance(form.products, array) and form.products.typecode == "H"
-        assert len(form.products) == n * n
+        columns, n, elems = group.columns, group.order, group.elements
+        assert len(columns) == n
+        for col in columns:
+            assert isinstance(col, array) and col.typecode == "H" and len(col) == n
         rng = random.Random(720)
         for _ in range(2000):
             a, b = rng.randrange(n), rng.randrange(n)
-            assert elems[form.products[n * b + a]] == elems[a] * elems[b]
+            assert elems[columns[b][a]] == elems[a] * elems[b]
         for e in (-1, 7):
-            assert list(form.powers(e)) == [n * form.index[p**e] for p in elems]
+            assert list(group.powers(e)) == [group.index[p**e] for p in elems]
 
     def test_more_than_256_points(self):
         # image tuples too wide for bytes: the closure and the direct
@@ -411,7 +411,8 @@ class TestIndexForm:
         self._assert_matches(FiniteGroup(3, S3.elements, [rotation], label="sub"))
 
     def test_built_once(self):
-        assert A5.index_form is A5.index_form
+        assert A5.columns is A5.columns
+        assert A5.powers(-1) is A5.powers(-1)
 
     def test_generated_group_needs_no_permutation_products(self, monkeypatch):
         # the closure recorded every h*s, so the table is index lookups only
@@ -420,33 +421,31 @@ class TestIndexForm:
         with monkeypatch.context() as patch:
             patch.setattr(Permutation, "__mul__", lambda p, q: pytest.fail("product"))
             patch.setattr(Permutation, "__pow__", lambda p, e: pytest.fail("power"))
-            form = group.index_form
-            form.powers(-1)
+            group.powers(-1)
         self._assert_matches(group)
 
     @pytest.mark.parametrize("spec", ["S5", "A6"])
     def test_builders_need_no_permutation_products(self, monkeypatch, spec):
         # S_n and A_n come from itertools in lexicographic order, and the
-        # index form composes image tuples for their right products
+        # table composes image tuples for their right products
         with monkeypatch.context() as patch:
             patch.setattr(Permutation, "__mul__", lambda p, q: pytest.fail("product"))
             patch.setattr(Permutation, "cycles", lambda p: pytest.fail("cycles"))
-            group_from_spec(spec).index_form
+            group_from_spec(spec).columns
 
     def test_above_table_limit_multiplies_on_the_fly(self):
         s7 = symmetric_group(7)
         assert s7.order > TABLE_MAX_ORDER >= PSL27.order
-        form = s7.index_form
-        n = s7.order
+        columns = s7.columns
         elems = s7.elements
         for b, a, e in ((1, 2, 3), (4000, 17, -1), (5039, 5039, 7), (123, 0, 10**9)):
-            assert elems[form.products[n * b + a]] == elems[a] * elems[b]
-            assert form.powers(e)[a] == n * elems.index(elems[a] ** e)
+            assert elems[columns[b][a]] == elems[a] * elems[b]
+            assert s7.powers(e)[a] == elems.index(elems[a] ** e)
 
     def test_product_outside_element_list(self):
         # a list that is not closed under products is refused, not misread
         with pytest.raises(InvalidParameterError):
-            FiniteGroup(3, S3.elements[:3], [S3.elements[1]]).index_form
+            FiniteGroup(3, S3.elements[:3], [S3.elements[1]]).columns
 
 
 def _frontier_closure(degree, gens):
