@@ -38,15 +38,28 @@ So a search has one kind of pin, a level with a single value, and one kind
 of condition, a relator checked at its last walked level.
 
 Both engines share one evaluator.  Each relator is compiled once per search
-into a program over the group's element indices: one (generator slot, power
-table) step per syllable, each step one lookup in the group's product table
-(``FiniteGroup.columns``).  The search itself is one iterative depth-first
-walk over a list of element indices, so its depth is not bounded by the
-recursion limit.
+into a straight-line program over the group's element indices (Lohrey, *The
+Compressed Word Problem for Groups*, 2014).  A step is one (slot, power
+table) pair and costs one lookup in the group's product table
+(``FiniteGroup.columns``).  Outside periodic runs a step is one syllable.  A
+run B^k of a block B of 2 to ``_MAX_PERIOD`` syllables, k >= 2, is one
+temporary u = B (one step per syllable of B, stored in a slot past the
+walked generators) and one step u^k through ``FiniteGroup.powers(k)``; a
+later run of B or of B's inverse reuses u.  So the family relator
+(yx)^m y (yx)^-m x^-1 costs 6 lookups for every m >= 3, not 4m + 2; a word
+whose runs save fewer than ``_MIN_SAVING`` lookups stays flat.  The
+temporaries are computed inside the relator's own check, so a check reads
+only levels already assigned.  ``compile_word`` keeps the flat program, one
+step per syllable, as the oracle of the compressed one.  The search itself
+is one iterative depth-first walk over a list of element indices, so its
+depth is not bounded by the recursion limit; an assignment that passes the
+checks of the last walked level is a solution there.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -65,15 +78,39 @@ from .words import Word
 
 # Resource limits, read at each call, never passed per call: the nodes one
 # search may visit, the assignments a naive search may walk, and the
-# homomorphisms one listing may hold.
-MAX_SEARCH_NODES = 10**9
+# homomorphisms one listing may hold.  A search into A5 walks 1 to 3
+# million nodes a second (2-core x86 box, CPython 3.11), so a refused one
+# ends within about 10 s; the largest search in the test suite walks
+# 359,705 nodes.
+MAX_SEARCH_NODES = 10**7
 MAX_NAIVE_ASSIGNMENTS = 10**7
 MAX_LISTED_HOMS = 10**5
 
 Assignment = Dict[str, Permutation]
 
-# One (generator slot, FiniteGroup.powers(exponent)) step per syllable.
-Program = Tuple[Tuple[int, Sequence[int]], ...]
+# A step (slot, FiniteGroup.powers(exponent)) multiplies the value so far on
+# the right by the slot's value to that exponent; a flat program has one
+# step per syllable.
+Step = Tuple[int, Sequence[int]]
+Program = Tuple[Step, ...]
+# A straight-line program: lines (temporary slot, steps), each storing its
+# product in its slot, in order, then the steps whose product is the word.
+StraightLine = Tuple[Tuple[Tuple[int, Program], ...], Program]
+
+# The longest block a periodic run may repeat.  A run of syllables B^k
+# (2 <= |B| <= _MAX_PERIOD, k >= 2) is found by one pattern over the word
+# spelled one character per distinct syllable: at each start the shortest
+# block, repeated as often as it goes.  Adjacent syllables of a reduced word
+# never repeat each other, so there is no block of one syllable.
+_MAX_PERIOD = 8
+_RUN = re.compile(r"(.{2,%d}?)\1++" % _MAX_PERIOD, re.DOTALL)
+# A word with more distinct syllables than there are characters cannot be
+# spelled, and compiles to its flat program.
+_CHARACTERS = sys.maxunicode + 1
+# Storing a program's temporaries costs about five lookups per check
+# (measured on family relators into A5 and PSL(2,7)), so a word whose runs
+# save fewer lookups than this compiles to its flat program.
+_MIN_SAVING = 6
 
 
 @dataclass
@@ -116,43 +153,118 @@ def is_homomorphism(presentation: Presentation, group: FiniteGroup,
 
 
 def compile_word(word: Word, presentation: Presentation, group: FiniteGroup) -> Program:
-    """The program of ``word``; slots are generator positions in
+    """The flat program of ``word``; slots are generator positions in
     ``presentation``."""
     slots = {g: presentation.generator_index(g) for g in word.generators()}
-    return _compile(word, slots, group)
+    step = _steps_of(word.syllables, slots, group)
+    return tuple(map(step.__getitem__, word.syllables))
 
 
-def _compile(word: Word, slots: Mapping[str, int], group: FiniteGroup) -> Program:
-    """The program of ``word`` with generator g read from slot ``slots[g]``."""
-    return tuple((slots[g], group.powers(e)) for g, e in word.syllables)
+def _steps_of(syllables: Sequence[Tuple[str, int]], slots: Mapping[str, int],
+              group: FiniteGroup) -> Dict[Tuple[str, int], Step]:
+    """The step of each distinct syllable of ``syllables``, built once and
+    shared by every occurrence."""
+    return {(g, e): (slots[g], group.powers(e)) for g, e in set(syllables)}
+
+
+def _compile(word: Word, slots: Mapping[str, int], group: FiniteGroup,
+             first_temporary: int) -> StraightLine:
+    """The straight-line program of ``word`` (module docstring), generator g
+    read from slot ``slots[g]`` and the temporaries stored from slot
+    ``first_temporary`` on."""
+    syllables = word.syllables
+    distinct = _steps_of(syllables, slots, group)
+    step = distinct.__getitem__
+    if len(distinct) > _CHARACTERS:
+        return (), tuple(map(step, syllables))
+    letters = {s: chr(i) for i, s in enumerate(distinct)}
+    spelled = "".join(map(letters.__getitem__, syllables))
+    lines: List[Tuple[int, Program]] = []
+    temporaries: Dict[Tuple[Tuple[str, int], ...], int] = {}
+    steps: List[Step] = []
+    done = 0
+    for run in _RUN.finditer(spelled):
+        start, period = run.start(), len(run.group(1))
+        repeats = (run.end() - start) // period
+        steps.extend(map(step, syllables[done:start]))
+        done = start + repeats * period
+        block = syllables[start:start + period]
+        inverse = tuple((g, -e) for g, e in reversed(block))
+        if inverse in temporaries:
+            slot, repeats = temporaries[inverse], -repeats
+        elif block in temporaries:
+            slot = temporaries[block]
+        else:
+            slot = temporaries[block] = first_temporary + len(lines)
+            lines.append((slot, tuple(map(step, block))))
+        steps.append((slot, group.powers(repeats)))
+    steps.extend(map(step, syllables[done:]))
+    if len(syllables) - len(steps) - sum(len(line) for _, line in lines) < _MIN_SAVING:
+        return (), tuple(map(step, syllables))
+    return tuple(lines), tuple(steps)
 
 
 def evaluate(program: Program, values: Sequence[int],
              columns: Sequence[Sequence[int]]) -> int:
-    """Index of the compiled word's value when generator slot i has the
-    element of index ``values[i]`` (``columns`` of the same group)."""
+    """Index of the compiled word's value when slot i has the element of
+    index ``values[i]`` (``columns`` of the same group)."""
     acc = 0
     for slot, powers in program:
         acc = columns[powers[values[slot]]][acc]
     return acc
 
 
+class _Bound:
+    """A straight-line program with temporaries, bound to the list of values
+    it reads.  Iterating it stores each temporary in its slot, then iterates
+    the final steps, so a loop over steps runs it as it runs a flat program,
+    and a program without temporaries is left a plain tuple of steps."""
+
+    __slots__ = ("lines", "steps", "values", "columns")
+
+    def __init__(self, program: StraightLine, values: List[int],
+                 columns: Sequence[Sequence[int]]):
+        self.lines, self.steps = program
+        self.values, self.columns = values, columns
+
+    def __iter__(self) -> Iterator[Step]:
+        values, columns = self.values, self.columns
+        for target, line in self.lines:
+            # evaluate(line, values, columns), inlined: the walk runs this
+            # once per check of the relator
+            acc = 0
+            for slot, powers in line:
+                acc = columns[powers[values[slot]]][acc]
+            values[target] = acc
+        return iter(self.steps)
+
+
+def execute(program: StraightLine, values: List[int],
+            columns: Sequence[Sequence[int]]) -> int:
+    """Index of a straight-line program's value when slot i has the element
+    of index ``values[i]``; each temporary is stored in ``values``, which
+    must hold its slot."""
+    return evaluate(_Bound(program, values, columns), values, columns)
+
+
 def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
-          checks: Sequence[Sequence[Program]], columns: Sequence[Sequence[int]],
-          stats: SearchStats) -> Iterator[List[int]]:
+          checks: Sequence[Sequence[StraightLine]], temporaries: int,
+          columns: Sequence[Sequence[int]], stats: SearchStats) -> Iterator[List[int]]:
     """Depth-first walk over index assignments, without recursion.
 
     Level i takes each value in ``values[i]`` in turn, spends a node if
-    ``counted[i]``, and evaluates the programs ``checks[i]`` in order until
-    one fails; a value that passes them all descends to level i + 1.  The
-    caller passes one level more than there are generators, with a single
-    dummy value; an assignment that passes it is yielded (the live list:
-    copy what you keep).  Counters go to ``stats`` when the walk ends, and
+    ``counted[i]``, and executes the programs ``checks[i]`` in order until
+    one fails; a value that passes them all descends to level i + 1, or at
+    the last level is yielded (the live list: copy what you keep).  The
+    assignment list holds ``temporaries`` slots past the levels for the
+    programs' temporaries.  Counters go to ``stats`` when the walk ends, and
     more than ``MAX_SEARCH_NODES`` nodes are refused.
     """
     node_budget = MAX_SEARCH_NODES
     last = len(values) - 1
-    assignment = [0] * len(values)
+    assignment = [0] * (len(values) + temporaries)
+    programs = [[_Bound(p, assignment, columns) if p[0] else p[1] for p in level]
+                for level in checks]
     todo = [iter(v) for v in values]
     nodes = relator_checks = 0
     level = 0
@@ -165,7 +277,7 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
                         f"search exceeded node budget {node_budget}"
                     )
             assignment[level] = value
-            for program in checks[level]:
+            for program in programs[level]:
                 relator_checks += 1
                 # evaluate(program, assignment, columns), inlined: this
                 # loop is where the search spends its time
@@ -307,16 +419,21 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
         walked = tuple(g for g in walked if g in bound)
         free = sum(1 for g in unpinned if g not in bound)
     slots = {g: i for i, g in enumerate(walked)}
-    # one level per walked generator, then the leaf level with one dummy value
+    # one level per walked generator, or one level with one value when no
+    # generator is walked, so that the walk still reaches its one leaf
     values: List[Sequence[int]] = [
         (group.index[pins[g]],) if g in pins else range(n) for g in walked
-    ] + [(0,)]
-    relators = [_compile(rel, slots, group) for rel in presentation.relators]
+    ] or [(0,)]
+    relators = [_compile(rel, slots, group, len(values))
+                for rel in presentation.relators]
+    temporaries = max((len(lines) for lines, _ in relators), default=0)
     if mode == "naive":
-        counted = [False] * len(walked) + [True]
-        checks: List[List[Program]] = [[] for _ in walked] + [relators]
+        # a node is a complete assignment, and every relator is checked on it
+        counted = [False] * (len(values) - 1) + [True]
+        checks: List[List[StraightLine]] = [[] for _ in values]
+        checks[-1] = relators
     else:
-        counted = [g not in pins for g in walked] + [False]
+        counted = [g not in pins for g in walked] or [False]
         checks = [[] for _ in values]
         for support, program in zip(supports, relators):
             checks[max(slots[g] for g in support)].append(program)
@@ -337,7 +454,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     inverse = group.powers(-1)
     # a listing walks every generator; its leaves go back to declaration order
     order = [slots[g] for g in presentation.generators] if materialize else []
-    for assignment in _walk(values, counted, checks, columns, stats):
+    for assignment in _walk(values, counted, checks, temporaries, columns, stats):
         orbit = orbits[assignment[first]]
         count += len(orbit)
         if collected is not None:

@@ -133,13 +133,14 @@ class Word:
         u.conjugate(g)   returns g * u * ~g
     """
 
-    __slots__ = ("_syllables",)
+    __slots__ = ("_syllables", "_generators")
 
     def __init__(self, syllables: Iterable[Syllable] = ()):
         reduced = reduce_syllables(syllables)
         for name, _ in reduced:
             check_generator_name(name)
         self._syllables = reduced
+        self._generators = None
 
     @classmethod
     def _trusted(cls, syllables: Tuple[Syllable, ...]) -> "Word":
@@ -148,6 +149,7 @@ class Word:
         names were matched against a declared set)."""
         word = object.__new__(cls)
         word._syllables = syllables
+        word._generators = None
         return word
 
     # -- construction helpers ------------------------------------------
@@ -171,8 +173,10 @@ class Word:
         return not self._syllables
 
     def generators(self) -> frozenset:
-        """Set of generator names occurring in the word."""
-        return frozenset(name for name, _ in self._syllables)
+        """Set of generator names occurring in the word (computed once)."""
+        if self._generators is None:
+            self._generators = frozenset(name for name, _ in self._syllables)
+        return self._generators
 
     def letter_length(self) -> int:
         """Number of letters, i.e. the sum of |exponent| over syllables."""

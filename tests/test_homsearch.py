@@ -1,5 +1,5 @@
 """Homomorphism counting: engines, pins, markers, invariance, the compiled
-evaluator and concurrent searches."""
+evaluator, its straight-line programs and concurrent searches."""
 
 import random
 import threading
@@ -16,10 +16,13 @@ from knotgroups.errors import (
     UnknownMarkerError,
 )
 from knotgroups.homsearch import (
+    _MAX_PERIOD,
     _centralizer_generators,
+    _compile,
     compile_word,
     count_homs,
     evaluate,
+    execute,
     images_conjugate,
     is_homomorphism,
     meridian_invariant,
@@ -39,6 +42,7 @@ S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 A4 = alternating_group(4)
 A5 = alternating_group(5)
+A6 = alternating_group(6)
 S7 = symmetric_group(7)
 # the dihedral group of order 8, whose center is {(), (1,3)(2,4)}
 D4 = group_from_spec("gen:4:[(1,2,3,4),(1,3)]")
@@ -138,6 +142,28 @@ class TestCountHoms:
 
     def test_all_pinned_gives_one(self):
         assert count_homs(F1, A5, dict(EXPLICIT_HOM)).count == 1
+
+    @pytest.mark.parametrize("mode", ["naive", "backtrack"])
+    def test_walks_with_no_unpinned_level(self, mode):
+        # (count, nodes, relator checks): naive spends one node per complete
+        # assignment, backtrack one per value of an unpinned level
+        naive = mode == "naive"
+        # a counting backtrack walks no level of < x, y | >: both are free
+        free = count_homs(parse("< x, y | >"), A5, mode=mode)
+        assert (free.count, free.stats.nodes, free.stats.relator_checks) == (
+            3600, 3600 if naive else 0, 0)
+        # every generator pinned: one assignment, both relators checked
+        pinned = count_homs(F1, A5, dict(EXPLICIT_HOM), mode=mode, materialize=True)
+        assert pinned.assignments == [EXPLICIT_HOM]
+        assert (pinned.count, pinned.stats.nodes, pinned.stats.relator_checks) == (
+            1, 1 if naive else 0, 2)
+        failing = count_homs(F1, A5, dict(EXPLICIT_HOM, a=SIGMA), mode=mode)
+        assert (failing.count, failing.stats.nodes, failing.stats.relator_checks) == (
+            0, 1 if naive else 0, 2)
+        # no generator at all: the empty assignment is the one homomorphism
+        empty = count_homs(Presentation(()), A5, mode=mode, materialize=True)
+        assert (empty.count, empty.assignments, empty.stats.nodes) == (
+            1, [{}], 1 if naive else 0)
 
     def test_materialized_assignments_satisfy_everything(self):
         result = count_homs(F1, A5, {"x": SIGMA}, materialize=True)
@@ -346,8 +372,35 @@ def _random_word(rng, gens, length, max_exp=3):
     return Word([(rng.choice(gens), rng.choice(exps)) for _ in range(length)])
 
 
+def _planted_word(rng, gens, pieces):
+    """A word of random syllables and planted runs: blocks of 1 to
+    _MAX_PERIOD + 1 syllables repeated 2 to 200 times, abutting, some of them
+    the inverse of the block before (after one syllable, so that they do not
+    cancel), some breaking off inside a copy so that the next run starts
+    within the last one."""
+    raw = []
+    block = [(gens[0], 1)]
+    for _ in range(pieces):
+        kind = rng.randrange(4)
+        if kind == 0:
+            raw += _random_word(rng, gens, rng.randint(0, 5)).syllables
+            continue
+        if kind == 1:
+            raw.append((rng.choice(gens), 5))
+            block = [(g, -e) for g, e in reversed(block)]
+        else:
+            block = [(rng.choice(gens), rng.choice((-70, -3, -2, -1, 1, 2, 3, 61)))
+                     for _ in range(rng.randint(1, _MAX_PERIOD + 1))]
+        raw += block * rng.randint(2, 200)
+        if kind == 3:
+            raw += block[:rng.randrange(len(block))]
+    return Word(raw)
+
+
 class TestCompiledEvaluator:
-    """The compiled programs against ``Word.evaluate``, the oracle."""
+    """The compiled programs against ``Word.evaluate``, the oracle, and the
+    straight-line programs that the search runs against the flat ones
+    (``evaluate``)."""
 
     GENS = ("u", "v", "w")
 
@@ -363,6 +416,55 @@ class TestCompiledEvaluator:
             images = {g: group.elements[i] for g, i in zip(self.GENS, values)}
             got = evaluate(program, values, group.columns)
             assert group.elements[got] == word.evaluate(images, group)
+
+    # A5 stores byte columns, A6 two-byte columns; S7 has no table
+    @pytest.mark.parametrize("group", [A5, A6, S7], ids=["A5", "A6", "S7"])
+    def test_planted_runs_against_both_oracles(self, group):
+        rng = random.Random(16 + group.order)
+        pres = Presentation(self.GENS)
+        slots = {g: i for i, g in enumerate(self.GENS)}
+        temporaries = 0
+        for _ in range(12 if group is S7 else 30):
+            word = _planted_word(rng, self.GENS, rng.randint(1, 6))
+            lines, steps = program = _compile(word, slots, group, len(self.GENS))
+            temporaries += len(lines)
+            flat = compile_word(word, pres, group)
+            assert len(steps) + sum(len(line) for _, line in lines) <= len(flat)
+            for _ in range(3):
+                values = [rng.randrange(group.order) for _ in self.GENS]
+                images = {g: group.elements[i] for g, i in zip(self.GENS, values)}
+                got = execute(program, values + [0] * len(lines), group.columns)
+                assert got == evaluate(flat, values, group.columns)
+                assert group.elements[got] == word.evaluate(images, group)
+        assert temporaries > 0
+
+    def test_family_relator_is_six_lookups(self):
+        # (yx)^m y (yx)^-m x^-1: u = y*x, then u^m, y, u^-m, x^-1
+        slots = {"x": 0, "y": 1, "a": 2}
+        for m in (3, 181):
+            lines, steps = _compile(rbg_family(m).relators[0], slots, A5, 3)
+            assert lines == ((3, ((1, A5.powers(1)), (0, A5.powers(1)))),)
+            assert steps == ((3, A5.powers(m)), (1, A5.powers(1)),
+                             (3, A5.powers(-m)), (0, A5.powers(-1)))
+        # at m = 2 the runs save 4 of 10 lookups, less than the temporary
+        # costs, so the relator stays flat
+        family = rbg_family(2)
+        program = _compile(family.relators[0], slots, A5, 3)
+        assert program == ((), compile_word(family.relators[0], family, A5))
+
+    def test_run_free_relator_is_its_flat_program(self):
+        # the second family relator holds no run
+        relator = F1.relators[1]
+        program = _compile(relator, {"x": 0, "y": 1, "a": 2}, A5, 3)
+        assert program == ((), compile_word(relator, F1, A5))
+
+    def test_word_past_the_characters_is_flat(self, monkeypatch):
+        # the first relator of m = 181 has four distinct syllables
+        family = rbg_family(181)
+        monkeypatch.setattr(homsearch, "_CHARACTERS", 3)
+        program = _compile(family.relators[0], {"x": 0, "y": 1, "a": 2}, A5, 3)
+        assert program == ((), compile_word(family.relators[0], family, A5))
+        assert meridian_invariant(family, "meridian_B", A5, SIGMA) == 6
 
     @pytest.mark.parametrize("mode", ["naive", "backtrack"])
     def test_pinned_search_above_table_limit(self, mode):
@@ -403,6 +505,38 @@ class TestCompiledEvaluator:
                 for mode in ("naive", "backtrack"):
                     assert meridian_invariant(pres, "mu", group, sigma,
                                               mode=mode) == oracle
+
+
+class TestLongRelators:
+    """Family members m = 121 and 181, whose first relator is two runs of
+    hundreds of syllables, through both engines."""
+
+    @pytest.mark.parametrize("m", [121, 181])
+    def test_counts_and_listings_agree(self, m):
+        family = rbg_family(m)
+        for marker, count in (("meridian_B", 6), ("meridian_G", 1)):
+            naive, back = (meridian_search(family, marker, A5, SIGMA, mode=mode,
+                                           materialize=True)
+                           for mode in ("naive", "backtrack"))
+            assert naive.count == back.count == count
+            assert naive.assignments == back.assignments
+            word = family.markers[marker]
+            for hom in back.assignments:
+                assert is_homomorphism(family, A5, hom)
+                assert word.evaluate(hom, A5) == SIGMA
+
+    def test_counters_at_m_181(self):
+        family = rbg_family(181)
+        expected = {
+            ("meridian_B", "backtrack"): (6, 136, 136),
+            ("meridian_G", "backtrack"): (1, 976, 1052),
+            ("meridian_B", "naive"): (6, 3600, 3960),
+            ("meridian_G", "naive"): (1, 3600, 3960),
+        }
+        for (marker, mode), want in expected.items():
+            result = meridian_search(family, marker, A5, SIGMA, mode=mode)
+            got = (result.count, result.stats.nodes, result.stats.relator_checks)
+            assert got == want, (marker, mode)
 
 
 class TestPinnedFirst:

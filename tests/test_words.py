@@ -49,6 +49,13 @@ class TestReduction:
             with pytest.raises(InvalidParameterError):
                 Word.generator(name)
 
+    def test_generators_computed_once(self):
+        # built by the constructor and by an operator (the trusted path)
+        for word in (w(("x", 2), ("y", -1), ("x", 1)), w(("y", 1)) * w(("a", 3))):
+            assert word.generators() == {g for g, _ in word.syllables}
+            assert word.generators() is word.generators()
+        assert Word.identity().generators() == frozenset()
+
 
 class TestOperators:
     def test_power_inverse(self):
