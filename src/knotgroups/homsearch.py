@@ -47,9 +47,9 @@ temporary u = B (one step per syllable of B, stored in a slot past the
 walked generators) and one step u^k through ``FiniteGroup.powers(k)``; a
 later run of B or of B's inverse reuses u.  So the family relator
 (yx)^m y (yx)^-m x^-1 costs 6 lookups for every m >= 3, not 4m + 2; a word
-whose runs save fewer than ``_MIN_SAVING`` lookups stays flat.  The
-temporaries are computed inside the relator's own check, so a check reads
-only levels already assigned.  ``compile_word`` keeps the flat program, one
+whose runs save fewer lookups than its temporaries cost (``_CHECK_COST``,
+``_LINE_COST``) stays flat.  The temporaries are computed inside the
+relator's own check, so a check reads only levels already assigned.  ``compile_word`` keeps the flat program, one
 step per syllable, as the oracle of the compressed one.  The search itself
 is one iterative depth-first walk over a list of element indices, so its
 depth is not bounded by the recursion limit; an assignment that passes the
@@ -100,17 +100,22 @@ StraightLine = Tuple[Tuple[Tuple[int, Program], ...], Program]
 # The longest block a periodic run may repeat.  A run of syllables B^k
 # (2 <= |B| <= _MAX_PERIOD, k >= 2) is found by one pattern over the word
 # spelled one character per distinct syllable: at each start the shortest
-# block, repeated as often as it goes.  Adjacent syllables of a reduced word
-# never repeat each other, so there is no block of one syllable.
+# block, repeated as often as it goes (nothing follows the repeat, so it
+# never gives a copy back).  Adjacent syllables of a reduced word never
+# repeat each other, so there is no block of one syllable.
 _MAX_PERIOD = 8
-_RUN = re.compile(r"(.{2,%d}?)\1++" % _MAX_PERIOD, re.DOTALL)
+_RUN = re.compile(r"(.{2,%d}?)\1+" % _MAX_PERIOD, re.DOTALL)
 # A word with more distinct syllables than there are characters cannot be
 # spelled, and compiles to its flat program.
 _CHARACTERS = sys.maxunicode + 1
-# Storing a program's temporaries costs about five lookups per check
-# (measured on family relators into A5 and PSL(2,7)), so a word whose runs
-# save fewer lookups than this compiles to its flat program.
-_MIN_SAVING = 6
+# What a program with temporaries costs per check beyond its lookups, in
+# lookups: about 4 for iterating the bound program (the _Bound.__iter__
+# call and the loop over its lines) and about 1.5 for each temporary (its
+# line's loop set-up and the store into its slot), measured against flat
+# programs of as many lookups into A5 with 1 to 6 temporaries.  A word whose
+# runs save fewer lookups than that compiles to its flat program.
+_CHECK_COST = 4
+_LINE_COST = 2
 
 
 @dataclass
@@ -181,13 +186,11 @@ def _compile(word: Word, slots: Mapping[str, int], group: FiniteGroup,
     spelled = "".join(map(letters.__getitem__, syllables))
     lines: List[Tuple[int, Program]] = []
     temporaries: Dict[Tuple[Tuple[str, int], ...], int] = {}
-    steps: List[Step] = []
-    done = 0
+    runs: List[Tuple[int, int, Step]] = []
+    saving = 0
     for run in _RUN.finditer(spelled):
-        start, period = run.start(), len(run.group(1))
-        repeats = (run.end() - start) // period
-        steps.extend(map(step, syllables[done:start]))
-        done = start + repeats * period
+        start, end, period = run.start(), run.end(), len(run.group(1))
+        repeats = (end - start) // period
         block = syllables[start:start + period]
         inverse = tuple((g, -e) for g, e in reversed(block))
         if inverse in temporaries:
@@ -197,10 +200,18 @@ def _compile(word: Word, slots: Mapping[str, int], group: FiniteGroup,
         else:
             slot = temporaries[block] = first_temporary + len(lines)
             lines.append((slot, tuple(map(step, block))))
-        steps.append((slot, group.powers(repeats)))
-    steps.extend(map(step, syllables[done:]))
-    if len(syllables) - len(steps) - sum(len(line) for _, line in lines) < _MIN_SAVING:
+            saving -= period
+        runs.append((start, end, (slot, group.powers(repeats))))
+        saving += end - start - 1
+    if saving < _CHECK_COST + _LINE_COST * len(lines):
         return (), tuple(map(step, syllables))
+    steps: List[Step] = []
+    done = 0
+    for start, end, power in runs:
+        steps.extend(map(step, syllables[done:start]))
+        steps.append(power)
+        done = end
+    steps.extend(map(step, syllables[done:]))
     return tuple(lines), tuple(steps)
 
 
@@ -237,14 +248,6 @@ class _Bound:
                 acc = columns[powers[values[slot]]][acc]
             values[target] = acc
         return iter(self.steps)
-
-
-def execute(program: StraightLine, values: List[int],
-            columns: Sequence[Sequence[int]]) -> int:
-    """Index of a straight-line program's value when slot i has the element
-    of index ``values[i]``; each temporary is stored in ``values``, which
-    must hold its slot."""
-    return evaluate(_Bound(program, values, columns), values, columns)
 
 
 def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],

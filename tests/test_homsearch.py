@@ -17,12 +17,12 @@ from knotgroups.errors import (
 )
 from knotgroups.homsearch import (
     _MAX_PERIOD,
+    _Bound,
     _centralizer_generators,
     _compile,
     compile_word,
     count_homs,
     evaluate,
-    execute,
     images_conjugate,
     is_homomorphism,
     meridian_invariant,
@@ -433,7 +433,9 @@ class TestCompiledEvaluator:
             for _ in range(3):
                 values = [rng.randrange(group.order) for _ in self.GENS]
                 images = {g: group.elements[i] for g, i in zip(self.GENS, values)}
-                got = execute(program, values + [0] * len(lines), group.columns)
+                values += [0] * len(lines)
+                got = evaluate(_Bound(program, values, group.columns), values,
+                               group.columns)
                 assert got == evaluate(flat, values, group.columns)
                 assert group.elements[got] == word.evaluate(images, group)
         assert temporaries > 0
@@ -451,6 +453,18 @@ class TestCompiledEvaluator:
         family = rbg_family(2)
         program = _compile(family.relators[0], slots, A5, 3)
         assert program == ((), compile_word(family.relators[0], family, A5))
+
+    def test_each_temporary_is_charged(self):
+        # three runs of distinct two-syllable blocks: k copies save 2k - 3
+        # lookups each, against a cost of 4 plus 2 per temporary
+        slots = {g: i for i, g in enumerate(self.GENS)}
+        pres = Presentation(self.GENS)
+        for k, temporaries in ((3, 0), (4, 3)):
+            word = parse_word(f"(u*v)^{k}*(w*u)^{k}*(v*w)^{k}", self.GENS)
+            lines, steps = _compile(word, slots, A5, 3)
+            assert len(lines) == temporaries
+            if not lines:
+                assert steps == compile_word(word, pres, A5)
 
     def test_run_free_relator_is_its_flat_program(self):
         # the second family relator holds no run
