@@ -16,15 +16,26 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 payload contains only deterministic fields (no wall times), so reruns
 produce byte-identical reports; timings are printed to stderr in text mode
 instead.
+
+A ``count --list`` listing goes from the search's index tuples straight to
+stdout, in batches of ``_BATCH`` rows, each batch one ``%``-format of a
+per-listing row template; each element the listing uses is turned into
+text once.  The rest of the report is encoded by ``json.dumps`` and the
+rows are spliced into it, so the bytes are those of
+``json.dumps(report, sort_keys=True, indent=2)`` with the listing as a
+list of ``{generator: element}`` dicts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from typing import Dict, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fox
 from .errors import (
@@ -55,12 +66,94 @@ def _read_presentation(path: str):
     return parse(text)
 
 
-def _emit(report: Dict, as_json: bool, text_lines, started: float) -> None:
+# The indentation of one nesting level of a --json report, and the rows of
+# a listing formatted and written together.
+_INDENT = 2
+_BATCH = 1000
+
+
+class Listing(NamedTuple):
+    """Rows of a report kept as index tuples until they are written.
+
+    Row i maps ``generators[k]`` to ``str(elements[leaves[i][k]])``.  In the
+    report, ``slot`` stands for the rows: an empty list, whose place in the
+    encoded report the writer fills with them.
+    """
+
+    slot: List
+    generators: Sequence[str]
+    elements: Sequence
+    leaves: Sequence[Tuple[int, ...]]
+
+    def texts(self, encode: Callable[[str], str]) -> Dict[int, str]:
+        """``encode(str(element))`` of each element the rows use, by index."""
+        elements = self.elements
+        return {i: encode(str(elements[i]))
+                for i in set(chain.from_iterable(self.leaves))}
+
+    def rows(self, row: str, texts: Dict[int, str],
+             pick: Optional[Callable] = None) -> Iterator[str]:
+        """Batches of ``row`` formatted with the texts of each leaf's
+        entries, or of the entries ``pick(leaf)`` selects."""
+        leaves = self.leaves
+        for start in range(0, len(leaves), _BATCH):
+            batch = leaves[start:start + _BATCH]
+            entries = chain.from_iterable(map(pick, batch) if pick else batch)
+            yield row * len(batch) % tuple(map(texts.__getitem__, entries))
+
+
+def _escape_percent(text: str) -> str:
+    return text.replace("%", "%%")
+
+
+def _write_json(report: Dict, listing: Optional[Listing]) -> None:
+    """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
+    with ``listing``'s rows in its slot."""
+    text = json.dumps(report, sort_keys=True, indent=_INDENT)
+    if listing is None or not listing.leaves:
+        sys.stdout.write(text + "\n")
+        return
+    # With one row 0 in the slot the report encodes as the same text except
+    # at the slot: text is P + "[]" + S and probe is P + "[" + item + "0" +
+    # close + S, where item is the newline and indentation before each row.
+    listing.slot.append(0)
+    probe = json.dumps(report, sort_keys=True, indent=_INDENT)
+    listing.slot.pop()
+    cut = len(os.path.commonprefix((text, probe)))
+    item, close = probe[cut:cut + len(probe) - len(text) + 1].split("0")
+    generators = listing.generators
+    order = sorted(range(len(generators)), key=generators.__getitem__)
+    inner = item + " " * _INDENT
+    fields = ",".join(f"{inner}{_escape_percent(json.dumps(generators[k]))}: %s"
+                      for k in order)
+    row = f",{item}{{{fields}{item}}}" if fields else f",{item}{{}}"
+    # itemgetter of one position returns the entry, not a 1-tuple
+    pick = itemgetter(*order) if len(order) > 1 else None
+    batches = listing.rows(row, listing.texts(json.dumps), pick)
+    # the first row has no comma before it
+    sys.stdout.write(text[:cut] + next(batches)[1:])
+    sys.stdout.writelines(batches)
+    sys.stdout.write(close + text[cut + 1:] + "\n")
+
+
+def _write_text(lines: Sequence[str], listing: Optional[Listing]) -> None:
+    """Write ``lines``, then one line per row of ``listing``:
+    two spaces, then ``generator=element`` for each generator in
+    declaration order, two spaces apart."""
+    for line in lines:
+        print(line)
+    if listing is not None:
+        row = "  " + "  ".join(f"{_escape_percent(g)}=%s"
+                               for g in listing.generators) + "\n"
+        sys.stdout.writelines(listing.rows(row, listing.texts(str)))
+
+
+def _emit(report: Dict, as_json: bool, text_lines, started: float,
+          listing: Optional[Listing] = None) -> None:
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        _write_json(report, listing)
     else:
-        for line in text_lines:
-            print(line)
+        _write_text(text_lines, listing)
         print(f"wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 
@@ -141,21 +234,10 @@ def cmd_count(args) -> int:
             f"count has more than {sys.get_int_max_str_digits()} decimal digits"
         ) from None
     results: Dict = {"count": result.count}
-    lines = [f"count = {count_text}"]
+    listing = None
     if args.list:
-        # thousands of listed images share a few distinct elements
-        images = {a[g] for a in result.assignments for g in pres.generators}
-        text = {p: str(p) for p in images}
-        listed = [
-            {g: text[assignment[g]] for g in pres.generators}
-            for assignment in result.assignments
-        ]
-        results["assignments"] = listed
-        if not args.json:
-            lines.extend(
-                "  " + "  ".join(f"{g}={a[g]}" for g in pres.generators)
-                for a in listed
-            )
+        listing = Listing([], result.generators, group.elements, result.leaves)
+        results["assignments"] = listing.slot
     report = {
         "command": "count",
         "inputs": inputs,
@@ -165,7 +247,7 @@ def cmd_count(args) -> int:
             "relator_checks": result.stats.relator_checks,
         },
     }
-    _emit(report, args.json, lines, started)
+    _emit(report, args.json, [f"count = {count_text}"], started, listing)
     return EXIT_OK
 
 

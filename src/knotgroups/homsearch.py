@@ -26,6 +26,10 @@ pinned:
 Both engines return identical counts and identical listings, in the same
 order: a listing maps each solution back to declaration order (backtrack
 first expands it over its orbit) and sorts.  The test suite leans on that.
+A listing stays index tuples, ``HomSearchResult.leaves``, the element index
+of each generator's image; ``HomSearchResult.assignments``, the same
+homomorphisms as ``{generator: Permutation}`` dicts, is built from the
+leaves only when it is read, and the command line never reads it.
 The work counters (``SearchStats``) count the walk actually made, so
 backtrack's ``nodes`` and ``relator_checks`` cover the reduced walk, while
 ``naive`` still counts every assignment.
@@ -60,7 +64,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -87,6 +92,9 @@ MAX_NAIVE_ASSIGNMENTS = 10**7
 MAX_LISTED_HOMS = 10**5
 
 Assignment = Dict[str, Permutation]
+# One homomorphism of a listing: the element index of each generator's
+# image, in declaration order.
+Leaf = Tuple[int, ...]
 
 # A step (slot, FiniteGroup.powers(exponent)) multiplies the value so far on
 # the right by the slot's value to that exponent; a flat program has one
@@ -128,9 +136,28 @@ class SearchStats:
 
 @dataclass
 class HomSearchResult:
+    """The outcome of one search.
+
+    ``count`` and the work counters ``stats`` are always set.  A listing
+    also has ``leaves``: one tuple of element indices into ``group`` per
+    homomorphism, in the order of ``generators`` (declaration order),
+    sorted.  ``assignments`` is None for a count; for a listing it is the
+    leaves as ``{generator: Permutation}`` dicts, built when first read.
+    """
+
     count: int
-    assignments: Optional[List[Assignment]]
     stats: SearchStats = field(default_factory=SearchStats)
+    leaves: Optional[List[Leaf]] = None
+    group: Optional[FiniteGroup] = None
+    generators: Tuple[str, ...] = ()
+
+    @cached_property
+    def assignments(self) -> Optional[List[Assignment]]:
+        if self.leaves is None:
+            return None
+        elements = self.group.elements
+        return [dict(zip(self.generators, map(elements.__getitem__, leaf)))
+                for leaf in self.leaves]
 
 
 def check_constraint(presentation: Presentation, group: FiniteGroup,
@@ -376,8 +403,9 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     """Count (or list) homomorphisms satisfying the pinning constraint.
 
     ``constraint`` maps generators to required images.  Counts and listings
-    from the two modes always agree; listings come in the plain walk's
-    order (index tuples in declaration order, lexicographically).
+    from the two modes always agree; a listing (``materialize``) is the
+    result's ``leaves``, in the plain walk's order (index tuples in
+    declaration order, lexicographically).
     ``naive`` additionally refuses to start when |A|^(unpinned) exceeds
     ``MAX_NAIVE_ASSIGNMENTS``; a search refuses to visit more than
     ``MAX_SEARCH_NODES`` nodes, and a listing to hold more than
@@ -411,7 +439,6 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
 
     n, columns = group.order, group.columns
     stats = SearchStats()
-    collected: Optional[List[Assignment]] = [] if materialize else None
     # the walked generators, pinned first; a counting backtrack leaves out
     # the generators no relator constrains
     walked = tuple(g for g in presentation.generators if g in pins) + tuple(unpinned)
@@ -453,32 +480,29 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
         orbits = {v: [(v, 0)] for v in values[0]}
 
     count = 0
-    leaves: List[Tuple[int, ...]] = []
+    leaves: List[Leaf] = []
     inverse = group.powers(-1)
     # a listing walks every generator; its leaves go back to declaration order
     order = [slots[g] for g in presentation.generators] if materialize else []
     for assignment in _walk(values, counted, checks, temporaries, columns, stats):
         orbit = orbits[assignment[first]]
         count += len(orbit)
-        if collected is not None:
+        if materialize:
             # one solution per orbit point: the leaf conjugated by t,
             # v -> t*v*t^-1
-            leaves.extend(
-                tuple(columns[columns[inverse[t]][assignment[i]]][t] for i in order)
-                for _, t in orbit
-            )
+            for _, t in orbit:
+                by = columns[inverse[t]]
+                leaves.append(tuple([columns[by[assignment[i]]][t] for i in order]))
             if len(leaves) > MAX_LISTED_HOMS:
                 raise BudgetExceededError(
                     f"listing exceeded the limit of {MAX_LISTED_HOMS} homomorphisms"
                 )
-    if collected is not None:
-        leaves.sort()
-        elements = group.elements
-        collected.extend({g: elements[i] for g, i in zip(presentation.generators, leaf)}
-                         for leaf in leaves)
     if count and free:
         count *= n ** free
-    return HomSearchResult(count, collected, stats)
+    if not materialize:
+        return HomSearchResult(count, stats)
+    leaves.sort()
+    return HomSearchResult(count, stats, leaves, group, presentation.generators)
 
 
 def _pin_from_marker(word: Word, target: Permutation
@@ -502,7 +526,8 @@ def meridian_search(presentation: Presentation, marker: str,
 
     A marker that is a bare generator (or its inverse) pins that generator.
     Any other marker word w becomes a relator w*c^-1 on a new generator c
-    pinned to ``sigma``; c is left out of the listed assignments.
+    pinned to ``sigma``; c is left out of the leaves and the listed
+    assignments.
     """
     if marker not in presentation.markers:
         raise UnknownMarkerError(
@@ -522,9 +547,11 @@ def meridian_search(presentation: Presentation, marker: str,
                              presentation.relators + (word * ~Word.generator(c),))
     result = count_homs(augmented, group, {c: sigma}, mode=mode,
                         materialize=materialize)
-    for assignment in result.assignments or ():
-        del assignment[c]
-    return result
+    if not materialize:
+        return result
+    # c is declared last and has one value, so dropping it keeps the order
+    return replace(result, leaves=[leaf[:-1] for leaf in result.leaves],
+                   generators=presentation.generators)
 
 
 def meridian_invariant(presentation: Presentation, marker: str,

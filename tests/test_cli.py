@@ -1,10 +1,15 @@
 """Command-line interface: commands, exit codes, JSON stability."""
 
+import contextlib
+import io
 import json
+import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotgroups import cli, errors, fox, homsearch, verification
 from knotgroups.errors import InvalidParameterError
@@ -478,6 +483,115 @@ class TestCountCommand:
             assert code == 0
             assert listed == [h for h in full if h["a"] == "(1,2,3)"]
             assert len(listed) > 1
+
+
+PSL27 = "gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]"
+WORD_MARKED = "< c, y | c*y*c*y^-1*c^-1*y^-1 >\nmeridian w: c*y\n"
+
+
+class TestListing:
+    """``count --list`` writes its rows from the search's index tuples; the
+    bytes must be those of ``json.dumps(report, sort_keys=True, indent=2)``
+    with the rows as a list of dicts, and text rows in declaration order."""
+
+    @pytest.mark.parametrize("text, args, count", [
+        (FAMILY_M1, ("--group", "A5"), 480),
+        (FAMILY_M1, ("--group", PSL27), 2688),
+        (FAMILY_M1, ("--group", "A5", "--pin", "x=(1,5,4,3,2)"), 6),
+        # w = c*y becomes a relator on a new generator c', which is not listed
+        (WORD_MARKED, ("--group", "S4", "--marker", "w=(1,2,3)"), 10),
+        ("< x | x^2 >\n", ("--group", "A5", "--pin", "x=(1,2,3)"), 0),
+    ], ids=["A5", "PSL27", "pin", "word-marker", "zero"])
+    def test_listing(self, tmp_path, capsys, text, args, count):
+        path = write(tmp_path, "p.pres", text)
+        generators = parse(text).generators
+        argv = ("count", path, *args, "--list")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        report = json.loads(out)
+        listed = report["results"]["assignments"]
+        assert report["results"]["count"] == count == len(listed)
+        assert len({tuple(sorted(h.items())) for h in listed}) == count
+        assert all(list(h) == sorted(generators) for h in listed)
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [f"count = {count}"] + [
+            "  " + "  ".join(f"{g}={h[g]}" for g in generators) for h in listed
+        ]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads ru_maxrss in kilobytes")
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_long_listing_streams(self, tmp_path, as_json):
+        # all 316^2 = 99,856 homomorphisms of the free group of rank 2 into
+        # the dihedral group of degree 158, under MAX_LISTED_HOMS; written
+        # whole, they took 399 MB with --json and 170 MB as text
+        path = write(tmp_path, "free2.pres", "< x, y | >\n")
+        rotation = "(" + ",".join(map(str, range(1, 159))) + ")"
+        reflection = "".join(f"({i},{160 - i})" for i in range(2, 80))
+        argv = ["count", path, "--group", f"gen:158:[{rotation},{reflection}]",
+                "--list"] + ["--json"] * as_json
+        # Linux gives a process the peak RSS of the one it was started from
+        # (here the test run), so the listing runs as the child of a small
+        # driver, which reads the child's ru_maxrss
+        child = f"import sys; from knotgroups import cli; sys.exit(cli.main({argv!r}))"
+        driver = (
+            "import resource, subprocess, sys\n"
+            f"code = subprocess.call([sys.executable, '-c', {child!r}])\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.Popen([sys.executable, "-c", driver], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        # a JSON row opens with its own line at six spaces, a text row with x=
+        row = b"      {\n" if as_json else b"  x="
+        rows = sum(1 for line in proc.stdout if line.startswith(row))
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0, err
+        assert rows == 99_856
+        # measured at 29.6 MB (--json) and 28.2 MB (text) on CPython 3.11
+        assert int(err.splitlines()[-1]) < 60 * 1024
+
+    names = st.one_of(
+        st.sampled_from(["B", "a", "\u00e9", 'q"', "b\\", "%s", "x\x01", "\u2603"]),
+        st.text(min_size=1, max_size=4),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        generators=st.lists(names, min_size=0, max_size=4, unique=True),
+        elements=st.lists(st.text(max_size=5), min_size=1, max_size=6),
+        data=st.data(),
+        inputs=st.dictionaries(names, st.text(max_size=5), max_size=3),
+        count=st.integers(min_value=0, max_value=10**30),
+        batch=st.integers(min_value=1, max_value=4),
+    )
+    def test_writer_matches_json_dumps(self, generators, elements, data, inputs,
+                                       count, batch):
+        index = st.integers(min_value=0, max_value=len(elements) - 1)
+        leaf = st.tuples(*[index] * len(generators))
+        leaves = data.draw(st.lists(leaf, max_size=12))
+        listing = cli.Listing([], tuple(generators), elements, leaves)
+
+        def report(listed):
+            return {"command": "count", "inputs": {"file": "p", "pins": inputs},
+                    "results": {"assignments": listed, "count": count},
+                    "stats": {"nodes": 1}}
+
+        listed = [{g: elements[i] for g, i in zip(generators, leaf)} for leaf in leaves]
+        written = report(listing.slot)
+        rows = ["  " + "  ".join(f"{g}={h[g]}" for g in generators) for h in listed]
+        with mock.patch.object(cli, "_BATCH", batch):
+            for as_json, expected in (
+                (True, json.dumps(report(listed), sort_keys=True, indent=2) + "\n"),
+                (False, "".join(line + "\n" for line in ["count = 1"] + rows)),
+            ):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    cli._emit(written, as_json, ["count = 1"], 0.0, listing)
+                assert out.getvalue() == expected
+                assert listing.slot == []
 
 
 class TestFamilyCommand:

@@ -172,6 +172,21 @@ class TestCountHoms:
             assert assignment["x"] == SIGMA
             assert is_homomorphism(F1, A5, assignment)
 
+    def test_listing_is_index_tuples(self):
+        # the leaves are the listing; assignments are built from them when read
+        result = count_homs(F1, A5, materialize=True)
+        assert (result.group, result.generators) == (A5, F1.generators)
+        assert result.count == len(result.leaves) == len(set(result.leaves))
+        assert result.leaves == sorted(result.leaves)
+        assert "assignments" not in vars(result)
+        assert result.assignments == [
+            {g: A5.elements[i] for g, i in zip(F1.generators, leaf)}
+            for leaf in result.leaves
+        ]
+        assert result.assignments is result.assignments
+        counted = count_homs(F1, A5)
+        assert (counted.leaves, counted.assignments) == (None, None)
+
     def test_stats_populated(self):
         result = count_homs(F1, A5, {"x": SIGMA})
         assert result.stats.nodes > 0
@@ -582,6 +597,9 @@ class TestPinnedFirst:
         assert counted.count == listed.count == len(oracle) > 0
         assert listed.assignments == oracle
         assert {tuple(h) for h in listed.assignments} == {pres.generators}
+        # the marker's generator is dropped from the leaves too
+        assert listed.generators == pres.generators
+        assert {len(leaf) for leaf in listed.leaves} == {len(pres.generators)}
 
 
 class TestAssignmentOrder:
