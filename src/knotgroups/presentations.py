@@ -2,13 +2,19 @@
 
 File grammar (UTF-8, whitespace insignificant inside ``< >``)::
 
-    presentation := '<' genlist '|' relatorlist '>' markerline*
+    presentation := '<' genlist '|' relatorlist '>' marker*
     genlist      := name (',' name)*
     relatorlist  := [ word (',' word)* ]
-    markerline   := 'meridian' name ':' word        (one per line)
+    marker       := 'meridian' name ':' word
     word         := factor ('*' factor)*
     factor       := name ['^' integer] | '(' word ')' ['^' integer]
     integer      := ['-'] digit+     (decimal digits, as ``int`` reads them)
+
+Whitespace, line breaks included, is insignificant everywhere, except
+that it separates tokens that would otherwise run together.  Markers are
+written one per line, but need not be: a marker may follow ``>`` on the
+same line, and a marker word ends where the next ``meridian`` token
+begins, so ``meridian m: (x)meridian n: y`` is two markers.
 
 Example::
 
@@ -33,12 +39,24 @@ A power ``(w)^k`` is built from the cyclic reduction of w, after its length
 is known; the powers of one text may build at most ``MAX_WORD_SYLLABLES``
 syllables in total, and past that parsing raises WordTooLargeError rather
 than filling memory.
+
+Words are read as pieces: the relator block is split at ``,`` and each
+word at ``*``, and each distinct piece, ``'('* name ['^' integer] (')'
+['^' integer])*``, is read once per text.  A word without parentheses is
+then one table lookup per piece and one free reduction; a word with
+groups walks its pieces with a stack of open groups.  The token parser
+``_Parser`` reads the same grammar token by token.  It is the reference
+the tests hold the piece reader to, and it reads every text the piece
+reader does not take whole: every error, and marker layouts other than
+one marker to a line.  So every refusal carries its message, line and
+column.  Parsing time is linear in the length of the text.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -183,11 +201,22 @@ def rbg_family(m: int) -> Presentation:
 
 # -- parsing -------------------------------------------------------------------
 
-# One match per token: a symbol (the reserved name characters), an integer,
-# a stray '-' or a name.  No alternative matches whitespace, so findall
-# skips it.
-_SCAN = re.compile(r"[{0}]|-?\d+|-|[^\s{0}]+".format(
-    re.escape("".join(sorted(RESERVED_NAME_CHARS)))))
+# The patterns below are compiled on first use, by the re module's cache, not
+# at import.  _SCAN reads one token per match: a symbol (the reserved name
+# characters), an integer, a stray '-' or a name.  No alternative matches
+# whitespace, so findall skips it.
+_SYMBOLS = re.escape("".join(sorted(RESERVED_NAME_CHARS)))
+_SCAN = rf"[{_SYMBOLS}]|-?\d+|-|[^\s{_SYMBOLS}]+"
+
+# A name token that follows the name rule; the generator list of a text;
+# one '*'-separated piece of a word, '('* name ['^' int] (')' ['^' int])*,
+# and the closing parentheses at its end; one marker line.
+_NAME = rf"[^\s\d{_SYMBOLS}-][^\s{_SYMBOLS}]*"
+_HEAD = rf"\s*<\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*"
+_PIECE = (rf"\s*((?:\(\s*)*)({_NAME})\s*(?:\^\s*(-?\d+)\s*)?"
+          r"((?:\)\s*(?:\^\s*-?\d+\s*)?)*)")
+_CLOSE = r"\)\s*(?:\^\s*(-?\d+))?"
+_MARKER = rf"\s*meridian\s+({_NAME})\s*:(.*)"
 
 # Syllables that the powers ``(w)^k``, |k| > 1, of one text may build in total.
 MAX_WORD_SYLLABLES = 10**6
@@ -200,17 +229,116 @@ def parse(text: str) -> Presentation:
     DuplicateGeneratorError (from ``Presentation``), or WordTooLargeError
     when the powers would build more than ``MAX_WORD_SYLLABLES`` syllables.
     """
+    # the fall-back runs after the except clause, which frees the reader's
+    # frames, and the pieces they hold, before _Parser starts
+    try:
+        return _read_pieces(text)
+    except _Unread:
+        pass
     return _Parser(text).parse_presentation()
 
 
 def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse a single word (e.g. ``(y*x)^-3`` or ``x^-1*a*x``)."""
-    parser = _Parser(text)
     # a generator that breaks the name rule is never read as one name token
     names = {g for g in generators if is_generator_name(g)}
+    try:
+        return _Reader(names).word(text)
+    except _Unread:
+        pass
+    parser = _Parser(text)
     word = parser.parse_word(names)
     parser.expect_end()
     return word
+
+
+# -- reading words as pieces -----------------------------------------------------
+
+
+class _Unread(Exception):
+    """A text that the piece reader does not take whole; ``_Parser`` reads it."""
+
+
+def _exponent(digits: Optional[str]) -> int:
+    return read_decimal(digits, "", _Unread) if digits else 1
+
+
+class _Reader:
+    """Reads the words of one text as '*'-separated pieces, each distinct
+    piece once, for the generators ``declared`` (all valid names)."""
+
+    def __init__(self, declared: set):
+        self.declared = declared
+        self.pieces: dict = {}  # piece -> (opens, syllable, closing exponents)
+        self.built = 0  # syllables built by powers so far
+
+    def piece(self, text: str) -> tuple:
+        match = re.fullmatch(_PIECE, text)
+        if match is None or match[2] not in self.declared:
+            raise _Unread
+        opens, name, exp, closes = match.groups()
+        return (opens.count("("), (name, _exponent(exp)),
+                tuple(map(_exponent, re.findall(_CLOSE, closes))) if closes else ())
+
+    def word(self, text: str) -> Word:
+        pieces = text.split("*")
+        table = self.pieces
+        for piece in set(pieces).difference(table):
+            table[piece] = self.piece(piece)
+        # every name was matched against the declared set, so none needs a check
+        if "(" not in text and ")" not in text:
+            syllables = map(itemgetter(1), map(table.__getitem__, pieces))
+            return Word._trusted(reduce_syllables(syllables))
+        # as in _Parser.parse_word: a group is reduced and raised to its
+        # power where it closes; open groups wait on a list
+        raw: list = []
+        outer: list = []
+        for piece in pieces:
+            opens, syllable, closes = table[piece]
+            for _ in range(opens):
+                outer.append(raw)
+                raw = []
+            raw.append(syllable)
+            for k in closes:
+                if not outer:
+                    raise _Unread
+                group = reduce_syllables(raw)
+                if abs(k) > 1:
+                    self.built += power_length(group, k)
+                    if self.built > MAX_WORD_SYLLABLES:
+                        raise _Unread
+                raw = outer.pop()
+                raw.extend(power_syllables(group, k))
+        if outer:
+            raise _Unread
+        return Word._trusted(reduce_syllables(raw))
+
+
+def _read_pieces(text: str) -> Presentation:
+    """The presentation of a text, read as pieces; raises _Unread on any
+    text not taken whole: every error, and markers other than one to a
+    line."""
+    head, _, rest = text.partition("|")
+    block, closed, tail = rest.partition(">")
+    match = re.fullmatch(_HEAD, head)
+    if not closed or match is None:
+        raise _Unread
+    generators = [name.strip() for name in match[1].split(",")]
+    if "meridian" in generators:
+        raise _Unread
+    reader = _Reader(set(generators))
+    relators = [reader.word(w) for w in block.split(",")] if block.strip() else []
+    markers: Dict[str, Word] = {}
+    for line in tail.split("\n"):
+        if line.strip():
+            match = re.fullmatch(_MARKER, line)
+            if match is None or match[1] in markers:
+                raise _Unread
+            markers[match[1]] = reader.word(match[2])
+    return Presentation(generators, relators, markers)
+
+
+# -- the token parser: reference for the piece reader, and its error path --------
 
 
 def _kind(tok: str) -> str:
@@ -233,7 +361,7 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _SCAN.findall(text)
+        self.tokens = re.findall(_SCAN, text)
         if "-" in self.tokens:
             raise self.error("stray '-'", self.tokens.index("-"))
         self.tokens.append("")
@@ -241,7 +369,7 @@ class _Parser:
         self.built = 0  # syllables built by powers so far
 
     def where(self, index: int) -> Tuple[int, int]:
-        offset = ([m.start() for m in _SCAN.finditer(self.text)] + [len(self.text)])[index]
+        offset = ([m.start() for m in re.finditer(_SCAN, self.text)] + [len(self.text)])[index]
         return (self.text.count("\n", 0, offset) + 1,
                 offset - self.text.rfind("\n", 0, offset))
 

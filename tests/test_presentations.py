@@ -12,6 +12,7 @@ from knotgroups.errors import (
     DerivativeTooLargeError,
     DuplicateGeneratorError,
     InvalidParameterError,
+    KnotGroupsError,
     PresentationSyntaxError,
     UnknownGeneratorError,
     WordTooLargeError,
@@ -25,7 +26,8 @@ from knotgroups.presentations import (
     rbg_family,
     smith_normal_form,
 )
-from knotgroups.words import Word
+from knotgroups.words import Word, is_generator_name
+from test_knot_symmetry import wirtinger_torus
 
 THREE_GEN_TEXT = (
     "< x,y,a | x^-1*y*x*y*x^-1*y^-1, x^-1*a*x*a^-1*x^-1*y*a*y^-1 >"
@@ -545,6 +547,26 @@ def _nonidentity(tree):
     return bool(_free_reduce([letter for f in tree for letter in _letters(f)]))
 
 
+def _inject(toks, start, fault, rng):
+    """Corrupt ``toks`` in place by ``fault``; the index of the bad token."""
+    if fault == "undeclared":
+        spots = [i for i in range(start, len(toks)) if toks[i] in NAMES]
+        at = rng.choice(spots)
+        toks[at] = "zz"
+    elif fault == "stray":
+        at = rng.randint(0, len(toks))
+        toks.insert(at, "-")
+    elif fault == "exponent":
+        spots = [i for i in range(len(toks)) if toks[i - 1] == "^"]
+        assume(spots)
+        at = rng.choice(spots)
+        toks[at] = "²"
+    else:  # "drop"
+        at = rng.randrange(len(toks))
+        del toks[at]
+    return at
+
+
 @settings(max_examples=100)
 @given(st.lists(word_trees, min_size=1, max_size=3),
        st.lists(word_trees.filter(_nonidentity), max_size=2),
@@ -552,21 +574,9 @@ def _nonidentity(tree):
        rngs)
 def test_injected_error_position(relators, markers, fault, rng):
     toks = _presentation_tokens(relators, markers, rng)
-    body = toks.index("|") + 1
     text, _ = _join(toks, rng)
     assert parse(text).generators == NAMES  # the clean text parses
-    if fault == "undeclared":
-        spots = [i for i in range(body, len(toks)) if toks[i] in NAMES]
-        at = rng.choice(spots)
-        toks[at] = "zz"
-    elif fault == "stray":
-        at = rng.randint(0, len(toks))
-        toks.insert(at, "-")
-    else:
-        spots = [i for i in range(len(toks)) if toks[i - 1] == "^"]
-        assume(spots)
-        at = rng.choice(spots)
-        toks[at] = "²"
+    at = _inject(toks, toks.index("|") + 1, fault, rng)
     text, offsets = _join(toks, rng)
     if fault == "stray":
         # a gap keeps the '-' from joining a name or an integer
@@ -584,6 +594,97 @@ def test_injected_error_position(relators, markers, fault, rng):
     assert str(err.value).startswith(
         "stray '-'" if fault == "stray" else "expected an integer exponent, found '²'"
     )
+
+
+# -- the piece reader against the token parser ----------------------------------
+#
+# parse and parse_word read words as '*'-separated pieces and hand every text
+# they do not take whole to the token parser _Parser; these tests hold the
+# two to the same words, and to the same errors at the same places.
+
+
+def _token_parse(text):
+    return presentations._Parser(text).parse_presentation()
+
+
+def _token_parse_word(text, generators):
+    parser = presentations._Parser(text)
+    word = parser.parse_word({g for g in generators if is_generator_name(g)})
+    parser.expect_end()
+    return word
+
+
+def _outcome(read, *args):
+    """What ``read(*args)`` gives: the value, its markers in order, or
+    the class, message and position of the error it raises."""
+    try:
+        value = read(*args)
+    except KnotGroupsError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+    return value, list(getattr(value, "markers", {}).items())
+
+
+@settings(max_examples=300)
+@given(st.lists(word_trees, min_size=1, max_size=3),
+       st.lists(word_trees.filter(_nonidentity), max_size=2),
+       st.sampled_from((None, "undeclared", "stray", "exponent", "drop")),
+       rngs)
+def test_piece_reader_matches_token_parser(relators, markers, fault, rng):
+    toks = _presentation_tokens(relators, markers, rng)
+    word = _word_tokens(relators[0], rng)
+    if fault:
+        _inject(toks, toks.index("|") + 1, fault, rng)
+        _inject(word, 0, fault, rng)
+    text, _ = _join(toks, rng)
+    assert _outcome(parse, text) == _outcome(_token_parse, text)
+    text, _ = _join(word, rng)
+    assert _outcome(parse_word, text, NAMES) == _outcome(_token_parse_word, text, NAMES)
+
+
+DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("text", [
+    "< x, y | x**y >", "< x, y | x*y* >", "< x, y | () >", "< x, y | (x*y >",
+    "< x | x^1_0 >", "< x | x^\u0663 >", f"< x, y | x^{DIGITS}*y >",
+    "< x | x^- 1 >", "< x, y | (x, y)^2 >", "< x | x^2 >meridian m:x",
+    "< x | (x)meridian >", "< x, y | >\nmeridian m: x meridian n: y\n",
+    "< x, y | >\nmeridian m: (x)meridian n: y^2", "< x | x >\nmeridian m: x\nmeridian m: x",
+    "< x, meridian | x >", "< x, x | x*y >",
+])
+def test_piece_reader_pinned_texts(text):
+    assert _outcome(parse, text) == _outcome(_token_parse, text)
+    word = text[text.index("|") + 1:text.index(">")]
+    assert _outcome(parse_word, word, "xy") == _outcome(_token_parse_word, word, "xy")
+
+
+def test_piece_reader_pinned_outcomes():
+    assert parse("< x | x^\u0663 >").relators == (Word.generator("x", 3),)
+    with pytest.raises(PresentationSyntaxError, match="found '_0'"):
+        parse("< x | x^1_0 >")
+    with pytest.raises(PresentationSyntaxError, match="exponent of more than"):
+        parse(f"< x, y | x^{DIGITS}*y >")
+    assert list(parse("< x | x^2 >meridian m:x").markers) == ["m"]
+    assert list(parse("< x, y | >\nmeridian m: (x)meridian n: y^2").markers) == ["m", "n"]
+
+
+def test_piece_reader_needs_no_token_parser(monkeypatch):
+    texts = [rbg_family(m).render() for m in (1, 2, 181)] + [
+        wirtinger_torus(7).render(),
+        "< x, y |\n ((x*y)^2 * x)^-3, ( y ) ^ 4*(x^-1) >\n",
+        "< x, a | a^2 >  meridian mu: x^-1*a*x\r\n\nmeridian nu: (a*x)^2\n",
+    ]
+    expected = [_token_parse(text) for text in texts]
+    word = "((y*x^2)^3*x)^-2*y"
+    expected_word = _token_parse_word(word, "xy")
+
+    def refuse(text):
+        raise AssertionError(f"the token parser read {text!r}")
+
+    monkeypatch.setattr(presentations, "_Parser", refuse)
+    for text, pres in zip(texts, expected):
+        assert _outcome(parse, text) == _outcome(lambda: pres)
+    assert parse_word(word, "xy") == expected_word
 
 
 class TestPowers:
