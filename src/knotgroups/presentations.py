@@ -41,22 +41,20 @@ syllables in total, and past that parsing raises WordTooLargeError rather
 than filling memory.
 
 Words are read as pieces: the relator block is split at ``,`` and each
-word at ``*``, and each distinct piece, ``'('* name ['^' integer] (')'
-['^' integer])*``, is read once per text.  A word without parentheses is
-then one table lookup per piece and one free reduction; a word with
-groups walks its pieces with a stack of open groups.  The token parser
-``_Parser`` reads the same grammar token by token.  It is the reference
-the tests hold the piece reader to, and it reads every text the piece
-reader does not take whole: every error, and marker layouts other than
-one marker to a line.  So every refusal carries its message, line and
-column.  Parsing time is linear in the length of the text.
+word at ``*``, and each distinct piece, ``name ['^' integer]``, is read
+once per text, so a word is one table lookup per piece and one free
+reduction.  The token parser ``_Parser`` reads the same grammar token by
+token.  It is the reference the tests hold the piece reader to, and it
+reads every text the piece reader does not take whole: every error, every
+text with parentheses, and marker layouts other than one marker to a
+line.  So every refusal carries its message, line and column.  Parsing
+time is linear in the length of the text.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -201,21 +199,18 @@ def rbg_family(m: int) -> Presentation:
 
 # -- parsing -------------------------------------------------------------------
 
-# The patterns below are compiled on first use, by the re module's cache, not
-# at import.  _SCAN reads one token per match: a symbol (the reserved name
-# characters), an integer, a stray '-' or a name.  No alternative matches
-# whitespace, so findall skips it.
+# The token parser's pattern, one token per match: a symbol (the reserved
+# name characters), an integer, a stray '-' or a name.  No alternative
+# matches whitespace, so findall skips it.
 _SYMBOLS = re.escape("".join(sorted(RESERVED_NAME_CHARS)))
-_SCAN = rf"[{_SYMBOLS}]|-?\d+|-|[^\s{_SYMBOLS}]+"
+_SCAN = re.compile(rf"[{_SYMBOLS}]|-?\d+|-|[^\s{_SYMBOLS}]+")
 
-# A name token that follows the name rule; the generator list of a text;
-# one '*'-separated piece of a word, '('* name ['^' int] (')' ['^' int])*,
-# and the closing parentheses at its end; one marker line.
+# The piece reader's patterns, compiled on first use by the re module's
+# cache: a name token that follows the name rule; the generator list of a
+# text; one '*'-separated piece of a word, name ['^' int]; one marker line.
 _NAME = rf"[^\s\d{_SYMBOLS}-][^\s{_SYMBOLS}]*"
 _HEAD = rf"\s*<\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*"
-_PIECE = (rf"\s*((?:\(\s*)*)({_NAME})\s*(?:\^\s*(-?\d+)\s*)?"
-          r"((?:\)\s*(?:\^\s*-?\d+\s*)?)*)")
-_CLOSE = r"\)\s*(?:\^\s*(-?\d+))?"
+_PIECE = rf"\s*({_NAME})\s*(?:\^\s*(-?\d+)\s*)?"
 _MARKER = rf"\s*meridian\s+({_NAME})\s*:(.*)"
 
 # Syllables that the powers ``(w)^k``, |k| > 1, of one text may build in total.
@@ -240,13 +235,9 @@ def parse(text: str) -> Presentation:
 
 def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse a single word (e.g. ``(y*x)^-3`` or ``x^-1*a*x``)."""
+    parser = _Parser(text)
     # a generator that breaks the name rule is never read as one name token
     names = {g for g in generators if is_generator_name(g)}
-    try:
-        return _Reader(names).word(text)
-    except _Unread:
-        pass
-    parser = _Parser(text)
     word = parser.parse_word(names)
     parser.expect_end()
     return word
@@ -259,65 +250,27 @@ class _Unread(Exception):
     """A text that the piece reader does not take whole; ``_Parser`` reads it."""
 
 
-def _exponent(digits: Optional[str]) -> int:
-    return read_decimal(digits, "", _Unread) if digits else 1
-
-
-class _Reader:
-    """Reads the words of one text as '*'-separated pieces, each distinct
-    piece once, for the generators ``declared`` (all valid names)."""
-
-    def __init__(self, declared: set):
-        self.declared = declared
-        self.pieces: dict = {}  # piece -> (opens, syllable, closing exponents)
-        self.built = 0  # syllables built by powers so far
-
-    def piece(self, text: str) -> tuple:
-        match = re.fullmatch(_PIECE, text)
-        if match is None or match[2] not in self.declared:
+def _read_word(text: str, declared: set, syllables: dict) -> Word:
+    """The word ``text``, without parentheses, for the generators
+    ``declared`` (all valid names); ``syllables`` holds the syllable of
+    every piece read so far in the text, so each distinct piece is read once."""
+    pieces = text.split("*")
+    for piece in set(pieces).difference(syllables):
+        match = re.fullmatch(_PIECE, piece)
+        if match is None or match[1] not in declared:
             raise _Unread
-        opens, name, exp, closes = match.groups()
-        return (opens.count("("), (name, _exponent(exp)),
-                tuple(map(_exponent, re.findall(_CLOSE, closes))) if closes else ())
-
-    def word(self, text: str) -> Word:
-        pieces = text.split("*")
-        table = self.pieces
-        for piece in set(pieces).difference(table):
-            table[piece] = self.piece(piece)
-        # every name was matched against the declared set, so none needs a check
-        if "(" not in text and ")" not in text:
-            syllables = map(itemgetter(1), map(table.__getitem__, pieces))
-            return Word._trusted(reduce_syllables(syllables))
-        # as in _Parser.parse_word: a group is reduced and raised to its
-        # power where it closes; open groups wait on a list
-        raw: list = []
-        outer: list = []
-        for piece in pieces:
-            opens, syllable, closes = table[piece]
-            for _ in range(opens):
-                outer.append(raw)
-                raw = []
-            raw.append(syllable)
-            for k in closes:
-                if not outer:
-                    raise _Unread
-                group = reduce_syllables(raw)
-                if abs(k) > 1:
-                    self.built += power_length(group, k)
-                    if self.built > MAX_WORD_SYLLABLES:
-                        raise _Unread
-                raw = outer.pop()
-                raw.extend(power_syllables(group, k))
-        if outer:
-            raise _Unread
-        return Word._trusted(reduce_syllables(raw))
+        name, digits = match.groups()
+        syllables[piece] = (name, read_decimal(digits, "", _Unread) if digits else 1)
+    # every name was matched against the declared set, so none needs a check
+    return Word._trusted(reduce_syllables(map(syllables.__getitem__, pieces)))
 
 
 def _read_pieces(text: str) -> Presentation:
     """The presentation of a text, read as pieces; raises _Unread on any
-    text not taken whole: every error, and markers other than one to a
-    line."""
+    text not taken whole: every error, every text with parentheses, and
+    markers other than one to a line."""
+    if "(" in text or ")" in text:
+        raise _Unread
     head, _, rest = text.partition("|")
     block, closed, tail = rest.partition(">")
     match = re.fullmatch(_HEAD, head)
@@ -326,15 +279,17 @@ def _read_pieces(text: str) -> Presentation:
     generators = [name.strip() for name in match[1].split(",")]
     if "meridian" in generators:
         raise _Unread
-    reader = _Reader(set(generators))
-    relators = [reader.word(w) for w in block.split(",")] if block.strip() else []
+    declared = set(generators)
+    syllables: dict = {}
+    relators = ([_read_word(w, declared, syllables) for w in block.split(",")]
+                if block.strip() else [])
     markers: Dict[str, Word] = {}
     for line in tail.split("\n"):
         if line.strip():
             match = re.fullmatch(_MARKER, line)
             if match is None or match[1] in markers:
                 raise _Unread
-            markers[match[1]] = reader.word(match[2])
+            markers[match[1]] = _read_word(match[2], declared, syllables)
     return Presentation(generators, relators, markers)
 
 
@@ -361,7 +316,7 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = re.findall(_SCAN, text)
+        self.tokens = _SCAN.findall(text)
         if "-" in self.tokens:
             raise self.error("stray '-'", self.tokens.index("-"))
         self.tokens.append("")
@@ -369,7 +324,7 @@ class _Parser:
         self.built = 0  # syllables built by powers so far
 
     def where(self, index: int) -> Tuple[int, int]:
-        offset = ([m.start() for m in re.finditer(_SCAN, self.text)] + [len(self.text)])[index]
+        offset = ([m.start() for m in _SCAN.finditer(self.text)] + [len(self.text)])[index]
         return (self.text.count("\n", 0, offset) + 1,
                 offset - self.text.rfind("\n", 0, offset))
 
