@@ -156,7 +156,8 @@ class HomSearchResult:
         if self.leaves is None:
             return None
         elements = self.group.elements
-        return [dict(zip(self.generators, map(elements.__getitem__, leaf)))
+        made = {i: elements[i] for i in set().union(*self.leaves)}
+        return [dict(zip(self.generators, map(made.__getitem__, leaf)))
                 for leaf in self.leaves]
 
 
@@ -168,9 +169,7 @@ def check_constraint(presentation: Presentation, group: FiniteGroup,
         if gen not in presentation.generators:
             raise UnknownGeneratorError(f"pinned generator {quoted(gen)} not declared")
         if value not in group:
-            raise NotAMemberError(
-                f"pinned value {value} is not an element of {group.label}"
-            )
+            raise NotAMemberError(f"pinned value {value} is not an element of {group.label}")
         out[gen] = value
     return out
 
@@ -342,7 +341,7 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[in
     for p in fixed:
         members = [h for h in members if columns[p][h] == columns[h][p]]
     if len(members) == n:
-        return [group.index[s] for s in group.generators if s in group]
+        return [group.index_of(s) for s in group.generators if s in group]
     gens: List[int] = []
     inside = bytearray(n)
     inside[0] = 1
@@ -452,7 +451,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     # one level per walked generator, or one level with one value when no
     # generator is walked, so that the walk still reaches its one leaf
     values: List[Sequence[int]] = [
-        (group.index[pins[g]],) if g in pins else range(n) for g in walked
+        (group.index_of(pins[g]),) if g in pins else range(n) for g in walked
     ] or [(0,)]
     relators = [_compile(rel, slots, group, len(values))
                 for rel in presentation.relators]

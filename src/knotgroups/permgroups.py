@@ -9,13 +9,11 @@ right actions.  Every stored or printed example in this package assumes it.
 Conjugacy and homomorphism *counts* do not depend on the convention, but
 whether a *specific* generator assignment satisfies a relator does.
 
-Groups are tiny here (at most ``MAX_GROUP_ORDER`` = 10^6 elements, and at
-most ``MAX_GROUP_POINTS`` = 10^7 image slots), so they are materialized as
-explicit element lists; the homomorphism search needs the element list
-anyway, and conjugacy can then be decided by exhaustive search rather than
-cycle type, which matters in alternating groups where classes split.  For
-the search, a group also multiplies its elements by index, through a
-product table (``FiniteGroup.columns``).
+Groups are tiny here (at most ``MAX_GROUP_ORDER`` = 10^6 elements and
+``MAX_GROUP_POINTS`` = 10^7 points), so a group lists all its elements, as
+packed keys multiplied by index (``FiniteGroup``), and conjugacy is decided
+by exhaustive search rather than cycle type, which matters in alternating
+groups where classes split.
 
 Points are 0-based internally; all I/O uses 1-based cycle notation such as
 ``(1,5,4,3,2)``, with ``()`` for the identity.  A literal (spaces removed)
@@ -47,12 +45,11 @@ from .errors import (
 # Most elements a group may have; read at each build, never passed per call.
 MAX_GROUP_ORDER = 10**6
 
-# Most points a group may hold, each an 8-byte slot of an image tuple: order
-# times degree (S9 on its 9 points holds 3.3 * 10^6).  Above 256 points the
+# Most points a group may hold: order times degree (S9 on its 9 points
+# holds 3.3 * 10^6), one slot of an element's key each.  Above 256 points the
 # identity and each generator are built afresh, with a new 32-byte int object
-# per point, so each of their points counts four more (_fresh_points).  This
-# bounds the slots, not the per-element objects around them: S9 holds 26 MB
-# of slots but its build peaks at 184 MB.
+# per point, so each of their points counts four more (_fresh_points).  A group
+# is its keys and their dict: a `count` into S9 peaks at 77-86 MB in all.
 MAX_GROUP_POINTS = 10**7
 
 # Groups up to this order get a full product table (order^2 entries of
@@ -91,9 +88,7 @@ class Permutation:
         for cycle in cycles:
             for p in cycle:
                 if not 1 <= p <= degree:
-                    raise InvalidParameterError(
-                        f"cycle point {p} outside 1..{degree}"
-                    )
+                    raise InvalidParameterError(f"cycle point {p} outside 1..{degree}")
                 if p in seen:
                     raise InvalidParameterError(f"point {p} repeated across cycles")
                 seen.add(p)
@@ -101,8 +96,6 @@ class Permutation:
                 images[p - 1] = cycle[(i + 1) % len(cycle)] - 1
         # every point in range and none repeated: the images are a bijection
         return cls._raw(tuple(images))
-
-    # -- structure ------------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -125,19 +118,14 @@ class Permutation:
         Each cycle starts at its smallest point; cycles are sorted by their
         starting point, giving a canonical form.
         """
-        seen = [False] * self.degree
-        out = []
+        images, seen, out = self._images, set(), []
         for start in range(self.degree):
-            if seen[start] or self._images[start] == start:
-                seen[start] = True
+            if start in seen or images[start] == start:
                 continue
             cycle = [start]
-            seen[start] = True
-            j = self._images[start]
-            while j != start:
-                cycle.append(j)
-                seen[j] = True
-                j = self._images[j]
+            while images[cycle[-1]] != start:
+                cycle.append(images[cycle[-1]])
+            seen.update(cycle)
             out.append(tuple(p + 1 for p in cycle))
         return tuple(out)
 
@@ -146,8 +134,6 @@ class Permutation:
 
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
-
-    # -- group operations ---------------------------------------------------
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
@@ -183,8 +169,6 @@ class Permutation:
             k >>= 1
         return acc
 
-    # -- comparison and display ----------------------------------------------
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
@@ -194,10 +178,7 @@ class Permutation:
         return hash(self._images)
 
     def __str__(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + ",".join(str(p) for p in c) + ")" for c in cycles)
+        return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles()) or "()"
 
     def __repr__(self) -> str:
         return f"Permutation{str(self)!r}"
@@ -223,35 +204,26 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 
 
 class FiniteGroup:
-    """A finite permutation group given by its complete element list.
+    """A finite permutation group, stored as one packed key per element.
 
-    The identity is always first; the rest of the list is in a fixed,
-    deterministic order so that searches iterating over elements are
-    reproducible.  Instances are immutable after construction, apart from
-    the product and power tables, which are built on first use.
+    Element i is the key ``_packing`` makes of its image tuple.  A group is
+    one list of keys, the identity's first and the rest in a fixed order so
+    that searches are reproducible, and one dict from key to index.  A
+    ``Permutation`` is made only where one is read: ``elements[i]`` makes
+    element i, and ``index_of`` and ``in`` look a permutation's key up.
 
-    For the search, elements are also their indices 0..n-1 in the list
-    (``index`` maps an element to its index; 0 is the identity), and a
-    word is evaluated by folding left to right over two lookups:
-
-    * ``columns[b][a]`` is the index of ``elements[a] * elements[b]``;
-    * ``powers(e)[i]`` is the index of ``elements[i] ** e``,
-
-    so one syllable ``g^e`` with g's image at index i turns an accumulated
-    index ``acc`` into ``columns[powers(e)[i]][acc]``.
-
-    Up to ``TABLE_MAX_ORDER`` each column is stored: one byte per entry up
-    to order 256, two bytes above.  The column for b (all a*b) is derived
-    from the column of b's parent p in a breadth-first walk over right
-    multiplication by the group's generators, b = p*s: then a*b = (a*p)*s
-    is one lookup in the table of right multiplication by s.  A column is a
-    permutation of the indices, so it composes as one (``_packing``): a
-    whole column is one C-level pass.  The tables of right multiplication
-    cost n*k compositions of image tuples for k generators, none when the
-    group was built by a walk that recorded them (``generated_group``).
-    Elements the generators do not reach get their column from direct
-    products.  Above the limit, products and powers are composed on the
-    fly from the permutations.
+    The search multiplies indices 0..n-1 (0 is the identity) by two tables,
+    built on first use: ``columns[b][a]`` is the index of a*b and
+    ``powers(e)[i]`` that of i^e, so a syllable g^e with g at index i turns
+    ``acc`` into ``columns[powers(e)[i]][acc]``.  Up to ``TABLE_MAX_ORDER``
+    every column is stored, one byte an entry up to order 256 and two above.
+    The column of b = p*s, for p reached earlier in a breadth-first walk and
+    s a generator, is p's column composed with the table of right
+    multiplication by s, as permutations of the indices: one C-level pass.
+    The right tables cost n*k key compositions for k generators, none when
+    ``generated_group`` recorded them; columns the walk does not reach are
+    direct products.  Above the limit, ``_Products`` composes products and
+    powers from the keys when they are read.
     """
 
     def __init__(self, degree: int, elements: Sequence[Permutation],
@@ -261,37 +233,60 @@ class FiniteGroup:
             raise InvalidParameterError("element list must start with the identity")
         if any(g.degree != degree for g in elems):
             raise DegreeMismatchError("element degree differs from group degree")
-        index = dict(zip(elems, range(len(elems))))
-        if len(index) != len(elems):
+        pack = _packing(degree)[0]
+        self._adopt(degree, [pack(g._images) for g in elems], generators, label)
+        if len(self._at) != len(elems):
             raise InvalidParameterError("duplicate element in group list")
+
+    @classmethod
+    def _of_keys(cls, degree, keys, generators, label, at=None, right_products=None):
+        """A builder's group of trusted keys, and their index dict ``at``."""
+        group = cls.__new__(cls)
+        group._adopt(degree, keys, generators, label, at, right_products)
+        return group
+
+    def _adopt(self, degree, keys, generators, label, at=None, right_products=None):
         self.degree = degree
-        self.elements = elems
         self.generators = tuple(generators)
         self.label = label or f"gen:{degree}"
-        self.index = index
-        # per generator s, the index of elements[i] * s at position i, when
-        # the builder formed those products anyway (trusted, not checked)
-        self._right_products: Optional[List[List[int]]] = None
+        self._pack = _packing(degree)[0]
+        self._keys: List = keys
+        self._at: Dict = dict(zip(keys, range(len(keys)))) if at is None else at
+        # per generator s, the index of element i * s at position i, if the
+        # builder formed those products anyway (trusted, not checked)
+        self._right_products: Optional[List[List[int]]] = right_products
         self._columns: Optional[Sequence[Sequence[int]]] = None
-        # per element index i, the indices of i^0, i^1, ... up to its
-        # order; None above TABLE_MAX_ORDER
+        # per element i, the indices of i^0, i^1, ... up to its order
         self._cycles: Optional[List[List[int]]] = None
         self._powers: Dict[int, Sequence[int]] = {}
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
+
+    @property
+    def elements(self) -> "_Elements":
+        """The elements in index order, each made when it is read."""
+        return _Elements(self._keys)
 
     @property
     def identity(self) -> Permutation:
         return self.elements[0]
+
+    def _key(self, p: Permutation):
+        """The key of ``p``, or None when its degree is not the group's."""
+        return self._pack(p._images) if p.degree == self.degree else None
+
+    def index_of(self, p: Permutation) -> int:
+        """The index of element ``p`` (KeyError if it is none)."""
+        return self._at[self._key(p)]
 
     @property
     def columns(self) -> Sequence[Sequence[int]]:
         """The product table, column b holding every a*b (built on first use)."""
         if self._columns is None:
             if self.order > TABLE_MAX_ORDER:
-                self._columns = _Products(self.elements)
+                self._columns = _Products(self)
             else:
                 self._columns, self._cycles = self._table(), []
                 for i, col in enumerate(self._columns):
@@ -307,21 +302,18 @@ class FiniteGroup:
         table = self._powers.get(e)
         if table is None:
             columns = self.columns
-            if self._cycles is None:
-                elements = self.elements
-                table = _Composed(lambda i: columns.index_of(elements[i] ** e))
-            else:
-                table = tuple(c[e % len(c)] for c in self._cycles)
-            self._powers[e] = table
+            table = self._powers[e] = (
+                _Composed(lambda i: columns.power(i, e)) if self._cycles is None
+                else tuple(c[e % len(c)] for c in self._cycles))
         return table
 
     def _table(self) -> List[Sequence[int]]:
         n = self.order
-        direct = None
+        direct = _Products(self)
+        column = lambda b: list(map(direct[b].__getitem__, range(n)))
         rights = self._right_products
         if rights is None:
-            direct = _Products(self.elements)
-            rights = [direct.column(s) for s in self.generators if s in self.index]
+            rights = [column(self.index_of(s)) for s in self.generators if s in self]
         pack, table, compose = _packing(n)
         rights = [table(right) for right in rights]
         # a column above order 256 is an image tuple while it is the parent
@@ -341,76 +333,87 @@ class FiniteGroup:
             cols[p] = store(cols[p])
         for b, col in enumerate(cols):
             if col is None:
-                direct = direct or _Products(self.elements)
-                cols[b] = store(direct.column(self.elements[b]))
+                cols[b] = store(column(b))
         return cols
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.index
+        return self._key(p) in self._at
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
-def _byte_table(images: Sequence[int]) -> bytes:
-    """A permutation of at most 256 points as a ``bytes.translate`` table."""
-    return bytes(images).ljust(256, b"\0")
+class _Elements(Sequence):
+    """A group's elements in index order, each a ``Permutation`` made from
+    its key when it is read; equal when the groups' keys are."""
 
+    def __init__(self, keys: List):
+        self._keys = keys
 
-def _compose_tuples(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    return itemgetter(*p)(q)  # above 256 points, so always a tuple
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [Permutation._raw(tuple(key)) for key in self._keys[i]]
+        return Permutation._raw(tuple(self._keys[i]))
+
+    def __eq__(self, other) -> bool:
+        return self._keys == other._keys if isinstance(other, _Elements) else NotImplemented
 
 
 def _packing(degree: int):
     """How permutations of ``degree`` points compose in C, as
     ``(pack, table, compose)``: ``pack`` turns an image tuple into a
-    hashable key, ``table`` turns one into a right operand, and
+    hashable key, ``table`` turns one, or a key, into a right operand, and
     ``compose(pack(p), table(q)) == pack(p * q)``.  Up to 256 points a key
-    is a byte string, which caches its hash, and ``bytes.translate``
-    composes; above, a key is the image tuple itself."""
+    is a byte string, which caches its hash, and ``bytes.translate`` composes
+    through a 256-byte table; above, a key is the tuple, and a tuple of more
+    than one point composes by ``itemgetter``."""
     if degree <= 256:
-        return bytes, _byte_table, bytes.translate
-    return tuple, tuple, _compose_tuples
+        return bytes, lambda images: bytes(images).ljust(256, b"\0"), bytes.translate
+    return tuple, tuple, lambda p, q: itemgetter(*p)(q)
 
 
 class _Products:
-    """Products of a group's elements by index, each composed when asked:
-    the ``columns`` of a group above TABLE_MAX_ORDER, and the columns a
-    table cannot derive from its generators."""
+    """Products and powers by index, composed from the group's own keys
+    and looked up in its own dict when read: the ``columns`` of a group above
+    TABLE_MAX_ORDER, and the columns a table cannot derive."""
 
-    def __init__(self, elements: Sequence[Permutation]):
-        self.elements = elements
-        self._pack, self._table, self._compose = _packing(elements[0].degree)
-        self._keys = [self._pack(g._images) for g in elements]
-        self._at = dict(zip(self._keys, range(len(elements))))
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.pack, self.table, self.compose = _packing(group.degree)
 
-    def _find(self, key) -> int:
+    def find(self, key) -> int:
         try:
-            return self._at[key]
+            return self.group._at[key]
         except KeyError:
             raise InvalidParameterError(
-                f"{Permutation._raw(tuple(key))} is not in the group's element list"
-            ) from None
-
-    def index_of(self, p: Permutation) -> int:
-        return self._find(self._pack(p._images))
-
-    def column(self, s: Permutation) -> List[int]:
-        """The index of a*s for every element a, in element order."""
-        compose, table = self._compose, self._table(s._images)
-        return [self._find(compose(a, table)) for a in self._keys]
+                f"{Permutation._raw(tuple(key))} is not in the group's element list") from None
 
     def __getitem__(self, b: int) -> "_Composed":
         """Column b: the index of a*b for every element a, composed when read."""
-        compose, keys = self._compose, self._keys
-        right = self._table(self.elements[b]._images)
-        return _Composed(lambda a: self._find(compose(keys[a], right)))
+        compose, keys, find = self.compose, self.group._keys, self.find
+        right = self.table(keys[b])
+        return _Composed(lambda a: find(compose(keys[a], right)))
+
+    def power(self, a: int, e: int) -> int:
+        """The index of a^e, squaring a's key, or for e < 0 its inverse's,
+        which sends each image back to its point."""
+        key, acc = self.group._keys[a], self.group._keys[0]
+        if e < 0:
+            key, e = self.pack(sorted(range(len(key)), key=key.__getitem__)), -e
+        while e:
+            right = self.table(key)
+            acc = self.compose(acc, right) if e & 1 else acc
+            key, e = self.compose(key, right), e >> 1
+        return self.find(acc)
 
 
 class _Composed(dict):
@@ -438,11 +441,11 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise InvalidParameterError("degree must be at least 1")
     if product_exceeds(range(2, n + 1), MAX_GROUP_ORDER):
         raise GroupTooLargeError(f"|S_{n}| = {n}! exceeds cap {MAX_GROUP_ORDER}")
-    elems = list(map(Permutation._raw, _all_perms(range(n))))
+    keys = list(map(_packing(n)[0], _all_perms(range(n))))
     gens = [Permutation.from_cycles([(1, 2)], n)] if n >= 2 else []
     if n >= 3:
         gens.append(Permutation.from_cycles([tuple(range(1, n + 1))], n))
-    return FiniteGroup(n, elems, gens, label=f"S{n}")
+    return FiniteGroup._of_keys(n, keys, gens, f"S{n}")
 
 
 def alternating_group(n: int) -> FiniteGroup:
@@ -456,14 +459,12 @@ def alternating_group(n: int) -> FiniteGroup:
     # inversions
     lehmer = product(*map(range, range(n, 0, -1)))
     even = (not sum(code) & 1 for code in lehmer)
-    elems = list(map(Permutation._raw, compress(_all_perms(range(n)), even)))
-    gens = []
-    if n >= 3:
-        gens.append(Permutation.from_cycles([(1, 2, 3)], n))
+    keys = list(map(_packing(n)[0], compress(_all_perms(range(n)), even)))
+    gens = [Permutation.from_cycles([(1, 2, 3)], n)] if n >= 3 else []
     if n >= 4:
         cycle = tuple(range(1, n + 1)) if n % 2 == 1 else tuple(range(2, n + 1))
         gens.append(Permutation.from_cycles([cycle], n))
-    return FiniteGroup(n, elems, gens, label=f"A{n}")
+    return FiniteGroup._of_keys(n, keys, gens, f"A{n}")
 
 
 def _fresh_points(degree: int, generators: int) -> int:
@@ -488,15 +489,15 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
     """Subgroup of S_degree generated by ``generators``.
 
     Breadth-first closure starting from the identity; element order is the
-    deterministic BFS discovery order.  The walk forms every product h*g,
-    so it records their indices for the group's product table.
+    deterministic BFS discovery order.  The group keeps the walk's keys and
+    its key -> index dict as its own; the walk forms every product h*g, so
+    it also hands over their indices for the group's product table.
     """
     if degree < 1:
         raise InvalidParameterError("degree must be at least 1")
     gens = tuple(generators)
-    for g in gens:
-        if g.degree != degree:
-            raise DegreeMismatchError("generator degree differs from group degree")
+    if any(g.degree != degree for g in gens):
+        raise DegreeMismatchError("generator degree differs from group degree")
     _check_degree(degree, len(gens))
     # degree points an element, after the identity's and generators' ints
     cap = min(MAX_GROUP_ORDER,
@@ -521,10 +522,7 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
                         f"generated group exceeds cap {cap} (at most "
                         f"{MAX_GROUP_ORDER} elements, {MAX_GROUP_POINTS} points)")
             right.append(at)
-    elements = list(map(Permutation._raw, map(tuple, ordered)))
-    group = FiniteGroup(degree, elements, gens, label=label or f"gen:{degree}")
-    group._right_products = rights
-    return group
+    return FiniteGroup._of_keys(degree, ordered, gens, label, seen, rights)
 
 
 def group_from_spec(spec: str) -> FiniteGroup:
@@ -557,10 +555,9 @@ def find_conjugator(g: Permutation, h: Permutation, group: FiniteGroup
     inside a subgroup (3-cycles in A_4, 5-cycles in A_5), and this search
     decides conjugacy inside ``group`` itself.
     """
-    if g not in group:
-        raise NotAMemberError(f"{g} is not an element of {group.label}")
-    if h not in group:
-        raise NotAMemberError(f"{h} is not an element of {group.label}")
+    for p in (g, h):
+        if p not in group:
+            raise NotAMemberError(f"{p} is not an element of {group.label}")
     for k in group.elements:
         if k * g * ~k == h:
             return k

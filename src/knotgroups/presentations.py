@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -324,7 +325,9 @@ class _Parser:
         self.built = 0  # syllables built by powers so far
 
     def where(self, index: int) -> Tuple[int, int]:
-        offset = ([m.start() for m in _SCAN.finditer(self.text)] + [len(self.text)])[index]
+        # the offset of token ``index``; one past the last token is the end
+        token = next(islice(_SCAN.finditer(self.text), index, None), None)
+        offset = token.start() if token else len(self.text)
         return (self.text.count("\n", 0, offset) + 1,
                 offset - self.text.rfind("\n", 0, offset))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from . import homsearch
-from .fox import abelianize_ring_element, alexander_matrix, alexander_polynomial, fox_derivative
+from .fox import _fox_row, alexander_matrix, alexander_polynomial, fox_derivative
 from .laurent import LaurentPoly, gcd as laurent_gcd, parse_laurent
 from .permgroups import FiniteGroup, are_conjugate, group_from_spec, parse_permutation
 from .presentations import Presentation, parse, rbg_family
@@ -270,13 +270,13 @@ def check_property_suites() -> None:
         rhs = fox_derivative(u, g) + fox_derivative(v, g).left_mul(u)
         _expect(lhs == rhs, f"product rule fails for u={u}, v={v}, d/d{g}")
 
-    # abelianized fundamental identity, 200 random words
+    # abelianized fundamental identity on the Alexander matrix's rows, 200 words
+    column = {g: i for i, g in enumerate(gens)}
     for _ in range(200):
         w = _random_word(rng, gens)
         weights = {g: rng.randint(-2, 2) for g in gens}
         total = LaurentPoly.zero()
-        for g in gens:
-            poly = abelianize_ring_element(fox_derivative(w, g), weights)
+        for g, poly in zip(gens, _fox_row(w, column, weights)):
             total = total + poly * (LaurentPoly({weights[g]: 1}) - 1)
         ab_w = sum(weights[g] * e for g, e in w.exponent_sums().items())
         want = LaurentPoly({ab_w: 1}) - 1

@@ -19,6 +19,7 @@ one name token.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, Tuple
 
 from .errors import InvalidParameterError, MissingImageError, quoted
@@ -175,7 +176,7 @@ class Word:
     def generators(self) -> frozenset:
         """Set of generator names occurring in the word (computed once)."""
         if self._generators is None:
-            self._generators = frozenset(name for name, _ in self._syllables)
+            self._generators = frozenset(map(itemgetter(0), self._syllables))
         return self._generators
 
     def letter_length(self) -> int:

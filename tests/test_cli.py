@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotgroups import cli, errors, fox, homsearch, verification
+from knotgroups import cli, errors, fox, homsearch, permgroups, verification
 from knotgroups.errors import InvalidParameterError
 from knotgroups.laurent import parse_laurent
 from knotgroups.presentations import Presentation, parse, rbg_family
@@ -487,6 +487,60 @@ class TestCountCommand:
 
 PSL27 = "gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]"
 WORD_MARKED = "< c, y | c*y*c*y^-1*c^-1*y^-1 >\nmeridian w: c*y\n"
+S9_GENERATED = "gen:9:[(1,2,3,4,5,6,7,8,9),(1,2)]"
+
+
+class TestGroupIsKeys:
+    """A count reads its group as packed keys and indices."""
+
+    @pytest.mark.parametrize("group, text, args, count, made", [
+        # the generators, then each pin or marker target, once each
+        ("A5", FAMILY_M1, ["--marker", "meridian_B=(1,5,4,3,2)"], 6, 2 + 1),
+        (PSL27, WORD_MARKED, ["--marker", "w=(2,3,5)(4,7,6)"], 22, 3 + 1),
+        (S9_GENERATED, "< x | x >", ["--pin", "x=()"], 1, 2 + 1),
+        ("S9", "< x | x >", ["--pin", "x=()"], 1, 2 + 1),
+    ], ids=["A5", "PSL27", "gen9", "S9"])
+    def test_count_makes_no_permutation_per_element(self, tmp_path, capsys, monkeypatch,
+                                                    group, text, args, count, made):
+        path = write(tmp_path, "p.pres", text)
+        calls = []
+        raw, init = permgroups.Permutation._raw, permgroups.Permutation.__init__
+
+        def counted_raw(images):
+            calls.append(images)
+            return raw(images)
+
+        def counted_init(self, images):
+            calls.append(images)
+            init(self, images)
+
+        monkeypatch.setattr(permgroups.Permutation, "_raw", staticmethod(counted_raw))
+        monkeypatch.setattr(permgroups.Permutation, "__init__", counted_init)
+        code, out, _ = run(capsys, "count", path, "--group", group, *args, "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["count"] == count
+        assert len(calls) == made
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads ru_maxrss in kilobytes")
+    def test_generated_s9_count_memory(self, tmp_path):
+        # S9 by closure, 362,880 elements: its keys and their dict, with no
+        # Permutation per element, peaked at 194 MB when it had them
+        path = write(tmp_path, "x.pres", "< x | x >\n")
+        argv = ["count", path, "--group", S9_GENERATED, "--pin", "x=()", "--json"]
+        child = f"import sys; from knotgroups import cli; sys.exit(cli.main({argv!r}))"
+        driver = (
+            "import resource, subprocess, sys\n"
+            f"code = subprocess.call([sys.executable, '-c', {child!r}])\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", driver], capture_output=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["count"] == 1
+        # measured at 85-86 MB on CPython 3.11
+        assert int(proc.stderr.decode().splitlines()[-1]) < 100 * 1024
 
 
 class TestListing:

@@ -184,6 +184,9 @@ class TestCountHoms:
             for leaf in result.leaves
         ]
         assert result.assignments is result.assignments
+        # one Permutation per element the listing uses, shared by its rows
+        images = [p for assignment in result.assignments for p in assignment.values()]
+        assert len(set(map(id, images))) == len(set(images)) < len(images)
         counted = count_homs(F1, A5)
         assert (counted.leaves, counted.assignments) == (None, None)
 
@@ -678,7 +681,7 @@ class TestOrbitWeightedSearch:
     ], ids=IDS[:4])
     def test_pins_with_trivial_centralizer(self, group, literals):
         values = [parse_permutation(text, group.degree) for text in literals]
-        assert _centralizer_generators(group, [group.index[v] for v in values]) == []
+        assert _centralizer_generators(group, [group.index_of(v) for v in values]) == []
         rng = random.Random(400 + group.order)
         for _ in range(10):
             pres = self.random_presentation(rng, 3)
@@ -692,8 +695,8 @@ class TestOrbitWeightedSearch:
         # the centralizer of a central pin is the whole group, which then
         # acts through its own generators
         value = parse_permutation(central, group.degree)
-        assert (_centralizer_generators(group, [group.index[value]])
-                == [group.index[s] for s in group.generators])
+        assert (_centralizer_generators(group, [group.index_of(value)])
+                == [group.index_of(s) for s in group.generators])
         rng = random.Random(500 + group.order)
         for _ in range(10):
             pres = self.random_presentation(rng, 3 if group.order < 60 else 2)

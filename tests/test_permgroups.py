@@ -391,7 +391,7 @@ class TestIndexForm:
             a, b = rng.randrange(n), rng.randrange(n)
             assert elems[columns[b][a]] == elems[a] * elems[b]
         for e in (-1, 7):
-            assert list(group.powers(e)) == [group.index[p**e] for p in elems]
+            assert list(group.powers(e)) == [group.index_of(p**e) for p in elems]
 
     def test_more_than_256_points(self):
         # image tuples too wide for bytes: the closure and the direct

@@ -88,6 +88,18 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.column == 5  # points at the offending '>'
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("< x | x", 1, 8),
+        ("<x", 1, 3),
+        ("< x, y | x,\n  y^", 2, 5),
+        ("< x |\n x\n", 3, 1),
+    ])
+    def test_end_of_input_error_points_past_the_text(self, text, line, column):
+        # the token after the last one is the end of the text
+        with pytest.raises(PresentationSyntaxError, match="found end of input") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_exponent_past_the_digit_limit(self):
         digits = "9" * (sys.get_int_max_str_digits() + 1)
         with pytest.raises(PresentationSyntaxError, match="exponent of more than") as err:
