@@ -29,6 +29,7 @@ list of ``{generator: element}`` dicts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -366,8 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser that ``build_parser()`` gives subcommand ``name``, alone."""
+    """The parser that ``build_parser()`` gives subcommand ``name``, alone,
+    built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog=f"{_PROG} {name}")
     _COMMANDS[name][1](parser)
     return parser

@@ -23,6 +23,22 @@ pinned:
     generator in no relator is not walked at all: it multiplies the count
     by |A|, or by 1 if pinned.
 
+    A later unpinned generator g is solved by deduction (same reference)
+    when one relator checked at its level has every syllable on an
+    earlier unpinned generator in one cyclic gap between occurrences of g.
+    A cyclic conjugate of a relator is trivial exactly when the relator
+    is, so the relator is rotated to Q*W: W runs from g's first occurrence
+    to its last and holds only g and pinned syllables, and Q is the rest.
+    The level then takes, for each parent, only the values v of g with
+    W(v) = Q^-1, read from a table from W's value to the sorted values v,
+    built once per search on the level's first entry; the relator is not
+    checked there.  A Wirtinger relator x_{i+1} x_i x_{i+1}^-1 x_{i+2}^-1
+    gives one x_{i+2} per parent, and the family's
+    x^-1 a x a^-1 x^-1 * y a y^-1 under a pin on a gives at most |C(a)|
+    values of y, not |A|.  The first unpinned level is never solved: it
+    has one parent and walks orbit representatives, so a table would cost
+    what the walk costs.
+
 Both engines return identical counts and identical listings, in the same
 order: a listing maps each solution back to declaration order (backtrack
 first expands it over its orbit) and sorts.  The test suite leans on that.
@@ -31,8 +47,8 @@ of each generator's image; ``HomSearchResult.assignments``, the same
 homomorphisms as ``{generator: Permutation}`` dicts, is built from the
 leaves only when it is read, and the command line never reads it.
 The work counters (``SearchStats``) count the walk actually made, so
-backtrack's ``nodes`` and ``relator_checks`` cover the reduced walk, while
-``naive`` still counts every assignment.
+backtrack's ``nodes`` and ``relator_checks`` cover the reduced walk, table
+entries included, while ``naive`` still counts every assignment.
 
 The meridian invariant of a marked presentation counts homomorphisms whose
 value on the marker word is a prescribed element sigma.  A marker that is a
@@ -66,7 +82,8 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceededError,
@@ -79,14 +96,16 @@ from .errors import (
 )
 from .permgroups import FiniteGroup, Permutation, are_conjugate, product_exceeds
 from .presentations import Presentation
-from .words import Word
+from .words import Word, reduce_syllables
 
 # Resource limits, read at each call, never passed per call: the nodes one
 # search may visit, the assignments a naive search may walk, and the
 # homomorphisms one listing may hold.  A search into A5 walks 1 to 3
-# million nodes a second (2-core x86 box, CPython 3.11), so a refused one
-# ends within about 10 s; the largest search in the test suite walks
-# 359,705 nodes.
+# million nodes a second (2-core x86 box, CPython 3.11), and each entry of a
+# solved level's table is charged as a node, so a refused search ends
+# within about 10 s.  The largest search in the test suite,
+# < a, b, c, d, e | a*b*c*d*e > into A5, counts 2,178,365 nodes; the next,
+# a chain of 1200 generators, 77,940, of which 71,940 are table entries.
 MAX_SEARCH_NODES = 10**7
 MAX_NAIVE_ASSIGNMENTS = 10**7
 MAX_LISTED_HOMS = 10**5
@@ -277,23 +296,31 @@ class _Bound:
 
 
 def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
-          checks: Sequence[Sequence[StraightLine]], temporaries: int,
-          columns: Sequence[Sequence[int]], stats: SearchStats) -> Iterator[List[int]]:
+          checks: Sequence[Sequence[StraightLine]],
+          solved: Sequence[Optional[Tuple[StraightLine, StraightLine]]],
+          temporaries: int, columns: Sequence[Sequence[int]],
+          stats: SearchStats) -> Iterator[List[int]]:
     """Depth-first walk over index assignments, without recursion.
 
     Level i takes each value in ``values[i]`` in turn, spends a node if
     ``counted[i]``, and executes the programs ``checks[i]`` in order until
     one fails; a value that passes them all descends to level i + 1, or at
-    the last level is yielded (the live list: copy what you keep).  The
-    assignment list holds ``temporaries`` slots past the levels for the
-    programs' temporaries.  Counters go to ``stats`` when the walk ends, and
-    more than ``MAX_SEARCH_NODES`` nodes are refused.
+    the last level is yielded (the live list: copy what you keep).  A level
+    with a pair of programs ``solved[i]`` = (Q^-1, W) takes only the values
+    v of ``values[i]`` with W = Q^-1 when v is at level i: on the level's
+    first entry W's value for each v is tabled, one node an entry, and each
+    entry evaluates Q^-1, one relator check, and reads its values from the
+    table.  The assignment list holds ``temporaries`` slots past the levels
+    for the programs' temporaries.  Counters go to ``stats`` when the walk
+    ends, and more than ``MAX_SEARCH_NODES`` nodes are refused.
     """
     node_budget = MAX_SEARCH_NODES
     last = len(values) - 1
     assignment = [0] * (len(values) + temporaries)
-    programs = [[_Bound(p, assignment, columns) if p[0] else p[1] for p in level]
-                for level in checks]
+    bind = lambda p: _Bound(p, assignment, columns) if p[0] else p[1]
+    programs = [list(map(bind, level)) for level in checks]
+    solvers = [pair and tuple(map(bind, pair)) for pair in solved]
+    tables: List[Optional[Dict[int, List[int]]]] = [None] * len(values)
     todo = [iter(v) for v in values]
     nodes = relator_checks = 0
     level = 0
@@ -302,9 +329,7 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
             if counted[level]:
                 nodes += 1
                 if nodes > node_budget:
-                    raise BudgetExceededError(
-                        f"search exceeded node budget {node_budget}"
-                    )
+                    raise _over_budget(node_budget)
             assignment[level] = value
             for program in programs[level]:
                 relator_checks += 1
@@ -320,12 +345,61 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
                     yield assignment
                     continue
                 level += 1
-                todo[level] = iter(values[level])
+                if solvers[level] is None:
+                    todo[level] = iter(values[level])
+                    break
+                inverse_q, w = solvers[level]
+                table = tables[level]
+                if table is None:
+                    nodes += len(values[level])
+                    if nodes > node_budget:
+                        raise _over_budget(node_budget)
+                    table = tables[level] = {}
+                    for v in values[level]:
+                        assignment[level] = v
+                        table.setdefault(evaluate(w, assignment, columns), []).append(v)
+                relator_checks += 1
+                todo[level] = iter(table.get(evaluate(inverse_q, assignment, columns), ()))
                 break
         else:
             level -= 1
     stats.nodes += nodes
     stats.relator_checks += relator_checks
+
+
+def _over_budget(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"search exceeded node budget {budget}")
+
+
+def _deduction(word: Word, g: str, loose: AbstractSet[str]
+               ) -> Optional[Tuple[Word, Word]]:
+    """(Q^-1, W) for the cyclic conjugate Q*W of ``word`` in which W runs
+    from an occurrence of g to an occurrence of g and Q holds every syllable
+    on a generator of ``loose``, or None when those syllables fall in more
+    than one cyclic gap between occurrences of g.  ``word`` is trivial
+    exactly when its conjugate is, that is when W = Q^-1."""
+    s = word.syllables
+    # gap k follows the k-th occurrence of g; the gaps before the first
+    # and after the last are one, so a third gap ends the scan early
+    gaps, seen = set(), 0
+    for h, _ in s:
+        if h == g:
+            seen += 1
+        elif h in loose:
+            gaps.add(seen)
+            if len(gaps) > 2:
+                return None
+    gaps = {k % seen for k in gaps}
+    if len(gaps) > 1:
+        return None
+    k = gaps.pop() if gaps else 0
+    at = [i for i, (h, _) in enumerate(s) if h == g]
+    start = at[k - 1] + 1
+    rotated = s[start:] + s[:start]
+    cut = (at[k] - start) % len(s)
+    q, w = (Word._trusted(reduce_syllables(part))
+            for part in (rotated[:cut], rotated[cut:]))
+    return ~q, w
 
 
 def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[int]:
@@ -339,7 +413,8 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[in
     n, columns = group.order, group.columns
     members: Sequence[int] = range(n)
     for p in fixed:
-        members = [h for h in members if columns[p][h] == columns[h][p]]
+        conj = group.conjugates(p)
+        members = [h for h in members if conj[h] == h]
     if len(members) == n:
         return [group.index_of(s) for s in group.generators if s in group]
     gens: List[int] = []
@@ -355,9 +430,9 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[in
         frontier = list(elements)
         while frontier:
             nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = columns[s][x]
+            for column in map(columns.__getitem__, gens):
+                for x in frontier:
+                    y = column[x]
                     if not inside[y]:
                         inside[y] = 1
                         elements.append(y)
@@ -367,30 +442,32 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[in
 
 
 def _conjugation_orbits(group: FiniteGroup, gens: Sequence[int]
-                        ) -> Dict[int, List[Tuple[int, int]]]:
+                        ) -> Dict[int, List[Optional[Tuple[int, Sequence[int]]]]]:
     """The orbits of the subgroup generated by ``gens`` acting on A by
-    conjugation, x -> h*x*h^-1, found breadth first.
+    conjugation, x -> h*x*h^-1, found breadth first through the generators'
+    conjugation tables (``FiniteGroup.conjugates``), and no other product.
 
     Keyed by representative (the smallest index in the orbit), in
-    increasing order; each orbit lists (point, t) pairs with
-    t*rep*t^-1 = point, the representative first with t = 0.
+    increasing order.  Each orbit lists how its points were reached: None
+    for the representative, then (j, table) for the point table[p], p the
+    orbit's j-th point and table the conjugation table of a generator.
     """
-    n, columns, inverse = group.order, group.columns, group.powers(-1)
-    # conj[k][x] = s*x*s^-1 for s = gens[k]: two lookups per entry
-    conj = [[columns[columns[inverse[s]][x]][s] for x in range(n)] for s in gens]
+    n = group.order
+    conj = list(map(group.conjugates, gens))
     seen = bytearray(n)
-    orbits: Dict[int, List[Tuple[int, int]]] = {}
+    orbits: Dict[int, List[Optional[Tuple[int, Sequence[int]]]]] = {}
     for rep in range(n):
         if seen[rep]:
             continue
         seen[rep] = 1
-        orbit = [(rep, 0)]
-        for point, t in orbit:  # grows while it is read
-            for s, table in zip(gens, conj):
+        points, orbit = [rep], [None]
+        for j, point in enumerate(points):  # grows while it is read
+            for table in conj:
                 y = table[point]
                 if not seen[y]:
                     seen[y] = 1
-                    orbit.append((y, columns[t][s]))  # s*t
+                    points.append(y)
+                    orbit.append((j, table))
         orbits[rep] = orbit
     return orbits
 
@@ -420,10 +497,17 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     it once per orbit point.  When counting, a generator in no relator is
     not walked and multiplies the count by |A| (1 if pinned).
 
-    Work counters: a node is one value tried for an unpinned generator
-    (backtrack) or one complete assignment (naive); a relator check is one
-    relator evaluation.  Both count the reduced walk in backtrack and every
-    assignment in naive.
+    A later unpinned level solved from a relator Q*W (module docstring)
+    takes only the values v with W(v) = Q^-1 from a table of W's values;
+    orbit weighting, the level's other checks, counts and listings are
+    unchanged.
+
+    Work counters: a node is one value tried for an unpinned generator, or
+    one entry of a solved level's table (backtrack), or one complete
+    assignment (naive); ``MAX_SEARCH_NODES`` bounds them all, and a table
+    is charged before it is built.  A relator check is one relator
+    evaluation, or one evaluation of Q^-1 on entering a solved level.  Both
+    count the reduced walk in backtrack and every assignment in naive.
     """
     pins = check_constraint(presentation, group, constraint or {})
     unpinned = [g for g in presentation.generators if g not in pins]
@@ -453,45 +537,59 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     values: List[Sequence[int]] = [
         (group.index_of(pins[g]),) if g in pins else range(n) for g in walked
     ] or [(0,)]
-    relators = [_compile(rel, slots, group, len(values))
-                for rel in presentation.relators]
-    temporaries = max((len(lines) for lines, _ in relators), default=0)
+    program = lambda word: _compile(word, slots, group, len(values))
+    # the first unpinned walked generator ranges over orbit representatives;
+    # otherwise every orbit is one point
+    first = next((i for i, g in enumerate(walked) if g not in pins), None)
+    solved: List[Optional[Tuple[StraightLine, StraightLine]]] = [None] * len(values)
     if mode == "naive":
         # a node is a complete assignment, and every relator is checked on it
         counted = [False] * (len(values) - 1) + [True]
         checks: List[List[StraightLine]] = [[] for _ in values]
-        checks[-1] = relators
+        checks[-1] = list(map(program, presentation.relators))
     else:
         counted = [g not in pins for g in walked] or [False]
-        checks = [[] for _ in values]
-        for support, program in zip(supports, relators):
-            checks[max(slots[g] for g in support)].append(program)
+        at_level: List[List[Word]] = [[] for _ in values]
+        for support, rel in zip(supports, presentation.relators):
+            at_level[max(slots[g] for g in support)].append(rel)
+        # a level after the first unpinned one is solved from its first
+        # relator whose syllables on earlier unpinned generators lie in one
+        # gap between occurrences of the level's generator
+        for level in range(first + 1, len(walked)) if first is not None else ():
+            loose = frozenset(walked[first:level])
+            for i, rel in enumerate(at_level[level]):
+                split = _deduction(rel, walked[level], loose)
+                if split:
+                    solved[level] = (program(split[0]), program(split[1]))
+                    del at_level[level][i]
+                    break
+        checks = [list(map(program, rels)) for rels in at_level]
+    temporaries = max((len(lines) for lines, _ in chain(
+        *checks, *filter(None, solved))), default=0)
 
-    # the first unpinned walked generator ranges over orbit representatives;
-    # otherwise every orbit is one point
-    first = next((i for i, g in enumerate(walked) if g not in pins), None)
     if mode == "backtrack" and first is not None:
         fixed = [v[0] for v in values[:first]]  # the walked pinned images
         orbits = _conjugation_orbits(group, _centralizer_generators(group, fixed))
         values[first] = tuple(orbits)
     else:
         first = 0
-        orbits = {v: [(v, 0)] for v in values[0]}
+        orbits = {v: [None] for v in values[0]}
 
     count = 0
     leaves: List[Leaf] = []
-    inverse = group.powers(-1)
     # a listing walks every generator; its leaves go back to declaration order
     order = [slots[g] for g in presentation.generators] if materialize else []
-    for assignment in _walk(values, counted, checks, temporaries, columns, stats):
+    for assignment in _walk(values, counted, checks, solved, temporaries, columns,
+                            stats):
         orbit = orbits[assignment[first]]
         count += len(orbit)
         if materialize:
-            # one solution per orbit point: the leaf conjugated by t,
-            # v -> t*v*t^-1
-            for _, t in orbit:
-                by = columns[inverse[t]]
-                leaves.append(tuple([columns[by[assignment[i]]][t] for i in order]))
+            # one solution per orbit point: the solution of the point it
+            # was reached from, conjugated by that step's generator
+            rows = [[assignment[i] for i in order]]
+            for j, table in orbit[1:]:
+                rows.append([table[v] for v in rows[j]])
+            leaves.extend(map(tuple, rows))
             if len(leaves) > MAX_LISTED_HOMS:
                 raise BudgetExceededError(
                     f"listing exceeded the limit of {MAX_LISTED_HOMS} homomorphisms"

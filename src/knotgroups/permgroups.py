@@ -307,6 +307,19 @@ class FiniteGroup:
                 else tuple(c[e % len(c)] for c in self._cycles))
         return table
 
+    def conjugates(self, s: int) -> List[int]:
+        """The index of s*x*s^-1 for each element x, in index order: two
+        lookups an entry in the product table, or above ``TABLE_MAX_ORDER``
+        two compositions of keys and one dict lookup, with no column made."""
+        if self.order > TABLE_MAX_ORDER:
+            pack, table, compose = _packing(self.degree)
+            key, at = self._keys[s], self._at
+            back = table(pack(sorted(range(self.degree), key=key.__getitem__)))
+            return [at[compose(compose(key, table(x)), back)] for x in self._keys]
+        columns = self.columns
+        by = columns[self.powers(-1)[s]]  # x -> x*s^-1
+        return [columns[by[x]][s] for x in range(self.order)]
+
     def _table(self) -> List[Sequence[int]]:
         n = self.order
         direct = _Products(self)

@@ -807,6 +807,20 @@ class TestCommandParser:
         assert code == 0 and out.splitlines()[0] == "count = 6"
         assert run(capsys, "family", "--m", "1")[:2] == (0, FAMILY_M1)
 
+    def test_each_command_parser_is_built_once(self, tmp_path, capsys):
+        path = write(tmp_path, "f1.pres", FAMILY_M1)
+        parser = cli._command_parser("count")
+        assert cli._command_parser("count") is parser
+        assert cli._command_parser("alex") is not parser
+        # a usage error leaves the parser as it was for the next call
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", path, "--group", "A5", "--mode", "fast"])
+        assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+        code, out, _ = run(capsys, "count", path, "--group", "A5",
+                           "--pin", "x=(1,5,4,3,2)")
+        assert code == 0 and out.splitlines()[0] == "count = 6"
+        assert cli._command_parser("count") is parser
+
     def test_pins_do_not_carry_over(self, tmp_path, capsys):
         path = write(tmp_path, "f1.pres", FAMILY_M1)
         code, out, _ = run(capsys, "count", path, "--group", "A5", "--json",

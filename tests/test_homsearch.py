@@ -1,13 +1,15 @@
 """Homomorphism counting: engines, pins, markers, invariance, the compiled
-evaluator, its straight-line programs and concurrent searches."""
+evaluator, its straight-line programs, levels solved by deduction and
+concurrent searches."""
 
 import random
 import threading
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from knotgroups import homsearch
+from knotgroups import homsearch, permgroups
 from knotgroups.errors import (
     BudgetExceededError,
     GroupTooLargeError,
@@ -20,6 +22,7 @@ from knotgroups.homsearch import (
     _Bound,
     _centralizer_generators,
     _compile,
+    _deduction,
     compile_word,
     count_homs,
     evaluate,
@@ -513,6 +516,33 @@ class TestCompiledEvaluator:
         assert oracle > 0
         assert count_homs(pres, S7, {"x": x}, mode=mode).count == oracle
 
+    def test_orbits_above_table_limit_read_no_column(self, monkeypatch):
+        # above TABLE_MAX_ORDER the conjugation tables are composed from
+        # keys, so the orbit pass of < x | x^2 > into S8 makes no column
+        S8 = symmetric_group(8)
+        assert S8.order > TABLE_MAX_ORDER
+        made, passes = [], []
+        column = permgroups._Products.__getitem__
+        monkeypatch.setattr(permgroups._Products, "__getitem__",
+                            lambda self, b: made.append(b) or column(self, b))
+        orbits = homsearch._conjugation_orbits
+
+        def orbit_pass(*args):
+            before = len(made)
+            result = orbits(*args)
+            passes.append(len(made) - before)
+            return result
+
+        monkeypatch.setattr(homsearch, "_conjugation_orbits", orbit_pass)
+        pres = parse("< x | x^2 >")
+        assert count_homs(pres, S8).count == 764
+        assert passes == [0]
+        # the listing expands each orbit through the same tables
+        listed = count_homs(pres, S8, materialize=True)
+        assert listed.leaves == [(i,) for i, p in enumerate(S8.elements)
+                                 if (p * p).is_identity]
+        assert len(listed.leaves) == 764
+
     def test_word_marker_above_table_limit(self):
         # the marker x*y as meridian_search builds it: a relator x*y*c^-1
         # on a new generator c pinned to sigma
@@ -558,10 +588,17 @@ class TestLongRelators:
                 assert word.evaluate(hom, A5) == SIGMA
 
     def test_counters_at_m_181(self):
+        # meridian_G pins a to SIGMA, whose centralizer <SIGMA> splits A5
+        # into (60 + 4 * 5) / 5 = 16 orbits for x.  y is solved from
+        # x^-1 a x a^-1 x^-1 * y a y^-1: a table of the 60 values of y a y^-1
+        # (60 nodes), then for each of the 16 x one check reading its y
+        # values, 5 (|C(a)|) for each of the 2 x whose x^-1 a x a^-1 x^-1
+        # is conjugate to a^-1, and one check of the first relator on each:
+        # 60 + 16 + 10 nodes and 16 + 10 relator checks
         family = rbg_family(181)
         expected = {
             ("meridian_B", "backtrack"): (6, 136, 136),
-            ("meridian_G", "backtrack"): (1, 976, 1052),
+            ("meridian_G", "backtrack"): (1, 86, 26),
             ("meridian_B", "naive"): (6, 3600, 3960),
             ("meridian_G", "naive"): (1, 3600, 3960),
         }
@@ -730,9 +767,10 @@ class TestOrbitWeightedSearch:
         assert count_homs(pres, A5).count == 60 ** 4
         assert count_homs(pres, A5, {"f1": SIGMA}).count == 60 ** 3
         assert count_homs(pres, A5, {"f1": SIGMA, "g1": SIGMA}).count == 60 ** 2
-        # the free generators are not walked: x in one of A5's 5 classes,
-        # then 60 values of g1
-        assert count_homs(pres, A5).stats.nodes == 5 + 5 * 60
+        # the free generators are not walked: g0 in one of A5's 5 classes,
+        # then g1 solved from g0*g1, one value for each g0 after a table of
+        # its 60 values
+        assert count_homs(pres, A5).stats.nodes == 5 + 5 + 60
 
     def test_psl27_meridian_listing(self):
         # the benchmark's group: x pinned to an element of order 3 whose
@@ -742,3 +780,169 @@ class TestOrbitWeightedSearch:
             lambda mode, listing: meridian_search(F1, "meridian_B", PSL27, sigma,
                                                   mode=mode, materialize=listing))
         assert count > 0
+
+
+def _wirtinger(n):
+    """The Wirtinger presentation of the torus knot T(2, n): relator i is
+    x_{i+1} x_i x_{i+1}^-1 x_{i+2}^-1, indices mod n."""
+    gens = [f"x{i}" for i in range(1, n + 1)]
+    return Presentation(gens, [
+        Word(((gens[(i + 1) % n], 1), (gens[i], 1), (gens[(i + 1) % n], -1),
+              (gens[(i + 2) % n], -1)))
+        for i in range(n)
+    ])
+
+
+def _wirtinger_homs(pres, group):
+    """Every homomorphism of ``pres`` = ``_wirtinger(n)`` into ``group``, in
+    listing order, without the engines: x1 and x2 take every pair of
+    values, the relators x_{i+2} = x_{i+1} x_i x_{i+1}^-1 fix the rest, and
+    Word.evaluate checks every relator."""
+    homs = []
+    for images in map(list, product(group.elements, repeat=2)):
+        while len(images) < len(pres.generators):
+            images.append(images[-1] * images[-2] * ~images[-1])
+        hom = dict(zip(pres.generators, images))
+        if is_homomorphism(pres, group, hom):
+            homs.append(hom)
+    return sorted(homs, key=lambda h: [group.index_of(h[g]) for g in pres.generators])
+
+
+class TestDeduction:
+    """A level after the first unpinned one is solved from a relator whose
+    syllables on earlier unpinned generators lie in one cyclic gap between
+    occurrences of the level's generator: its values come from a table, not
+    a walk.  Counts and listings must still agree with ``naive``."""
+
+    @staticmethod
+    def assert_agrees(search, oracle=None, naive=True):
+        """``search(mode, materialize)`` runs one engine; the backtrack count
+        and listing must equal naive's (when ``naive``) and ``oracle``, a
+        list of assignments in listing order (when given)."""
+        listed = search("backtrack", True)
+        assert search("backtrack", False).count == listed.count == len(listed.assignments)
+        if naive:
+            assert search("naive", True).assignments == listed.assignments
+        if oracle is not None:
+            assert listed.assignments == oracle
+        return listed.count
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("group", [A5, S4], ids=["A5", "S4"])
+    def test_wirtinger_torus_knots(self, group, n):
+        pres = _wirtinger(n)
+        homs = _wirtinger_homs(pres, group)
+        gens = pres.generators
+        # every homomorphism: naive would walk |A|^n assignments
+        self.assert_agrees(
+            lambda mode, listing: count_homs(pres, group, mode=mode, materialize=listing),
+            homs, naive=group.order ** n <= 20_000)
+        # all but two generators pinned, so that naive walks |A|^2: to the
+        # images of a nonabelian homomorphism where there is one (not for
+        # T(2,7) into A5, nor T(2,5) and T(2,7) into S4), then to random
+        # elements
+        rng = random.Random(n * group.order)
+        hom = next((h for h in reversed(homs) if h["x1"] * h["x2"] != h["x2"] * h["x1"]),
+                   homs[-1])
+        loose = {gens[n // 2], gens[(n // 2 + 2) % n]}
+        for values in (hom, {g: rng.choice(group.elements) for g in gens}):
+            pins = {g: values[g] for g in gens if g not in loose}
+            oracle = [h for h in homs if all(h[g] == v for g, v in pins.items())]
+            self.assert_agrees(
+                lambda mode, listing: count_homs(pres, group, pins, mode=mode,
+                                                 materialize=listing),
+                oracle, naive=True)
+        # a word marker x1 * x3^-1: its relator w * c^-1 on the pinned c is
+        # solved too, with and without the other pins
+        marker = Word((("x1", 1), ("x3", -1)))
+        marked = Presentation(gens, pres.relators, {"w": marker})
+        sigma = marker.evaluate(hom, group)
+        oracle = [h for h in homs if marker.evaluate(h, group) == sigma]
+        self.assert_agrees(
+            lambda mode, listing: meridian_search(marked, "w", group, sigma, mode=mode,
+                                                  materialize=listing),
+            oracle, naive=False)
+        # the same relator as meridian_search builds it, beside pins on
+        # every generator but x1 and x3
+        pins = {g: hom[g] for g in gens if g not in ("x1", "x3")}
+        augmented = Presentation(gens + ("c",),
+                                 pres.relators + (marker * ~Word.generator("c"),))
+        self.assert_agrees(
+            lambda mode, listing: count_homs(augmented, group, dict(pins, c=sigma),
+                                             mode=mode, materialize=listing))
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_wirtinger_nodes(self, n):
+        # x1 walks A5's 5 classes and x2 its 60 elements; each later x_{i+2}
+        # is solved from x_{i+1} x_i x_{i+1}^-1 x_{i+2}^-1 after a table of
+        # its 60 values (60 nodes), one value for each of the 300 (x1, x2)
+        result = count_homs(_wirtinger(n), A5)
+        assert result.stats.nodes == 5 + 300 * (n - 1) + 60 * (n - 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_solved_relators_match_naive(self, data):
+        # a relator built as a cyclic conjugate of Q*W: Q on the unpinned a,
+        # b and the pinned p, q; W runs through g at exponents +-1 and +-2,
+        # with pinned syllables between its occurrences of g, or, when
+        # ``spread``, unpinned ones too, which may leave nothing to solve
+        draw = data.draw
+        group = draw(st.sampled_from([S3, D4, A4]))
+        exponent = st.sampled_from([-2, -1, 1, 2])
+        syllables = lambda names, lo, hi: st.lists(
+            st.tuples(st.sampled_from(names), exponent), min_size=lo, max_size=hi)
+        spread = draw(st.booleans())
+        q = draw(syllables("abpq", 1, 4))
+        w = [("g", draw(exponent))]
+        for _ in range(draw(st.integers(0, 2))):
+            w += draw(syllables("abpq" if spread else "pq", 0, 2))
+            w.append(("g", draw(exponent)))
+        cut = draw(st.integers(0, len(q) + len(w) - 1))
+        raw = q + w
+        relator = Word(raw[cut:] + raw[:cut])
+        relators = [relator]
+        if draw(st.booleans()):
+            relators.append(Word(draw(syllables("ab", 1, 3))))
+        pres = Presentation(("a", "b", "g", "p", "q"), relators)
+        pins = {"p": draw(st.sampled_from(group.elements)),
+                "q": draw(st.sampled_from(group.elements))}
+        if "g" in relator.generators() and not spread:
+            assert _deduction(relator, "g", frozenset("ab")) is not None
+        self.assert_agrees(
+            lambda mode, listing: count_homs(pres, group, pins, mode=mode,
+                                             materialize=listing))
+
+    def test_tables_are_charged_as_nodes(self, monkeypatch):
+        # < x0..x10 | x_i x_{i+1}^-1 >: x0 walks A5's 5 classes and each
+        # later level is solved, one value for each x0 after a table of its
+        # 60 values: 55 values tried and 600 table entries
+        gens = [f"x{i}" for i in range(11)]
+        pres = Presentation(gens, [Word(((gens[i], 1), (gens[i + 1], -1)))
+                                   for i in range(10)])
+        assert count_homs(pres, A5).stats.nodes == 55 + 600
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 655)
+        assert count_homs(pres, A5).count == 60
+        # refused at one node fewer, and where the 55 values alone pass
+        for budget in (654, 100):
+            monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", budget)
+            with pytest.raises(BudgetExceededError, match=f"node budget {budget}$"):
+                count_homs(pres, A5)
+
+    def test_five_generator_product(self):
+        # refused at the node budget before levels were solved; now a walks
+        # A5's 5 classes, b, c and d its 60 elements, and e is solved from
+        # a*b*c*d*e after a table of 60: one value for each (a, b, c, d)
+        result = count_homs(parse("< a, b, c, d, e | a*b*c*d*e >"), A5)
+        assert result.count == 60 ** 4 == 12_960_000
+        assert result.stats.nodes == 5 + 300 + 18_000 + 2 * 1_080_000 + 60
+
+    def test_split_of_the_family_relator(self):
+        # the meridian_G pin on a: y is solved from y a y^-1 = (x^-1 a x a^-1 x^-1)^-1
+        relator = F1.relators[1]
+        inverse_q, w = _deduction(relator, "y", frozenset("x"))
+        assert (str(inverse_q), str(w)) == ("x*a*x^-1*a^-1*x", "y*a*y^-1")
+        # with x and a both unpinned, the syllables on x and a lie in gaps
+        # on both sides of y's occurrences
+        assert _deduction(relator, "y", frozenset("xa")) is None
+        # meridian_B pins x: a's gaps hold y and y^-1 apart
+        assert _deduction(relator, "a", frozenset("y")) is None
