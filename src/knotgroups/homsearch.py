@@ -68,12 +68,19 @@ walked generators) and one step u^k through ``FiniteGroup.powers(k)``; a
 later run of B or of B's inverse reuses u.  So the family relator
 (yx)^m y (yx)^-m x^-1 costs 6 lookups for every m >= 3, not 4m + 2; a word
 whose runs save fewer lookups than its temporaries cost (``_CHECK_COST``,
-``_LINE_COST``) stays flat.  The temporaries are computed inside the
-relator's own check, so a check reads only levels already assigned.  ``compile_word`` keeps the flat program, one
-step per syllable, as the oracle of the compressed one.  The search itself
-is one iterative depth-first walk over a list of element indices, so its
-depth is not bounded by the recursion limit; an assignment that passes the
-checks of the last walked level is a solution there.
+``_LINE_COST``) stays flat.  ``compile_word`` keeps the flat program, one
+step per syllable, as the oracle of the compressed one.
+
+The walk schedules temporaries by level (``_schedule``): each has a slot of
+its own, computed once per value of the level of its last generator, and
+so has each run of two or more steps of a check on levels before the
+check's.  A value computes the lines its level's checks read, runs those
+checks, each a flat tuple of steps, and if they pass, the lines only deeper
+levels read.  So a naive search with x pinned computes the first family
+relator, which has no a, once per y, not for each of the 60 values of a.
+The search itself is one iterative depth-first walk over a list of element
+indices, so its depth is not bounded by the recursion limit; an assignment
+that passes the checks of the last walked level is a solution there.
 """
 
 from __future__ import annotations
@@ -82,7 +89,6 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -100,12 +106,12 @@ from .words import Word, reduce_syllables
 
 # Resource limits, read at each call, never passed per call: the nodes one
 # search may visit, the assignments a naive search may walk, and the
-# homomorphisms one listing may hold.  A search into A5 walks 1 to 3
-# million nodes a second (2-core x86 box, CPython 3.11), and each entry of a
-# solved level's table is charged as a node, so a refused search ends
-# within about 10 s.  The largest search in the test suite,
-# < a, b, c, d, e | a*b*c*d*e > into A5, counts 2,178,365 nodes; the next,
-# a chain of 1200 generators, 77,940, of which 71,940 are table entries.
+# homomorphisms one listing may hold.  A search into A5 walks 0.5 to 1.5
+# million nodes a second (shared 2-core x86 box, CPython 3.11), charging a
+# level's values and a solved level's table before it walks them, so a
+# refused search ends within about 20 s.  The largest search in the test
+# suite, < a, b, c, d, e | a*b*c*d*e > into A5, counts 2,178,365 nodes; the
+# next, a chain of 1200 generators, 77,940, of which 71,940 are table entries.
 MAX_SEARCH_NODES = 10**7
 MAX_NAIVE_ASSIGNMENTS = 10**7
 MAX_LISTED_HOMS = 10**5
@@ -122,7 +128,11 @@ Step = Tuple[int, Sequence[int]]
 Program = Tuple[Step, ...]
 # A straight-line program: lines (temporary slot, steps), each storing its
 # product in its slot, in order, then the steps whose product is the word.
-StraightLine = Tuple[Tuple[Tuple[int, Program], ...], Program]
+Line = Tuple[int, Program]
+StraightLine = Tuple[Tuple[Line, ...], Program]
+# One level of the search walk: the lines its checks read, its checks, and
+# the lines that only deeper levels read.
+Level = Tuple[Sequence[Line], Sequence[Program], Sequence[Line]]
 
 # The longest block a periodic run may repeat.  A run of syllables B^k
 # (2 <= |B| <= _MAX_PERIOD, k >= 2) is found by one pattern over the word
@@ -136,11 +146,10 @@ _RUN = re.compile(r"(.{2,%d}?)\1+" % _MAX_PERIOD, re.DOTALL)
 # spelled, and compiles to its flat program.
 _CHARACTERS = sys.maxunicode + 1
 # What a program with temporaries costs per check beyond its lookups, in
-# lookups: about 4 for iterating the bound program (the _Bound.__iter__
-# call and the loop over its lines) and about 1.5 for each temporary (its
-# line's loop set-up and the store into its slot), measured against flat
-# programs of as many lookups into A5 with 1 to 6 temporaries.  A word whose
-# runs save fewer lookups than that compiles to its flat program.
+# lookups: about 4 for entering its lines and about 1.5 for each temporary
+# (loop set-up and store), measured against flat programs into A5 with 1 to
+# 6 temporaries when each check computed its own; scheduled by level, they
+# cost at most that.  A word whose runs save fewer compiles to its flat one.
 _CHECK_COST = 4
 _LINE_COST = 2
 
@@ -270,73 +279,87 @@ def evaluate(program: Program, values: Sequence[int],
     return acc
 
 
-class _Bound:
-    """A straight-line program with temporaries, bound to the list of values
-    it reads.  Iterating it stores each temporary in its slot, then iterates
-    the final steps, so a loop over steps runs it as it runs a flat program,
-    and a program without temporaries is left a plain tuple of steps."""
+def _schedule(checks: Sequence[Sequence[StraightLine]], one: Sequence[int]
+              ) -> Tuple[List[Level], int]:
+    """The walk's levels for the programs ``checks[i]`` checked at level i,
+    slot i holding level i's generator, and the number of slots they use.
+    Each temporary, and each run of two or more steps of a check on earlier
+    levels, moves to a slot of its own computed at the level of the last
+    generator it reads; the check reads a run in one step through ``one``
+    (``FiniteGroup.powers(1)``)."""
+    home = list(range(len(checks)))  # the level that computes each slot
+    now: List[List[Line]] = [[] for _ in checks]
+    deeper: List[List[Line]] = [[] for _ in checks]
+    flat: List[List[Program]] = [[] for _ in checks]
 
-    __slots__ = ("lines", "steps", "values", "columns")
+    def store(steps: Program, level: int) -> int:
+        slot, at = len(home), max([home[s] for s, _ in steps])
+        home.append(at)
+        (now if at == level else deeper)[at].append((slot, steps))
+        return slot
 
-    def __init__(self, program: StraightLine, values: List[int],
-                 columns: Sequence[Sequence[int]]):
-        self.lines, self.steps = program
-        self.values, self.columns = values, columns
-
-    def __iter__(self) -> Iterator[Step]:
-        values, columns = self.values, self.columns
-        for target, line in self.lines:
-            # evaluate(line, values, columns), inlined: the walk runs this
-            # once per check of the relator
-            acc = 0
-            for slot, powers in line:
-                acc = columns[powers[values[slot]]][acc]
-            values[target] = acc
-        return iter(self.steps)
+    for level, programs in enumerate(checks):
+        for lines, steps in programs:
+            moved = {target: store(line, level) for target, line in lines}
+            out, run = [], []  # the check's steps, and the run being read
+            # a step on this level ends a run, and one more ends the last
+            for slot, powers in (*steps, (level, one)):
+                slot = moved.get(slot, slot)
+                if home[slot] < level:
+                    run.append((slot, powers))
+                    continue
+                out += [(store(tuple(run), level), one)] if len(run) > 1 else run
+                out.append((slot, powers))
+                run = []
+            flat[level].append(tuple(out[:-1]))
+    return list(zip(now, flat, deeper)), len(home)
 
 
 def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
-          checks: Sequence[Sequence[StraightLine]],
+          levels: Sequence[Level],
           solved: Sequence[Optional[Tuple[StraightLine, StraightLine]]],
-          temporaries: int, columns: Sequence[Sequence[int]],
+          slots: int, columns: Sequence[Sequence[int]],
           stats: SearchStats) -> Iterator[List[int]]:
     """Depth-first walk over index assignments, without recursion.
 
-    Level i takes each value in ``values[i]`` in turn, spends a node if
-    ``counted[i]``, and executes the programs ``checks[i]`` in order until
-    one fails; a value that passes them all descends to level i + 1, or at
-    the last level is yielded (the live list: copy what you keep).  A level
-    with a pair of programs ``solved[i]`` = (Q^-1, W) takes only the values
-    v of ``values[i]`` with W = Q^-1 when v is at level i: on the level's
-    first entry W's value for each v is tabled, one node an entry, and each
-    entry evaluates Q^-1, one relator check, and reads its values from the
-    table.  The assignment list holds ``temporaries`` slots past the levels
-    for the programs' temporaries.  Counters go to ``stats`` when the walk
-    ends, and more than ``MAX_SEARCH_NODES`` nodes are refused.
+    Level i takes each value in ``values[i]`` in turn, computes the lines
+    ``levels[i][0]``, and executes the programs ``levels[i][1]`` in order
+    until one fails; a value that passes them all computes the lines
+    ``levels[i][2]`` and descends to level i + 1, or at the last level is
+    yielded (the live list: copy what you keep).  A level with a pair of
+    programs ``solved[i]`` = (Q^-1, W) takes only the values v of
+    ``values[i]`` with W = Q^-1 when v is at level i: on the level's first
+    entry W's value for each v is tabled, one node an entry, and each entry
+    evaluates Q^-1, one relator check, and reads its values from the table.
+    Entering a level with ``counted[i]`` charges a node for each value it
+    will take.  The assignment list has ``slots`` slots.  Counters go to
+    ``stats`` when the walk ends, and more than ``MAX_SEARCH_NODES`` nodes
+    are refused.
     """
     node_budget = MAX_SEARCH_NODES
     last = len(values) - 1
-    assignment = [0] * (len(values) + temporaries)
-    bind = lambda p: _Bound(p, assignment, columns) if p[0] else p[1]
-    programs = [list(map(bind, level)) for level in checks]
-    solvers = [pair and tuple(map(bind, pair)) for pair in solved]
+    assignment = [0] * slots
     tables: List[Optional[Dict[int, List[int]]]] = [None] * len(values)
-    todo = [iter(v) for v in values]
-    nodes = relator_checks = 0
-    level = 0
+    todo = [iter(values[0])] + [None] * last
+    nodes = len(values[0]) if counted[0] else 0  # the first level is never solved
+    if nodes > node_budget:
+        raise _over_budget(node_budget)
+    relator_checks = level = 0
     while level >= 0:
+        lines, checks, deeper = levels[level]
         for value in todo[level]:
-            if counted[level]:
-                nodes += 1
-                if nodes > node_budget:
-                    raise _over_budget(node_budget)
             assignment[level] = value
-            for program in programs[level]:
-                relator_checks += 1
-                # evaluate(program, assignment, columns), inlined: this
-                # loop is where the search spends its time
+            # evaluate(line, assignment, columns) and the same for each
+            # check, inlined: these loops are where the search spends its time
+            for target, line in lines:
                 acc = 0
-                for slot, powers in program:
+                for slot, powers in line:
+                    acc = columns[powers[assignment[slot]]][acc]
+                assignment[target] = acc
+            for check in checks:
+                relator_checks += 1
+                acc = 0
+                for slot, powers in check:
                     acc = columns[powers[assignment[slot]]][acc]
                 if acc:
                     break
@@ -344,22 +367,35 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
                 if level == last:
                     yield assignment
                     continue
+                for target, line in deeper:
+                    acc = 0
+                    for slot, powers in line:
+                        acc = columns[powers[assignment[slot]]][acc]
+                    assignment[target] = acc
                 level += 1
-                if solvers[level] is None:
-                    todo[level] = iter(values[level])
-                    break
-                inverse_q, w = solvers[level]
-                table = tables[level]
-                if table is None:
-                    nodes += len(values[level])
+                entering = values[level]
+                if solved[level] is not None:
+                    (q_lines, inverse_q), (w_lines, w) = solved[level]
+                    table = tables[level]
+                    if table is None:
+                        nodes += len(entering)
+                        if nodes > node_budget:
+                            raise _over_budget(node_budget)
+                        table = tables[level] = {}
+                        for v in entering:
+                            assignment[level] = v
+                            for target, line in w_lines:
+                                assignment[target] = evaluate(line, assignment, columns)
+                            table.setdefault(evaluate(w, assignment, columns), []).append(v)
+                    relator_checks += 1
+                    for target, line in q_lines:
+                        assignment[target] = evaluate(line, assignment, columns)
+                    entering = table.get(evaluate(inverse_q, assignment, columns), ())
+                if counted[level]:
+                    nodes += len(entering)
                     if nodes > node_budget:
                         raise _over_budget(node_budget)
-                    table = tables[level] = {}
-                    for v in values[level]:
-                        assignment[level] = v
-                        table.setdefault(evaluate(w, assignment, columns), []).append(v)
-                relator_checks += 1
-                todo[level] = iter(table.get(evaluate(inverse_q, assignment, columns), ()))
+                todo[level] = iter(entering)
                 break
         else:
             level -= 1
@@ -504,8 +540,9 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
 
     Work counters: a node is one value tried for an unpinned generator, or
     one entry of a solved level's table (backtrack), or one complete
-    assignment (naive); ``MAX_SEARCH_NODES`` bounds them all, and a table
-    is charged before it is built.  A relator check is one relator
+    assignment (naive); ``MAX_SEARCH_NODES`` bounds them all, charged for a
+    table before it is built and for a level's values (or table hit) on
+    entering it, before any is tried.  A relator check is one relator
     evaluation, or one evaluation of Q^-1 on entering a solved level.  Both
     count the reduced walk in backtrack and every assignment in naive.
     """
@@ -537,11 +574,11 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     values: List[Sequence[int]] = [
         (group.index_of(pins[g]),) if g in pins else range(n) for g in walked
     ] or [(0,)]
-    program = lambda word: _compile(word, slots, group, len(values))
+    program = lambda word, start=len(values): _compile(word, slots, group, start)
     # the first unpinned walked generator ranges over orbit representatives;
     # otherwise every orbit is one point
     first = next((i for i, g in enumerate(walked) if g not in pins), None)
-    solved: List[Optional[Tuple[StraightLine, StraightLine]]] = [None] * len(values)
+    splits: List[Optional[Tuple[Word, Word]]] = [None] * len(values)
     if mode == "naive":
         # a node is a complete assignment, and every relator is checked on it
         counted = [False] * (len(values) - 1) + [True]
@@ -558,14 +595,17 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
         for level in range(first + 1, len(walked)) if first is not None else ():
             loose = frozenset(walked[first:level])
             for i, rel in enumerate(at_level[level]):
-                split = _deduction(rel, walked[level], loose)
-                if split:
-                    solved[level] = (program(split[0]), program(split[1]))
+                splits[level] = _deduction(rel, walked[level], loose)
+                if splits[level]:
                     del at_level[level][i]
                     break
         checks = [list(map(program, rels)) for rels in at_level]
-    temporaries = max((len(lines) for lines, _ in chain(
-        *checks, *filter(None, solved))), default=0)
+    levels, size = _schedule(checks, group.powers(1))
+    # Q^-1 and W compute their own temporaries, in slots past the levels'
+    solved = [split and (program(split[0], size), program(split[1], size))
+              for split in splits]
+    size += max((len(lines) for pair in filter(None, solved) for lines, _ in pair),
+                default=0)
 
     if mode == "backtrack" and first is not None:
         fixed = [v[0] for v in values[:first]]  # the walked pinned images
@@ -579,8 +619,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     leaves: List[Leaf] = []
     # a listing walks every generator; its leaves go back to declaration order
     order = [slots[g] for g in presentation.generators] if materialize else []
-    for assignment in _walk(values, counted, checks, solved, temporaries, columns,
-                            stats):
+    for assignment in _walk(values, counted, levels, solved, size, columns, stats):
         orbit = orbits[assignment[first]]
         count += len(orbit)
         if materialize:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 import struct
 from array import array
-from itertools import accumulate, compress, permutations as _all_perms, product
+from itertools import accumulate, compress, permutations as _all_perms, product, repeat
 from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -326,7 +326,15 @@ class FiniteGroup:
         column = lambda b: list(map(direct[b].__getitem__, range(n)))
         rights = self._right_products
         if rights is None:
-            rights = [column(self.index_of(s)) for s in self.generators if s in self]
+            # a*s for every element a, in one C-level pass over the keys
+            keys, at = self._keys, self._at
+            right = lambda s: repeat(direct.table(self._key(s)))
+            try:
+                rights = [list(map(at.__getitem__, map(direct.compose, keys, right(s))))
+                          for s in self.generators if s in self]
+            except KeyError as outside:
+                direct.find(outside.args[0])  # raises the group's own error
+                raise
         pack, table, compose = _packing(n)
         rights = [table(right) for right in rights]
         # a column above order 256 is an image tuple while it is the parent

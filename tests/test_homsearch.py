@@ -19,10 +19,10 @@ from knotgroups.errors import (
 )
 from knotgroups.homsearch import (
     _MAX_PERIOD,
-    _Bound,
     _centralizer_generators,
     _compile,
     _deduction,
+    _schedule,
     compile_word,
     count_homs,
     evaluate,
@@ -393,12 +393,12 @@ def _random_word(rng, gens, length, max_exp=3):
     return Word([(rng.choice(gens), rng.choice(exps)) for _ in range(length)])
 
 
-def _planted_word(rng, gens, pieces):
+def _planted_word(rng, gens, pieces, repeats=200):
     """A word of random syllables and planted runs: blocks of 1 to
-    _MAX_PERIOD + 1 syllables repeated 2 to 200 times, abutting, some of them
-    the inverse of the block before (after one syllable, so that they do not
-    cancel), some breaking off inside a copy so that the next run starts
-    within the last one."""
+    _MAX_PERIOD + 1 syllables repeated 2 to ``repeats`` times, abutting, some
+    of them the inverse of the block before (after one syllable, so that
+    they do not cancel), some breaking off inside a copy so that the next
+    run starts within the last one."""
     raw = []
     block = [(gens[0], 1)]
     for _ in range(pieces):
@@ -412,10 +412,22 @@ def _planted_word(rng, gens, pieces):
         else:
             block = [(rng.choice(gens), rng.choice((-70, -3, -2, -1, 1, 2, 3, 61)))
                      for _ in range(rng.randint(1, _MAX_PERIOD + 1))]
-        raw += block * rng.randint(2, 200)
+        raw += block * rng.randint(2, repeats)
         if kind == 3:
             raw += block[:rng.randrange(len(block))]
     return Word(raw)
+
+
+def _scheduled_value(levels, at, values, columns):
+    """The value of the one check at level ``at`` of a ``_schedule``, its
+    lines computed level by level in the walk's order."""
+    for level, (lines, checks, deeper) in enumerate(levels):
+        for target, line in lines:
+            values[target] = evaluate(line, values, columns)
+        if level == at:
+            return evaluate(checks[0], values, columns)
+        for target, line in deeper:
+            values[target] = evaluate(line, values, columns)
 
 
 class TestCompiledEvaluator:
@@ -451,12 +463,15 @@ class TestCompiledEvaluator:
             temporaries += len(lines)
             flat = compile_word(word, pres, group)
             assert len(steps) + sum(len(line) for _, line in lines) <= len(flat)
+            # checked at the level of its last generator, as the walk does
+            at = max(map(slots.__getitem__, word.generators()), default=0)
+            checks = [[program] if level == at else [] for level in range(3)]
+            levels, size = _schedule(checks, group.powers(1))
             for _ in range(3):
                 values = [rng.randrange(group.order) for _ in self.GENS]
                 images = {g: group.elements[i] for g, i in zip(self.GENS, values)}
-                values += [0] * len(lines)
-                got = evaluate(_Bound(program, values, group.columns), values,
-                               group.columns)
+                values += [0] * (size - len(self.GENS))
+                got = _scheduled_value(levels, at, values, group.columns)
                 assert got == evaluate(flat, values, group.columns)
                 assert group.elements[got] == word.evaluate(images, group)
         assert temporaries > 0
@@ -946,3 +961,98 @@ class TestDeduction:
         assert _deduction(relator, "y", frozenset("xa")) is None
         # meridian_B pins x: a's gaps hold y and y^-1 apart
         assert _deduction(relator, "a", frozenset("y")) is None
+
+
+class TestScheduledEvaluation:
+    """Searches whose checks read temporaries and runs of steps on earlier
+    levels, which the walk computes once per value of their last level,
+    against an enumeration with ``Word.evaluate``; and the node charge on
+    entering a level."""
+
+    @staticmethod
+    def _enumeration(relators, gens, group, fixed):
+        """(sorted leaves, relator checks) over every assignment of
+        ``gens`` extending ``fixed``: a check is one relator evaluated, in
+        order, up to the first that is not the identity."""
+        ident, leaves, checks = group.identity, [], 0
+        free = [g for g in gens if g not in fixed]
+        for images in product(group.elements, repeat=len(free)):
+            hom = {**fixed, **dict(zip(free, images))}
+            for rel in relators:
+                checks += 1
+                if rel.evaluate(hom, group) != ident:
+                    break
+            else:
+                leaves.append(tuple(group.index_of(hom[g]) for g in gens))
+        return sorted(leaves), checks
+
+    @pytest.mark.parametrize("group", [S4, A5], ids=["S4", "A5"])
+    def test_planted_presentations(self, group, monkeypatch):
+        rng = random.Random(21 + group.order)
+        lines = {"own level": 0, "deeper": 0}
+
+        def schedule(checks, one):
+            levels, size = _schedule(checks, one)
+            lines["own level"] += sum(len(now) for now, _, _ in levels)
+            lines["deeper"] += sum(len(deeper) for _, _, deeper in levels)
+            return levels, size
+
+        monkeypatch.setattr(homsearch, "_schedule", schedule)
+        found = 0
+        # the enumeration multiplies permutations: fewer cases into A5
+        for _ in range(12 if group is S4 else 4):
+            gens = [f"g{i}" for i in range(rng.randint(2, 4))]
+            relators = [_planted_word(rng, gens, rng.randint(1, 2), repeats=4)
+                        for _ in range(rng.randint(1, 3))]
+            pres = Presentation(gens, relators)
+            relators = list(pres.relators)  # without the trivial ones
+            # at most two unpinned generators, so that the enumeration is small
+            pinned = rng.sample(gens, rng.randint(len(gens) - 2, len(gens)))
+            pins = {g: rng.choice(group.elements) if rng.random() < 0.5
+                    else group.identity for g in pinned}
+            searches = [(lambda mode: count_homs(pres, group, pins, mode=mode,
+                                                 materialize=True),
+                         self._enumeration(relators, gens, group, pins),
+                         len(gens) - len(pins))]
+            marker = _planted_word(rng, gens, 2, repeats=4)
+            if len(gens) == 2 and len(marker.syllables) > 1:
+                # a word marker: one more relator on a pinned c, checked last
+                sigma = rng.choice((group.identity, rng.choice(group.elements)))
+                marked = Presentation(gens, relators, {"w": marker})
+                leaves, checks = self._enumeration(
+                    relators + [marker * ~Word.generator("c")], gens + ["c"], group,
+                    {"c": sigma})
+                searches.append((lambda mode: meridian_search(
+                    marked, "w", group, sigma, mode=mode, materialize=True),
+                    ([leaf[:-1] for leaf in leaves], checks), len(gens)))
+            for search, (leaves, checks), unpinned in searches:
+                naive, back = search("naive"), search("backtrack")
+                assert naive.count == back.count == len(leaves)
+                assert naive.leaves == back.leaves == leaves
+                assert naive.stats.nodes == group.order ** unpinned
+                assert naive.stats.relator_checks == checks
+                found += len(leaves)
+        assert found > 0
+        assert lines["own level"] > 0 and lines["deeper"] > 0
+
+    @pytest.mark.parametrize("mode", ["naive", "backtrack"])
+    @pytest.mark.parametrize("case", ["pinned x", "solved y", "all pinned"])
+    def test_node_budget_at_exact_count(self, monkeypatch, mode, case):
+        # each level's values are charged on entry, so a search answers at a
+        # budget of exactly the nodes it counts and is refused one below
+        pins = {"pinned x": {"x": SIGMA}, "solved y": {"a": SIGMA},
+                "all pinned": dict(EXPLICIT_HOM)}[case]
+        result = count_homs(F1, A5, pins, mode=mode)
+        nodes = result.stats.nodes
+        # naive charges each complete assignment, backtrack each value of an
+        # unpinned level; meridian_G's pin on a lets backtrack solve y
+        assert nodes == {("pinned x", "naive"): 3600, ("solved y", "naive"): 3600,
+                         ("all pinned", "naive"): 1, ("pinned x", "backtrack"): 136,
+                         ("solved y", "backtrack"): 86, ("all pinned", "backtrack"): 0,
+                         }[case, mode]
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", nodes)
+        assert count_homs(F1, A5, pins, mode=mode).count == result.count
+        if nodes:
+            monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", nodes - 1)
+            with pytest.raises(BudgetExceededError, match=f"node budget {nodes - 1}$"):
+                count_homs(F1, A5, pins, mode=mode)
