@@ -65,22 +65,22 @@ table) pair and costs one lookup in the group's product table
 run B^k of a block B of 2 to ``_MAX_PERIOD`` syllables, k >= 2, is one
 temporary u = B (one step per syllable of B, stored in a slot past the
 walked generators) and one step u^k through ``FiniteGroup.powers(k)``; a
-later run of B or of B's inverse reuses u.  So the family relator
-(yx)^m y (yx)^-m x^-1 costs 6 lookups for every m >= 3, not 4m + 2; a word
-whose runs save fewer lookups than its temporaries cost (``_CHECK_COST``,
-``_LINE_COST``) stays flat.  ``compile_word`` keeps the flat program, one
-step per syllable, as the oracle of the compressed one.
+later run of B or of B's inverse reuses u.  So every run costs fewer
+lookups than it has syllables, |B| + 1 against k|B|, and the family relator
+(yx)^m y (yx)^-m x^-1 costs 6 lookups for every m >= 2, not 4m + 2.
 
-The walk schedules temporaries by level (``_schedule``): each has a slot of
-its own, computed once per value of the level of its last generator, and
-so has each run of two or more steps of a check on levels before the
-check's.  A value computes the lines its level's checks read, runs those
-checks, each a flat tuple of steps, and if they pass, the lines only deeper
-levels read.  So a naive search with x pinned computes the first family
-relator, which has no a, once per y, not for each of the 60 values of a.
-The search itself is one iterative depth-first walk over a list of element
-indices, so its depth is not bounded by the recursion limit; an assignment
-that passes the checks of the last walked level is a solution there.
+The walk runs one list of programs per level (``_schedule``), in order, for
+each value the level takes: a line stores a value in a slot of its own, and
+a check that fails ends the list.  A line sits at the level of the last
+generator it reads, right before the check that reads it or after the
+level's checks when only deeper levels read it.  Lines are each temporary,
+each run of two or more steps of a check on levels before the check's, and
+a solved level's Q^-1.  So a naive search with x pinned computes the first
+family relator, which has no a, once per y, not for each of the 60 values
+of a, and a solved level reads Q^-1 from its slot.  The search itself is
+one iterative depth-first walk over a list of element indices, so its depth
+is not bounded by the recursion limit; an assignment that passes the checks
+of the last walked level is a solution there.
 """
 
 from __future__ import annotations
@@ -130,9 +130,6 @@ Program = Tuple[Step, ...]
 # product in its slot, in order, then the steps whose product is the word.
 Line = Tuple[int, Program]
 StraightLine = Tuple[Tuple[Line, ...], Program]
-# One level of the search walk: the lines its checks read, its checks, and
-# the lines that only deeper levels read.
-Level = Tuple[Sequence[Line], Sequence[Program], Sequence[Line]]
 
 # The longest block a periodic run may repeat.  A run of syllables B^k
 # (2 <= |B| <= _MAX_PERIOD, k >= 2) is found by one pattern over the word
@@ -145,13 +142,6 @@ _RUN = re.compile(r"(.{2,%d}?)\1+" % _MAX_PERIOD, re.DOTALL)
 # A word with more distinct syllables than there are characters cannot be
 # spelled, and compiles to its flat program.
 _CHARACTERS = sys.maxunicode + 1
-# What a program with temporaries costs per check beyond its lookups, in
-# lookups: about 4 for entering its lines and about 1.5 for each temporary
-# (loop set-up and store), measured against flat programs into A5 with 1 to
-# 6 temporaries when each check computed its own; scheduled by level, they
-# cost at most that.  A word whose runs save fewer compiles to its flat one.
-_CHECK_COST = 4
-_LINE_COST = 2
 
 
 @dataclass
@@ -211,37 +201,23 @@ def is_homomorphism(presentation: Presentation, group: FiniteGroup,
     )
 
 
-def compile_word(word: Word, presentation: Presentation, group: FiniteGroup) -> Program:
-    """The flat program of ``word``; slots are generator positions in
-    ``presentation``."""
-    slots = {g: presentation.generator_index(g) for g in word.generators()}
-    step = _steps_of(word.syllables, slots, group)
-    return tuple(map(step.__getitem__, word.syllables))
-
-
-def _steps_of(syllables: Sequence[Tuple[str, int]], slots: Mapping[str, int],
-              group: FiniteGroup) -> Dict[Tuple[str, int], Step]:
-    """The step of each distinct syllable of ``syllables``, built once and
-    shared by every occurrence."""
-    return {(g, e): (slots[g], group.powers(e)) for g, e in set(syllables)}
-
-
 def _compile(word: Word, slots: Mapping[str, int], group: FiniteGroup,
              first_temporary: int) -> StraightLine:
     """The straight-line program of ``word`` (module docstring), generator g
     read from slot ``slots[g]`` and the temporaries stored from slot
     ``first_temporary`` on."""
     syllables = word.syllables
-    distinct = _steps_of(syllables, slots, group)
+    # one step per distinct syllable, shared by its occurrences
+    distinct = {(g, e): (slots[g], group.powers(e)) for g, e in set(syllables)}
     step = distinct.__getitem__
     if len(distinct) > _CHARACTERS:
         return (), tuple(map(step, syllables))
     letters = {s: chr(i) for i, s in enumerate(distinct)}
     spelled = "".join(map(letters.__getitem__, syllables))
-    lines: List[Tuple[int, Program]] = []
+    lines: List[Line] = []
     temporaries: Dict[Tuple[Tuple[str, int], ...], int] = {}
-    runs: List[Tuple[int, int, Step]] = []
-    saving = 0
+    steps: List[Step] = []
+    done = 0
     for run in _RUN.finditer(spelled):
         start, end, period = run.start(), run.end(), len(run.group(1))
         repeats = (end - start) // period
@@ -254,16 +230,8 @@ def _compile(word: Word, slots: Mapping[str, int], group: FiniteGroup,
         else:
             slot = temporaries[block] = first_temporary + len(lines)
             lines.append((slot, tuple(map(step, block))))
-            saving -= period
-        runs.append((start, end, (slot, group.powers(repeats))))
-        saving += end - start - 1
-    if saving < _CHECK_COST + _LINE_COST * len(lines):
-        return (), tuple(map(step, syllables))
-    steps: List[Step] = []
-    done = 0
-    for start, end, power in runs:
         steps.extend(map(step, syllables[done:start]))
-        steps.append(power)
+        steps.append((slot, group.powers(repeats)))
         done = end
     steps.extend(map(step, syllables[done:]))
     return tuple(lines), tuple(steps)
@@ -279,62 +247,78 @@ def evaluate(program: Program, values: Sequence[int],
     return acc
 
 
-def _schedule(checks: Sequence[Sequence[StraightLine]], one: Sequence[int]
-              ) -> Tuple[List[Level], int]:
-    """The walk's levels for the programs ``checks[i]`` checked at level i,
-    slot i holding level i's generator, and the number of slots they use.
-    Each temporary, and each run of two or more steps of a check on earlier
-    levels, moves to a slot of its own computed at the level of the last
-    generator it reads; the check reads a run in one step through ``one``
-    (``FiniteGroup.powers(1)``)."""
-    home = list(range(len(checks)))  # the level that computes each slot
-    now: List[List[Line]] = [[] for _ in checks]
-    deeper: List[List[Line]] = [[] for _ in checks]
-    flat: List[List[Program]] = [[] for _ in checks]
+def _schedule(checks: Sequence[Sequence[StraightLine]],
+              inverses: Sequence[Optional[StraightLine]], one: Sequence[int]
+              ) -> Tuple[List[Tuple[Line, ...]], List[Optional[int]], int]:
+    """The walk's levels for the programs ``checks[i]`` checked at level i
+    and ``inverses[i]``, Q^-1 of a level i solved by deduction, slot i
+    holding level i's generator; the slot that holds each Q^-1; and the
+    number of slots they use.
 
-    def store(steps: Program, level: int) -> int:
-        slot, at = len(home), max([home[s] for s, _ in steps])
+    A level is one tuple of programs (target, steps), run in order: a line
+    stores its value in slot ``target``, and target 0 marks a check (slot 0
+    holds level 0's generator, and no line writes it).  Each temporary,
+    each run of two or more steps of a program on levels before its own,
+    and each Q^-1 is a line at the level of the last generator it reads
+    (level 0 if it reads none): right before the check that reads it, or
+    after the level's checks when only deeper levels read it.  A program
+    reads a run in one step through ``one`` (``FiniteGroup.powers(1)``)."""
+    home = list(range(len(checks)))  # the level that computes each slot
+    levels: List[List[Line]] = [[] for _ in checks]
+
+    def store(steps: Program) -> int:
+        slot, at = len(home), max([home[s] for s, _ in steps], default=0)
         home.append(at)
-        (now if at == level else deeper)[at].append((slot, steps))
+        levels[at].append((slot, steps))
         return slot
 
-    for level, programs in enumerate(checks):
-        for lines, steps in programs:
-            moved = {target: store(line, level) for target, line in lines}
-            out, run = [], []  # the check's steps, and the run being read
-            # a step on this level ends a run, and one more ends the last
-            for slot, powers in (*steps, (level, one)):
-                slot = moved.get(slot, slot)
-                if home[slot] < level:
-                    run.append((slot, powers))
-                    continue
-                out += [(store(tuple(run), level), one)] if len(run) > 1 else run
-                out.append((slot, powers))
-                run = []
-            flat[level].append(tuple(out[:-1]))
-    return list(zip(now, flat, deeper)), len(home)
+    def place(program: StraightLine, level: Optional[int] = None) -> Program:
+        # the steps of ``program`` run at ``level``, by default that of its
+        # last generator, its temporaries and earlier runs stored as lines
+        lines, steps = program
+        moved = {target: store(line) for target, line in lines}
+        steps = [(moved.get(slot, slot), powers) for slot, powers in steps]
+        if level is None:
+            level = max([home[slot] for slot, _ in steps], default=0)
+        out, run = [], []  # the program's steps, and the run being read
+        # a step on this level ends a run, and one more ends the last
+        for slot, powers in (*steps, (level, one)):
+            if home[slot] < level:
+                run.append((slot, powers))
+                continue
+            out += [(store(tuple(run)), one)] if len(run) > 1 else run
+            out.append((slot, powers))
+            run = []
+        return tuple(out[:-1])
+
+    inverse_slots: List[Optional[int]] = []
+    for level, (programs, inverse) in enumerate(zip(checks, inverses)):
+        # Q^-1 reads only earlier levels, whose checks are placed
+        inverse_slots.append(inverse and store(place(inverse)))
+        for program in programs:
+            levels[level].append((0, place(program, level)))
+    return list(map(tuple, levels)), inverse_slots, len(home)
 
 
 def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
-          levels: Sequence[Level],
-          solved: Sequence[Optional[Tuple[StraightLine, StraightLine]]],
+          levels: Sequence[Sequence[Line]],
+          solved: Sequence[Optional[Tuple[int, StraightLine]]],
           slots: int, columns: Sequence[Sequence[int]],
           stats: SearchStats) -> Iterator[List[int]]:
     """Depth-first walk over index assignments, without recursion.
 
-    Level i takes each value in ``values[i]`` in turn, computes the lines
-    ``levels[i][0]``, and executes the programs ``levels[i][1]`` in order
-    until one fails; a value that passes them all computes the lines
-    ``levels[i][2]`` and descends to level i + 1, or at the last level is
-    yielded (the live list: copy what you keep).  A level with a pair of
-    programs ``solved[i]`` = (Q^-1, W) takes only the values v of
-    ``values[i]`` with W = Q^-1 when v is at level i: on the level's first
-    entry W's value for each v is tabled, one node an entry, and each entry
-    evaluates Q^-1, one relator check, and reads its values from the table.
-    Entering a level with ``counted[i]`` charges a node for each value it
-    will take.  The assignment list has ``slots`` slots.  Counters go to
-    ``stats`` when the walk ends, and more than ``MAX_SEARCH_NODES`` nodes
-    are refused.
+    Level i takes each value in ``values[i]`` in turn and runs the programs
+    ``levels[i]`` (``_schedule``) in order: a line stores its value, and a
+    check that fails ends the run.  A value that passes every check
+    descends to level i + 1, or at the last level is yielded (the live
+    list: copy what you keep).  A level with ``solved[i]`` = (slot, W)
+    takes only the values v of ``values[i]`` with W = Q^-1 when v is at
+    level i, Q^-1 read from the slot: on the level's first entry W's value
+    for each v is tabled, one node an entry, and each entry reads Q^-1, one
+    relator check, and takes its values from the table.  Entering a level
+    with ``counted[i]`` charges a node for each value it will take.  The
+    assignment list has ``slots`` slots.  Counters go to ``stats`` when the
+    walk ends, and more than ``MAX_SEARCH_NODES`` nodes are refused.
     """
     node_budget = MAX_SEARCH_NODES
     last = len(values) - 1
@@ -346,36 +330,29 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
         raise _over_budget(node_budget)
     relator_checks = level = 0
     while level >= 0:
-        lines, checks, deeper = levels[level]
+        programs = levels[level]
         for value in todo[level]:
             assignment[level] = value
-            # evaluate(line, assignment, columns) and the same for each
-            # check, inlined: these loops are where the search spends its time
-            for target, line in lines:
+            for target, steps in programs:
+                # evaluate(steps, assignment, columns), inlined: this loop
+                # is where the search spends its time
                 acc = 0
-                for slot, powers in line:
+                for slot, powers in steps:
                     acc = columns[powers[assignment[slot]]][acc]
-                assignment[target] = acc
-            for check in checks:
-                relator_checks += 1
-                acc = 0
-                for slot, powers in check:
-                    acc = columns[powers[assignment[slot]]][acc]
-                if acc:
-                    break
+                if target:
+                    assignment[target] = acc
+                else:
+                    relator_checks += 1
+                    if acc:
+                        break
             else:
                 if level == last:
                     yield assignment
                     continue
-                for target, line in deeper:
-                    acc = 0
-                    for slot, powers in line:
-                        acc = columns[powers[assignment[slot]]][acc]
-                    assignment[target] = acc
                 level += 1
                 entering = values[level]
                 if solved[level] is not None:
-                    (q_lines, inverse_q), (w_lines, w) = solved[level]
+                    inverse_q, (w_lines, w) = solved[level]
                     table = tables[level]
                     if table is None:
                         nodes += len(entering)
@@ -388,9 +365,7 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
                                 assignment[target] = evaluate(line, assignment, columns)
                             table.setdefault(evaluate(w, assignment, columns), []).append(v)
                     relator_checks += 1
-                    for target, line in q_lines:
-                        assignment[target] = evaluate(line, assignment, columns)
-                    entering = table.get(evaluate(inverse_q, assignment, columns), ())
+                    entering = table.get(assignment[inverse_q], ())
                 if counted[level]:
                     nodes += len(entering)
                     if nodes > node_budget:
@@ -534,16 +509,17 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     not walked and multiplies the count by |A| (1 if pinned).
 
     A later unpinned level solved from a relator Q*W (module docstring)
-    takes only the values v with W(v) = Q^-1 from a table of W's values;
-    orbit weighting, the level's other checks, counts and listings are
-    unchanged.
+    takes only the values v with W(v) = Q^-1 from a table of W's values,
+    Q^-1 computed as a line of the level of its last generator and W once
+    for each entry of the table; orbit weighting, the level's other
+    checks, counts and listings are unchanged.
 
     Work counters: a node is one value tried for an unpinned generator, or
     one entry of a solved level's table (backtrack), or one complete
     assignment (naive); ``MAX_SEARCH_NODES`` bounds them all, charged for a
     table before it is built and for a level's values (or table hit) on
     entering it, before any is tried.  A relator check is one relator
-    evaluation, or one evaluation of Q^-1 on entering a solved level.  Both
+    evaluation, or one reading of Q^-1 on entering a solved level.  Both
     count the reduced walk in backtrack and every assignment in naive.
     """
     pins = check_constraint(presentation, group, constraint or {})
@@ -600,12 +576,12 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
                     del at_level[level][i]
                     break
         checks = [list(map(program, rels)) for rels in at_level]
-    levels, size = _schedule(checks, group.powers(1))
-    # Q^-1 and W compute their own temporaries, in slots past the levels'
-    solved = [split and (program(split[0], size), program(split[1], size))
-              for split in splits]
-    size += max((len(lines) for pair in filter(None, solved) for lines, _ in pair),
-                default=0)
+    inverses = [split and program(split[0]) for split in splits]
+    levels, inverse_slots, size = _schedule(checks, inverses, group.powers(1))
+    # W computes its own temporaries, in slots past the levels'
+    solved = [split and (slot, program(split[1], size))
+              for split, slot in zip(splits, inverse_slots)]
+    size += max((len(w[0]) for _, w in filter(None, solved)), default=0)
 
     if mode == "backtrack" and first is not None:
         fixed = [v[0] for v in values[:first]]  # the walked pinned images

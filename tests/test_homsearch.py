@@ -23,7 +23,6 @@ from knotgroups.homsearch import (
     _compile,
     _deduction,
     _schedule,
-    compile_word,
     count_homs,
     evaluate,
     images_conjugate,
@@ -418,16 +417,23 @@ def _planted_word(rng, gens, pieces, repeats=200):
     return Word(raw)
 
 
+def compile_word(word, presentation, group):
+    """The flat program of ``word``, one step per syllable, the oracle of
+    the straight-line one; slots are generator positions in
+    ``presentation``."""
+    return tuple((presentation.generator_index(g), group.powers(e))
+                 for g, e in word.syllables)
+
+
 def _scheduled_value(levels, at, values, columns):
-    """The value of the one check at level ``at`` of a ``_schedule``, its
-    lines computed level by level in the walk's order."""
-    for level, (lines, checks, deeper) in enumerate(levels):
-        for target, line in lines:
-            values[target] = evaluate(line, values, columns)
-        if level == at:
-            return evaluate(checks[0], values, columns)
-        for target, line in deeper:
-            values[target] = evaluate(line, values, columns)
+    """The value of the first check of a ``_schedule``, at level ``at``,
+    the lines before it run level by level in the walk's order."""
+    for programs in levels[:at + 1]:
+        for target, steps in programs:
+            value = evaluate(steps, values, columns)
+            if not target:
+                return value
+            values[target] = value
 
 
 class TestCompiledEvaluator:
@@ -466,7 +472,7 @@ class TestCompiledEvaluator:
             # checked at the level of its last generator, as the walk does
             at = max(map(slots.__getitem__, word.generators()), default=0)
             checks = [[program] if level == at else [] for level in range(3)]
-            levels, size = _schedule(checks, group.powers(1))
+            levels, _, size = _schedule(checks, [None] * 3, group.powers(1))
             for _ in range(3):
                 values = [rng.randrange(group.order) for _ in self.GENS]
                 images = {g: group.elements[i] for g, i in zip(self.GENS, values)}
@@ -477,30 +483,28 @@ class TestCompiledEvaluator:
         assert temporaries > 0
 
     def test_family_relator_is_six_lookups(self):
-        # (yx)^m y (yx)^-m x^-1: u = y*x, then u^m, y, u^-m, x^-1
+        # (yx)^m y (yx)^-m x^-1: u = y*x, then u^m, y, u^-m, x^-1; from
+        # m = 2 on, where its runs first repeat, it is not flat
         slots = {"x": 0, "y": 1, "a": 2}
-        for m in (3, 181):
-            lines, steps = _compile(rbg_family(m).relators[0], slots, A5, 3)
+        for m in (2, 3, 181):
+            family = rbg_family(m)
+            lines, steps = _compile(family.relators[0], slots, A5, 3)
             assert lines == ((3, ((1, A5.powers(1)), (0, A5.powers(1)))),)
             assert steps == ((3, A5.powers(m)), (1, A5.powers(1)),
                              (3, A5.powers(-m)), (0, A5.powers(-1)))
-        # at m = 2 the runs save 4 of 10 lookups, less than the temporary
-        # costs, so the relator stays flat
-        family = rbg_family(2)
-        program = _compile(family.relators[0], slots, A5, 3)
-        assert program == ((), compile_word(family.relators[0], family, A5))
+            assert len(compile_word(family.relators[0], family, A5)) == 4 * m + 2
 
     def test_each_temporary_is_charged(self):
-        # three runs of distinct two-syllable blocks: k copies save 2k - 3
-        # lookups each, against a cost of 4 plus 2 per temporary
+        # three runs of distinct two-syllable blocks: each is a temporary of
+        # two lookups read in one, so k copies cost 3 lookups, not 2k
         slots = {g: i for i, g in enumerate(self.GENS)}
         pres = Presentation(self.GENS)
-        for k, temporaries in ((3, 0), (4, 3)):
+        for k in (2, 3, 4):
             word = parse_word(f"(u*v)^{k}*(w*u)^{k}*(v*w)^{k}", self.GENS)
             lines, steps = _compile(word, slots, A5, 3)
-            assert len(lines) == temporaries
-            if not lines:
-                assert steps == compile_word(word, pres, A5)
+            assert [slot for slot, _ in lines] == [3, 4, 5]
+            assert steps == tuple((slot, A5.powers(k)) for slot in (3, 4, 5))
+            assert len(compile_word(word, pres, A5)) == 6 * k
 
     def test_run_free_relator_is_its_flat_program(self):
         # the second family relator holds no run
@@ -951,6 +955,43 @@ class TestDeduction:
         assert result.count == 60 ** 4 == 12_960_000
         assert result.stats.nodes == 5 + 300 + 18_000 + 2 * 1_080_000 + 60
 
+    @pytest.mark.parametrize("listing", [False, True])
+    @pytest.mark.parametrize("case", ["empty", "pinned"])
+    def test_inverse_reads_no_unpinned_generator(self, monkeypatch, case, listing):
+        # "empty": y is solved from y^3 with Q = 1, a line of no steps; x
+        # walks A5's 5 classes, 2 pass x^2 and each reads the 21 cube roots
+        # of 1 from a table of 60.  "pinned": g is solved from p*g*p^-1*g
+        # with Q^-1 = p^-1; x walks 22 orbits of C(p), 6 pass x^2 and each
+        # reads one g.  Either Q^-1 is a line of level 0.
+        text, pins, g, inverse, steps, count, nodes, checks = {
+            "empty": ("< x, y | x^2, y^3 >", {}, "y", "1", (), 336, 5 + 60 + 2 * 21, 5 + 2),
+            "pinned": ("< p, x, g | x^2, p*g*p^-1*g >",
+                       {"p": parse_permutation("(1,2,3)", 5)}, "g", "p^-1",
+                       ((0, A5.powers(-1)),), 16, 22 + 60 + 6, 22 + 6),
+        }[case]
+        pres = parse(text)
+        assert str(_deduction(pres.relators[-1], g, frozenset("x"))[0]) == inverse
+        placed = []
+
+        def schedule(checks, inverses, one):
+            levels, slots, size = _schedule(checks, inverses, one)
+            placed.extend((level, line) for level, programs in enumerate(levels)
+                          for target, line in programs if target in slots)
+            return levels, slots, size
+
+        monkeypatch.setattr(homsearch, "_schedule", schedule)
+        naive, back = (count_homs(pres, A5, pins, mode=mode, materialize=listing)
+                       for mode in ("naive", "backtrack"))
+        assert placed == [(0, steps)]
+        assert naive.count == back.count == count
+        assert naive.leaves == back.leaves
+        if listing:
+            assert len(back.leaves) == count
+        # naive checks x^2 at all 3600 assignments, the second relator at
+        # the 960 that pass
+        assert (naive.stats.nodes, naive.stats.relator_checks) == (3600, 4560)
+        assert (back.stats.nodes, back.stats.relator_checks) == (nodes, checks)
+
     def test_split_of_the_family_relator(self):
         # the meridian_G pin on a: y is solved from y a y^-1 = (x^-1 a x a^-1 x^-1)^-1
         relator = F1.relators[1]
@@ -991,11 +1032,15 @@ class TestScheduledEvaluation:
         rng = random.Random(21 + group.order)
         lines = {"own level": 0, "deeper": 0}
 
-        def schedule(checks, one):
-            levels, size = _schedule(checks, one)
-            lines["own level"] += sum(len(now) for now, _, _ in levels)
-            lines["deeper"] += sum(len(deeper) for _, _, deeper in levels)
-            return levels, size
+        def schedule(checks, inverses, one):
+            levels, slots, size = _schedule(checks, inverses, one)
+            for programs in levels:
+                # a line before a check of its level, or after them all
+                targets = [target for target, _ in programs]
+                checked = len(targets) - targets[::-1].index(0) if 0 in targets else 0
+                lines["own level"] += checked - targets.count(0)
+                lines["deeper"] += len(targets) - checked
+            return levels, slots, size
 
         monkeypatch.setattr(homsearch, "_schedule", schedule)
         found = 0
