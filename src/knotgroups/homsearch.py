@@ -19,9 +19,16 @@ pinned:
     pinned image maps solutions to solutions, so the first unpinned
     generator takes one value per orbit of that centralizer H, and each
     solution found counts as many as its orbit holds (Holt-Eick-O'Brien,
-    *Handbook of Computational Group Theory*, 2005).  When counting, a
-    generator in no relator is not walked at all: it multiplies the count
-    by |A|, or by 1 if pinned.
+    *Handbook of Computational Group Theory*, 2005).  The next walked
+    generator, unless solved by deduction, takes in the same way one value
+    per orbit of H_r = C_H(r), r the first one's value, and a solution
+    counts |H-orbit of r| * |H_r-orbit of its second value|.  H_r's orbits
+    are found when the level is entered, for one r at a time: H_r = 1 when
+    r's H-orbit has |H| points, and H_r = H when it has one, so only the
+    other values of r compute a centralizer.  All homomorphisms of the
+    family's m = 1 into PSL(2,7) then take 2,387 nodes, not 8,070.  When
+    counting, a generator in no relator is not walked at all: it
+    multiplies the count by |A|, or by 1 if pinned.
 
     A later unpinned generator g is solved by deduction (same reference)
     when one relator checked at its level has every syllable on an
@@ -41,7 +48,8 @@ pinned:
 
 Both engines return identical counts and identical listings, in the same
 order: a listing maps each solution back to declaration order (backtrack
-first expands it over its orbit) and sorts.  The test suite leans on that.
+first expands it over its H_r-orbit, then each of those over its H-orbit)
+and sorts.  The test suite leans on that.
 A listing stays index tuples, ``HomSearchResult.leaves``, the element index
 of each generator's image; ``HomSearchResult.assignments``, the same
 homomorphisms as ``{generator: Permutation}`` dicts, is built from the
@@ -77,10 +85,14 @@ level's checks when only deeper levels read it.  Lines are each temporary,
 each run of two or more steps of a check on levels before the check's, and
 a solved level's Q^-1.  So a naive search with x pinned computes the first
 family relator, which has no a, once per y, not for each of the 60 values
-of a, and a solved level reads Q^-1 from its slot.  The search itself is
-one iterative depth-first walk over a list of element indices, so its depth
-is not bounded by the recursion limit; an assignment that passes the checks
-of the last walked level is a solution there.
+of a, and a solved level reads Q^-1 from its slot.  A level's leading
+checks that read no slot computed on it run once when the level is entered,
+charged as if run for each value, and one that fails skips the level; so
+that naive search also checks that relator once per y, not at each value
+of a, and skips all 60 when it fails.  The search itself is one iterative depth-first walk
+over a list of element indices, so its depth is not bounded by the
+recursion limit; an assignment that passes the checks of the last walked
+level is a solution there.
 """
 
 from __future__ import annotations
@@ -89,7 +101,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceededError,
@@ -109,9 +121,10 @@ from .words import Word, reduce_syllables
 # homomorphisms one listing may hold.  A search into A5 walks 0.5 to 1.5
 # million nodes a second (shared 2-core x86 box, CPython 3.11), charging a
 # level's values and a solved level's table before it walks them, so a
-# refused search ends within about 20 s.  The largest search in the test
-# suite, < a, b, c, d, e | a*b*c*d*e > into A5, counts 2,178,365 nodes; the
-# next, a chain of 1200 generators, 77,940, of which 71,940 are table entries.
+# refused search ends within about 20 s.  The largest backtrack search in
+# the test suite, < a, b, c, d, e | a*b*c*d*e > into A5, counts 559,162
+# nodes; the next, a chain of 1200 generators, 77,940, of which 71,940 are
+# table entries.  Naive searches there walk at most 60^3 = 216,000.
 MAX_SEARCH_NODES = 10**7
 MAX_NAIVE_ASSIGNMENTS = 10**7
 MAX_LISTED_HOMS = 10**5
@@ -303,8 +316,9 @@ def _schedule(checks: Sequence[Sequence[StraightLine]],
 def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
           levels: Sequence[Sequence[Line]],
           solved: Sequence[Optional[Tuple[int, StraightLine]]],
-          slots: int, columns: Sequence[Sequence[int]],
-          stats: SearchStats) -> Iterator[List[int]]:
+          slots: int, columns: Sequence[Sequence[int]], stats: SearchStats,
+          narrowed: Optional[Tuple[int, Callable[[int], Sequence[int]]]] = None,
+          ) -> Iterator[List[int]]:
     """Depth-first walk over index assignments, without recursion.
 
     Level i takes each value in ``values[i]`` in turn and runs the programs
@@ -315,13 +329,31 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
     takes only the values v of ``values[i]`` with W = Q^-1 when v is at
     level i, Q^-1 read from the slot: on the level's first entry W's value
     for each v is tabled, one node an entry, and each entry reads Q^-1, one
-    relator check, and takes its values from the table.  Entering a level
-    with ``counted[i]`` charges a node for each value it will take.  The
-    assignment list has ``slots`` slots.  Counters go to ``stats`` when the
-    walk ends, and more than ``MAX_SEARCH_NODES`` nodes are refused.
+    relator check, and takes its values from the table.  With ``narrowed``
+    = (i, f), entering level i takes the values f(v), v the value of level
+    i - 1, instead of ``values[i]``.  Entering a level with ``counted[i]``
+    charges a node for each value it will take.  A later level's leading
+    checks that read no slot computed on it (in practice only naive's,
+    whose checks all sit on the last level) run once on entry, each
+    charged one relator check per value; one that fails skips the level.
+    The assignment list has ``slots`` slots.  Counters go to ``stats`` when
+    the walk ends, and more than ``MAX_SEARCH_NODES`` nodes are refused.
     """
     node_budget = MAX_SEARCH_NODES
     last = len(values) - 1
+    narrow_at, narrow = narrowed or (None, None)
+    # each level's programs split into the checks run on entry and the rest
+    heads: List[Sequence[Line]] = [()]
+    bodies: List[Sequence[Line]] = [levels[0]]
+    for level in range(1, len(levels)):
+        programs = levels[level]
+        own = {level, *(target for target, _ in programs if target)}
+        k = 0
+        while (k < len(programs) and not programs[k][0]
+               and own.isdisjoint(slot for slot, _ in programs[k][1])):
+            k += 1
+        heads.append(programs[:k])
+        bodies.append(programs[k:])
     assignment = [0] * slots
     tables: List[Optional[Dict[int, List[int]]]] = [None] * len(values)
     todo = [iter(values[0])] + [None] * last
@@ -330,7 +362,7 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
         raise _over_budget(node_budget)
     relator_checks = level = 0
     while level >= 0:
-        programs = levels[level]
+        programs = bodies[level]
         for value in todo[level]:
             assignment[level] = value
             for target, steps in programs:
@@ -351,6 +383,8 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
                     continue
                 level += 1
                 entering = values[level]
+                if level == narrow_at:
+                    entering = narrow(assignment[level - 1])
                 if solved[level] is not None:
                     inverse_q, (w_lines, w) = solved[level]
                     table = tables[level]
@@ -370,6 +404,11 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
                     nodes += len(entering)
                     if nodes > node_budget:
                         raise _over_budget(node_budget)
+                for _, steps in heads[level]:
+                    relator_checks += len(entering)
+                    if evaluate(steps, assignment, columns):
+                        entering = ()
+                        break
                 todo[level] = iter(entering)
                 break
         else:
@@ -413,9 +452,10 @@ def _deduction(word: Word, g: str, loose: AbstractSet[str]
     return ~q, w
 
 
-def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[int]:
-    """Indices of elements generating (a subgroup of A containing) the
-    centralizer in A of the elements of index ``fixed``.
+def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]
+                            ) -> Tuple[List[int], int]:
+    """Indices of elements generating the centralizer in A of the elements
+    of index ``fixed``, and its order.
 
     When that centralizer is all of A, these are A's own generators.
     Otherwise they are picked greedily: in index order, every centralizing
@@ -427,7 +467,7 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[in
         conj = group.conjugates(p)
         members = [h for h in members if conj[h] == h]
     if len(members) == n:
-        return [group.index_of(s) for s in group.generators if s in group]
+        return [group.index_of(s) for s in group.generators if s in group], n
     gens: List[int] = []
     inside = bytearray(n)
     inside[0] = 1
@@ -449,7 +489,7 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]) -> List[in
                         elements.append(y)
                         nxt.append(y)
             frontier = nxt
-    return gens
+    return gens, len(members)
 
 
 def _conjugation_orbits(group: FiniteGroup, gens: Sequence[int]
@@ -504,9 +544,13 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     a relator at the level of its last walked generator and walks up to
     conjugacy (module docstring): H centralizes the walked pinned images,
     the first unpinned walked generator takes the smallest index of each
-    H-orbit, and a solution counts its orbit's size; a listing conjugates
-    it once per orbit point.  When counting, a generator in no relator is
-    not walked and multiplies the count by |A| (1 if pinned).
+    H-orbit, and the next, unless solved, the smallest index of each orbit
+    of H_r, the elements of H that commute with the first one's value r.
+    A solution counts the size of r's H-orbit times that of its second
+    value's H_r-orbit; a listing conjugates it once per point of the
+    H_r-orbit, then each of those once per point of the H-orbit.  When
+    counting, a generator in no relator is not walked and multiplies the
+    count by |A| (1 if pinned).
 
     A later unpinned level solved from a relator Q*W (module docstring)
     takes only the values v with W(v) = Q^-1 from a table of W's values,
@@ -519,8 +563,10 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     assignment (naive); ``MAX_SEARCH_NODES`` bounds them all, charged for a
     table before it is built and for a level's values (or table hit) on
     entering it, before any is tried.  A relator check is one relator
-    evaluation, or one reading of Q^-1 on entering a solved level.  Both
-    count the reduced walk in backtrack and every assignment in naive.
+    evaluation, or one reading of Q^-1 on entering a solved level; a check
+    run once on entering a level counts once per value the level takes.
+    Both count the reduced walk in backtrack (each orbit representative of
+    the first two walked levels one node) and every assignment in naive.
     """
     pins = check_constraint(presentation, group, constraint or {})
     unpinned = [g for g in presentation.generators if g not in pins]
@@ -568,8 +614,9 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
         # a level after the first unpinned one is solved from its first
         # relator whose syllables on earlier unpinned generators lie in one
         # gap between occurrences of the level's generator
+        loose = set()
         for level in range(first + 1, len(walked)) if first is not None else ():
-            loose = frozenset(walked[first:level])
+            loose.add(walked[level - 1])
             for i, rel in enumerate(at_level[level]):
                 splits[level] = _deduction(rel, walked[level], loose)
                 if splits[level]:
@@ -583,27 +630,59 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
               for split, slot in zip(splits, inverse_slots)]
     size += max((len(w[0]) for _, w in filter(None, solved)), default=0)
 
+    narrowed = None
+    # H_r's orbits on A, r the first level's value, while the next level
+    # walks them; None when it walks all of A
+    stabilizer: Optional[Dict[int, List[Optional[Tuple[int, Sequence[int]]]]]] = None
     if mode == "backtrack" and first is not None:
         fixed = [v[0] for v in values[:first]]  # the walked pinned images
-        orbits = _conjugation_orbits(group, _centralizer_generators(group, fixed))
-        values[first] = tuple(orbits)
+        gens, h_order = _centralizer_generators(group, fixed)
+        orbits = _conjugation_orbits(group, gens)
+        values[first] = reps = tuple(orbits)
+        second = first + 1
+
+        def narrow(r: int) -> Sequence[int]:
+            # the values of the level after r's: one per orbit of
+            # H_r = C_H(r), by |H_r| = |H| / |H-orbit of r|
+            nonlocal stabilizer
+            orbit_size = len(orbits[r])
+            if orbit_size == h_order:
+                stabilizer = None
+                return values[second]
+            if orbit_size == 1:
+                stabilizer = orbits
+                return reps
+            stabilizer = _conjugation_orbits(
+                group, _centralizer_generators(group, fixed + [r])[0])
+            return tuple(stabilizer)
+
+        if second < len(values) and not splits[second]:
+            narrowed = second, narrow
     else:
-        first = 0
+        first = second = 0
         orbits = {v: [None] for v in values[0]}
 
     count = 0
     leaves: List[Leaf] = []
     # a listing walks every generator; its leaves go back to declaration order
     order = [slots[g] for g in presentation.generators] if materialize else []
-    for assignment in _walk(values, counted, levels, solved, size, columns, stats):
+    for assignment in _walk(values, counted, levels, solved, size, columns, stats,
+                            narrowed):
         orbit = orbits[assignment[first]]
-        count += len(orbit)
+        inner = stabilizer[assignment[second]] if stabilizer else (None,)
+        count += len(orbit) * len(inner)
         if materialize:
-            # one solution per orbit point: the solution of the point it
-            # was reached from, conjugated by that step's generator
+            # one solution per point of the H_r-orbit of the second value,
+            # then each of those per point of the H-orbit of the first: the
+            # solution of the point it was reached from, conjugated by that
+            # step's generator
             rows = [[assignment[i] for i in order]]
-            for j, table in orbit[1:]:
+            for j, table in inner[1:]:
                 rows.append([table[v] for v in rows[j]])
+            block = len(rows)
+            for j, table in orbit[1:]:
+                rows += [[table[v] for v in row]
+                         for row in rows[j * block:(j + 1) * block]]
             leaves.extend(map(tuple, rows))
             if len(leaves) > MAX_LISTED_HOMS:
                 raise BudgetExceededError(

@@ -458,7 +458,7 @@ class TestCountCommand:
     @pytest.mark.parametrize("text, args, count, nodes", [
         # A6, order 360: a product table of two bytes an entry
         (FAMILY_M1, ("--group", "A6", "--marker", "meridian_B=(1,2,3,4,5)"),
-         31, (1156, 129600)),
+         31, (872, 129600)),
         # S7, order 5040, past TABLE_MAX_ORDER: each product composed when read
         ("< x, y | x^2, y^3, (x*y)^7 >\n", ("--group", "S7", "--pin", "x=(1,2)(3,4)"),
          96, (158, 5040)),

@@ -347,10 +347,12 @@ class TestImagesConjugate:
 class TestParallelism:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_node_budget_is_global(self, threads, monkeypatch):
-        # the all-homs search of F1 into A5 visits 1,805 nodes (x walks the
-        # 5 conjugacy classes of A5); searches run side by side on several
-        # threads share no count, so each is accepted at a limit of 1,805
-        # and refused at half of it
+        # the all-homs search of F1 into A5 visits 682 nodes: x walks the 5
+        # conjugacy classes of A5, y one value per orbit of C(x) (the 5
+        # classes for x = 1, then 22, 18, 16 and 16 orbits), 77 values, and a
+        # all 60 for each of the 10 (x, y) that pass the first relator;
+        # searches run side by side on several threads share no count, so
+        # each is accepted at a limit of 682 and refused at half of it
         def side_by_side():
             barrier = threading.Barrier(threads)
             outcomes = [None] * threads
@@ -370,9 +372,9 @@ class TestParallelism:
                 worker.join(timeout=60)
             return outcomes
 
-        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 1805)
-        assert side_by_side() == [1805] * threads
-        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 1805 // 2)
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 682)
+        assert side_by_side() == [682] * threads
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 682 // 2)
         assert side_by_side() == ["refused"] * threads
 
 
@@ -607,7 +609,11 @@ class TestLongRelators:
                 assert word.evaluate(hom, A5) == SIGMA
 
     def test_counters_at_m_181(self):
-        # meridian_G pins a to SIGMA, whose centralizer <SIGMA> splits A5
+        # meridian_B pins x to SIGMA: y walks the 16 orbits of <SIGMA> and 2
+        # pass the first relator; a walks all 60 values for the one whose
+        # orbit has 5 points, and the 16 orbits again for y = SIGMA, whose
+        # stabilizer is all of <SIGMA>: 16 + 60 + 16 nodes, one relator
+        # check on each.  meridian_G pins a to SIGMA, whose centralizer <SIGMA> splits A5
         # into (60 + 4 * 5) / 5 = 16 orbits for x.  y is solved from
         # x^-1 a x a^-1 x^-1 * y a y^-1: a table of the 60 values of y a y^-1
         # (60 nodes), then for each of the 16 x one check reading its y
@@ -616,7 +622,7 @@ class TestLongRelators:
         # 60 + 16 + 10 nodes and 16 + 10 relator checks
         family = rbg_family(181)
         expected = {
-            ("meridian_B", "backtrack"): (6, 136, 136),
+            ("meridian_B", "backtrack"): (6, 92, 92),
             ("meridian_G", "backtrack"): (1, 86, 26),
             ("meridian_B", "naive"): (6, 3600, 3960),
             ("meridian_G", "naive"): (1, 3600, 3960),
@@ -737,7 +743,7 @@ class TestOrbitWeightedSearch:
     ], ids=IDS[:4])
     def test_pins_with_trivial_centralizer(self, group, literals):
         values = [parse_permutation(text, group.degree) for text in literals]
-        assert _centralizer_generators(group, [group.index_of(v) for v in values]) == []
+        assert _centralizer_generators(group, [group.index_of(v) for v in values]) == ([], 1)
         rng = random.Random(400 + group.order)
         for _ in range(10):
             pres = self.random_presentation(rng, 3)
@@ -752,7 +758,7 @@ class TestOrbitWeightedSearch:
         # acts through its own generators
         value = parse_permutation(central, group.degree)
         assert (_centralizer_generators(group, [group.index_of(value)])
-                == [group.index_of(s) for s in group.generators])
+                == ([group.index_of(s) for s in group.generators], group.order))
         rng = random.Random(500 + group.order)
         for _ in range(10):
             pres = self.random_presentation(rng, 3 if group.order < 60 else 2)
@@ -892,11 +898,12 @@ class TestDeduction:
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_wirtinger_nodes(self, n):
-        # x1 walks A5's 5 classes and x2 its 60 elements; each later x_{i+2}
-        # is solved from x_{i+1} x_i x_{i+1}^-1 x_{i+2}^-1 after a table of
-        # its 60 values (60 nodes), one value for each of the 300 (x1, x2)
+        # x1 walks A5's 5 classes and x2 one value per orbit of C(x1), 77
+        # in all (5 + 22 + 18 + 16 + 16); each later x_{i+2} is solved from
+        # x_{i+1} x_i x_{i+1}^-1 x_{i+2}^-1 after a table of its 60 values
+        # (60 nodes), one value for each of the 77 (x1, x2)
         result = count_homs(_wirtinger(n), A5)
-        assert result.stats.nodes == 5 + 300 * (n - 1) + 60 * (n - 2)
+        assert result.stats.nodes == 5 + 77 * (n - 1) + 60 * (n - 2)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -949,11 +956,12 @@ class TestDeduction:
 
     def test_five_generator_product(self):
         # refused at the node budget before levels were solved; now a walks
-        # A5's 5 classes, b, c and d its 60 elements, and e is solved from
-        # a*b*c*d*e after a table of 60: one value for each (a, b, c, d)
+        # A5's 5 classes, b the 77 orbits of C(a) over the 5, c and d their
+        # 60 elements, and e is solved from a*b*c*d*e after a table of 60:
+        # one value for each (a, b, c, d)
         result = count_homs(parse("< a, b, c, d, e | a*b*c*d*e >"), A5)
         assert result.count == 60 ** 4 == 12_960_000
-        assert result.stats.nodes == 5 + 300 + 18_000 + 2 * 1_080_000 + 60
+        assert result.stats.nodes == 5 + 77 + 4_620 + 2 * 277_200 + 60
 
     @pytest.mark.parametrize("listing", [False, True])
     @pytest.mark.parametrize("case", ["empty", "pinned"])
@@ -1092,7 +1100,7 @@ class TestScheduledEvaluation:
         # naive charges each complete assignment, backtrack each value of an
         # unpinned level; meridian_G's pin on a lets backtrack solve y
         assert nodes == {("pinned x", "naive"): 3600, ("solved y", "naive"): 3600,
-                         ("all pinned", "naive"): 1, ("pinned x", "backtrack"): 136,
+                         ("all pinned", "naive"): 1, ("pinned x", "backtrack"): 92,
                          ("solved y", "backtrack"): 86, ("all pinned", "backtrack"): 0,
                          }[case, mode]
         monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", nodes)

@@ -11,9 +11,15 @@ import random
 
 import pytest
 
+from knotgroups import homsearch
 from knotgroups.fox import alexander_polynomial
-from knotgroups.homsearch import count_homs, meridian_invariant
-from knotgroups.permgroups import alternating_group, parse_permutation, symmetric_group
+from knotgroups.homsearch import count_homs, meridian_invariant, meridian_search
+from knotgroups.permgroups import (
+    alternating_group,
+    group_from_spec,
+    parse_permutation,
+    symmetric_group,
+)
 from knotgroups.presentations import Presentation, parse, parse_word, rbg_family
 from knotgroups.words import Word
 
@@ -110,10 +116,10 @@ MOVES = (cyclically_permute, invert, conjugate, add_consequence, add_generator,
          rename_generators, permute_generators)
 
 
-def random_moves(rng, presentation, steps):
+def random_moves(rng, presentation, steps, moves=MOVES):
     moved = Moved(presentation, {g: g for g in presentation.generators})
     for _ in range(steps):
-        moved = rng.choice(MOVES)(rng, moved)
+        moved = rng.choice(moves)(rng, moved)
     return moved
 
 
@@ -129,9 +135,13 @@ def marked_family(m):
 
 BASES = [("trefoil", TREFOIL), ("family m=1", marked_family(1)),
          ("family m=2", marked_family(2))]
-# The walk follows declaration order, so a chain that moves a relator's
-# generators apart walks up to |A|^3 nodes; A5 gets single moves instead.
-GROUPS = [symmetric_group(3), alternating_group(4), symmetric_group(4)]
+# A5 runs the same chains as the smaller groups: the second walked level
+# takes one value per orbit of the first value's stabilizer, so a chain
+# that moves a relator's generators apart walks well under |A|^3 nodes
+# (at most 559,762 over 120 chains of 4-10 moves on family m = 2).
+GROUPS = [symmetric_group(3), alternating_group(4), symmetric_group(4),
+          alternating_group(5)]
+PSL27 = group_from_spec("gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]")
 
 
 def invariants(presentation, names, group, sigma, mode):
@@ -172,3 +182,68 @@ def test_each_move_alone(move):
         assert meridian_invariant(pres, "meridian_B", a5, sigma) == 6
         assert meridian_invariant(pres, "meridian_G", a5, sigma) == 1
         assert count_homs(pres, a5, {moved.names["x"]: sigma}).count == 6
+
+
+# the moves that keep the generators, so that naive stays small
+MOVES_KEEPING_GENERATORS = tuple(m for m in MOVES if m is not add_generator)
+
+
+@pytest.mark.parametrize("group", [symmetric_group(4), alternating_group(5), PSL27],
+                         ids=["S4", "A5", "PSL27"])
+def test_second_level_walk_against_naive(group, monkeypatch):
+    # backtrack walks the level after the first unpinned one (value r) over
+    # the orbits of H_r, the elements of H that commute with r; counts and
+    # listings of moved presentations, with no pin, a pin on each generator
+    # and each marker, must equal naive's.  Every group meets the four
+    # ways into that level: solved by deduction (the family with a pinned),
+    # r's H-orbit one point, so H_r = H (r = 1 unpinned), r's H-orbit as
+    # large as H, so H_r = 1, and a nontrivial proper H_r (an involution r
+    # unpinned)
+    seen = set()
+    walk = homsearch._walk
+
+    def spy(values, counted, levels, solved, slots, columns, stats, narrowed=None):
+        first = counted.index(True) if True in counted else None
+        if first is not None and first + 1 < len(values) and solved[first + 1]:
+            assert narrowed is None  # a solved level takes its table's values
+            seen.add("solved")
+        if narrowed:
+            at, narrow = narrowed
+
+            def classify(r):
+                taken = narrow(r)
+                seen.add("H_r = H" if taken is values[at - 1]
+                         else "trivial" if taken is values[at] else "proper")
+                return taken
+
+            narrowed = at, classify
+        return walk(values, counted, levels, solved, slots, columns, stats, narrowed)
+
+    monkeypatch.setattr(homsearch, "_walk", spy)
+    rng = random.Random(f"second level {group.label}")
+    for _, base in BASES[:2]:
+        searches = [(None, {})] + [(None, {g: None}) for g in base.generators]
+        searches += [(name, {}) for name in sorted(base.markers)]
+        for marker, pins in searches:
+            # naive walks |A|^(unpinned) assignments: at most 60^3
+            unpinned = len(base.generators) - len(pins)
+            if marker and len(base.markers[marker].syllables) == 1:
+                unpinned -= 1  # a bare generator marker is a pin
+            if group.order ** unpinned > 60 ** 3:
+                continue
+            for _ in range(2):
+                moved = random_moves(rng, base, rng.randint(1, 5), MOVES_KEEPING_GENERATORS)
+                pres = moved.presentation
+                sigma = rng.choice(group.elements)
+                if marker:
+                    search = lambda mode, listing: meridian_search(
+                        pres, marker, group, sigma, mode=mode, materialize=listing)
+                else:
+                    fixed = {moved.names[g]: sigma for g in pins}
+                    search = lambda mode, listing: count_homs(
+                        pres, group, fixed, mode=mode, materialize=listing)
+                naive = search("naive", True)
+                listed = search("backtrack", True)
+                assert search("backtrack", False).count == listed.count == naive.count
+                assert listed.leaves == naive.leaves, pres.render()
+    assert seen == {"solved", "H_r = H", "trivial", "proper"}, seen
