@@ -38,6 +38,14 @@ by Sylvester's identity (Bareiss, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, 1968), and a division that is
 not raises instead of returning a guess.  The number of row sets is
 bounded by ``MAX_ROW_SETS``.
+
+A square matrix (r relators on r generators, as in every Wirtinger
+presentation) takes one elimination in place of r: after the column is
+deleted, N is r x (r - 1), and eliminating the r - 1 columns of [N | I_r]
+leaves in the last row, by the same identity, the r minors of N, each the
+determinant of N bordered by one unit column.  The per-row-set loop stays
+for more relators than generators, and as the test oracle of the square
+case.
 """
 
 from __future__ import annotations
@@ -63,7 +71,8 @@ from .words import Word
 MAX_DERIVATIVE_TERMS = 10**6
 
 # Most sets of rows the minors of one Alexander polynomial may run over, one
-# Bareiss determinant each.
+# Bareiss determinant each.  A square matrix has r row sets but is one
+# elimination whatever r is, so for it this bounds r alone.
 MAX_ROW_SETS = 1000
 
 
@@ -222,21 +231,28 @@ def _fox_row(relator: Word, column: Mapping[str, int],
     one pass over its syllables; ``column`` maps each generator to its
     position in the row."""
     acc: list = [{} for _ in column]
+    # each generator's column and weight, one lookup a syllable
+    slots = {g: (acc[j], weights[g]) for g, j in column.items()}
     w = 0
     for name, k in relator.syllables:
-        a = weights[name]
-        terms = acc[column[name]]
-        if a == 0:
+        terms, a = slots[name]
+        if k == 1 or a == 0:
             terms[w] = terms.get(w, 0) + k
+            w += k * a
+        elif k == -1:
+            w -= a
+            terms[w] = terms.get(w, 0) - 1
         elif k > 0:
             for e in range(w, w + k * a, a):
                 terms[e] = terms.get(e, 0) + 1
+            w += k * a
         else:
-            for e in range(w + k * a, w, a):
+            w += k * a
+            for e in range(w, w - k * a, a):
                 terms[e] = terms.get(e, 0) - 1
-        w += k * a
     return tuple(
-        LaurentPoly._from_clean({e: c for e, c in terms.items() if c})
+        LaurentPoly._from_clean(terms if 0 not in terms.values()
+                                else {e: c for e, c in terms.items() if c})
         for terms in acc
     )
 
@@ -251,9 +267,9 @@ def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
     """
     weights = _weights_or_raise(presentation)
     expanded = sum(
-        abs(k)
+        abs(k) * n
         for rel in presentation.relators
-        for name, k in rel.syllables
+        for (name, k), n in rel.syllable_counts()
         if weights[name]
     )
     if expanded > MAX_DERIVATIVE_TERMS:
@@ -267,35 +283,42 @@ def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
                            [weights[g] for g in presentation.generators])
 
 
-def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Determinant by fraction-free (Bareiss) elimination.
+def _eliminate(rows: list, steps: int) -> Optional[bool]:
+    """Fraction-free (Bareiss) elimination of the first ``steps`` columns
+    of ``rows``, equal-length lists of LaurentPoly, in place.
 
     Step k replaces every entry below and right of the pivot p_k by
-    (p_k * a_ij - a_ik * a_kj) / p_(k-1), a division that is exact in
-    Z[t, t^-1]; a zero pivot is swapped with a nonzero entry below it,
-    flipping the sign.  Raises ArithmeticError if a division is not exact.
+    (p_k * a_ij - a_ik * a_kj) / p_(k-1).  By Sylvester's identity the
+    entry (i, j) is then the minor on rows 0..k, i and columns 0..k, j of
+    the row-swapped input, so the division is exact in Z[t, t^-1].  A zero
+    pivot is swapped with a nonzero entry below it.  Returns whether the
+    swaps flipped the sign, or None when a pivot column is zero from the
+    diagonal down: then the first k + 1 columns have rank k, and every
+    minor on all of them is zero.  Raises ArithmeticError if a division is
+    not exact.
     """
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    rows = [list(row) for row in matrix]
+    height, width = len(rows), len(rows[0])
     negate = False
     previous = None
-    for k in range(n - 1):
-        if rows[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not rows[i][k].is_zero), None)
+    for k in range(steps):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, height) if rows[i][k]), None)
             if swap is None:
-                return LaurentPoly.zero()
+                return None
             rows[k], rows[swap] = rows[swap], rows[k]
             negate = not negate
         pivot_row = rows[k]
         pivot = pivot_row[k]
         for row in rows[k + 1:]:
             factor = row[k]
-            for j in range(k + 1, n):
-                value = pivot * row[j]
-                if factor and pivot_row[j]:
-                    value = value - factor * pivot_row[j]
+            for j in range(k + 1, width):
+                entry, above = row[j], pivot_row[j]
+                if factor and above:
+                    value = pivot * entry - factor * above if entry else -(factor * above)
+                elif entry:
+                    value = pivot * entry
+                else:
+                    continue
                 if value and previous is not None:
                     quotient = value.exact_divide(previous)
                     if quotient is None:
@@ -305,8 +328,48 @@ def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
                     value = quotient
                 row[j] = value
         previous = pivot
+    return negate
+
+
+def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
+    """Determinant by fraction-free (Bareiss) elimination (``_eliminate``)."""
+    n = len(matrix)
+    if n == 0:
+        return LaurentPoly.one()
+    rows = [list(row) for row in matrix]
+    negate = _eliminate(rows, n - 1)
+    if negate is None:
+        return LaurentPoly.zero()
     det = rows[n - 1][n - 1]
     return -det if negate else det
+
+
+def _row_set_minors(entries: Sequence[Sequence[LaurentPoly]], kept: Sequence[int],
+                    size: int):
+    """The minor of the columns ``kept`` on each set of ``size`` rows, in
+    the order of ``combinations``, one determinant each, computed as the
+    caller reads it."""
+    for row_idx in combinations(range(len(entries)), size):
+        yield _det([[entries[i][j] for j in kept] for i in row_idx])
+
+
+def _square_minors(entries: Sequence[Sequence[LaurentPoly]],
+                   kept: Sequence[int]) -> list:
+    """The minors of the r - 1 columns ``kept`` of an r-row matrix N, up to
+    sign, on each set of r - 1 rows in the order of ``combinations`` (the
+    last row left out first), from one elimination of [N | I_r].
+
+    After r - 1 steps, the last row's entry in column m of I_r is the
+    r x r determinant of N bordered by the unit column e_m, which is +-
+    the minor of N without row m (Bareiss 1968, as in ``_eliminate``)."""
+    r = len(entries)
+    unit = LaurentPoly.one()
+    zero = LaurentPoly.zero()
+    rows = [[entries[i][j] for j in kept] + [unit if m == i else zero for m in range(r)]
+            for i in range(r)]
+    if _eliminate(rows, r - 1) is None:
+        return [zero] * r
+    return rows[r - 1][:r - 2:-1]
 
 
 def alexander_polynomial(presentation: Presentation,
@@ -318,7 +381,10 @@ def alexander_polynomial(presentation: Presentation,
     group.  By Fox's fundamental formula it is computed from one minor per
     set of g-1 rows: delete the column j of weight +-1, or failing one the
     nonzero weight of least magnitude, take the gcd D of these minors over
-    row sets, and divide D exactly by (t^|a(j)| - 1) / (t - 1).
+    row sets, and divide D exactly by (t^|a(j)| - 1) / (t - 1).  With as
+    many relators as generators, every one of these minors comes from one
+    elimination (``_square_minors``); with more relators, each row set is
+    one determinant.
 
     ``matrix`` is the presentation's ``alexander_matrix`` when the caller
     has built it already.  The free group of rank 1 (no relators) yields
@@ -354,10 +420,13 @@ def alexander_polynomial(presentation: Presentation,
             f"limit of {MAX_ROW_SETS}"
         )
     kept = [j for j in range(len(weights)) if j != deleted]
+    if rows == len(weights):
+        minors = _square_minors(matrix.entries, kept)
+    else:
+        minors = _row_set_minors(matrix.entries, kept, size)
     result = LaurentPoly.zero()
-    for row_idx in combinations(range(rows), size):
-        minor = [[matrix.entries[i][j] for j in kept] for i in row_idx]
-        result = laurent_gcd(result, _det(minor))
+    for minor in minors:
+        result = laurent_gcd(result, minor)
         if result == phi:
             return LaurentPoly.one()
     if a > 1:

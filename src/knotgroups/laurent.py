@@ -21,6 +21,7 @@ from math import gcd as igcd
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import (
+    CHECKED_INT_MAX,
     GcdTooLargeError,
     InvalidParameterError,
     ZeroPolynomialError,
@@ -39,8 +40,10 @@ MAX_GCD_DEGREE = 4000
 
 
 def _check_range(data: Dict[int, int]) -> None:
-    # the extremes alone: one C-level pass each, not a call per coefficient
-    if data:
+    # the extremes alone: one C-level pass each, not a call per coefficient,
+    # and checked_int only to raise
+    if data and (max(data.values()) > CHECKED_INT_MAX
+                 or min(data.values()) < -CHECKED_INT_MAX):
         checked_int(max(data.values()), "Laurent coefficient")
         checked_int(min(data.values()), "Laurent coefficient")
 
@@ -149,13 +152,17 @@ class LaurentPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
+        small, large = self._coeffs, q._coeffs
+        if len(small) > len(large):
+            small, large = large, small
         out: Dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in q._coeffs.items():
+        get = out.get
+        for e1, c1 in small.items():
+            for e2, c2 in large.items():
                 e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-                if out[e] == 0:
-                    del out[e]
+                out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
         return LaurentPoly._from_clean(out)
 
     __rmul__ = __mul__
@@ -177,6 +184,8 @@ class LaurentPoly:
             return self
         lo = self.min_exp()
         sign = 1 if self._coeffs[lo] > 0 else -1
+        if lo == 0 and sign == 1:
+            return self
         return LaurentPoly._from_clean({e - lo: sign * c for e, c in self._coeffs.items()})
 
     def is_associate(self, other: "LaurentPoly") -> bool:
@@ -211,7 +220,7 @@ class LaurentPoly:
         return hash(self.terms())
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._coeffs)
 
     def __str__(self) -> str:
         return format_laurent(self)
@@ -221,8 +230,9 @@ class LaurentPoly:
 
 
 def _dense(p: LaurentPoly) -> list:
-    """Coefficient list of t^-minexp * p, constant term first."""
-    lo, hi = p.min_exp(), p.max_exp()
+    """Coefficient list of t^-minexp * p, constant term first; p is
+    not zero."""
+    lo, hi = min(p._coeffs), max(p._coeffs)
     out = [0] * (hi - lo + 1)
     for e, c in p._coeffs.items():
         out[e - lo] = c
@@ -349,18 +359,20 @@ def format_laurent(p: LaurentPoly) -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    for i, (e, c) in enumerate(p.terms()):
-        mag = abs(c)
+    for e, c in p.terms():
         if e == 0:
-            body = str(mag)
+            pieces.append(f" + {c}" if c > 0 else f" - {-c}")
+        elif c == 1:
+            pieces.append(" + t" if e == 1 else f" + t^{e}")
+        elif c == -1:
+            pieces.append(" - t" if e == 1 else f" - t^{e}")
+        elif e == 1:
+            pieces.append(f" + {c}*t" if c > 0 else f" - {-c}*t")
         else:
-            tpart = "t" if e == 1 else f"t^{e}"
-            body = tpart if mag == 1 else f"{mag}*{tpart}"
-        if i == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+            pieces.append(f" + {c}*t^{e}" if c > 0 else f" - {-c}*t^{e}")
+    # the first term has no spaces around its sign, and no sign if positive
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # One term: "c", "c*t", "c*t^e", "t" or "t^e".  A text is a first term,

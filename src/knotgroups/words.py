@@ -19,6 +19,7 @@ one name token.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Mapping, Tuple
 
@@ -58,17 +59,25 @@ def reduce_syllables(raw: Iterable[Syllable]) -> Tuple[Syllable, ...]:
 
     Adjacent syllables with the same generator are merged, zero exponents
     dropped, and cancellations cascade (a stack pass gives the normal form
-    in one sweep).  Idempotent.
+    in one sweep).  Idempotent.  A syllable that is neither merged nor
+    dropped is kept as the same object, and a tuple that is reduced
+    already, as a parsed word usually is, comes back as it is.
     """
     stack: list = []
-    for name, exp in raw:
+    for syllable in raw:
+        name, exp = syllable
         if not exp:
             continue
         if stack and stack[-1][0] == name:
             exp += stack.pop()[1]
             if not exp:
                 continue
-        stack.append((name, exp))
+            syllable = (name, exp)
+        stack.append(syllable)
+    # each merge or dropped syllable shortens the stack, so at full length
+    # it holds the input's own syllables in order
+    if isinstance(raw, tuple) and len(stack) == len(raw):
+        return raw
     return tuple(stack)
 
 
@@ -134,14 +143,16 @@ class Word:
         u.conjugate(g)   returns g * u * ~g
     """
 
-    __slots__ = ("_syllables", "_generators")
+    __slots__ = ("_syllables", "_generators", "_counts")
 
     def __init__(self, syllables: Iterable[Syllable] = ()):
-        reduced = reduce_syllables(syllables)
+        # the result keeps the given syllables, so each must be a tuple
+        reduced = reduce_syllables(map(tuple, syllables))
         for name, _ in reduced:
             check_generator_name(name)
         self._syllables = reduced
         self._generators = None
+        self._counts = None
 
     @classmethod
     def _trusted(cls, syllables: Tuple[Syllable, ...]) -> "Word":
@@ -151,6 +162,7 @@ class Word:
         word = object.__new__(cls)
         word._syllables = syllables
         word._generators = None
+        word._counts = None
         return word
 
     # -- construction helpers ------------------------------------------
@@ -187,10 +199,17 @@ class Word:
         """Total signed exponent of ``name`` (image under abelianization)."""
         return sum(e for g, e in self._syllables if g == name)
 
+    def syllable_counts(self) -> Tuple[Tuple[Syllable, int], ...]:
+        """(syllable, occurrences) for each distinct syllable, in order of
+        first occurrence; counted at C level on first use, then kept."""
+        if self._counts is None:
+            self._counts = tuple(Counter(self._syllables).items())
+        return self._counts
+
     def exponent_sums(self) -> dict:
         sums: dict = {}
-        for g, e in self._syllables:
-            sums[g] = sums.get(g, 0) + e
+        for (g, e), n in self.syllable_counts():
+            sums[g] = sums.get(g, 0) + e * n
         return {g: e for g, e in sums.items() if e != 0}
 
     # -- group operations -------------------------------------------------

@@ -19,6 +19,8 @@ from knotgroups.fox import (
     GroupRingElement,
     _det,
     _fox_row,
+    _row_set_minors,
+    _square_minors,
     abelianize_ring_element,
     alexander_matrix,
     alexander_polynomial,
@@ -34,7 +36,7 @@ from knotgroups.presentations import (
 )
 from knotgroups.words import Word
 from test_knot_symmetry import torus_presentation, wirtinger_torus
-from test_tietze import MOVES, Moved, random_word
+from test_tietze import MOVES, Moved, add_consequence, random_word
 
 
 def lp(coeffs):
@@ -160,6 +162,17 @@ class TestTermGuard:
         assert alexander_matrix(pres).shape == (1, 2)
         monkeypatch.setattr(fox, "MAX_DERIVATIVE_TERMS", 7)
         with pytest.raises(DerivativeTooLargeError):
+            alexander_matrix(pres)
+
+    def test_limit_counts_repeats_and_skips_weight_zero(self, monkeypatch):
+        # y has weight 0, so y^5 and y^-5 cost nothing; x^2 occurs twice,
+        # apart, so the rows expand to 2 + 2 + 4 = 8 monomials
+        pres = parse("< x, y | y*x^2*y^5*x^2*y^-5*x^-4 >")
+        assert abelianize(pres).weights == {"x": 1, "y": 0}
+        monkeypatch.setattr(fox, "MAX_DERIVATIVE_TERMS", 8)
+        assert alexander_matrix(pres).shape == (1, 2)
+        monkeypatch.setattr(fox, "MAX_DERIVATIVE_TERMS", 7)
+        with pytest.raises(DerivativeTooLargeError, match="expand to 8 monomials"):
             alexander_matrix(pres)
 
     def test_weight_zero_syllables_cost_one_term(self):
@@ -381,6 +394,90 @@ class TestBareiss:
             _det([[two, one, one], [one, two, one], [one, one, two]])
 
 
+# -- every maximal minor of a square matrix from one elimination ----------------
+
+
+def row_deleted_minors(matrix, kept):
+    """``_det`` of the columns ``kept`` without row m, for m from the last
+    row to the first: the order of ``combinations``."""
+    rows = len(matrix)
+    return [_det([[row[j] for j in kept] for i, row in enumerate(matrix) if i != m])
+            for m in reversed(range(rows))]
+
+
+def assert_equal_up_to_sign(got, want):
+    assert len(got) == len(want)
+    for g, d in zip(got, want):
+        assert g in (d, -d)
+
+
+integer_entries = st.integers(min_value=-2, max_value=2).map(lambda c: lp({0: c}))
+
+
+@st.composite
+def square_with_column(draw, entry, least=2):
+    """An r x r matrix, r in [least, 6], and a column to delete from it."""
+    r = draw(st.integers(min_value=least, max_value=6))
+    matrix = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r))
+    return matrix, draw(st.integers(min_value=0, max_value=r - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(square_with_column(entries), square_with_column(integer_entries)))
+def test_square_minors_match_row_deleted_dets(case):
+    matrix, deleted = case
+    kept = [j for j in range(len(matrix)) if j != deleted]
+    assert_equal_up_to_sign(_square_minors(matrix, kept), row_deleted_minors(matrix, kept))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_with_column(entries, least=3), entries)
+def test_square_minors_of_singular_n(case, p):
+    # N's last column is p times its first, so N has rank below r - 1 and
+    # every maximal minor is zero
+    matrix, deleted = case
+    kept = [j for j in range(len(matrix)) if j != deleted]
+    for row in matrix:
+        row[kept[-1]] = p * row[kept[0]]
+    assert _square_minors(matrix, kept) == [LaurentPoly.zero()] * len(matrix)
+    assert row_deleted_minors(matrix, kept) == [LaurentPoly.zero()] * len(matrix)
+
+
+class TestSquareMinors:
+    def test_zero_pivots_swap_rows(self):
+        # N's first column is zero down to the last row, and after that
+        # swap the second pivot is zero too
+        zero, one, t = lp({}), lp({0: 1}), lp({1: 1})
+        n = [[zero, one, t], [zero, zero, one + t], [zero, one, lp({0: 2})], [t, zero, one]]
+        kept = [0, 1, 2]
+        assert_equal_up_to_sign(_square_minors(n, kept), row_deleted_minors(n, kept))
+        assert any(_square_minors(n, kept))
+
+    def test_zero_column_is_singular(self):
+        t = lp({1: 1})
+        n = [[lp({}), t], [lp({}), lp({0: 3})], [lp({}), lp({0: 1})]]
+        assert _square_minors(n, [0, 1]) == [LaurentPoly.zero()] * 3
+
+    def test_minors_come_in_row_set_order(self):
+        # [[1], [2]]: without row 1 the minor is 1, without row 0 it is 2
+        one, two = lp({0: 1}), lp({0: 2})
+        assert_equal_up_to_sign(_square_minors([[one, two], [two, one]], [0]), [one, two])
+
+    def test_one_elimination_is_taken_when_square(self, monkeypatch):
+        # the row-set path is the oracle here, and is never run
+        pres = wirtinger_torus(7)
+        expected = alexander_polynomial(pres)
+        monkeypatch.setattr(fox, "_row_set_minors", lambda *a: pytest.fail("row sets walked"))
+        assert alexander_polynomial(pres) == expected
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_square_wirtinger_matches_all_minors(n):
+    pres = wirtinger_torus(n)
+    expected = LaurentPoly({k: (-1) ** k for k in range(n)})
+    assert alexander_polynomial(pres) == all_minors_alexander(pres) == expected
+
+
 # -- one minor per row set against all maximal minors ---------------------------
 
 
@@ -437,6 +534,40 @@ def moved_presentations(draw):
 @settings(max_examples=150, deadline=None)
 @given(moved_presentations())
 def test_one_minor_per_row_set_matches_all_minors(presentation):
+    assert alexander_polynomial(presentation) == all_minors_alexander(presentation)
+
+
+# Moves that keep the number of relators less the number of generators: a
+# relator is added only with the generator it defines.
+SQUARE_MOVES = tuple(m for m in MOVES if m is not add_consequence)
+
+
+@st.composite
+def square_moved_presentations(draw):
+    """A base from ``MOVE_BASES``, given one consequence of its relators if
+    it has a relator too few to be square, after up to four random moves
+    that keep it square."""
+    base = draw(st.sampled_from(MOVE_BASES))
+    rng = draw(st.randoms(use_true_random=False))
+    moved = Moved(base, {g: g for g in base.generators})
+    if len(base.relators) < len(base.generators):
+        moved = add_consequence(rng, moved)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        moved = rng.choice(SQUARE_MOVES)(rng, moved)
+    presentation = moved.presentation
+    assert len(presentation.relators) == len(presentation.generators)
+    return presentation
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_moved_presentations())
+def test_square_elimination_matches_row_sets_and_all_minors(presentation):
+    matrix = alexander_matrix(presentation)
+    size = len(presentation.generators) - 1
+    for deleted in range(size + 1):
+        kept = [j for j in range(size + 1) if j != deleted]
+        assert_equal_up_to_sign(_square_minors(matrix.entries, kept),
+                                list(_row_set_minors(matrix.entries, kept, size)))
     assert alexander_polynomial(presentation) == all_minors_alexander(presentation)
 
 

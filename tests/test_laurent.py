@@ -69,6 +69,12 @@ class TestArithmetic:
             with pytest.raises(CoefficientOverflowError):
                 lp({0: c // 2, 1: other}) + lp({0: c // 2})
 
+    def test_products_whose_terms_cancel(self):
+        # (1 + t + t^2)(1 - t) = 1 - t^3: the t and t^2 terms cancel
+        assert lp({0: 1, 1: 1, 2: 1}) * lp({0: 1, 1: -1}) == lp({0: 1, 3: -1})
+        assert lp({0: 1, 1: -1}) * lp({0: 1, 1: 1, 2: 1}) == lp({0: 1, 3: -1})
+        assert (lp({0: 1, 1: 1}) * lp({0: 1, 1: -1})).terms() == ((0, 1), (2, -1))
+
     def test_overflow_raises_from_sums(self):
         half = lp({1: 2**62})
         with pytest.raises(CoefficientOverflowError):
@@ -182,6 +188,12 @@ class TestTextForm:
             ({1: 1}, "t"),
             ({-1: -2, 0: 1}, "-2*t^-1 + 1"),
             ({3: 2, 5: 7}, "2*t^3 + 7*t^5"),
+            ({-1: 1}, "t^-1"),
+            ({1: -1}, "-t"),
+            ({0: -3}, "-3"),
+            ({1: -12, 2: 1}, "-12*t + t^2"),
+            ({-1: 5, 0: -1, 1: 1}, "5*t^-1 - 1 + t"),
+            ({0: 2, 1: 3, 2: -1}, "2 + 3*t - t^2"),
         ],
     )
     def test_round_trip(self, coeffs, text):
@@ -225,6 +237,28 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
+
+
+def naive_product(p, q):
+    """The convolution of the two term lists, zero coefficients dropped."""
+    out = {}
+    for e1, c1 in p.terms():
+        for e2, c2 in q.terms():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return tuple(sorted((e, c) for e, c in out.items() if c))
+
+
+# factors whose products often cancel: (1 - t^k) times a geometric sum
+cancelling = st.integers(min_value=1, max_value=3).map(lambda k: lp({0: 1, k: -1}))
+monomials = st.integers(min_value=-3, max_value=3).map(lambda k: lp({k: 1}))
+
+
+@given(st.one_of(small_polys, cancelling), st.one_of(small_polys, cancelling, monomials))
+def test_product_matches_convolution(p, q):
+    assert (p * q).terms() == naive_product(p, q)
+    assert (q * p).terms() == naive_product(p, q)
+    geometric = lp(dict.fromkeys(range(4), 1))
+    assert (p * q * geometric).terms() == naive_product(p * q, geometric)
 
 
 @given(small_polys, small_polys)

@@ -31,6 +31,11 @@ class TestReduction:
         word = w(("x", 1), ("y", 1), ("y", -1), ("x", -1), ("a", 1))
         assert word == w(("a", 1))
 
+    def test_syllables_given_as_lists_become_tuples(self):
+        word = Word([["x", 1], ["y", 2]])
+        assert word.syllables == (("x", 1), ("y", 2))
+        assert hash(word) == hash(w(("x", 1), ("y", 2)))
+
     def test_zero_exponent_dropped(self):
         assert w(("x", 0)) == Word.identity()
         assert w(("x", 1), ("y", 0), ("x", 2)) == w(("x", 3))
@@ -89,6 +94,14 @@ class TestOperators:
         assert u.exponent_sum("a") == 0
         assert u.exponent_sums() == {"x": -1, "y": -1}
 
+    def test_exponent_sums_of_a_repeated_syllable(self):
+        # x^2 occurs twice, not side by side, and y^3 cancels against y^-3
+        u = w(("x", 2), ("y", 3), ("x", 2), ("y", -3), ("x", 2))
+        assert u.syllable_counts() == ((("x", 2), 3), (("y", 3), 1), (("y", -3), 1))
+        assert u.exponent_sums() == {"x": 6}
+        assert u.exponent_sums() == {g: u.exponent_sum(g) for g in "xy" if u.exponent_sum(g)}
+        assert Word.identity().exponent_sums() == {}
+
     def test_letter_length(self):
         assert w(("x", 2), ("y", -3)).letter_length() == 5
         assert Word.identity().letter_length() == 0
@@ -142,6 +155,54 @@ words = raw_lists.map(Word)
 def test_reduce_idempotent(raw):
     once = reduce_syllables(raw)
     assert reduce_syllables(once) == once
+
+
+def reference_reduce(raw):
+    """The stack pass: merge a syllable into the one below it on the
+    stack, popping both when they cancel."""
+    stack = []
+    for name, exp in raw:
+        if stack and stack[-1][0] == name:
+            exp += stack.pop()[1]
+        if exp:
+            stack.append((name, exp))
+    return tuple(stack)
+
+
+@st.composite
+def raw_with_cancellations(draw):
+    """Raw lists on two names with zero exponents and adjacent repeats, and
+    often a word and its inverse spelled letter by letter in the middle,
+    which cancel in a cascade."""
+    letters = st.tuples(st.sampled_from(("x", "y")), st.integers(min_value=-2, max_value=2))
+    raw = draw(st.lists(letters, max_size=10))
+    if draw(st.booleans()):
+        inner = draw(st.lists(letters, max_size=6))
+        cut = draw(st.integers(min_value=0, max_value=len(raw)))
+        raw = raw[:cut] + inner + [(g, -e) for g, e in reversed(inner)] + raw[cut:]
+    return raw
+
+
+@settings(max_examples=300)
+@given(st.one_of(raw_lists, raw_with_cancellations(), raw_lists.map(reference_reduce)))
+def test_reduce_matches_stack_pass(raw):
+    expected = reference_reduce(raw)
+    assert reduce_syllables(raw) == expected
+    assert reduce_syllables(tuple(raw)) == expected
+    assert reduce_syllables(iter(raw)) == expected
+    if tuple(raw) == expected:
+        # reduced already: the input tuple itself comes back
+        reduced = tuple(raw)
+        assert reduce_syllables(reduced) is reduced
+
+
+def test_reduce_cascade_and_zero_exponents():
+    assert reduce_syllables([("x", 1), ("y", 2), ("x", 0), ("y", -2), ("x", -1)]) == ()
+    assert reduce_syllables([("x", 0)]) == ()
+    assert reduce_syllables([("x", 1), ("x", 1)]) == (("x", 2),)
+    # a zero exponent alone, or a repeat alone, is enough to reduce
+    assert reduce_syllables((("x", 1), ("y", 0), ("z", 1))) == (("x", 1), ("z", 1))
+    assert reduce_syllables((("x", 1), ("y", 1), ("y", 1))) == (("x", 1), ("y", 2))
 
 
 @given(raw_lists)
