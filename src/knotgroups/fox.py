@@ -46,6 +46,19 @@ leaves in the last row, by the same identity, the r minors of N, each the
 determinant of N bordered by one unit column.  The per-row-set loop stays
 for more relators than generators, and as the test oracle of the square
 case.
+
+When N is dense, that elimination runs at an integer point instead
+(Kronecker substitution; von zur Gathen and Gerhard, *Modern Computer
+Algebra*, section 8.4).  Each row of N is multiplied by the power of t
+that makes its lowest exponent 0, every entry is evaluated at t = 2^b, and
+the same Bareiss loop runs over Python ints, whose products and divisions
+run in C.  Hadamard's inequality bounds every coefficient of every minor
+of [N | I_r], each entry of the elimination included, by a C with
+2^(b-1) > C.  So a polynomial vanishes exactly when its value does, the
+pivots and row swaps are those of the LaurentPoly run, and each minor is
+read back exactly from the balanced base-2^b digits of its value.  A
+sparse N, whose integers would be mostly zero digits, is eliminated over
+LaurentPoly as before.
 """
 
 from __future__ import annotations
@@ -283,19 +296,27 @@ def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
                            [weights[g] for g in presentation.generators])
 
 
-def _eliminate(rows: list, steps: int) -> Optional[bool]:
+def _exact_quotient(value: int, divisor: int) -> Optional[int]:
+    """value / divisor for ints, or None when the division leaves a
+    remainder: ``LaurentPoly.exact_divide`` for the integer point."""
+    quotient, remainder = divmod(value, divisor)
+    return None if remainder else quotient
+
+
+def _eliminate(rows: list, steps: int, divide) -> Optional[bool]:
     """Fraction-free (Bareiss) elimination of the first ``steps`` columns
-    of ``rows``, equal-length lists of LaurentPoly, in place.
+    of ``rows``, in place: equal-length lists of LaurentPoly with
+    ``divide=LaurentPoly.exact_divide``, or of int with ``_exact_quotient``.
 
     Step k replaces every entry below and right of the pivot p_k by
     (p_k * a_ij - a_ik * a_kj) / p_(k-1).  By Sylvester's identity the
     entry (i, j) is then the minor on rows 0..k, i and columns 0..k, j of
-    the row-swapped input, so the division is exact in Z[t, t^-1].  A zero
-    pivot is swapped with a nonzero entry below it.  Returns whether the
-    swaps flipped the sign, or None when a pivot column is zero from the
-    diagonal down: then the first k + 1 columns have rank k, and every
-    minor on all of them is zero.  Raises ArithmeticError if a division is
-    not exact.
+    the row-swapped input, so the division is exact in Z[t, t^-1], and in
+    Z.  A zero pivot is swapped with a nonzero entry below it.  Returns
+    whether the swaps flipped the sign, or None when a pivot column is zero
+    from the diagonal down: then the first k + 1 columns have rank k, and
+    every minor on all of them is zero.  Raises ArithmeticError if a
+    division is not exact.
     """
     height, width = len(rows), len(rows[0])
     negate = False
@@ -320,7 +341,7 @@ def _eliminate(rows: list, steps: int) -> Optional[bool]:
                 else:
                     continue
                 if value and previous is not None:
-                    quotient = value.exact_divide(previous)
+                    quotient = divide(value, previous)
                     if quotient is None:
                         raise ArithmeticError(
                             f"Bareiss step {k}: {value} is not divisible by {previous}"
@@ -337,7 +358,7 @@ def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one()
     rows = [list(row) for row in matrix]
-    negate = _eliminate(rows, n - 1)
+    negate = _eliminate(rows, n - 1, LaurentPoly.exact_divide)
     if negate is None:
         return LaurentPoly.zero()
     det = rows[n - 1][n - 1]
@@ -361,15 +382,123 @@ def _square_minors(entries: Sequence[Sequence[LaurentPoly]],
 
     After r - 1 steps, the last row's entry in column m of I_r is the
     r x r determinant of N bordered by the unit column e_m, which is +-
-    the minor of N without row m (Bareiss 1968, as in ``_eliminate``)."""
-    r = len(entries)
+    the minor of N without row m (Bareiss 1968, as in ``_eliminate``).
+
+    When N is dense, the elimination runs over Python ints at an integer
+    point (``_kronecker_minors``): the substitution writes every
+    coefficient of t^s_i * a_ij from t^0 up, s_i the shift of row i
+    (``_row_shifts``), and N counts as dense when that is at most twice
+    its nonzero terms.  A sparse N, such as a row t^100, 1 - t^100,
+    -t^100, would fill whole integers with zero digits, so it is
+    eliminated over LaurentPoly (``_laurent_minors``).  Both give the same
+    minors, sign included."""
+    n = [[row[j] for j in kept] for row in entries]
+    shifts = _row_shifts(n)
+    terms = written = 0
+    for row, shift in zip(n, shifts):
+        for entry in row:
+            if entry:
+                terms += len(entry._coeffs)
+                written += max(entry._coeffs) + shift + 1
+    if written <= 2 * terms:
+        return _kronecker_minors(n, shifts)
+    return _laurent_minors(n)
+
+
+def _laurent_minors(n: Sequence[Sequence[LaurentPoly]]) -> list:
+    """``_square_minors`` of the r x (r - 1) matrix N, by one elimination
+    of [N | I_r] over LaurentPoly."""
+    r = len(n)
     unit = LaurentPoly.one()
     zero = LaurentPoly.zero()
-    rows = [[entries[i][j] for j in kept] + [unit if m == i else zero for m in range(r)]
-            for i in range(r)]
-    if _eliminate(rows, r - 1) is None:
+    rows = [list(row) + [unit if m == i else zero for m in range(r)]
+            for i, row in enumerate(n)]
+    if _eliminate(rows, r - 1, LaurentPoly.exact_divide) is None:
         return [zero] * r
     return rows[r - 1][:r - 2:-1]
+
+
+def _row_shifts(n: Sequence[Sequence[LaurentPoly]]) -> list:
+    """Minus the lowest exponent in each row of N (0 for a zero row), so
+    that t^s_i times row i is a row of polynomials in t with a constant
+    term."""
+    return [-min((min(entry._coeffs) for entry in row if entry), default=0)
+            for row in n]
+
+
+def _kronecker_minors(n: Sequence[Sequence[LaurentPoly]], shifts: Sequence[int]) -> list:
+    """``_laurent_minors`` of N, computed at the integer point t = 2^b
+    (Kronecker substitution; von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, 8.4).
+
+    Row i of N is multiplied by t^s_i, ``shifts[i]``, and I_r is left as
+    it is, so the matrix [N' | I_r] has polynomial entries and the minor
+    bordered by e_m is t^(S - s_m) times that of [N | I_r], S the sum of
+    the shifts.  By Hadamard's inequality on |t| = 1, no coefficient of
+    any minor of [N' | I_r] exceeds C, where
+
+        C^2 = prod_i (1 + sum_j |a'_ij|_1^2),
+
+    the 1 standing for the row's unit entry.  Every entry of the Bareiss
+    elimination, and every minor read back, is such a minor, so with
+    2^(b-1) > C, b rounded up to whole bytes, a polynomial is zero exactly
+    when its value at 2^b is: the pivots, swaps, singular exit and sign
+    are those of the LaurentPoly run, and each minor is read back exactly
+    as balanced base-2^b digits.  No entry of the elimination is
+    range-checked, only the minors read back (``_from_clean``)."""
+    r = len(n)
+    square = 1
+    for row in n:
+        square *= 1 + sum(sum(map(abs, entry._coeffs.values())) ** 2 for entry in row)
+    # C < 2^ceil(L/2) for C^2 of L bits, so b = ceil(L/2) + 1 bits will do
+    bits = (square.bit_length() + 1) // 2 + 1
+    width = (bits + 7) // 8
+    rows = [[_to_int(entry, shift, width) for entry in row] + [int(m == i) for m in range(r)]
+            for i, (row, shift) in enumerate(zip(n, shifts))]
+    if _eliminate(rows, r - 1, _exact_quotient) is None:
+        return [LaurentPoly.zero()] * r
+    total = sum(shifts)
+    last = rows[r - 1]
+    return [_from_int(last[r - 1 + m], width, total - shifts[m]) for m in reversed(range(r))]
+
+
+def _to_int(poly: LaurentPoly, shift: int, width: int) -> int:
+    """t^shift * poly, a polynomial in t whose coefficients are below
+    2^(8 width - 1) in magnitude, at t = 2^(8 width): its positive and its
+    negative coefficients are each written as one little-endian byte
+    string, ``width`` bytes a digit."""
+    if not poly:
+        return 0
+    size = (max(poly._coeffs) + shift + 1) * width
+    plus, minus = bytearray(size), bytearray(size)
+    for e, c in poly._coeffs.items():
+        at = (e + shift) * width
+        if c > 0:
+            plus[at:at + width] = c.to_bytes(width, "little")
+        else:
+            minus[at:at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+
+def _from_int(value: int, width: int, shift: int) -> LaurentPoly:
+    """t^-shift times the polynomial whose value at t = 2^(8 width) is
+    ``value`` and whose coefficients are below 2^(8 width - 1) in
+    magnitude: its balanced digits.  Adding half a digit to every digit
+    makes them all nonnegative, so one ``to_bytes`` reads them."""
+    if not value:
+        return LaurentPoly.zero()
+    half = 1 << (8 * width - 1)
+    middle = half.to_bytes(width, "little")
+    # a value of degree d is above 2^(8 width d - 1) in magnitude, so it
+    # has at least 8 width d bits
+    count = value.bit_length() // (8 * width) + 1
+    data = (value + int.from_bytes(middle * count, "little")).to_bytes(count * width, "little")
+    terms = {}
+    for k in range(count):
+        digit = data[k * width:(k + 1) * width]
+        if digit != middle:
+            terms[k - shift] = int.from_bytes(digit, "little") - half
+    return LaurentPoly._from_clean(terms)
 
 
 def alexander_polynomial(presentation: Presentation,

@@ -93,7 +93,9 @@ class Presentation:
     """
 
     def __init__(self, generators: Sequence[str], relators: Sequence[Word] = (),
-                 markers: Mapping[str, Word] | None = None):
+                 markers: Mapping[str, Word] | None = None, *, _matched: bool = False):
+        # _matched: the words come from parse's readers, which have matched
+        # every name in them against the generators already
         gens = tuple(generators)
         seen = set()
         for name in gens:
@@ -110,7 +112,8 @@ class Presentation:
 
         rels = []
         for w in relators:
-            self._check_support(w, "relator")
+            if not _matched:
+                self._check_support(w, "relator")
             if not w.is_identity:
                 rels.append(w)
         self.relators = tuple(rels)
@@ -118,7 +121,8 @@ class Presentation:
         marks: Dict[str, Word] = {}
         for name, w in (markers or {}).items():
             check_generator_name(name)
-            self._check_support(w, f"marker {quoted(name)}")
+            if not _matched:
+                self._check_support(w, f"marker {quoted(name)}")
             if w.is_identity:
                 raise InvalidParameterError(
                     f"marker {quoted(name)} reduces to the identity word"
@@ -291,7 +295,7 @@ def _read_pieces(text: str) -> Presentation:
             if match is None or match[1] in markers:
                 raise _Unread
             markers[match[1]] = _read_word(match[2], declared, syllables)
-    return Presentation(generators, relators, markers)
+    return Presentation(generators, relators, markers, _matched=True)
 
 
 # -- the token parser: reference for the piece reader, and its error path --------
@@ -372,7 +376,8 @@ class _Parser:
                 self.pos += 1
                 relators.append(self.parse_word(declared))
         self.expect(">", "'>'")
-        return Presentation(generators, relators, self.parse_markers(declared))
+        return Presentation(generators, relators, self.parse_markers(declared),
+                            _matched=True)
 
     def parse_markers(self, declared: set) -> Dict[str, Word]:
         markers: Dict[str, Word] = {}

@@ -2,12 +2,14 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotgroups import fox, laurent
 from knotgroups.errors import (
+    CoefficientOverflowError,
     DeficiencyError,
     DerivativeTooLargeError,
     GcdTooLargeError,
@@ -476,6 +478,143 @@ def test_square_wirtinger_matches_all_minors(n):
     pres = wirtinger_torus(n)
     expected = LaurentPoly({k: (-1) ** k for k in range(n)})
     assert alexander_polynomial(pres) == all_minors_alexander(pres) == expected
+
+
+# -- the integer point against the LaurentPoly elimination ----------------------
+
+
+def kronecker_minors(n):
+    return fox._kronecker_minors(n, fox._row_shifts(n))
+
+
+def fail(*args):
+    pytest.fail("the other elimination was taken")
+
+
+@st.composite
+def shifted_n(draw):
+    """An r x (r - 1) matrix N, r in [2, 6], whose rows are multiplied by
+    powers of t from t^-700 to t^500.  Its top-left z x z block is zero, so
+    the first z pivots are zero in turn, and sometimes its last column is
+    a multiple of its first, so it is singular."""
+    r = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.lists(st.lists(entries, min_size=r - 1, max_size=r - 1),
+                      min_size=r, max_size=r))
+    zeros = draw(st.integers(min_value=0, max_value=r - 2))
+    for i in range(zeros):
+        n[i][:zeros] = [LaurentPoly.zero()] * zeros
+    if r > 2 and draw(st.booleans()):
+        p = draw(entries)
+        for row in n:
+            row[-1] = p * row[0]
+    powers = st.one_of(st.integers(min_value=-5, max_value=5), st.sampled_from((-700, 500)))
+    exps = draw(st.lists(powers, min_size=r, max_size=r))
+    return [[entry.shift(k) for entry in row] for row, k in zip(n, exps)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_n())
+def test_kronecker_minors_equal_laurent_minors(n):
+    # same minors, same order and same sign, singular N included
+    assert kronecker_minors(n) == fox._laurent_minors(n)
+
+
+def sylvester_hadamard(k):
+    """The 2^k x 2^k matrix of +-1 with orthogonal rows."""
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-c for c in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("k,power", [(1, 6), (2, 4), (3, 3), (3, 0)])
+def test_kronecker_minors_of_hadamard_times_one_plus_t(k, power):
+    # a Hadamard matrix meets Hadamard's bound, so the largest coefficient
+    # of these minors comes within 3 to 8 bits of the bound C that sizes b
+    scale = LaurentPoly({e: comb(power, e) for e in range(power + 1)})
+    n = [[scale * c for c in row[1:]] for row in sylvester_hadamard(k)]
+    assert kronecker_minors(n) == fox._laurent_minors(n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kronecker_minors_of_dense_entries_near_fifty(seed):
+    rng = random.Random(seed)
+    r = rng.randint(2, 6)
+
+    def entry():
+        lo = rng.randint(-3, 3)
+        return lp({lo + e: rng.choice((-1, 1)) * rng.randint(40, 60)
+                   for e in range(rng.randint(1, 4))})
+
+    n = [[entry() for _ in range(r - 1)] for _ in range(r)]
+    assert kronecker_minors(n) == fox._laurent_minors(n)
+
+
+def test_kronecker_minors_with_digits_wider_than_64_bits(monkeypatch):
+    widths = []
+    read = fox._from_int
+
+    def recording(value, width, shift):
+        widths.append(width)
+        return read(value, width, shift)
+
+    n = [row[1:] for row in alexander_matrix(wirtinger_torus(81)).entries]
+    monkeypatch.setattr(fox, "_from_int", recording)
+    assert kronecker_minors(n) == fox._laurent_minors(n)
+    assert min(widths) > 8
+
+
+def twisted_torus(n, k):
+    """Wirtinger T(2, n) with the first syllable of each relator raised to
+    the k-th power: the rows t^k, 1 - t^k, -t^k are sparse."""
+    gens = [f"x{i}" for i in range(1, n + 1)]
+    rels = [f"{gens[(i + 1) % n]}^{k}*{gens[i]}*{gens[(i + 1) % n]}^-{k}*{gens[(i + 2) % n]}^-1"
+            for i in range(n)]
+    return parse(f"< {', '.join(gens)} | {', '.join(rels)} >")
+
+
+class TestIntegerPoint:
+    def test_wirtinger_takes_the_integer_point(self, monkeypatch):
+        monkeypatch.setattr(fox, "_laurent_minors", fail)
+        assert alexander_polynomial(wirtinger_torus(7)) == LaurentPoly(
+            {k: (-1) ** k for k in range(7)})
+
+    def test_sparse_matrix_takes_the_laurent_path(self, monkeypatch):
+        pres = twisted_torus(9, 100)
+        entries = alexander_matrix(pres).entries
+        expected = kronecker_minors([row[1:] for row in entries])
+        monkeypatch.setattr(fox, "_kronecker_minors", fail)
+        assert _square_minors(entries, range(1, 9)) == expected
+        assert alexander_polynomial(pres).breadth() > 0
+
+    def test_rows_conjugated_by_x_to_the_500_are_shifted_back(self, monkeypatch):
+        # the row of w*r*w^-1 is t^a(w) times that of r, so the shift of
+        # each conjugated row is -500 and the integers stay as small as T(2,7)'s
+        base = wirtinger_torus(7)
+        x = Word.generator("x1", 500)
+        relators = [x * r * ~x if i % 3 == 0 else r for i, r in enumerate(base.relators)]
+        pres = Presentation(base.generators, relators)
+        n = [row[1:] for row in alexander_matrix(pres).entries]
+        assert fox._row_shifts(n) == [-500 if i % 3 == 0 else 0 for i in range(7)]
+        assert kronecker_minors(n) == fox._laurent_minors(n)
+        monkeypatch.setattr(fox, "_laurent_minors", fail)
+        assert alexander_polynomial(pres) == alexander_polynomial(base)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        monkeypatch.setattr(fox, "_exact_quotient", lambda value, divisor: None)
+        with pytest.raises(ArithmeticError):
+            kronecker_minors([row[1:] for row in alexander_matrix(wirtinger_torus(5)).entries])
+
+    def test_intermediate_overflow_answers(self):
+        # u^(2^40) makes the first pivot 2^40 and u^(2^24) a minor -2^24, so
+        # the LaurentPoly elimination forms the product -2^64 before it
+        # divides by 2^40; the integer point range-checks only the minors
+        pres = parse("< x, u, v | u^1099511627776*v, u^16777216, u >")
+        n = [row[1:] for row in alexander_matrix(pres).entries]
+        with pytest.raises(CoefficientOverflowError):
+            fox._laurent_minors(n)
+        assert kronecker_minors(n) == [lp({0: -2**24}), lp({0: 1}), lp({})]
+        assert alexander_polynomial(pres) == LaurentPoly.one()
 
 
 # -- one minor per row set against all maximal minors ---------------------------

@@ -736,3 +736,48 @@ class TestPowers:
         depth = 4999  # deeper than the recursion limit
         word = parse_word("(" * depth + "x*y" + ")^-1" * depth, ("x", "y"))
         assert word == parse_word("y^-1*x^-1", ("x", "y"))
+
+
+class TestSupportCheckedOnce:
+    """The readers match every name in a word against the declared
+    generators, so their presentations skip ``_check_support``; an
+    undeclared generator still raises, with the same class and message,
+    through the public constructor and through both readers."""
+
+    def test_public_constructor(self):
+        y = Word.generator("y")
+        with pytest.raises(UnknownGeneratorError,
+                           match=r"^relator uses undeclared generator 'y'$"):
+            Presentation(("x",), [y])
+        with pytest.raises(UnknownGeneratorError,
+                           match=r"^marker 'm' uses undeclared generator 'y'$"):
+            Presentation(("x",), [], {"m": y})
+
+    @pytest.mark.parametrize("text,column", [
+        ("< x | x*y >", 9), ("< x | (x*y)^2 >", 10),
+    ])
+    def test_relator_through_both_readers(self, text, column):
+        message = rf"^undeclared generator 'y' \(line 1, column {column}\)$"
+        with pytest.raises(UnknownGeneratorError, match=message):
+            parse(text)
+        with pytest.raises(UnknownGeneratorError, match=message):
+            _token_parse(text)
+        if "(" not in text:
+            with pytest.raises(presentations._Unread):
+                presentations._read_pieces(text)
+
+    @pytest.mark.parametrize("text", [
+        "< x | x >\nmeridian m: y\n", "< x | x >\nmeridian m: (y)\n",
+    ])
+    def test_marker_through_both_readers(self, text):
+        message = r"^undeclared generator 'y' \(line 2, column \d+\)$"
+        with pytest.raises(UnknownGeneratorError, match=message):
+            parse(text)
+        with pytest.raises(UnknownGeneratorError, match=message):
+            _token_parse(text)
+
+    def test_readers_skip_the_check(self, monkeypatch):
+        monkeypatch.setattr(Presentation, "_check_support",
+                            lambda *args: pytest.fail("support checked again"))
+        for text in ("< x, y | x*y^2 >\nmeridian m: y\n", "< x, y | (x*y)^2 >\nmeridian m: y\n"):
+            assert parse(text).relators
