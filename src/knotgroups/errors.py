@@ -78,7 +78,7 @@ class CoefficientOverflowError(ResourceError):
 
 
 class GroupTooLargeError(ResourceError):
-    """Group enumeration (or a naive product search) exceeds its cap."""
+    """A group's points pass MAX_GROUP_POINTS, or a naive search's MAX_SEARCH_NODES."""
 
 
 class DerivativeTooLargeError(ResourceError):

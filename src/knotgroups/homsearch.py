@@ -117,16 +117,15 @@ from .presentations import Presentation
 from .words import Word, reduce_syllables
 
 # Resource limits, read at each call, never passed per call: the nodes one
-# search may visit, the assignments a naive search may walk, and the
-# homomorphisms one listing may hold.  A search into A5 walks 0.5 to 1.5
-# million nodes a second (shared 2-core x86 box, CPython 3.11), charging a
-# level's values and a solved level's table before it walks them, so a
-# refused search ends within about 20 s.  The largest backtrack search in
-# the test suite, < a, b, c, d, e | a*b*c*d*e > into A5, counts 559,162
-# nodes; the next, a chain of 1200 generators, 77,940, of which 71,940 are
-# table entries.  Naive searches there walk at most 60^3 = 216,000.
+# search may visit, and the homomorphisms one listing may hold.  A search
+# into A5 walks 0.5 to 1.5 million nodes a second (shared 2-core x86 box,
+# CPython 3.11), charging a level's values and a solved level's table
+# before it walks them, so a refused search ends within about 20 s.  The
+# largest backtrack search in the test suite, < a, b, c, d, e | a*b*c*d*e >
+# into A5, counts 559,162 nodes; the next, a chain of 1200 generators,
+# 77,940, of which 71,940 are table entries.  Naive searches there walk at
+# most 60^3 = 216,000.
 MAX_SEARCH_NODES = 10**7
-MAX_NAIVE_ASSIGNMENTS = 10**7
 MAX_LISTED_HOMS = 10**5
 
 Assignment = Dict[str, Permutation]
@@ -533,10 +532,10 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     from the two modes always agree; a listing (``materialize``) is the
     result's ``leaves``, in the plain walk's order (index tuples in
     declaration order, lexicographically).
-    ``naive`` additionally refuses to start when |A|^(unpinned) exceeds
-    ``MAX_NAIVE_ASSIGNMENTS``; a search refuses to visit more than
-    ``MAX_SEARCH_NODES`` nodes, and a listing to hold more than
-    ``MAX_LISTED_HOMS`` homomorphisms.
+    A search refuses to visit more than ``MAX_SEARCH_NODES`` nodes, and a
+    listing to hold more than ``MAX_LISTED_HOMS`` homomorphisms; ``naive``,
+    whose walk visits exactly |A|^(unpinned) nodes, compares that with
+    ``MAX_SEARCH_NODES`` before it starts (GroupTooLargeError).
 
     Both modes walk the pinned generators first, each at its one value,
     then the others, each part in declaration order; a listing maps its
@@ -570,12 +569,9 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     """
     pins = check_constraint(presentation, group, constraint or {})
     unpinned = [g for g in presentation.generators if g not in pins]
-    if mode == "naive":
-        if product_exceeds([group.order] * len(unpinned), MAX_NAIVE_ASSIGNMENTS):
-            raise GroupTooLargeError(
-                f"naive search space {group.order}^{len(unpinned)} exceeds cap "
-                f"{MAX_NAIVE_ASSIGNMENTS}"
-            )
+    if mode == "naive" and product_exceeds([group.order] * len(unpinned), MAX_SEARCH_NODES):
+        raise GroupTooLargeError(
+            f"naive search space {group.order}^{len(unpinned)} exceeds cap {MAX_SEARCH_NODES}")
     if mode not in ("naive", "backtrack"):
         raise InvalidParameterError(f"unknown search mode {quoted(mode)}")
 

@@ -9,11 +9,11 @@ right actions.  Every stored or printed example in this package assumes it.
 Conjugacy and homomorphism *counts* do not depend on the convention, but
 whether a *specific* generator assignment satisfies a relator does.
 
-Groups are tiny here (at most ``MAX_GROUP_ORDER`` = 10^6 elements and
-``MAX_GROUP_POINTS`` = 10^7 points), so a group lists all its elements, as
-packed keys multiplied by index (``FiniteGroup``), and conjugacy is decided
-by exhaustive search rather than cycle type, which matters in alternating
-groups where classes split.
+Groups are tiny here (at most ``MAX_GROUP_POINTS`` = 10^7 points, order
+times degree, so at most 10^6 elements at any degree), so a group lists all
+its elements, as packed keys multiplied by index (``FiniteGroup``), and
+conjugacy is decided by exhaustive search rather than cycle type, which
+matters in alternating groups where classes split.
 
 Points are 0-based internally; all I/O uses 1-based cycle notation such as
 ``(1,5,4,3,2)``, with ``()`` for the identity.  A literal (spaces removed)
@@ -42,11 +42,9 @@ from .errors import (
     read_decimal,
 )
 
-# Most elements a group may have; read at each build, never passed per call.
-MAX_GROUP_ORDER = 10**6
-
-# Most points a group may hold: order times degree (S9 on its 9 points
-# holds 3.3 * 10^6), one slot of an element's key each.  Above 256 points the
+# Most points a group may hold, read at each build, never passed per call:
+# order times degree (S9 on its 9 points holds 3.3 * 10^6, S10 on 10 would
+# hold 3.6 * 10^7), one slot of an element's key each.  Above 256 points the
 # identity and each generator are built afresh, with a new 32-byte int object
 # per point, so each of their points counts four more (_fresh_points).  A group
 # is its keys and their dict: a `count` into S9 peaks at 77-86 MB in all.
@@ -460,8 +458,9 @@ def symmetric_group(n: int) -> FiniteGroup:
     """S_n, elements in lexicographic image order (identity first)."""
     if n < 1:
         raise InvalidParameterError("degree must be at least 1")
-    if product_exceeds(range(2, n + 1), MAX_GROUP_ORDER):
-        raise GroupTooLargeError(f"|S_{n}| = {n}! exceeds cap {MAX_GROUP_ORDER}")
+    cap = MAX_GROUP_POINTS // n
+    if product_exceeds(range(2, n + 1), cap):
+        raise GroupTooLargeError(f"|S_{n}| = {n}! exceeds cap {cap} elements on {n} points")
     keys = list(map(_packing(n)[0], _all_perms(range(n))))
     gens = [Permutation.from_cycles([(1, 2)], n)] if n >= 2 else []
     if n >= 3:
@@ -473,8 +472,9 @@ def alternating_group(n: int) -> FiniteGroup:
     """A_n, the even permutations of S_n in lexicographic image order."""
     if n < 1:
         raise InvalidParameterError("degree must be at least 1")
-    if product_exceeds(range(3, n + 1), MAX_GROUP_ORDER):  # n!/2 = 3*4*...*n
-        raise GroupTooLargeError(f"|A_{n}| = {n}!/2 exceeds cap {MAX_GROUP_ORDER}")
+    cap = MAX_GROUP_POINTS // n
+    if product_exceeds(range(3, n + 1), cap):  # n!/2 = 3*4*...*n
+        raise GroupTooLargeError(f"|A_{n}| = {n}!/2 exceeds cap {cap} elements on {n} points")
     # permutations() and product() both run in lexicographic order, so each
     # permutation meets its Lehmer code, whose digit sum is its number of
     # inversions
@@ -521,8 +521,7 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
         raise DegreeMismatchError("generator degree differs from group degree")
     _check_degree(degree, len(gens))
     # degree points an element, after the identity's and generators' ints
-    cap = min(MAX_GROUP_ORDER,
-              (MAX_GROUP_POINTS - _fresh_points(degree, len(gens))) // degree)
+    cap = (MAX_GROUP_POINTS - _fresh_points(degree, len(gens))) // degree
     pack, table, compose = _packing(degree)
     ident = pack(range(degree))
     seen = {ident: 0}
@@ -540,8 +539,7 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
                 ordered.append(prod)
                 if len(seen) > cap:
                     raise GroupTooLargeError(
-                        f"generated group exceeds cap {cap} (at most "
-                        f"{MAX_GROUP_ORDER} elements, {MAX_GROUP_POINTS} points)")
+                        f"generated group exceeds cap {cap} elements on {degree} points")
             right.append(at)
     return FiniteGroup._of_keys(degree, ordered, gens, label, seen, rights)
 

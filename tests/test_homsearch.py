@@ -113,15 +113,25 @@ class TestCountHoms:
             count_homs(F1, A5, {"x": parse_permutation("(1,2)", 5)})
 
     def test_naive_cap(self, monkeypatch):
-        monkeypatch.setattr(homsearch, "MAX_NAIVE_ASSIGNMENTS", 1000)
-        with pytest.raises(GroupTooLargeError):
+        # the naive walk charges one node per assignment, so the node budget
+        # refuses it up front, as a GroupTooLargeError, before any node
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 1000)
+        with pytest.raises(GroupTooLargeError, match="60\\^3 exceeds cap 1000$"):
             count_homs(F1, A5, mode="naive")
         # two unpinned generators: 60^2 = 3600 assignments, cap inclusive
-        monkeypatch.setattr(homsearch, "MAX_NAIVE_ASSIGNMENTS", 3599)
-        with pytest.raises(GroupTooLargeError, match="60\\^2 exceeds cap 3599"):
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 3599)
+        with pytest.raises(GroupTooLargeError, match="60\\^2 exceeds cap 3599$"):
             count_homs(F1, A5, {"x": SIGMA}, mode="naive")
-        monkeypatch.setattr(homsearch, "MAX_NAIVE_ASSIGNMENTS", 3600)
-        assert count_homs(F1, A5, {"x": SIGMA}, mode="naive").count == 6
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 3600)
+        result = count_homs(F1, A5, {"x": SIGMA}, mode="naive")
+        assert (result.count, result.stats.nodes) == (6, 3600)
+
+    def test_naive_cap_at_the_default_budget(self):
+        # 60^3 = 216,000 assignments are walked, 60^4 = 1.3 * 10^7 refused
+        result = count_homs(parse("< x, y, z | >"), A5, mode="naive")
+        assert (result.count, result.stats.nodes) == (60 ** 3, 60 ** 3)
+        with pytest.raises(GroupTooLargeError):
+            count_homs(parse("< x, y, z, w | >"), A5, mode="naive")
 
     def test_node_budget(self, monkeypatch):
         monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 50)
@@ -1107,5 +1117,8 @@ class TestScheduledEvaluation:
         assert count_homs(F1, A5, pins, mode=mode).count == result.count
         if nodes:
             monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", nodes - 1)
-            with pytest.raises(BudgetExceededError, match=f"node budget {nodes - 1}$"):
+            # naive knows its node count, |A|^unpinned, and refuses up front
+            error, limit = ((GroupTooLargeError, "exceeds cap") if mode == "naive"
+                            else (BudgetExceededError, "node budget"))
+            with pytest.raises(error, match=f"{limit} {nodes - 1}$"):
                 count_homs(F1, A5, pins, mode=mode)

@@ -40,12 +40,6 @@ PSL27 = group_from_spec("gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]")
 
 
 @pytest.fixture
-def order_cap(monkeypatch):
-    """Sets ``permgroups.MAX_GROUP_ORDER`` for the rest of a test."""
-    return lambda cap: monkeypatch.setattr(permgroups, "MAX_GROUP_ORDER", cap)
-
-
-@pytest.fixture
 def point_cap(monkeypatch):
     """Sets ``permgroups.MAX_GROUP_POINTS`` for the rest of a test."""
     return lambda cap: monkeypatch.setattr(permgroups, "MAX_GROUP_POINTS", cap)
@@ -149,25 +143,28 @@ class TestBuild:
         with pytest.raises(InvalidParameterError, match="duplicate"):
             FiniteGroup(3, [ident, swap, swap], [])
 
-    def test_order_caps_are_exact(self, order_cap):
-        order_cap(120)
+    def test_order_caps_are_exact(self, point_cap):
+        # the points cap allows order times degree: S5 holds 120 * 5 = 600
+        point_cap(600)
         assert symmetric_group(5).order == 120
-        order_cap(60)
+        point_cap(300)
         assert alternating_group(5).order == 60
-        order_cap(1)
+        point_cap(2)
         assert alternating_group(2).order == 1
-        order_cap(119)
-        with pytest.raises(GroupTooLargeError, match=r"\|S_5\| = 5! exceeds cap 119"):
+        point_cap(599)
+        with pytest.raises(GroupTooLargeError,
+                           match=r"\|S_5\| = 5! exceeds cap 119 elements on 5 points$"):
             symmetric_group(5)
-        order_cap(59)
-        with pytest.raises(GroupTooLargeError, match=r"\|A_5\| = 5!/2 exceeds cap 59"):
+        point_cap(299)
+        with pytest.raises(GroupTooLargeError,
+                           match=r"\|A_5\| = 5!/2 exceeds cap 59 elements on 5 points$"):
             alternating_group(5)
 
-    def test_too_large(self, order_cap):
-        order_cap(100)
+    def test_too_large(self, point_cap):
+        point_cap(500)
         with pytest.raises(GroupTooLargeError):
             symmetric_group(5)
-        order_cap(30)
+        point_cap(150)
         with pytest.raises(GroupTooLargeError):
             generated_group(
                 5,
@@ -484,11 +481,12 @@ def _frontier_closure(degree, gens):
     "gen:5:[(1,2,3),(1,2,3,4,5)]",
     "gen:4:[(1,2),(),(1,2),(3,4)]",
 ])
-def test_generated_element_order_and_cap(spec, order_cap):
+def test_generated_element_order_and_cap(spec, point_cap):
     group = group_from_spec(spec)
     assert list(group.elements) == _frontier_closure(group.degree, group.generators)
-    order_cap(group.order)
+    point_cap(group.order * group.degree)
     assert group_from_spec(spec).elements == group.elements
-    order_cap(group.order - 1)
-    with pytest.raises(GroupTooLargeError, match=f"exceeds cap {group.order - 1}"):
+    point_cap(group.order * group.degree - 1)
+    with pytest.raises(GroupTooLargeError,
+                       match=f"exceeds cap {group.order - 1} elements on {group.degree} points$"):
         group_from_spec(spec)
