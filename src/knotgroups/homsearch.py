@@ -456,9 +456,10 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]
     """Indices of elements generating the centralizer in A of the elements
     of index ``fixed``, and its order.
 
-    When that centralizer is all of A, these are A's own generators.
-    Otherwise they are picked greedily: in index order, every centralizing
-    element outside the subgroup generated so far joins the generators.
+    When that centralizer is all of A, these are A's own generators, each a
+    member of A, since only its builders make a group.  Otherwise they are
+    picked greedily: in index order, every centralizing element outside the
+    subgroup generated so far joins the generators.
     """
     n, columns = group.order, group.columns
     members: Sequence[int] = range(n)
@@ -466,7 +467,7 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]
         conj = group.conjugates(p)
         members = [h for h in members if conj[h] == h]
     if len(members) == n:
-        return [group.index_of(s) for s in group.generators if s in group], n
+        return [group.index_of(s) for s in group.generators], n
     gens: List[int] = []
     inside = bytearray(n)
     inside[0] = 1

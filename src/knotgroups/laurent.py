@@ -192,11 +192,23 @@ class LaurentPoly:
         return self.normalize_up_to_units() == other.normalize_up_to_units()
 
     def exact_divide(self, divisor: "LaurentPoly") -> Optional["LaurentPoly"]:
-        """Return self / divisor when the division is exact, else None."""
+        """Return self / divisor when the division is exact, else None.
+
+        A monomial divisor c*t^k divides term by term, so nothing is made
+        dense: a Bareiss pivot of +-1 costs one pass over self's terms."""
         if divisor.is_zero:
             return None if not self.is_zero else LaurentPoly.zero()
         if self.is_zero:
             return LaurentPoly.zero()
+        if len(divisor._coeffs) == 1:
+            ((k, c),) = divisor._coeffs.items()
+            out: Dict[int, int] = {}
+            for e, a in self._coeffs.items():
+                q, r = divmod(a, c)
+                if r:
+                    return None
+                out[e - k] = q
+            return LaurentPoly._from_clean(out)
         num = _dense(self)
         den = _dense(divisor)
         quo = _dense_exact_div(num, den)

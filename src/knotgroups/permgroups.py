@@ -13,7 +13,9 @@ Groups are tiny here (at most ``MAX_GROUP_POINTS`` = 10^7 points, order
 times degree, so at most 10^6 elements at any degree), so a group lists all
 its elements, as packed keys multiplied by index (``FiniteGroup``), and
 conjugacy is decided by exhaustive search rather than cycle type, which
-matters in alternating groups where classes split.
+matters in alternating groups where classes split.  Only the builders
+``symmetric_group``, ``alternating_group`` and ``generated_group`` make a
+group, each from a set closed under products and generated by its generators.
 
 Points are 0-based internally; all I/O uses 1-based cycle notation such as
 ``(1,5,4,3,2)``, with ``()`` for the identity.  A literal (spaces removed)
@@ -219,39 +221,24 @@ class FiniteGroup:
     s a generator, is p's column composed with the table of right
     multiplication by s, as permutations of the indices: one C-level pass.
     The right tables cost n*k key compositions for k generators, none when
-    ``generated_group`` recorded them; columns the walk does not reach are
-    direct products.  Above the limit, ``_Products`` composes products and
-    powers from the keys when they are read.
+    ``generated_group`` recorded them.  The generators generate the group,
+    so the walk reaches every column.  Above the limit, ``_Products``
+    composes products and powers from the keys when they are read.
     """
 
-    def __init__(self, degree: int, elements: Sequence[Permutation],
-                 generators: Sequence[Permutation], label: str = ""):
-        elems = tuple(elements)
-        if not elems or not elems[0].is_identity:
-            raise InvalidParameterError("element list must start with the identity")
-        if any(g.degree != degree for g in elems):
-            raise DegreeMismatchError("element degree differs from group degree")
-        pack = _packing(degree)[0]
-        self._adopt(degree, [pack(g._images) for g in elems], generators, label)
-        if len(self._at) != len(elems):
-            raise InvalidParameterError("duplicate element in group list")
-
-    @classmethod
-    def _of_keys(cls, degree, keys, generators, label, at=None, right_products=None):
-        """A builder's group of trusted keys, and their index dict ``at``."""
-        group = cls.__new__(cls)
-        group._adopt(degree, keys, generators, label, at, right_products)
-        return group
-
-    def _adopt(self, degree, keys, generators, label, at=None, right_products=None):
+    def __init__(self, degree: int, keys: List, generators: Sequence[Permutation],
+                 label: str, at: Optional[Dict] = None,
+                 right_products: Optional[List[List[int]]] = None):
+        """Called by the builders alone, unchecked: ``keys``, the identity's
+        first, are closed under products and generated by ``generators``, so
+        no product leaves them; ``at`` is their index dict (made if None)."""
         self.degree = degree
         self.generators = tuple(generators)
         self.label = label or f"gen:{degree}"
         self._pack = _packing(degree)[0]
         self._keys: List = keys
         self._at: Dict = dict(zip(keys, range(len(keys)))) if at is None else at
-        # per generator s, the index of element i * s at position i, if the
-        # builder formed those products anyway (trusted, not checked)
+        # per generator s, the index of i * s at position i, if the builder has it
         self._right_products: Optional[List[List[int]]] = right_products
         self._columns: Optional[Sequence[Sequence[int]]] = None
         # per element i, the indices of i^0, i^1, ... up to its order
@@ -320,19 +307,13 @@ class FiniteGroup:
 
     def _table(self) -> List[Sequence[int]]:
         n = self.order
-        direct = _Products(self)
-        column = lambda b: list(map(direct[b].__getitem__, range(n)))
         rights = self._right_products
         if rights is None:
             # a*s for every element a, in one C-level pass over the keys
+            _, table, compose = _packing(self.degree)
             keys, at = self._keys, self._at
-            right = lambda s: repeat(direct.table(self._key(s)))
-            try:
-                rights = [list(map(at.__getitem__, map(direct.compose, keys, right(s))))
-                          for s in self.generators if s in self]
-            except KeyError as outside:
-                direct.find(outside.args[0])  # raises the group's own error
-                raise
+            rights = [list(map(at.__getitem__, map(compose, keys, repeat(table(s._images)))))
+                      for s in self.generators]
         pack, table, compose = _packing(n)
         rights = [table(right) for right in rights]
         # a column above order 256 is an image tuple while it is the parent
@@ -350,9 +331,6 @@ class FiniteGroup:
                     cols[b] = compose(cols[p], right)
                     walked.append(b)
             cols[p] = store(cols[p])
-        for b, col in enumerate(cols):
-            if col is None:
-                cols[b] = store(column(b))
         return cols
 
     def __contains__(self, p: Permutation) -> bool:
@@ -401,26 +379,20 @@ def _packing(degree: int):
 
 
 class _Products:
-    """Products and powers by index, composed from the group's own keys
-    and looked up in its own dict when read: the ``columns`` of a group above
-    TABLE_MAX_ORDER, and the columns a table cannot derive."""
+    """The ``columns`` of a group above TABLE_MAX_ORDER: products and powers
+    by index, composed from the group's own keys and looked up in its own
+    dict when read.  The keys are closed under products, so every lookup
+    finds one."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.pack, self.table, self.compose = _packing(group.degree)
 
-    def find(self, key) -> int:
-        try:
-            return self.group._at[key]
-        except KeyError:
-            raise InvalidParameterError(
-                f"{Permutation._raw(tuple(key))} is not in the group's element list") from None
-
     def __getitem__(self, b: int) -> "_Composed":
         """Column b: the index of a*b for every element a, composed when read."""
-        compose, keys, find = self.compose, self.group._keys, self.find
+        compose, keys, at = self.compose, self.group._keys, self.group._at
         right = self.table(keys[b])
-        return _Composed(lambda a: find(compose(keys[a], right)))
+        return _Composed(lambda a: at[compose(keys[a], right)])
 
     def power(self, a: int, e: int) -> int:
         """The index of a^e, squaring a's key, or for e < 0 its inverse's,
@@ -432,7 +404,7 @@ class _Products:
             right = self.table(key)
             acc = self.compose(acc, right) if e & 1 else acc
             key, e = self.compose(key, right), e >> 1
-        return self.find(acc)
+        return self.group._at[acc]
 
 
 class _Composed(dict):
@@ -465,7 +437,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     gens = [Permutation.from_cycles([(1, 2)], n)] if n >= 2 else []
     if n >= 3:
         gens.append(Permutation.from_cycles([tuple(range(1, n + 1))], n))
-    return FiniteGroup._of_keys(n, keys, gens, f"S{n}")
+    return FiniteGroup(n, keys, gens, f"S{n}")
 
 
 def alternating_group(n: int) -> FiniteGroup:
@@ -485,7 +457,7 @@ def alternating_group(n: int) -> FiniteGroup:
     if n >= 4:
         cycle = tuple(range(1, n + 1)) if n % 2 == 1 else tuple(range(2, n + 1))
         gens.append(Permutation.from_cycles([cycle], n))
-    return FiniteGroup._of_keys(n, keys, gens, f"A{n}")
+    return FiniteGroup(n, keys, gens, f"A{n}")
 
 
 def _fresh_points(degree: int, generators: int) -> int:
@@ -541,7 +513,7 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
                     raise GroupTooLargeError(
                         f"generated group exceeds cap {cap} elements on {degree} points")
             right.append(at)
-    return FiniteGroup._of_keys(degree, ordered, gens, label, seen, rights)
+    return FiniteGroup(degree, ordered, gens, label, seen, rights)
 
 
 def group_from_spec(spec: str) -> FiniteGroup:

@@ -213,6 +213,16 @@ class TestAlexCommand:
         assert code == 3
         assert "breadth 399999" in err
 
+    def test_monomial_pivots_make_nothing_dense(self, tmp_path, capsys):
+        # weights up to 400^3 = 6.4 * 10^7 in a sparse square matrix: its
+        # Bareiss pivots are +-1, and dividing by one is term by term
+        path = write(tmp_path, "chain.pres", "< x, y, z, w | x^400*y^-1, y^400*z^-1, "
+                                             "z^400*w^-1, w*x*w^-1*x^-1 >\n")
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "alex", path)
+        assert time.perf_counter() - started < 2.0
+        assert (code, out) == (0, "1\n")
+
     def test_gcd_with_a_monomial_is_immediate(self, tmp_path, capsys):
         path = write(tmp_path, "mono.pres", "< x, y | x^16000*y^-1 >\n")
         started = time.perf_counter()
@@ -321,7 +331,7 @@ class TestCountCommand:
         (("--group", "A3000"), "|A_3000| = 3000!/2 exceeds cap 3333 elements on 3000 points"),
         (("--group", "A5", "--mode", "naive"),
          "naive search space 60^3000 exceeds cap 10000000"),
-    ])
+    ], ids=["S20000", "S200000", "A3000", "naive-60^3000"])
     def test_huge_size_refused_quickly(self, tmp_path, capsys, args, message):
         # sizes are reported symbolically: printing 20000! or 60^3000 would
         # pass the interpreter's limit on converting an int to text

@@ -12,6 +12,7 @@ from knotgroups.errors import (
     InvalidParameterError,
     ZeroPolynomialError,
 )
+from knotgroups import laurent
 from knotgroups.laurent import (
     MAX_GCD_DEGREE,
     LaurentPoly,
@@ -175,6 +176,15 @@ class TestDivision:
         assert LaurentPoly.zero().exact_divide(lp({0: 3})) == LaurentPoly.zero()
         assert lp({0: 3}).exact_divide(LaurentPoly.zero()) is None
 
+    def test_monomial_divisor_makes_nothing_dense(self, monkeypatch):
+        # breadth 2 * 10^9: a dense list of it would not fit in memory
+        wide = lp({-10**9: 6, 0: -4, 10**9: 2})
+        monkeypatch.setattr(laurent, "_dense", lambda p: pytest.fail("made dense"))
+        assert wide.exact_divide(lp({7: -2})) == lp({-10**9 - 7: -3, -7: 2, 10**9 - 7: -1})
+        assert wide.exact_divide(lp({0: 1})) == wide
+        assert wide.exact_divide(lp({-5: -1})) == -wide.shift(5)
+        assert wide.exact_divide(lp({3: 4})) is None
+
 
 class TestTextForm:
     @pytest.mark.parametrize(
@@ -306,6 +316,31 @@ def test_normalize_constant_on_associates(p, k, flip):
 @given(small_polys)
 def test_text_round_trip(p):
     assert parse_laurent(format_laurent(p)) == p
+
+
+def dense_quotient(p, d):
+    """p / d by exact division of the dense coefficient lists, or None."""
+    if p.is_zero:
+        return p
+    quo = laurent._dense_exact_div(laurent._dense(p), laurent._dense(d))
+    if quo is None:
+        return None
+    offset = p.min_exp() - d.min_exp()
+    return LaurentPoly({i + offset: c for i, c in enumerate(quo)})
+
+
+nonzero = st.integers(min_value=-6, max_value=6).filter(bool)
+
+
+@given(small_polys, nonzero, st.integers(min_value=-6, max_value=6), st.booleans())
+def test_monomial_division_matches_dense_division(p, c, k, multiple):
+    # c*t^k, -1 and negative c included; half the dividends are multiples
+    divisor = lp({k: c})
+    if multiple:
+        p = p * divisor
+    assert p.exact_divide(divisor) == dense_quotient(p, divisor)
+    if multiple:
+        assert p.exact_divide(divisor) * divisor == p
 
 
 @given(small_polys, small_polys, st.integers(min_value=-4, max_value=4))

@@ -18,7 +18,6 @@ from knotgroups.errors import (
 )
 from knotgroups.permgroups import (
     TABLE_MAX_ORDER,
-    FiniteGroup,
     Permutation,
     alternating_group,
     are_conjugate,
@@ -133,15 +132,6 @@ class TestBuild:
         every = [Permutation(p) for p in permutations(range(n))]
         assert list(symmetric_group(n).elements) == every
         assert list(alternating_group(n).elements) == [p for p in every if p.is_even()]
-
-    def test_element_list_checks(self):
-        ident, swap = S3.elements[0], S3.elements[1]
-        with pytest.raises(InvalidParameterError, match="start with the identity"):
-            FiniteGroup(3, [swap, ident], [])
-        with pytest.raises(DegreeMismatchError):
-            FiniteGroup(3, [ident, Permutation.identity(4)], [])
-        with pytest.raises(InvalidParameterError, match="duplicate"):
-            FiniteGroup(3, [ident, swap, swap], [])
 
     def test_order_caps_are_exact(self, point_cap):
         # the points cap allows order times degree: S5 holds 120 * 5 = 600
@@ -404,21 +394,27 @@ class TestIndexForm:
             assert list(group.powers(e)) == [group.index_of(p**e) for p in elems]
 
     def test_more_than_256_points(self):
-        # image tuples too wide for bytes: the closure and the direct
-        # products compose tuples
+        # image tuples too wide for bytes: the closure and the table's
+        # right products compose tuples
         gens = [parse_permutation(c, 300) for c in ("(1,2,3)", "(1,2)", "(299,300)")]
         group = generated_group(300, gens)
         assert list(group.elements) == _frontier_closure(300, gens)
         self._assert_matches(group)
-        self._assert_matches(FiniteGroup(300, group.elements, [], label="bare"))
-
-    def test_unreached_elements_use_direct_products(self):
-        # no generators, or generators of a proper subgroup only: the
-        # columns the breadth-first walk does not reach come from direct
-        # products
-        self._assert_matches(FiniteGroup(3, S3.elements, [], label="bare"))
-        rotation = parse_permutation("(1,2,3)", 3)
-        self._assert_matches(FiniteGroup(3, S3.elements, [rotation], label="sub"))
+        # S7 on 300 points: above the table limit, tuple keys are composed
+        # and looked up when read
+        group = group_from_spec("gen:300:[(1,2,3,4,5,6,7),(1,2)]")
+        assert group.order == 5040 > TABLE_MAX_ORDER
+        columns, n, elems = group.columns, group.order, group.elements
+        assert isinstance(columns, permgroups._Products)
+        assert isinstance(group._keys[0], tuple)
+        rng = random.Random(300)
+        for _ in range(500):
+            a, b = rng.randrange(n), rng.randrange(n)
+            assert elems[columns[b][a]] == elems[a] * elems[b]
+        for e in (-1, 3):
+            powers = group.powers(e)
+            for a in rng.sample(range(n), 200):
+                assert elems[powers[a]] == elems[a] ** e
 
     def test_built_once(self):
         assert A5.columns is A5.columns
@@ -451,11 +447,6 @@ class TestIndexForm:
         for b, a, e in ((1, 2, 3), (4000, 17, -1), (5039, 5039, 7), (123, 0, 10**9)):
             assert elems[columns[b][a]] == elems[a] * elems[b]
             assert s7.powers(e)[a] == elems.index(elems[a] ** e)
-
-    def test_product_outside_element_list(self):
-        # a list that is not closed under products is refused, not misread
-        with pytest.raises(InvalidParameterError):
-            FiniteGroup(3, S3.elements[:3], [S3.elements[1]]).columns
 
 
 def _frontier_closure(degree, gens):
