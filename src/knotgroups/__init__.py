@@ -24,7 +24,6 @@ from .errors import (
     InvalidParameterError,
     KnotGroupsError,
     MissingImageError,
-    MissingWeightError,
     NotAMemberError,
     NotInfiniteCyclicError,
     PresentationSyntaxError,
@@ -37,8 +36,6 @@ from .errors import (
 )
 from .fox import (
     AlexanderMatrix,
-    GroupRingElement,
-    abelianize_ring_element,
     alexander_matrix,
     alexander_polynomial,
     fox_derivative,
@@ -47,7 +44,6 @@ from .homsearch import (
     HomSearchResult,
     SearchStats,
     count_homs,
-    images_conjugate,
     is_homomorphism,
     meridian_invariant,
     meridian_search,
@@ -89,7 +85,6 @@ __all__ = [
     "DuplicateGeneratorError",
     "FiniteGroup",
     "GcdTooLargeError",
-    "GroupRingElement",
     "GroupTooLargeError",
     "HomSearchResult",
     "InputError",
@@ -97,7 +92,6 @@ __all__ = [
     "KnotGroupsError",
     "LaurentPoly",
     "MissingImageError",
-    "MissingWeightError",
     "NotAMemberError",
     "NotInfiniteCyclicError",
     "Permutation",
@@ -112,7 +106,6 @@ __all__ = [
     "WordTooLargeError",
     "ZeroPolynomialError",
     "abelianize",
-    "abelianize_ring_element",
     "alexander_matrix",
     "alexander_polynomial",
     "alternating_group",
@@ -124,7 +117,6 @@ __all__ = [
     "gcd",
     "generated_group",
     "group_from_spec",
-    "images_conjugate",
     "is_homomorphism",
     "meridian_invariant",
     "meridian_search",

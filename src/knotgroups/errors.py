@@ -45,10 +45,6 @@ class MissingImageError(InputError):
     """Word evaluation hit a generator with no assigned image."""
 
 
-class MissingWeightError(InputError):
-    """Abelianization weight requested for a generator that has none."""
-
-
 class UnknownMarkerError(InputError):
     """A marker name is not present in the presentation."""
 

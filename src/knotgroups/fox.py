@@ -10,9 +10,9 @@ which forces d(g^-1)/dg = -g^-1 and, for syllable powers,
     d(g^k)/dg = 1 + g + ... + g^(k-1)            (k > 0)
     d(g^k)/dg = -(g^-1 + g^-2 + ... + g^(-|k|))  (k < 0).
 
-:func:`fox_derivative` computes these noncommutative sums of words;
-together with :func:`abelianize_ring_element` it is the public API and the
-reference the fast path is tested against.
+:func:`fox_derivative` computes these noncommutative sums of words and
+returns each as a dict from word to coefficient.  It is the oracle the fast
+path is tested against; no computation of the package calls it.
 
 The Alexander path never builds a word.  Abelianizing each generator g to
 t^a(g) sends a prefix to t^w, where w is the weighted exponent sum of the
@@ -70,10 +70,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .errors import (
     DeficiencyError,
     DerivativeTooLargeError,
-    MissingWeightError,
     NotInfiniteCyclicError,
     TooManyRowSetsError,
-    quoted,
 )
 from .laurent import LaurentPoly, check_dense_breadth, gcd as laurent_gcd
 from .presentations import Presentation, abelianize
@@ -89,116 +87,28 @@ MAX_DERIVATIVE_TERMS = 10**6
 MAX_ROW_SETS = 1000
 
 
-class GroupRingElement:
-    """A formal Z-linear combination of freely reduced words."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Word, int] | Sequence[Tuple[Word, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: Dict[Word, int] = {}
-        for word, coeff in items:
-            if coeff == 0:
-                continue
-            data[word] = data.get(word, 0) + coeff
-            if data[word] == 0:
-                del data[word]
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls()
-
-    @property
-    def terms(self) -> Dict[Word, int]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0) + c
-            if out[w] == 0:
-                del out[w]
-        return GroupRingElement(out)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def left_mul(self, word: Word) -> "GroupRingElement":
-        """Multiply every term on the left by ``word``."""
-        return GroupRingElement(
-            [(word * w, c) for w, c in self._terms.items()]
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "GroupRingElement(0)"
-        parts = " + ".join(
-            (f"{c}*{w}" if c != 1 else str(w))
-            for w, c in sorted(self._terms.items(), key=lambda t: str(t[0]))
-        )
-        return f"GroupRingElement({parts})"
-
-
-def fox_derivative(word: Word, gen: str) -> GroupRingElement:
-    """The Fox derivative d(word)/d(gen) as a formal sum of words.
+def fox_derivative(word: Word, gen: str) -> Dict[Word, int]:
+    """The Fox derivative d(word)/d(gen) as a formal sum of words: a dict
+    from each word to its coefficient.
 
     Walks the syllables once, emitting the closed-form derivative of each
-    power of ``gen`` multiplied by the prefix preceding it, so a syllable
-    g^k contributes |k| terms regardless of how it is spelled.
+    power of ``gen`` multiplied by the prefix preceding it.  The terms are
+    distinct prefixes of the freely reduced ``word``, so a syllable g^k
+    contributes |k| entries, each with coefficient +1 if k > 0 and -1 if
+    k < 0.
     """
-    terms = []
+    terms: Dict[Word, int] = {}
     prefix = Word.identity()
     for name, exp in word.syllables:
         if name == gen:
             if exp > 0:
                 for i in range(exp):
-                    terms.append((prefix * Word.generator(name, i) if i else prefix, 1))
+                    terms[prefix * Word.generator(name, i) if i else prefix] = 1
             else:
                 for i in range(1, -exp + 1):
-                    terms.append((prefix * Word.generator(name, -i), -1))
+                    terms[prefix * Word.generator(name, -i)] = -1
         prefix = prefix * Word.generator(name, exp)
-    return GroupRingElement(terms)
-
-
-def abelianize_ring_element(element: GroupRingElement,
-                            weights: Mapping[str, int]) -> LaurentPoly:
-    """Map each word to t^(sum of syllable exponents times weights).
-
-    Raises MissingWeightError if a generator occurring in the element has
-    no assigned weight.
-    """
-    out: Dict[int, int] = {}
-    for word, coeff in element.terms.items():
-        total = 0
-        for g, e in word.syllables:
-            if g not in weights:
-                raise MissingWeightError(f"no abelianization weight for {quoted(g)}")
-            total += e * weights[g]
-        out[total] = out.get(total, 0) + coeff
-    return LaurentPoly(out)
+    return terms
 
 
 class AlexanderMatrix:

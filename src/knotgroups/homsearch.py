@@ -112,7 +112,7 @@ from .errors import (
     UnknownMarkerError,
     quoted,
 )
-from .permgroups import FiniteGroup, Permutation, are_conjugate, product_exceeds
+from .permgroups import FiniteGroup, Permutation, product_exceeds
 from .presentations import Presentation
 from .words import Word, reduce_syllables
 
@@ -753,16 +753,3 @@ def meridian_invariant(presentation: Presentation, marker: str,
     """
     return meridian_search(presentation, marker, group, sigma, mode=mode).count
 
-
-def images_conjugate(presentation: Presentation, group: FiniteGroup,
-                     assignment: Mapping[str, Permutation],
-                     word1: Word, word2: Word) -> bool:
-    """Whether a homomorphism maps two words to conjugate elements.
-
-    ``assignment`` is expected to already be a homomorphism; the check is
-    an exhaustive conjugacy search inside ``group``, so a ``False`` answer
-    certifies non-conjugacy of the two images in the finite quotient.
-    """
-    e1 = word1.evaluate(assignment, group)
-    e2 = word2.evaluate(assignment, group)
-    return are_conjugate(e1, e2, group)
