@@ -39,13 +39,26 @@ integer-preserving Gaussian elimination*, 1968), and a division that is
 not raises instead of returning a guess.  The number of row sets is
 bounded by ``MAX_ROW_SETS``.
 
-A square matrix (r relators on r generators, as in every Wirtinger
-presentation) takes one elimination in place of r: after the column is
-deleted, N is r x (r - 1), and eliminating the r - 1 columns of [N | I_r]
-leaves in the last row, by the same identity, the r minors of N, each the
-determinant of N bordered by one unit column.  The per-row-set loop stays
-for more relators than generators, and as the test oracle of the square
-case.
+Before any minor, the matrix N without the deleted column is reduced by
+unit pivots.  Each Wirtinger relator x(i+1) x(i) x(i+1)^-1 x(j)^-1 puts
+units +-t^k in its row, and a unit u at (i, j) is pivoted out: every other
+row with an entry a in column j becomes row - (a/u) * row i, where a/u is a
+times a monomial, and row i and column j are dropped.  Row operations keep
+the ideal of maximal minors (Cauchy-Binet), and once column j is zero but
+for u, each maximal minor is +-u times one of the smaller matrix, or zero;
+so the gcd of the maximal minors is unchanged up to a unit (Crowell and
+Fox, ch. VII).  A Wirtinger T(2, n) ends as a 2 x 1 remnant, a family
+presentation as a 1 x 1 one, and a remnant with no column left has the one
+minor 1.  The guards (``DeficiencyError``, ``MAX_ROW_SETS``, the breadth of
+the divisor Phi_j) are checked on the unreduced shape, before any pivot.
+
+A square matrix (as many relators as generators, as in every Wirtinger
+presentation) stays square under the pivots: its remnant N is r x (r - 1),
+and one elimination takes the place of r.  Eliminating the r - 1 columns
+of [N | I_r] leaves in the last row, by the same identity, the r minors of
+N, each the determinant of N bordered by one unit column.  The per-row-set
+loop stays for more relators than generators, and as the test oracle of
+the square case.
 
 When N is dense, that elimination runs at an integer point instead
 (Kronecker substitution; von zur Gathen and Gerhard, *Modern Computer
@@ -63,11 +76,13 @@ LaurentPoly as before.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from math import comb
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
+    CoefficientOverflowError,
     DeficiencyError,
     DerivativeTooLargeError,
     NotInfiniteCyclicError,
@@ -284,6 +299,77 @@ def _row_set_minors(entries: Sequence[Sequence[LaurentPoly]], kept: Sequence[int
         yield _det([[entries[i][j] for j in kept] for i in row_idx])
 
 
+def _units(row: Mapping[int, LaurentPoly]) -> list:
+    """The columns of ``row`` whose entry is a unit +-t^k."""
+    return [j for j, entry in row.items()
+            if len(entry._coeffs) == 1 and abs(next(iter(entry._coeffs.values()))) == 1]
+
+
+def _pivot_units(entries: Sequence[Sequence[LaurentPoly]],
+                 kept: Sequence[int]) -> list:
+    """The columns ``kept`` of ``entries``, N, with every unit pivoted out:
+    the rows left, each a list over the columns left, both in their order.
+
+    A unit u = +-t^k at (i, j) makes every other row with an entry a in
+    column j row - (a/u) * row i, where a/u is a times the monomial u^-1;
+    then column j is zero but for u, so each maximal minor is +-u times a
+    maximal minor of N without row i and column j, or zero.  Row operations
+    keep the ideal of maximal minors (Cauchy-Binet), so the gcd of the
+    maximal minors of what is left is that of N up to a unit.
+
+    The rows are visited in order from a queue, and a step queues again
+    only the rows it changed, so no step scans the whole matrix.  A step
+    whose arithmetic would leave the checked 64-bit range is not taken,
+    and the row's next unit is tried."""
+    rows = [{c: row[j] for c, j in enumerate(kept) if row[j]} for row in entries]
+    holders = [set() for _ in kept]  # the rows with an entry in each column
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
+    queue = deque(range(len(rows)))
+    queued = [True] * len(rows)
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        pivot_row = rows[i]
+        for j in _units(pivot_row):
+            ((k, sign),) = pivot_row[j]._coeffs.items()
+            try:
+                changes = {}
+                for h in holders[j]:
+                    if h != i:
+                        row = rows[h]
+                        # a/u = a * sign * t^-k
+                        factor = LaurentPoly._from_clean(
+                            {e - k: sign * c for e, c in row[j]._coeffs.items()})
+                        changes[h] = [(c, row[c] - factor * entry if c in row
+                                       else -(factor * entry))
+                                      for c, entry in pivot_row.items() if c != j]
+            except CoefficientOverflowError:
+                continue
+            for h, changed in changes.items():
+                row = rows[h]
+                del row[j]
+                for c, value in changed:
+                    if value:
+                        row[c] = value
+                        holders[c].add(h)
+                    elif c in row:
+                        del row[c]
+                        holders[c].discard(h)
+                if not queued[h]:
+                    queue.append(h)
+                    queued[h] = True
+            for c in pivot_row:
+                holders[c].discard(i)
+            holders[j] = None
+            rows[i] = None
+            break
+    zero = LaurentPoly.zero()
+    left = [c for c, held in enumerate(holders) if held is not None]
+    return [[row.get(c, zero) for c in left] for row in rows if row is not None]
+
+
 def _square_minors(entries: Sequence[Sequence[LaurentPoly]],
                    kept: Sequence[int]) -> list:
     """The minors of the r - 1 columns ``kept`` of an r-row matrix N, up to
@@ -420,18 +506,23 @@ def alexander_polynomial(presentation: Presentation,
     group.  By Fox's fundamental formula it is computed from one minor per
     set of g-1 rows: delete the column j of weight +-1, or failing one the
     nonzero weight of least magnitude, take the gcd D of these minors over
-    row sets, and divide D exactly by (t^|a(j)| - 1) / (t - 1).  With as
-    many relators as generators, every one of these minors comes from one
-    elimination (``_square_minors``); with more relators, each row set is
-    one determinant.
+    row sets, and divide D exactly by (t^|a(j)| - 1) / (t - 1).  First the
+    other columns are reduced by unit pivots (``_pivot_units``): each entry
+    +-t^k takes its row and its column out, and D is unchanged up to a
+    unit.  Then, with as many relators as generators, every minor of the
+    remnant comes from one elimination (``_square_minors``); with more
+    relators, each of its row sets is one determinant; and a remnant with
+    no column has the one minor 1.
 
     ``matrix`` is the presentation's ``alexander_matrix`` when the caller
     has built it already.  The free group of rank 1 (no relators) yields
     1.  Raises DeficiencyError when there are fewer than g-1 relators,
     NotInfiniteCyclicError when no weights exist, GcdTooLargeError when a
     gcd or the final division would make an operand of breadth above
-    ``laurent.MAX_GCD_DEGREE`` dense, and TooManyRowSetsError, before any
-    minor, when there are more than ``MAX_ROW_SETS`` row sets.
+    ``laurent.MAX_GCD_DEGREE`` dense, and TooManyRowSetsError when there
+    are more than ``MAX_ROW_SETS`` row sets.  The deficiency, the row sets
+    and the divisor's breadth are checked on the unreduced matrix, before
+    any pivot or minor.
     """
     size = len(presentation.generators) - 1
     if len(presentation.relators) < size:
@@ -459,10 +550,15 @@ def alexander_polynomial(presentation: Presentation,
             f"limit of {MAX_ROW_SETS}"
         )
     kept = [j for j in range(len(weights)) if j != deleted]
-    if rows == len(weights):
-        minors = _square_minors(matrix.entries, kept)
+    remnant = _pivot_units(matrix.entries, kept)
+    # each pivot took one row and one column
+    left = range(size - (rows - len(remnant)))
+    if not left:
+        minors = [LaurentPoly.one()]
+    elif rows == len(weights):
+        minors = _square_minors(remnant, left)
     else:
-        minors = _row_set_minors(matrix.entries, kept, size)
+        minors = _row_set_minors(remnant, left, len(left))
     result = LaurentPoly.zero()
     for minor in minors:
         result = laurent_gcd(result, minor)

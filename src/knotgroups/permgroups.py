@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 import struct
 from array import array
-from itertools import accumulate, compress, permutations as _all_perms, product, repeat
+from itertools import accumulate, compress, permutations as _all_perms, repeat
 from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -440,6 +440,9 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(n, keys, gens, f"S{n}")
 
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def alternating_group(n: int) -> FiniteGroup:
     """A_n, the even permutations of S_n in lexicographic image order."""
     if n < 1:
@@ -447,11 +450,14 @@ def alternating_group(n: int) -> FiniteGroup:
     cap = MAX_GROUP_POINTS // n
     if product_exceeds(range(3, n + 1), cap):  # n!/2 = 3*4*...*n
         raise GroupTooLargeError(f"|A_{n}| = {n}!/2 exceeds cap {cap} elements on {n} points")
-    # permutations() and product() both run in lexicographic order, so each
-    # permutation meets its Lehmer code, whose digit sum is its number of
-    # inversions
-    lehmer = product(*map(range, range(n, 0, -1)))
-    even = (not sum(code) & 1 for code in lehmer)
+    # in lexicographic order, the permutations of k points that start with
+    # point i are i before those of the other k - 1 points in order, and i
+    # adds i inversions: so the mask of even ones is k blocks, the mask of
+    # k - 1 points flipped in each odd block
+    even = b"\x01"
+    for k in range(2, n + 1):
+        odd = even.translate(_FLIP)
+        even = b"".join(odd if i & 1 else even for i in range(k))
     keys = list(map(_packing(n)[0], compress(_all_perms(range(n)), even)))
     gens = [Permutation.from_cycles([(1, 2, 3)], n)] if n >= 3 else []
     if n >= 4:

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotgroups import fox, laurent
+from knotgroups import errors, fox, laurent
 from knotgroups.errors import (
     CoefficientOverflowError,
     DeficiencyError,
@@ -599,11 +599,21 @@ def twisted_torus(n, k):
     return parse(f"< {', '.join(gens)} | {', '.join(rels)} >")
 
 
+def torus_closed_form(n):
+    # Delta_T(2,n) = (t^n + 1) / (t + 1) = 1 - t + t^2 - ... + t^(n-1)
+    return LaurentPoly({k: (-1) ** k for k in range(n)})
+
+
 class TestIntegerPoint:
+    # alexander_polynomial pivots T(2,n) down to a 2 x 1 remnant, so these
+    # tests call _square_minors on the unreduced N to keep the full-size
+    # paths exercised
     def test_wirtinger_takes_the_integer_point(self, monkeypatch):
+        entries = alexander_matrix(wirtinger_torus(7)).entries
         monkeypatch.setattr(fox, "_laurent_minors", fail)
-        assert alexander_polynomial(wirtinger_torus(7)) == LaurentPoly(
-            {k: (-1) ** k for k in range(7)})
+        minors = _square_minors(entries, range(1, 7))
+        assert {m.normalize_up_to_units() for m in minors} == {torus_closed_form(7)}
+        assert alexander_polynomial(wirtinger_torus(7)) == torus_closed_form(7)
 
     def test_sparse_matrix_takes_the_laurent_path(self, monkeypatch):
         pres = twisted_torus(9, 100)
@@ -620,11 +630,14 @@ class TestIntegerPoint:
         x = Word.generator("x1", 500)
         relators = [x * r * ~x if i % 3 == 0 else r for i, r in enumerate(base.relators)]
         pres = Presentation(base.generators, relators)
-        n = [row[1:] for row in alexander_matrix(pres).entries]
+        entries = alexander_matrix(pres).entries
+        n = [row[1:] for row in entries]
         assert fox._row_shifts(n) == [-500 if i % 3 == 0 else 0 for i in range(7)]
-        assert kronecker_minors(n) == fox._laurent_minors(n)
-        monkeypatch.setattr(fox, "_laurent_minors", fail)
+        expected = fox._laurent_minors(n)
+        assert kronecker_minors(n) == expected
         assert alexander_polynomial(pres) == alexander_polynomial(base)
+        monkeypatch.setattr(fox, "_laurent_minors", fail)
+        assert _square_minors(entries, range(1, 7)) == expected
 
     def test_inexact_division_raises(self, monkeypatch):
         monkeypatch.setattr(fox, "_exact_quotient", lambda value, divisor: None)
@@ -641,6 +654,173 @@ class TestIntegerPoint:
             fox._laurent_minors(n)
         assert kronecker_minors(n) == [lp({0: -2**24}), lp({0: 1}), lp({})]
         assert alexander_polynomial(pres) == LaurentPoly.one()
+
+
+# -- unit pivots before the minors ------------------------------------------------
+
+
+def minors_gcd(n, width):
+    """The gcd of the maximal minors of the matrix n of ``width`` columns,
+    one ``_det`` per row set: the oracle of ``_pivot_units``.  With no
+    column the one minor is the empty determinant, 1."""
+    result = LaurentPoly.zero()
+    for minor in _row_set_minors(n, range(width), width):
+        result = laurent_gcd(result, minor)
+    return result
+
+
+def pivoted(n, width):
+    """``_pivot_units`` of all ``width`` columns of n, and the number of
+    columns it leaves: each pivot takes one row and one column."""
+    remnant = fox._pivot_units(n, range(width))
+    return remnant, width - (len(n) - len(remnant))
+
+
+def is_unit(entry):
+    return len(entry.terms()) == 1 and abs(entry.terms()[0][1]) == 1
+
+
+units = st.builds(lambda sign, k: lp({k: sign}), st.sampled_from((-1, 1)),
+                  st.integers(min_value=-3, max_value=3))
+
+
+@st.composite
+def planted_units(draw):
+    """An r x c matrix, c <= r <= 5, of ``entries`` with units planted at
+    random places: often some rows share a unit's column (a step), and
+    often a row has no entry where the pivot row has one (fill)."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    c = draw(st.integers(min_value=1, max_value=r))
+    n = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    for _ in range(draw(st.integers(min_value=0, max_value=r + c))):
+        n[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = draw(units)
+    return n, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_units())
+def test_unit_pivots_keep_the_gcd_of_maximal_minors(case):
+    n, width = case
+    given_n = [list(row) for row in n]
+    remnant, left = pivoted(n, width)
+    assert n == given_n
+    assert all(len(row) == left for row in remnant)
+    assert not any(is_unit(entry) for row in remnant for entry in row)
+    assert minors_gcd(remnant, left) == minors_gcd(n, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_units(), st.integers(min_value=4, max_value=30))
+def test_steps_past_the_range_are_skipped(case, bound):
+    # with the checked range cut to `bound`, many steps would leave it:
+    # they are not taken, and what is left has the same minors' gcd
+    n, width = case
+    expected = minors_gcd(n, width)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "CHECKED_INT_MAX", bound)
+        mp.setattr(errors, "CHECKED_INT_MAX", bound)
+        remnant, left = pivoted(n, width)
+    assert minors_gcd(remnant, left) == expected
+
+
+def check_pivots(n, width, remnant):
+    assert pivoted(n, width)[0] == remnant
+    assert minors_gcd(remnant, len(remnant[0]) if remnant else 0) == minors_gcd(n, width)
+
+
+class TestUnitPivots:
+    def test_zero_multiplier_leaves_the_row(self):
+        # row 1 has no entry in the pivot column, so the step skips it
+        one, t = lp({0: 1}), lp({1: 1})
+        n = [[one, lp({0: 2})], [lp({}), t + 3], [lp({0: 5}), lp({0: 7})]]
+        check_pivots(n, 2, [[t + 3], [lp({0: -3})]])
+
+    def test_step_makes_fill(self):
+        # row 1 has no entry in column 1 until (1 + t) * (2 + t) is taken
+        # from it; nothing left is a unit
+        one, t = lp({0: 1}), lp({1: 1})
+        n = [[one, t + 2, lp({})], [one + t, lp({}), lp({0: 3})], [lp({}), lp({0: 2}), 2 + 2 * t]]
+        check_pivots(n, 3, [[-(t + 1) * (t + 2), lp({0: 3})], [lp({0: 2}), 2 + 2 * t]])
+
+    def test_step_past_the_checked_range_is_skipped(self):
+        # the pivot (0, 0) would make 2^30 * 2^40 in row 1, so it is not
+        # taken; (2, 1) then clears column 1 from row 0, and (0, 0) no
+        # longer needs a product.  Rows 0 and 2 have minor 1, so the gcd is 1
+        big, huge, one = lp({0: 2**30}), lp({0: 2**40}), lp({0: 1})
+        n = [[one, huge], [big, lp({})], [lp({}), one]]
+        with pytest.raises(CoefficientOverflowError):
+            minors_gcd(n, 2)
+        assert fox._pivot_units(n, range(2)) == [[]]
+        assert _det([n[0], n[2]]) == one
+
+    def test_every_column_pivoted_leaves_the_empty_minor(self):
+        one, t = lp({0: 1}), lp({1: 1})
+        n = [[one, lp({})], [t, lp({0: -1})], [lp({0: 2}), lp({0: 3})]]
+        check_pivots(n, 2, [[]])
+        assert minors_gcd([[]], 0) == one
+
+    def test_square_without_a_unit_left_alone(self):
+        two, t = lp({0: 2}), lp({1: 1})
+        n = [[two, t + 1], [t - 1, two * t], [t + t * t, lp({})]]
+        check_pivots(n, 2, n)
+
+    def test_kept_columns_only(self):
+        # the deleted column's units are not pivots
+        one, two = lp({0: 1}), lp({0: 2})
+        n = [[one, two], [one, lp({0: 3})]]
+        assert fox._pivot_units(n, [1]) == [[two], [lp({0: 3})]]
+
+
+def cascade(rows):
+    """A rows x (rows - 1) matrix whose only unit sits in its last row:
+    row i is 2, 5, 2 in columns i, i - 1, i - 2, and the last row is 1, 2
+    in its last two columns.  Each pivot turns the row above it into
+    1, 2, so the units appear one row up at a time."""
+    width = rows - 1
+    n = [[lp({})] * width for _ in range(rows)]
+    for i in range(width):
+        for c, value in ((i, 2), (i - 1, 5), (i - 2, 2)):
+            if c >= 0:
+                n[i][c] = lp({0: value})
+    n[-1][-1], n[-1][-2] = lp({0: 1}), lp({0: 2})
+    return n
+
+
+def test_cascade_against_the_oracle():
+    n = cascade(6)
+    check_pivots(n, 5, [[]])
+
+
+def test_units_in_the_last_rows_reduce_in_linear_time(monkeypatch):
+    # 400 x 399: every row is read once in order, and once more after the
+    # step below it changes it; a search from the top for each pivot would
+    # read about 400 rows of entries for each of the 399 pivots
+    read = []
+    find = fox._units
+
+    def counting(row):
+        read.append(len(row))
+        return find(row)
+
+    n = cascade(400)
+    entries = sum(1 for row in n for entry in row if entry)
+    monkeypatch.setattr(fox, "_units", counting)
+    assert fox._pivot_units(n, range(399)) == [[]]
+    assert sum(read) <= 2 * entries
+
+
+@pytest.mark.parametrize("n", range(3, 102, 2))
+def test_wirtinger_pivots_to_two_by_one(n, monkeypatch):
+    shapes = []
+    square = fox._square_minors
+
+    def recording(entries, kept):
+        shapes.append((len(entries), len(kept)))
+        return square(entries, kept)
+
+    monkeypatch.setattr(fox, "_square_minors", recording)
+    assert alexander_polynomial(wirtinger_torus(n)) == torus_closed_form(n)
+    assert shapes == [(2, 1)]
 
 
 # -- one minor per row set against all maximal minors ---------------------------

@@ -4,7 +4,7 @@ import random
 import sys
 import time
 from array import array
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,10 +128,20 @@ class TestBuild:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_lexicographic_order_and_parity(self, n):
-        # the Lehmer-code parity against cycle counting, in content and order
+        # the parity mask against cycle counting, in content and order
         every = [Permutation(p) for p in permutations(range(n))]
         assert list(symmetric_group(n).elements) == every
         assert list(alternating_group(n).elements) == [p for p in every if p.is_even()]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_parity_mask_matches_lehmer_codes(self, n):
+        # permutations() and product() both run in lexicographic order, so
+        # each permutation meets its Lehmer code, whose digit sum is its
+        # number of inversions
+        lehmer = product(*map(range, range(n, 0, -1)))
+        even = [not sum(code) & 1 for code in lehmer]
+        keys = symmetric_group(n)._keys
+        assert alternating_group(n)._keys == [k for k, e in zip(keys, even) if e]
 
     def test_order_caps_are_exact(self, point_cap):
         # the points cap allows order times degree: S5 holds 120 * 5 = 600
