@@ -52,26 +52,17 @@ presentation as a 1 x 1 one, and a remnant with no column left has the one
 minor 1.  The guards (``DeficiencyError``, ``MAX_ROW_SETS``, the breadth of
 the divisor Phi_j) are checked on the unreduced shape, before any pivot.
 
-A square matrix (as many relators as generators, as in every Wirtinger
-presentation) stays square under the pivots: its remnant N is r x (r - 1),
-and one elimination takes the place of r.  Eliminating the r - 1 columns
-of [N | I_r] leaves in the last row, by the same identity, the r minors of
-N, each the determinant of N bordered by one unit column.  The per-row-set
-loop stays for more relators than generators, and as the test oracle of
-the square case.
-
-When N is dense, that elimination runs at an integer point instead
-(Kronecker substitution; von zur Gathen and Gerhard, *Modern Computer
-Algebra*, section 8.4).  Each row of N is multiplied by the power of t
-that makes its lowest exponent 0, every entry is evaluated at t = 2^b, and
-the same Bareiss loop runs over Python ints, whose products and divisions
-run in C.  Hadamard's inequality bounds every coefficient of every minor
-of [N | I_r], each entry of the elimination included, by a C with
-2^(b-1) > C.  So a polynomial vanishes exactly when its value does, the
-pivots and row swaps are those of the LaurentPoly run, and each minor is
-read back exactly from the balanced base-2^b digits of its value.  A
-sparse N, whose integers would be mostly zero digits, is eliminated over
-LaurentPoly as before.
+A dense determinant runs at an integer point (Kronecker substitution; von
+zur Gathen and Gerhard, *Modern Computer Algebra*, section 8.4).  Each row
+is multiplied by the power of t that makes its lowest exponent 0, every
+entry is evaluated at t = 2^b, and the same Bareiss loop runs over Python
+ints, whose products and divisions run in C.  Hadamard's inequality bounds
+every coefficient of every minor of the shifted matrix, each entry of the
+elimination included, by a C with 2^(b-1) > C.  So a polynomial vanishes
+exactly when its value does, the pivots and row swaps are those of the
+LaurentPoly run, and the determinant is read back exactly from the
+balanced base-2^b digits of its value.  A sparse matrix, whose integers
+would be mostly zero digits, is eliminated over LaurentPoly.
 """
 
 from __future__ import annotations
@@ -97,8 +88,7 @@ from .words import Word
 MAX_DERIVATIVE_TERMS = 10**6
 
 # Most sets of rows the minors of one Alexander polynomial may run over, one
-# Bareiss determinant each.  A square matrix has r row sets but is one
-# elimination whatever r is, so for it this bounds r alone.
+# Bareiss determinant each; a square r x r matrix has r of them.
 MAX_ROW_SETS = 1000
 
 
@@ -278,10 +268,28 @@ def _eliminate(rows: list, steps: int, divide) -> Optional[bool]:
 
 
 def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Determinant by fraction-free (Bareiss) elimination (``_eliminate``)."""
+    """Determinant by fraction-free (Bareiss) elimination (``_eliminate``).
+
+    A dense matrix, one where writing every coefficient of t^s_i * a_ij
+    from t^0 up (s_i the shift of row i, ``_row_shifts``) takes at most
+    twice its nonzero terms, is eliminated over Python ints at an integer
+    point (``_kronecker_det``).  A sparse one, such as one with a row
+    t^100, 1 - t^100, -t^100, would fill whole integers with zero digits,
+    so it is eliminated over LaurentPoly.  A 1 x 1 matrix is its entry."""
     n = len(matrix)
     if n == 0:
         return LaurentPoly.one()
+    if n == 1:
+        return matrix[0][0]
+    shifts = _row_shifts(matrix)
+    terms = written = 0
+    for row, shift in zip(matrix, shifts):
+        for entry in row:
+            if entry:
+                terms += len(entry._coeffs)
+                written += max(entry._coeffs) + shift + 1
+    if written <= 2 * terms:
+        return _kronecker_det(matrix, shifts)
     rows = [list(row) for row in matrix]
     negate = _eliminate(rows, n - 1, LaurentPoly.exact_divide)
     if negate is None:
@@ -290,13 +298,10 @@ def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     return -det if negate else det
 
 
-def _row_set_minors(entries: Sequence[Sequence[LaurentPoly]], kept: Sequence[int],
-                    size: int):
-    """The minor of the columns ``kept`` on each set of ``size`` rows, in
-    the order of ``combinations``, one determinant each, computed as the
-    caller reads it."""
-    for row_idx in combinations(range(len(entries)), size):
-        yield _det([[entries[i][j] for j in kept] for i in row_idx])
+def _row_set_minors(entries: Sequence[Sequence[LaurentPoly]], size: int):
+    """The determinant of each set of ``size`` rows of ``entries`` (of
+    ``size`` columns), in ``combinations`` order, as the caller reads it."""
+    return map(_det, combinations(entries, size))
 
 
 def _units(row: Mapping[int, LaurentPoly]) -> list:
@@ -370,92 +375,45 @@ def _pivot_units(entries: Sequence[Sequence[LaurentPoly]],
     return [[row.get(c, zero) for c in left] for row in rows if row is not None]
 
 
-def _square_minors(entries: Sequence[Sequence[LaurentPoly]],
-                   kept: Sequence[int]) -> list:
-    """The minors of the r - 1 columns ``kept`` of an r-row matrix N, up to
-    sign, on each set of r - 1 rows in the order of ``combinations`` (the
-    last row left out first), from one elimination of [N | I_r].
-
-    After r - 1 steps, the last row's entry in column m of I_r is the
-    r x r determinant of N bordered by the unit column e_m, which is +-
-    the minor of N without row m (Bareiss 1968, as in ``_eliminate``).
-
-    When N is dense, the elimination runs over Python ints at an integer
-    point (``_kronecker_minors``): the substitution writes every
-    coefficient of t^s_i * a_ij from t^0 up, s_i the shift of row i
-    (``_row_shifts``), and N counts as dense when that is at most twice
-    its nonzero terms.  A sparse N, such as a row t^100, 1 - t^100,
-    -t^100, would fill whole integers with zero digits, so it is
-    eliminated over LaurentPoly (``_laurent_minors``).  Both give the same
-    minors, sign included."""
-    n = [[row[j] for j in kept] for row in entries]
-    shifts = _row_shifts(n)
-    terms = written = 0
-    for row, shift in zip(n, shifts):
-        for entry in row:
-            if entry:
-                terms += len(entry._coeffs)
-                written += max(entry._coeffs) + shift + 1
-    if written <= 2 * terms:
-        return _kronecker_minors(n, shifts)
-    return _laurent_minors(n)
-
-
-def _laurent_minors(n: Sequence[Sequence[LaurentPoly]]) -> list:
-    """``_square_minors`` of the r x (r - 1) matrix N, by one elimination
-    of [N | I_r] over LaurentPoly."""
-    r = len(n)
-    unit = LaurentPoly.one()
-    zero = LaurentPoly.zero()
-    rows = [list(row) + [unit if m == i else zero for m in range(r)]
-            for i, row in enumerate(n)]
-    if _eliminate(rows, r - 1, LaurentPoly.exact_divide) is None:
-        return [zero] * r
-    return rows[r - 1][:r - 2:-1]
-
-
-def _row_shifts(n: Sequence[Sequence[LaurentPoly]]) -> list:
-    """Minus the lowest exponent in each row of N (0 for a zero row), so
-    that t^s_i times row i is a row of polynomials in t with a constant
-    term."""
+def _row_shifts(matrix: Sequence[Sequence[LaurentPoly]]) -> list:
+    """Minus the lowest exponent in each row (0 for a zero row), so that
+    t^s_i times row i is a row of polynomials in t with a constant term."""
     return [-min((min(entry._coeffs) for entry in row if entry), default=0)
-            for row in n]
+            for row in matrix]
 
 
-def _kronecker_minors(n: Sequence[Sequence[LaurentPoly]], shifts: Sequence[int]) -> list:
-    """``_laurent_minors`` of N, computed at the integer point t = 2^b
-    (Kronecker substitution; von zur Gathen and Gerhard, *Modern Computer
-    Algebra*, 8.4).
+def _kronecker_det(matrix: Sequence[Sequence[LaurentPoly]],
+                   shifts: Sequence[int]) -> LaurentPoly:
+    """``_det`` of M at the integer point t = 2^b (Kronecker substitution;
+    von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
 
-    Row i of N is multiplied by t^s_i, ``shifts[i]``, and I_r is left as
-    it is, so the matrix [N' | I_r] has polynomial entries and the minor
-    bordered by e_m is t^(S - s_m) times that of [N | I_r], S the sum of
-    the shifts.  By Hadamard's inequality on |t| = 1, no coefficient of
-    any minor of [N' | I_r] exceeds C, where
+    Row i is multiplied by t^s_i, ``shifts[i]``, so M' has polynomial
+    entries and det M' = t^S det M, S the sum of the shifts.  By
+    Hadamard's inequality on |t| = 1, no coefficient of any minor of M',
+    each entry of the Bareiss elimination included, exceeds C, where
 
         C^2 = prod_i (1 + sum_j |a'_ij|_1^2),
 
-    the 1 standing for the row's unit entry.  Every entry of the Bareiss
-    elimination, and every minor read back, is such a minor, so with
+    each factor at least 1, so that a zero row cannot make C 0.  With
     2^(b-1) > C, b rounded up to whole bytes, a polynomial is zero exactly
     when its value at 2^b is: the pivots, swaps, singular exit and sign
-    are those of the LaurentPoly run, and each minor is read back exactly
-    as balanced base-2^b digits.  No entry of the elimination is
-    range-checked, only the minors read back (``_from_clean``)."""
-    r = len(n)
+    are those of the LaurentPoly run, and the determinant is read back
+    exactly as balanced base-2^b digits, the only value range-checked
+    (``_from_clean``)."""
+    n = len(matrix)
     square = 1
-    for row in n:
+    for row in matrix:
         square *= 1 + sum(sum(map(abs, entry._coeffs.values())) ** 2 for entry in row)
     # C < 2^ceil(L/2) for C^2 of L bits, so b = ceil(L/2) + 1 bits will do
     bits = (square.bit_length() + 1) // 2 + 1
     width = (bits + 7) // 8
-    rows = [[_to_int(entry, shift, width) for entry in row] + [int(m == i) for m in range(r)]
-            for i, (row, shift) in enumerate(zip(n, shifts))]
-    if _eliminate(rows, r - 1, _exact_quotient) is None:
-        return [LaurentPoly.zero()] * r
-    total = sum(shifts)
-    last = rows[r - 1]
-    return [_from_int(last[r - 1 + m], width, total - shifts[m]) for m in reversed(range(r))]
+    rows = [[_to_int(entry, shift, width) for entry in row]
+            for row, shift in zip(matrix, shifts)]
+    negate = _eliminate(rows, n - 1, _exact_quotient)
+    if negate is None:
+        return LaurentPoly.zero()
+    det = rows[n - 1][n - 1]
+    return _from_int(-det if negate else det, width, sum(shifts))
 
 
 def _to_int(poly: LaurentPoly, shift: int, width: int) -> int:
@@ -509,10 +467,8 @@ def alexander_polynomial(presentation: Presentation,
     row sets, and divide D exactly by (t^|a(j)| - 1) / (t - 1).  First the
     other columns are reduced by unit pivots (``_pivot_units``): each entry
     +-t^k takes its row and its column out, and D is unchanged up to a
-    unit.  Then, with as many relators as generators, every minor of the
-    remnant comes from one elimination (``_square_minors``); with more
-    relators, each of its row sets is one determinant; and a remnant with
-    no column has the one minor 1.
+    unit.  Then each row set of the remnant is one determinant (``_det``);
+    with no column left, that is the empty determinant, 1.
 
     ``matrix`` is the presentation's ``alexander_matrix`` when the caller
     has built it already.  The free group of rank 1 (no relators) yields
@@ -552,15 +508,9 @@ def alexander_polynomial(presentation: Presentation,
     kept = [j for j in range(len(weights)) if j != deleted]
     remnant = _pivot_units(matrix.entries, kept)
     # each pivot took one row and one column
-    left = range(size - (rows - len(remnant)))
-    if not left:
-        minors = [LaurentPoly.one()]
-    elif rows == len(weights):
-        minors = _square_minors(remnant, left)
-    else:
-        minors = _row_set_minors(remnant, left, len(left))
+    left = size - (rows - len(remnant))
     result = LaurentPoly.zero()
-    for minor in minors:
+    for minor in _row_set_minors(remnant, left):
         result = laurent_gcd(result, minor)
         if result == phi:
             return LaurentPoly.one()

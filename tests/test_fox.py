@@ -20,7 +20,6 @@ from knotgroups.fox import (
     _det,
     _fox_row,
     _row_set_minors,
-    _square_minors,
     alexander_matrix,
     alexander_polynomial,
     fox_derivative,
@@ -416,87 +415,17 @@ class TestBareiss:
         assert _det(matrix) == LaurentPoly.zero()
 
     def test_inexact_division_raises(self, monkeypatch):
+        # t^100 makes the matrix sparse, so it is eliminated over LaurentPoly
         monkeypatch.setattr(LaurentPoly, "exact_divide", lambda self, d: None)
-        one, two = lp({0: 1}), lp({0: 2})
+        one, two, far = lp({0: 1}), lp({0: 2}), lp({100: 1})
         with pytest.raises(ArithmeticError):
-            _det([[two, one, one], [one, two, one], [one, one, two]])
+            _det([[two, far, one], [one, two, far], [far, one, two]])
 
-
-# -- every maximal minor of a square matrix from one elimination ----------------
-
-
-def row_deleted_minors(matrix, kept):
-    """``_det`` of the columns ``kept`` without row m, for m from the last
-    row to the first: the order of ``combinations``."""
-    rows = len(matrix)
-    return [_det([[row[j] for j in kept] for i, row in enumerate(matrix) if i != m])
-            for m in reversed(range(rows))]
-
-
-def assert_equal_up_to_sign(got, want):
-    assert len(got) == len(want)
-    for g, d in zip(got, want):
-        assert g in (d, -d)
-
-
-integer_entries = st.integers(min_value=-2, max_value=2).map(lambda c: lp({0: c}))
-
-
-@st.composite
-def square_with_column(draw, entry, least=2):
-    """An r x r matrix, r in [least, 6], and a column to delete from it."""
-    r = draw(st.integers(min_value=least, max_value=6))
-    matrix = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r))
-    return matrix, draw(st.integers(min_value=0, max_value=r - 1))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(square_with_column(entries), square_with_column(integer_entries)))
-def test_square_minors_match_row_deleted_dets(case):
-    matrix, deleted = case
-    kept = [j for j in range(len(matrix)) if j != deleted]
-    assert_equal_up_to_sign(_square_minors(matrix, kept), row_deleted_minors(matrix, kept))
-
-
-@settings(max_examples=100, deadline=None)
-@given(square_with_column(entries, least=3), entries)
-def test_square_minors_of_singular_n(case, p):
-    # N's last column is p times its first, so N has rank below r - 1 and
-    # every maximal minor is zero
-    matrix, deleted = case
-    kept = [j for j in range(len(matrix)) if j != deleted]
-    for row in matrix:
-        row[kept[-1]] = p * row[kept[0]]
-    assert _square_minors(matrix, kept) == [LaurentPoly.zero()] * len(matrix)
-    assert row_deleted_minors(matrix, kept) == [LaurentPoly.zero()] * len(matrix)
-
-
-class TestSquareMinors:
-    def test_zero_pivots_swap_rows(self):
-        # N's first column is zero down to the last row, and after that
-        # swap the second pivot is zero too
-        zero, one, t = lp({}), lp({0: 1}), lp({1: 1})
-        n = [[zero, one, t], [zero, zero, one + t], [zero, one, lp({0: 2})], [t, zero, one]]
-        kept = [0, 1, 2]
-        assert_equal_up_to_sign(_square_minors(n, kept), row_deleted_minors(n, kept))
-        assert any(_square_minors(n, kept))
-
-    def test_zero_column_is_singular(self):
-        t = lp({1: 1})
-        n = [[lp({}), t], [lp({}), lp({0: 3})], [lp({}), lp({0: 1})]]
-        assert _square_minors(n, [0, 1]) == [LaurentPoly.zero()] * 3
-
-    def test_minors_come_in_row_set_order(self):
-        # [[1], [2]]: without row 1 the minor is 1, without row 0 it is 2
-        one, two = lp({0: 1}), lp({0: 2})
-        assert_equal_up_to_sign(_square_minors([[one, two], [two, one]], [0]), [one, two])
-
-    def test_one_elimination_is_taken_when_square(self, monkeypatch):
-        # the row-set path is the oracle here, and is never run
-        pres = wirtinger_torus(7)
-        expected = alexander_polynomial(pres)
-        monkeypatch.setattr(fox, "_row_set_minors", lambda *a: pytest.fail("row sets walked"))
-        assert alexander_polynomial(pres) == expected
+    def test_zero_row_with_a_wide_entry(self):
+        # dense, so eliminated at the integer point: the zero row's factor
+        # of Hadamard's bound is 1, and 300 still fits the digits
+        zero = LaurentPoly.zero()
+        assert _det([[lp({0: 300}), lp({0: 1})], [zero, zero]]) == zero
 
 
 @pytest.mark.parametrize("n", range(3, 16, 2))
@@ -509,40 +438,60 @@ def test_square_wirtinger_matches_all_minors(n):
 # -- the integer point against the LaurentPoly elimination ----------------------
 
 
-def kronecker_minors(n):
-    return fox._kronecker_minors(n, fox._row_shifts(n))
+def laurent_det(matrix):
+    """The determinant by the Bareiss loop over LaurentPoly, whatever the
+    density: the oracle of ``_kronecker_det``."""
+    rows = [list(row) for row in matrix]
+    negate = fox._eliminate(rows, len(rows) - 1, LaurentPoly.exact_divide)
+    if negate is None:
+        return LaurentPoly.zero()
+    return -rows[-1][-1] if negate else rows[-1][-1]
 
 
-def fail(*args):
-    pytest.fail("the other elimination was taken")
+def kronecker_det(matrix):
+    return fox._kronecker_det(matrix, fox._row_shifts(matrix))
+
+
+def divisions(monkeypatch):
+    """The list that each later ``_eliminate`` call appends its division
+    to: ``fox._exact_quotient`` at the integer point, else
+    ``LaurentPoly.exact_divide``."""
+    taken = []
+    eliminate = fox._eliminate
+
+    def recording(rows, steps, divide):
+        taken.append(divide)
+        return eliminate(rows, steps, divide)
+
+    monkeypatch.setattr(fox, "_eliminate", recording)
+    return taken
 
 
 @st.composite
-def shifted_n(draw):
-    """An r x (r - 1) matrix N, r in [2, 6], whose rows are multiplied by
-    powers of t from t^-700 to t^500.  Its top-left z x z block is zero, so
-    the first z pivots are zero in turn, and sometimes its last column is
-    a multiple of its first, so it is singular."""
-    r = draw(st.integers(min_value=2, max_value=6))
-    n = draw(st.lists(st.lists(entries, min_size=r - 1, max_size=r - 1),
-                      min_size=r, max_size=r))
-    zeros = draw(st.integers(min_value=0, max_value=r - 2))
+def shifted_square(draw):
+    """An r x r matrix, r in [1, 6], whose rows are multiplied by powers of
+    t from t^-700 to t^500.  Its top-left z x z block is zero, so the first
+    z pivots are zero in turn, and sometimes its last column is a multiple
+    of its first, so it is singular."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
+    zeros = draw(st.integers(min_value=0, max_value=r - 1))
     for i in range(zeros):
-        n[i][:zeros] = [LaurentPoly.zero()] * zeros
-    if r > 2 and draw(st.booleans()):
+        m[i][:zeros] = [LaurentPoly.zero()] * zeros
+    if r > 1 and draw(st.booleans()):
         p = draw(entries)
-        for row in n:
+        for row in m:
             row[-1] = p * row[0]
     powers = st.one_of(st.integers(min_value=-5, max_value=5), st.sampled_from((-700, 500)))
     exps = draw(st.lists(powers, min_size=r, max_size=r))
-    return [[entry.shift(k) for entry in row] for row, k in zip(n, exps)]
+    return [[entry.shift(k) for entry in row] for row, k in zip(m, exps)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(shifted_n())
-def test_kronecker_minors_equal_laurent_minors(n):
-    # same minors, same order and same sign, singular N included
-    assert kronecker_minors(n) == fox._laurent_minors(n)
+@given(shifted_square())
+def test_kronecker_minors_equal_laurent_minors(matrix):
+    # the same determinant, sign included, singular matrices too
+    assert kronecker_det(matrix) == laurent_det(matrix)
 
 
 def sylvester_hadamard(k):
@@ -556,27 +505,30 @@ def sylvester_hadamard(k):
 @pytest.mark.parametrize("k,power", [(1, 6), (2, 4), (3, 3), (3, 0)])
 def test_kronecker_minors_of_hadamard_times_one_plus_t(k, power):
     # a Hadamard matrix meets Hadamard's bound, so the largest coefficient
-    # of these minors comes within 3 to 8 bits of the bound C that sizes b
+    # of its determinant comes within 3 bits of the bound C that sizes b
     scale = LaurentPoly({e: comb(power, e) for e in range(power + 1)})
-    n = [[scale * c for c in row[1:]] for row in sylvester_hadamard(k)]
-    assert kronecker_minors(n) == fox._laurent_minors(n)
+    matrix = [[scale * c for c in row] for row in sylvester_hadamard(k)]
+    assert kronecker_det(matrix) == laurent_det(matrix)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_kronecker_minors_of_dense_entries_near_fifty(seed):
+    # up to 5 x 5, as large as the LaurentPoly oracle stays in range
     rng = random.Random(seed)
-    r = rng.randint(2, 6)
+    r = rng.randint(1, 5)
 
     def entry():
         lo = rng.randint(-3, 3)
         return lp({lo + e: rng.choice((-1, 1)) * rng.randint(40, 60)
                    for e in range(rng.randint(1, 4))})
 
-    n = [[entry() for _ in range(r - 1)] for _ in range(r)]
-    assert kronecker_minors(n) == fox._laurent_minors(n)
+    matrix = [[entry() for _ in range(r)] for _ in range(r)]
+    assert kronecker_det(matrix) == laurent_det(matrix)
 
 
 def test_kronecker_minors_with_digits_wider_than_64_bits(monkeypatch):
+    # a 46 x 46 row set of T(2,47)'s N, whose Hadamard bound needs 9-byte
+    # digits
     widths = []
     read = fox._from_int
 
@@ -584,10 +536,10 @@ def test_kronecker_minors_with_digits_wider_than_64_bits(monkeypatch):
         widths.append(width)
         return read(value, width, shift)
 
-    n = [row[1:] for row in alexander_matrix(wirtinger_torus(81)).entries]
+    matrix = [row[1:] for row in alexander_matrix(wirtinger_torus(47)).entries][:46]
     monkeypatch.setattr(fox, "_from_int", recording)
-    assert kronecker_minors(n) == fox._laurent_minors(n)
-    assert min(widths) > 8
+    assert kronecker_det(matrix) == laurent_det(matrix) == torus_closed_form(47)
+    assert widths == [9]
 
 
 def twisted_torus(n, k):
@@ -606,21 +558,23 @@ def torus_closed_form(n):
 
 class TestIntegerPoint:
     # alexander_polynomial pivots T(2,n) down to a 2 x 1 remnant, so these
-    # tests call _square_minors on the unreduced N to keep the full-size
-    # paths exercised
+    # tests take the row sets of the unreduced N to keep full-size
+    # determinants exercised
     def test_wirtinger_takes_the_integer_point(self, monkeypatch):
-        entries = alexander_matrix(wirtinger_torus(7)).entries
-        monkeypatch.setattr(fox, "_laurent_minors", fail)
-        minors = _square_minors(entries, range(1, 7))
+        n = [row[1:] for row in alexander_matrix(wirtinger_torus(7)).entries]
+        taken = divisions(monkeypatch)
+        minors = list(_row_set_minors(n, 6))
         assert {m.normalize_up_to_units() for m in minors} == {torus_closed_form(7)}
+        assert taken == [fox._exact_quotient] * 7
         assert alexander_polynomial(wirtinger_torus(7)) == torus_closed_form(7)
 
     def test_sparse_matrix_takes_the_laurent_path(self, monkeypatch):
         pres = twisted_torus(9, 100)
-        entries = alexander_matrix(pres).entries
-        expected = kronecker_minors([row[1:] for row in entries])
-        monkeypatch.setattr(fox, "_kronecker_minors", fail)
-        assert _square_minors(entries, range(1, 9)) == expected
+        n = [row[1:] for row in alexander_matrix(pres).entries]
+        expected = [kronecker_det(rows) for rows in combinations(n, 8)]
+        taken = divisions(monkeypatch)
+        assert list(_row_set_minors(n, 8)) == expected
+        assert taken == [LaurentPoly.exact_divide] * 9
         assert alexander_polynomial(pres).breadth() > 0
 
     def test_rows_conjugated_by_x_to_the_500_are_shifted_back(self, monkeypatch):
@@ -630,29 +584,32 @@ class TestIntegerPoint:
         x = Word.generator("x1", 500)
         relators = [x * r * ~x if i % 3 == 0 else r for i, r in enumerate(base.relators)]
         pres = Presentation(base.generators, relators)
-        entries = alexander_matrix(pres).entries
-        n = [row[1:] for row in entries]
+        n = [row[1:] for row in alexander_matrix(pres).entries]
         assert fox._row_shifts(n) == [-500 if i % 3 == 0 else 0 for i in range(7)]
-        expected = fox._laurent_minors(n)
-        assert kronecker_minors(n) == expected
+        expected = [laurent_det(rows) for rows in combinations(n, 6)]
+        assert [kronecker_det(rows) for rows in combinations(n, 6)] == expected
         assert alexander_polynomial(pres) == alexander_polynomial(base)
-        monkeypatch.setattr(fox, "_laurent_minors", fail)
-        assert _square_minors(entries, range(1, 7)) == expected
+        taken = divisions(monkeypatch)
+        assert list(_row_set_minors(n, 6)) == expected
+        assert taken == [fox._exact_quotient] * 7
 
     def test_inexact_division_raises(self, monkeypatch):
         monkeypatch.setattr(fox, "_exact_quotient", lambda value, divisor: None)
+        n = [row[1:] for row in alexander_matrix(wirtinger_torus(5)).entries]
         with pytest.raises(ArithmeticError):
-            kronecker_minors([row[1:] for row in alexander_matrix(wirtinger_torus(5)).entries])
+            kronecker_det(n[:4])
 
     def test_intermediate_overflow_answers(self):
         # u^(2^40) makes the first pivot 2^40 and u^(2^24) a minor -2^24, so
-        # the LaurentPoly elimination forms the product -2^64 before it
-        # divides by 2^40; the integer point range-checks only the minors
+        # the LaurentPoly elimination of N bordered by the unit column e_2
+        # forms the product -2^64 before it divides by 2^40; the integer
+        # point range-checks only the determinant
         pres = parse("< x, u, v | u^1099511627776*v, u^16777216, u >")
         n = [row[1:] for row in alexander_matrix(pres).entries]
+        bordered = [[*row, lp({0: int(i == 2)})] for i, row in enumerate(n)]
         with pytest.raises(CoefficientOverflowError):
-            fox._laurent_minors(n)
-        assert kronecker_minors(n) == [lp({0: -2**24}), lp({0: 1}), lp({})]
+            laurent_det(bordered)
+        assert _det(bordered) == lp({0: -2**24})
         assert alexander_polynomial(pres) == LaurentPoly.one()
 
 
@@ -664,7 +621,7 @@ def minors_gcd(n, width):
     one ``_det`` per row set: the oracle of ``_pivot_units``.  With no
     column the one minor is the empty determinant, 1."""
     result = LaurentPoly.zero()
-    for minor in _row_set_minors(n, range(width), width):
+    for minor in _row_set_minors(n, width):
         result = laurent_gcd(result, minor)
     return result
 
@@ -812,13 +769,13 @@ def test_units_in_the_last_rows_reduce_in_linear_time(monkeypatch):
 @pytest.mark.parametrize("n", range(3, 102, 2))
 def test_wirtinger_pivots_to_two_by_one(n, monkeypatch):
     shapes = []
-    square = fox._square_minors
+    row_sets = fox._row_set_minors
 
-    def recording(entries, kept):
-        shapes.append((len(entries), len(kept)))
-        return square(entries, kept)
+    def recording(entries, size):
+        shapes.append((len(entries), size))
+        return row_sets(entries, size)
 
-    monkeypatch.setattr(fox, "_square_minors", recording)
+    monkeypatch.setattr(fox, "_row_set_minors", recording)
     assert alexander_polynomial(wirtinger_torus(n)) == torus_closed_form(n)
     assert shapes == [(2, 1)]
 
@@ -907,12 +864,6 @@ def square_moved_presentations(draw):
 @settings(max_examples=100, deadline=None)
 @given(square_moved_presentations())
 def test_square_elimination_matches_row_sets_and_all_minors(presentation):
-    matrix = alexander_matrix(presentation)
-    size = len(presentation.generators) - 1
-    for deleted in range(size + 1):
-        kept = [j for j in range(size + 1) if j != deleted]
-        assert_equal_up_to_sign(_square_minors(matrix.entries, kept),
-                                list(_row_set_minors(matrix.entries, kept, size)))
     assert alexander_polynomial(presentation) == all_minors_alexander(presentation)
 
 
@@ -931,6 +882,32 @@ def test_no_unit_weight_column_matches_all_minors(p, q):
     assert sorted(abs(a) for a in alexander_matrix(pres).weights) == [p, q, 2 * q]
     assert alexander_polynomial(pres) == all_minors_alexander(pres)
     assert alexander_polynomial(pres) == alexander_polynomial(base)
+
+
+def no_unit_square(n):
+    """< x1..xn | x_i^3 * x_(i+1)^-2 * x_i^-2 * x_(i+1) >, indices mod n: row
+    i of its matrix is p * (e_i - e_(i+1)) with p = t^-1 (t^3 + t^2 - 1),
+    so no entry is a unit, nothing is pivoted, and each of the n row sets
+    of the n x (n - 1) matrix N is one dense determinant."""
+    gens = [f"x{i}" for i in range(1, n + 1)]
+    rels = [f"{gens[i]}^3*{gens[(i + 1) % n]}^-2*{gens[i]}^-2*{gens[(i + 1) % n]}"
+            for i in range(n)]
+    return parse(f"< {', '.join(gens)} | {', '.join(rels)} >")
+
+
+@pytest.mark.parametrize("n", range(3, 27))
+def test_square_without_units_answers_the_closed_form(n):
+    # each minor of N is +-p^(n-1), so Delta = (t^3 + t^2 - 1)^(n-1) up to
+    # a unit; from n = 26 on, the LaurentPoly run of these minors leaves
+    # the checked range, and only the integer point answers
+    pres = no_unit_square(n)
+    expected = LaurentPoly.one()
+    for _ in range(n - 1):
+        expected = expected * lp({0: -1, 2: 1, 3: 1})
+    expected = expected.normalize_up_to_units()
+    assert alexander_polynomial(pres) == expected
+    if n <= 5:
+        assert all_minors_alexander(pres) == expected
 
 
 class TestDivisionGuard:
