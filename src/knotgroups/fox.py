@@ -14,14 +14,18 @@ which forces d(g^-1)/dg = -g^-1 and, for syllable powers,
 returns each as a dict from word to coefficient.  It is the oracle the fast
 path is tested against; no computation of the package calls it.
 
-The Alexander path never builds a word.  Abelianizing each generator g to
-t^a(g) sends a prefix to t^w, where w is the weighted exponent sum of the
-prefix, so one pass over a relator's syllables with a running w yields its
-whole row of the matrix: a syllable g^k adds t^w + t^(w+a) + ... +
+The Alexander path never builds a word.  The weights a(g) come from
+``presentations.abelianize``, by unit pivots.  Abelianizing each generator
+g to t^a(g) sends a prefix to t^w, where w is the weighted exponent sum of
+the prefix, so one pass over a relator's syllables with a running w yields
+its row of the matrix: a syllable g^k adds t^w + t^(w+a) + ... +
 t^(w+(k-1)a) to column g when k > 0, and -(t^(w-a) + ... + t^(w+ka)) when
 k < 0, then w += k*a (Fox, *Free Differential Calculus I*, 1953).  A
-syllable of weight 0 adds k*t^w.  The number of monomials this writes is
-bounded by ``MAX_DERIVATIVE_TERMS``.
+syllable of weight 0 adds k*t^w.  A row is a dict of its nonzero entries
+and skips the column that the minors delete: a syllable of that generator
+only advances w.  That column is expanded only for ``alex --matrix``.
+The monomials all columns would write are bounded by
+``MAX_DERIVATIVE_TERMS``.
 
 The gcd of the maximal minors of the matrix generates the first elementary
 ideal, whose normal form is the Alexander polynomial of the presented
@@ -40,7 +44,8 @@ not raises instead of returning a guess.  The number of row sets is
 bounded by ``MAX_ROW_SETS``.
 
 Before any minor, the matrix N without the deleted column is reduced by
-unit pivots.  Each Wirtinger relator x(i+1) x(i) x(i+1)^-1 x(j)^-1 puts
+unit pivots (``presentations.pivot_units``, which also serves the integer
+relation matrix).  Each Wirtinger relator x(i+1) x(i) x(i+1)^-1 x(j)^-1 puts
 units +-t^k in its row, and a unit u at (i, j) is pivoted out: every other
 row with an entry a in column j becomes row - (a/u) * row i, where a/u is a
 times a monomial, and row i and column j are dropped.  Row operations keep
@@ -67,20 +72,19 @@ would be mostly zero digits, is eliminated over LaurentPoly.
 
 from __future__ import annotations
 
-from collections import deque
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
-    CoefficientOverflowError,
     DeficiencyError,
     DerivativeTooLargeError,
     NotInfiniteCyclicError,
     TooManyRowSetsError,
 )
 from .laurent import LaurentPoly, check_dense_breadth, gcd as laurent_gcd
-from .presentations import Presentation, abelianize
+from .presentations import Presentation, abelianize, pivot_units
 from .words import Word
 
 # Most monomials the abelianized derivatives of one presentation may expand
@@ -119,17 +123,36 @@ def fox_derivative(word: Word, gen: str) -> Dict[Word, int]:
 class AlexanderMatrix:
     """Matrix of abelianized Fox derivatives: rows are relators, columns
     are generators of the presentation, and ``weights[j]`` is the exponent
-    of t that generator j abelianizes to."""
+    of t that generator j abelianizes to.
 
-    def __init__(self, entries: Sequence[Sequence[LaurentPoly]],
-                 generators: Tuple[str, ...], weights: Sequence[int]):
-        self.entries = tuple(tuple(row) for row in entries)
-        self.generators = generators
-        self.weights = tuple(weights)
+    ``deleted`` is the column that ``alexander_polynomial`` deletes, of
+    weight +-1 or failing one of the least nonzero magnitude.  ``rows``
+    holds each row's nonzero entries in the other columns, a dict from
+    column to entry; ``entries``, every entry with the deleted column's
+    expanded, is built on first use."""
+
+    def __init__(self, presentation: Presentation, weights: Mapping[str, int]):
+        self.generators = presentation.generators
+        self.relators = presentation.relators
+        self.weights = tuple(weights[g] for g in self.generators)
+        self.deleted = min((j for j, a in enumerate(self.weights) if a),
+                           key=lambda j: abs(self.weights[j]))
+        column = {g: j for j, g in enumerate(self.generators) if j != self.deleted}
+        self.rows = tuple(_fox_row(rel, column, weights) for rel in self.relators)
+
+    @cached_property
+    def entries(self) -> tuple:
+        column = {self.generators[self.deleted]: self.deleted}
+        weights = dict(zip(self.generators, self.weights))
+        full = [{**row, **_fox_row(rel, column, weights)}
+                for row, rel in zip(self.rows, self.relators)]
+        zero = LaurentPoly.zero()
+        return tuple(tuple(row.get(j, zero) for j in range(len(self.generators)))
+                     for row in full)
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return len(self.entries), len(self.generators)
+        return len(self.relators), len(self.generators)
 
     def __getitem__(self, idx: Tuple[int, int]) -> LaurentPoly:
         i, j = idx
@@ -143,28 +166,26 @@ class AlexanderMatrix:
         return f"AlexanderMatrix({rows}x{cols})"
 
 
-def _weights_or_raise(presentation: Presentation) -> Dict[str, int]:
-    report = abelianize(presentation)
-    if not report.is_infinite_cyclic:
-        raise NotInfiniteCyclicError(
-            "Alexander invariants need infinite cyclic abelianization; got "
-            f"free rank {report.free_rank}, torsion {list(report.invariant_factors)}"
-        )
-    return report.weights
-
-
 def _fox_row(relator: Word, column: Mapping[str, int],
-             weights: Mapping[str, int]) -> Tuple[LaurentPoly, ...]:
-    """The abelianized derivatives of ``relator`` by every generator, in
-    one pass over its syllables; ``column`` maps each generator to its
-    position in the row."""
-    acc: list = [{} for _ in column]
-    # each generator's column and weight, one lookup a syllable
-    slots = {g: (acc[j], weights[g]) for g, j in column.items()}
+             weights: Mapping[str, int]) -> Dict[int, LaurentPoly]:
+    """The nonzero abelianized derivatives of ``relator`` by the generators
+    of ``column``, which maps each to its column, in one pass over its
+    syllables: a dict from column to entry, in column order.  A syllable of
+    any other generator only advances the running weight."""
+    acc: Dict[int, dict] = {}
+    # each generator's terms (None outside ``column``) and weight, one
+    # lookup a syllable
+    slots = {}
+    for (g, _), _ in relator.syllable_counts():
+        if g not in slots:
+            j = column.get(g)
+            slots[g] = (None if j is None else acc.setdefault(j, {}), weights[g])
     w = 0
     for name, k in relator.syllables:
         terms, a = slots[name]
-        if k == 1 or a == 0:
+        if terms is None:
+            w += k * a
+        elif k == 1 or a == 0:
             terms[w] = terms.get(w, 0) + k
             w += k * a
         elif k == -1:
@@ -178,11 +199,14 @@ def _fox_row(relator: Word, column: Mapping[str, int],
             w += k * a
             for e in range(w, w - k * a, a):
                 terms[e] = terms.get(e, 0) - 1
-    return tuple(
-        LaurentPoly._from_clean(terms if 0 not in terms.values()
-                                else {e: c for e, c in terms.items() if c})
-        for terms in acc
-    )
+    row = {}  # in column order, the order in which the pivots try a row's units
+    for j in sorted(acc):
+        terms = acc[j]
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
+        if terms:
+            row[j] = LaurentPoly._from_clean(terms)
+    return row
 
 
 def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
@@ -191,9 +215,15 @@ def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
     Requires the abelianization to be infinite cyclic (weights defined);
     raises NotInfiniteCyclicError otherwise, and DerivativeTooLargeError
     when the rows would expand to more than ``MAX_DERIVATIVE_TERMS``
-    monomials.
+    monomials, the deleted column's included.
     """
-    weights = _weights_or_raise(presentation)
+    report = abelianize(presentation)
+    if not report.is_infinite_cyclic:
+        raise NotInfiniteCyclicError(
+            "Alexander invariants need infinite cyclic abelianization; got "
+            f"free rank {report.free_rank}, torsion {list(report.invariant_factors)}"
+        )
+    weights = report.weights
     expanded = sum(
         abs(k) * n
         for rel in presentation.relators
@@ -205,10 +235,7 @@ def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
             f"the Fox derivatives expand to {expanded} monomials, over the "
             f"limit of {MAX_DERIVATIVE_TERMS}"
         )
-    column = {g: j for j, g in enumerate(presentation.generators)}
-    entries = [_fox_row(rel, column, weights) for rel in presentation.relators]
-    return AlexanderMatrix(entries, presentation.generators,
-                           [weights[g] for g in presentation.generators])
+    return AlexanderMatrix(presentation, weights)
 
 
 def _exact_quotient(value: int, divisor: int) -> Optional[int]:
@@ -304,75 +331,23 @@ def _row_set_minors(entries: Sequence[Sequence[LaurentPoly]], size: int):
     return map(_det, combinations(entries, size))
 
 
-def _units(row: Mapping[int, LaurentPoly]) -> list:
-    """The columns of ``row`` whose entry is a unit +-t^k."""
-    return [j for j, entry in row.items()
-            if len(entry._coeffs) == 1 and abs(next(iter(entry._coeffs.values()))) == 1]
+def _unit_inverse(entry: LaurentPoly) -> Optional[LaurentPoly]:
+    """u^-1 for a unit u = +-t^k, and None for any other entry."""
+    if len(entry._coeffs) == 1:
+        ((k, c),) = entry._coeffs.items()
+        if c == 1 or c == -1:
+            return LaurentPoly._from_clean({-k: c})
+    return None
 
 
-def _pivot_units(entries: Sequence[Sequence[LaurentPoly]],
-                 kept: Sequence[int]) -> list:
-    """The columns ``kept`` of ``entries``, N, with every unit pivoted out:
-    the rows left, each a list over the columns left, both in their order.
-
-    A unit u = +-t^k at (i, j) makes every other row with an entry a in
-    column j row - (a/u) * row i, where a/u is a times the monomial u^-1;
-    then column j is zero but for u, so each maximal minor is +-u times a
-    maximal minor of N without row i and column j, or zero.  Row operations
-    keep the ideal of maximal minors (Cauchy-Binet), so the gcd of the
-    maximal minors of what is left is that of N up to a unit.
-
-    The rows are visited in order from a queue, and a step queues again
-    only the rows it changed, so no step scans the whole matrix.  A step
-    whose arithmetic would leave the checked 64-bit range is not taken,
-    and the row's next unit is tried."""
-    rows = [{c: row[j] for c, j in enumerate(kept) if row[j]} for row in entries]
-    holders = [set() for _ in kept]  # the rows with an entry in each column
-    for i, row in enumerate(rows):
-        for c in row:
-            holders[c].add(i)
-    queue = deque(range(len(rows)))
-    queued = [True] * len(rows)
-    while queue:
-        i = queue.popleft()
-        queued[i] = False
-        pivot_row = rows[i]
-        for j in _units(pivot_row):
-            ((k, sign),) = pivot_row[j]._coeffs.items()
-            try:
-                changes = {}
-                for h in holders[j]:
-                    if h != i:
-                        row = rows[h]
-                        # a/u = a * sign * t^-k
-                        factor = LaurentPoly._from_clean(
-                            {e - k: sign * c for e, c in row[j]._coeffs.items()})
-                        changes[h] = [(c, row[c] - factor * entry if c in row
-                                       else -(factor * entry))
-                                      for c, entry in pivot_row.items() if c != j]
-            except CoefficientOverflowError:
-                continue
-            for h, changed in changes.items():
-                row = rows[h]
-                del row[j]
-                for c, value in changed:
-                    if value:
-                        row[c] = value
-                        holders[c].add(h)
-                    elif c in row:
-                        del row[c]
-                        holders[c].discard(h)
-                if not queued[h]:
-                    queue.append(h)
-                    queued[h] = True
-            for c in pivot_row:
-                holders[c].discard(i)
-            holders[j] = None
-            rows[i] = None
-            break
+def _pivot_units(rows: Sequence[Mapping[int, LaurentPoly]], kept: Sequence[int]) -> list:
+    """The Fox rows ``rows``, dicts from a column of ``kept`` to a nonzero
+    entry, with every unit +-t^k pivoted out (``presentations.pivot_units``),
+    which keeps the gcd of the maximal minors up to a unit: the rows left,
+    each a list over the columns left, both in their order."""
+    rows, left, _ = pivot_units(rows, kept, _unit_inverse)
     zero = LaurentPoly.zero()
-    left = [c for c, held in enumerate(holders) if held is not None]
-    return [[row.get(c, zero) for c in left] for row in rows if row is not None]
+    return [[row.get(c, zero) for c in left] for row in rows]
 
 
 def _row_shifts(matrix: Sequence[Sequence[LaurentPoly]]) -> list:
@@ -463,9 +438,10 @@ def alexander_polynomial(presentation: Presentation,
     Alexander matrix, which does not depend on the presentation of the
     group.  By Fox's fundamental formula it is computed from one minor per
     set of g-1 rows: delete the column j of weight +-1, or failing one the
-    nonzero weight of least magnitude, take the gcd D of these minors over
-    row sets, and divide D exactly by (t^|a(j)| - 1) / (t - 1).  First the
-    other columns are reduced by unit pivots (``_pivot_units``): each entry
+    nonzero weight of least magnitude (``AlexanderMatrix.deleted``), take
+    the gcd D of these minors over row sets, and divide D exactly by
+    (t^|a(j)| - 1) / (t - 1).  First the other columns, the ones the
+    matrix's rows hold, are reduced by unit pivots (``_pivot_units``): each entry
     +-t^k takes its row and its column out, and D is unchanged up to a
     unit.  Then each row set of the remnant is one determinant (``_det``);
     with no column left, that is the empty determinant, 1.
@@ -491,22 +467,21 @@ def alexander_polynomial(presentation: Presentation,
     if size == 0:
         return LaurentPoly.one()
     weights = matrix.weights
-    deleted = min((j for j, a in enumerate(weights) if a),
-                  key=lambda j: abs(weights[j]))
+    deleted = matrix.deleted
     a = abs(weights[deleted])
     division = f"division of the minors' gcd by (t^{a} - 1)/(t - 1), an operand"
     check_dense_breadth(a - 1, division)
     # (t^a - 1)/(t - 1) = 1 + t + ... + t^(a-1) divides every minor without
     # column `deleted`, so their gcd equals it exactly when the answer is 1
     phi = LaurentPoly._from_clean(dict.fromkeys(range(a), 1))
-    rows = len(matrix.entries)
+    rows = len(matrix.rows)
     if comb(rows, size) > MAX_ROW_SETS:
         raise TooManyRowSetsError(
             f"the minors run over C({rows}, {size}) sets of rows, over the "
             f"limit of {MAX_ROW_SETS}"
         )
     kept = [j for j in range(len(weights)) if j != deleted]
-    remnant = _pivot_units(matrix.entries, kept)
+    remnant = _pivot_units(matrix.rows, kept)
     # each pivot took one row and one column
     left = size - (rows - len(remnant))
     result = LaurentPoly.zero()

@@ -132,9 +132,6 @@ class Permutation:
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()), 1)
 
-    def is_even(self) -> bool:
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
             return NotImplemented

@@ -54,11 +54,13 @@ time is linear in the length of the text.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
+    CoefficientOverflowError,
     DuplicateGeneratorError,
     InvalidParameterError,
     PresentationSyntaxError,
@@ -136,12 +138,6 @@ class Presentation:
                 raise UnknownGeneratorError(
                     f"{what} uses undeclared generator {quoted(g)}"
                 )
-
-    def generator_index(self, name: str) -> int:
-        try:
-            return self._gen_index[name]
-        except KeyError:
-            raise UnknownGeneratorError(f"undeclared generator {quoted(name)}") from None
 
     def relation_matrix(self) -> list:
         """Exponent-sum matrix, one row per relator, one column per generator."""
@@ -444,17 +440,87 @@ class _Parser:
             pos += 1
 
 
-# -- Smith normal form and abelianization ---------------------------------------
+# -- unit pivots, Smith normal form and abelianization --------------------------
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]
-                      ) -> Tuple[list, list, list]:
-    """Smith normal form over Z with transforms: returns (D, U, V) where
-    D = U @ matrix @ V, U and V are unimodular, and the diagonal of D is
-    nonnegative with each entry dividing the next.
+def pivot_units(rows: Sequence[Mapping[int, object]], columns: Sequence[int],
+                inverse, check=lambda value: value) -> Tuple[list, list, list]:
+    """The matrix whose rows are ``rows``, dicts from a column of
+    ``columns`` to a nonzero entry, with every unit pivoted out: the rows
+    left, the columns left in their order, and the pivots as taken, each
+    (column, inverse of the unit, its row).  ``rows`` is not changed.
+
+    ``inverse(entry)`` is u^-1 for a unit u (+-1 over Z, +-t^k over
+    Z[t, t^-1]) and None otherwise.  A unit u at (i, j) makes every other
+    row with an entry a in column j row - (a u^-1) * row i; then row i and
+    column j are dropped.  Over Z this is a Tietze move, and over
+    Z[t, t^-1] it keeps the ideal of maximal minors (Cauchy-Binet).
+
+    The rows are visited in order from a queue, and a step queues again
+    only the rows it changed, so no step scans the whole matrix.  Each
+    computed entry passes ``check`` (LaurentPoly checks its own range); a
+    step that would leave the checked 64-bit range is not taken, and the
+    row's next unit is tried."""
+    rows = [dict(row) for row in rows]
+    holders = {c: set() for c in columns}  # the rows with an entry in each column
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
+    queue = deque(range(len(rows)))
+    queued = [True] * len(rows)
+    pivots = []
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        pivot_row = rows[i]
+        for j, unit in pivot_row.items():
+            inv = inverse(unit)
+            if inv is None:
+                continue
+            try:
+                changes = {}
+                for h in holders[j]:
+                    if h != i:
+                        row = rows[h]
+                        factor = row[j] * inv
+                        changes[h] = [(c, check(row[c] - factor * entry if c in row
+                                                else -(factor * entry)))
+                                      for c, entry in pivot_row.items() if c != j]
+            except CoefficientOverflowError:
+                continue
+            for h, changed in changes.items():
+                row = rows[h]
+                del row[j]
+                for c, value in changed:
+                    if value:
+                        row[c] = value
+                        holders[c].add(h)
+                    elif c in row:
+                        del row[c]
+                        holders[c].discard(h)
+                if not queued[h]:
+                    queue.append(h)
+                    queued[h] = True
+            for c in pivot_row:
+                holders[c].discard(i)
+            holders[j] = None
+            rows[i] = None
+            pivots.append((j, inv, pivot_row))
+            break
+    left = [c for c in columns if holders[c] is not None]
+    return [row for row in rows if row is not None], left, pivots
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[list, list]:
+    """Smith normal form over Z with the row transform: returns (D, U)
+    where D = U @ matrix @ V for a unimodular V that is not built, U is
+    unimodular, and the diagonal of D is nonnegative with each entry
+    dividing the next.
 
     Entries are overflow-checked; desk-scale inputs stay tiny, and a value
-    escaping the checked range raises instead of proceeding.
+    escaping the checked range raises instead of proceeding.  Each step
+    scans the whole remaining block, so ``abelianize`` pivots out the unit
+    entries first and passes only what is left.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -462,81 +528,45 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]
     if any(len(row) != cols for row in d):
         raise InvalidParameterError("ragged matrix")
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, mult):
-        for k in range(cols):
-            d[dst][k] = checked_int(d[dst][k] + mult * d[src][k], "SNF entry")
-        for k in range(rows):
-            u[dst][k] = checked_int(u[dst][k] + mult * u[src][k], "SNF entry")
+        d[dst] = [checked_int(a + mult * b, "SNF entry") for a, b in zip(d[dst], d[src])]
+        u[dst] = [checked_int(a + mult * b, "SNF entry") for a, b in zip(u[dst], u[src])]
 
-    def add_col(src, dst, mult):
-        for row in d:
-            row[dst] = checked_int(row[dst] + mult * row[src], "SNF entry")
-        for row in v:
-            row[dst] = checked_int(row[dst] + mult * row[src], "SNF entry")
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(rows, cols)
-    for t in range(n):
+    for t in range(min(rows, cols)):
         while True:
-            # locate a pivot of minimal magnitude in the remaining block
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                        best = abs(d[i][j])
-                        pivot = (i, j)
-            if pivot is None:
+            # a pivot of least magnitude in the remaining block, the first
+            # in row order, moved to (t, t)
+            block = [(abs(d[i][j]), i, j) for i in range(t, rows)
+                     for j in range(t, cols) if d[i][j]]
+            if not block:
                 break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
+            _, pi, pj = min(block)
+            d[t], d[pi], u[t], u[pi] = d[pi], d[t], u[pi], u[t]
+            for row in d:
+                row[t], row[pj] = row[pj], row[t]
+            pivot = d[t][t]
             # clear column t then row t by Euclidean steps
-            dirty = False
             for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    add_row(t, i, -(d[i][t] // d[t][t]))
-                    if d[i][t] != 0:
-                        dirty = True
+                if d[i][t]:
+                    add_row(t, i, -(d[i][t] // pivot))
             for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    add_col(t, j, -(d[t][j] // d[t][t]))
-                    if d[t][j] != 0:
-                        dirty = True
-            if dirty:
+                if d[t][j]:
+                    mult = -(d[t][j] // pivot)
+                    for row in d:
+                        row[j] = checked_int(row[j] + mult * row[t], "SNF entry")
+            if any(d[i][t] for i in range(t + 1, rows)) or any(d[t][t + 1:]):
                 continue
             # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % pivot for x in d[i][t + 1:])), None)
             if offender is None:
                 break
             add_row(offender, t, 1)
-        if t < rows and t < cols and d[t][t] < 0:
-            negate_row(t)
-    return d, u, v
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+    return d, u
 
 
 @dataclass
@@ -563,30 +593,31 @@ def abelianize(presentation: Presentation) -> AbelianizationReport:
     """Cokernel of the relation matrix as invariant factors plus free rank.
 
     The abelianized group is Z^g modulo the subgroup spanned by the relator
-    exponent vectors; the Smith normal form of that relation matrix (columns
-    indexed by relators) reads off the decomposition, and when the quotient
-    is Z, the surviving row of the row transform is the weight vector.
+    exponent vectors.  First each entry e = +-1 of that relation matrix, in
+    column j, is pivoted out (``pivot_units``): its relator says x_j = -e *
+    (the rest of its row), so x_j and the relator leave by a Tietze move.
+    The Smith normal form of what is left (columns indexed by relators)
+    reads off the decomposition.  When the quotient is Z, the surviving row
+    of its row transform weighs the generators left, and each pivoted one
+    is read from its row, the last pivot first.  Every entry, step and
+    weight is range-checked (CoefficientOverflowError).
     """
-    g = len(presentation.generators)
-    r = len(presentation.relators)
-    rel = presentation.relation_matrix()
-    # columns = relator vectors in Z^g
-    a = [[rel[i][j] for i in range(r)] for j in range(g)]
-    if r == 0:
-        diag, u = [], [[int(i == j) for j in range(g)] for i in range(g)]
-        rank = 0
-    else:
-        d, u, _ = smith_normal_form(a)
-        diag = [d[i][i] for i in range(min(g, r))]
-        rank = sum(1 for x in diag if x != 0)
+    gens, index = presentation.generators, presentation._gen_index
+    rows = [{index[g]: checked_int(e, "matrix entry") for g, e in r.exponent_sums().items()}
+            for r in presentation.relators]
+    rows, left, pivots = pivot_units(rows, range(len(gens)),
+                                     lambda e: e if e in (1, -1) else None, checked_int)
+    d, u = smith_normal_form([[row.get(c, 0) for row in rows] for c in left])
+    diag = [d[i][i] for i in range(min(len(left), len(rows)))]
+    rank = sum(1 for x in diag if x != 0)
     invariant_factors = tuple(x for x in diag if x > 1)
-    free_rank = g - rank
+    free_rank = len(left) - rank
     weights = None
     if free_rank == 1 and not invariant_factors:
-        row = u[rank]
-        first = next((w for w in row if w != 0), 1)
-        sign = 1 if first > 0 else -1
-        weights = {
-            gen: sign * row[i] for i, gen in enumerate(presentation.generators)
-        }
+        weight = dict(zip(left, u[rank]))
+        for j, inv, row in reversed(pivots):
+            weight[j] = checked_int(-inv * sum(e * weight[c] for c, e in row.items() if c != j),
+                                    "weight")
+        sign = 1 if next(weight[j] for j in range(len(gens)) if weight[j]) > 0 else -1
+        weights = {g: sign * weight[j] for j, g in enumerate(gens)}
     return AbelianizationReport(invariant_factors, free_rank, weights)

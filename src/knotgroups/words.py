@@ -195,10 +195,6 @@ class Word:
         """Number of letters, i.e. the sum of |exponent| over syllables."""
         return sum(abs(e) for _, e in self._syllables)
 
-    def exponent_sum(self, name: str) -> int:
-        """Total signed exponent of ``name`` (image under abelianization)."""
-        return sum(e for g, e in self._syllables if g == name)
-
     def syllable_counts(self) -> Tuple[Tuple[Syllable, int], ...]:
         """(syllable, occurrences) for each distinct syllable, in order of
         first occurrence; counted at C level on first use, then kept."""

@@ -121,8 +121,29 @@ class TestAlexCommand:
             ["-2*t^-1 + 1", "t^-1 - 1", "t^-1"],
         ]
 
+    @pytest.mark.parametrize("text", [FAMILY_M1, wirtinger_torus(5).render()])
+    def test_plain_alex_skips_the_deleted_column(self, tmp_path, capsys, monkeypatch, text):
+        # a plain alex asks _fox_row for the kept columns only; --matrix
+        # asks for the deleted one too, to print it
+        asked = []
+        real = fox._fox_row
+
+        def recording(relator, column, weights):
+            row = real(relator, column, weights)
+            asked.append((set(column.values()), set(row)))
+            return row
+
+        monkeypatch.setattr(fox, "_fox_row", recording)
+        path = write(tmp_path, "k.pres", text)
+        deleted = fox.alexander_matrix(parse(text)).deleted
+        asked.clear()
+        assert run(capsys, "alex", path)[0] == 0
+        assert asked and all(deleted not in columns | row for columns, row in asked)
+        assert run(capsys, "alex", path, "--matrix")[0] == 0
+        assert any(deleted in row for _, row in asked)
+
     def test_matrix_built_once(self, tmp_path, capsys, monkeypatch):
-        # one Fox matrix and one Smith normal form serve both answers
+        # one Fox matrix and one abelianization serve both answers
         calls = {}
         for name in ("alexander_matrix", "abelianize"):
             def counted(*args, _name=name, _real=getattr(fox, name)):

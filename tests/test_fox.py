@@ -13,6 +13,7 @@ from knotgroups.errors import (
     DeficiencyError,
     DerivativeTooLargeError,
     GcdTooLargeError,
+    KnotGroupsError,
     NotInfiniteCyclicError,
     TooManyRowSetsError,
 )
@@ -34,7 +35,16 @@ from knotgroups.presentations import (
 )
 from knotgroups.words import Word
 from test_knot_symmetry import torus_presentation, wirtinger_torus
-from test_tietze import MOVES, Moved, add_consequence, random_word
+from test_presentations import planted_relation_matrices
+from test_tietze import (
+    MOVES,
+    TREFOIL,
+    Moved,
+    add_consequence,
+    marked_family,
+    random_moves,
+    random_word,
+)
 
 
 def lp(coeffs):
@@ -316,14 +326,17 @@ weight = st.integers(min_value=-3, max_value=3)
 
 
 @settings(max_examples=300)
-@given(long_words, weight, weight, weight)
-def test_one_pass_row_matches_fox_derivative(w, wx, wy, wa):
+@given(long_words, weight, weight, weight, st.sets(st.sampled_from(("x", "y", "a"))))
+def test_one_pass_row_matches_fox_derivative(w, wx, wy, wa, skipped):
+    # the row holds the nonzero derivatives by the generators of the
+    # column map, in column order; the others only advance the weight
     weights = {"x": wx, "y": wy, "a": wa}
     gens = ("x", "y", "a")
-    row = _fox_row(w, {g: j for j, g in enumerate(gens)}, weights)
-    assert row == tuple(
-        abelianize_ring_element(fox_derivative(w, g), weights) for g in gens
-    )
+    row = _fox_row(w, {g: j for j, g in enumerate(gens) if g not in skipped}, weights)
+    expected = {j: abelianize_ring_element(fox_derivative(w, g), weights)
+                for j, g in enumerate(gens) if g not in skipped}
+    assert row == {j: poly for j, poly in expected.items() if poly}
+    assert list(row) == sorted(row)
 
 
 @settings(max_examples=300)
@@ -626,10 +639,16 @@ def minors_gcd(n, width):
     return result
 
 
+def sparse(n):
+    """The rows of the dense matrix n as dicts of their nonzero entries,
+    as ``alexander_matrix`` keeps them."""
+    return [{c: entry for c, entry in enumerate(row) if entry} for row in n]
+
+
 def pivoted(n, width):
     """``_pivot_units`` of all ``width`` columns of n, and the number of
     columns it leaves: each pivot takes one row and one column."""
-    remnant = fox._pivot_units(n, range(width))
+    remnant = fox._pivot_units(sparse(n), range(width))
     return remnant, width - (len(n) - len(remnant))
 
 
@@ -707,7 +726,7 @@ class TestUnitPivots:
         n = [[one, huge], [big, lp({})], [lp({}), one]]
         with pytest.raises(CoefficientOverflowError):
             minors_gcd(n, 2)
-        assert fox._pivot_units(n, range(2)) == [[]]
+        assert fox._pivot_units(sparse(n), range(2)) == [[]]
         assert _det([n[0], n[2]]) == one
 
     def test_every_column_pivoted_leaves_the_empty_minor(self):
@@ -722,10 +741,13 @@ class TestUnitPivots:
         check_pivots(n, 2, n)
 
     def test_kept_columns_only(self):
-        # the deleted column's units are not pivots
-        one, two = lp({0: 1}), lp({0: 2})
-        n = [[one, two], [one, lp({0: 3})]]
-        assert fox._pivot_units(n, [1]) == [[two], [lp({0: 3})]]
+        # the rows hold no entry of the deleted column, so its units are not
+        # pivots: T(2,3) has two of them there, and one pivot leaves 2 x 1
+        matrix = alexander_matrix(wirtinger_torus(3))
+        assert matrix.deleted == 0
+        assert sum(is_unit(matrix[i, 0]) for i in range(3)) == 2
+        assert all(0 not in row for row in matrix.rows)
+        assert [len(row) for row in fox._pivot_units(matrix.rows, [1, 2])] == [1, 1]
 
 
 def cascade(rows):
@@ -753,17 +775,17 @@ def test_units_in_the_last_rows_reduce_in_linear_time(monkeypatch):
     # step below it changes it; a search from the top for each pivot would
     # read about 400 rows of entries for each of the 399 pivots
     read = []
-    find = fox._units
+    inverse = fox._unit_inverse
 
-    def counting(row):
-        read.append(len(row))
-        return find(row)
+    def counting(entry):
+        read.append(entry)
+        return inverse(entry)
 
-    n = cascade(400)
-    entries = sum(1 for row in n for entry in row if entry)
-    monkeypatch.setattr(fox, "_units", counting)
+    n = sparse(cascade(400))
+    entries = sum(map(len, n))
+    monkeypatch.setattr(fox, "_unit_inverse", counting)
     assert fox._pivot_units(n, range(399)) == [[]]
-    assert sum(read) <= 2 * entries
+    assert len(read) <= 2 * entries
 
 
 @pytest.mark.parametrize("n", range(3, 102, 2))
@@ -837,6 +859,47 @@ def moved_presentations(draw):
 @given(moved_presentations())
 def test_one_minor_per_row_set_matches_all_minors(presentation):
     assert alexander_polynomial(presentation) == all_minors_alexander(presentation)
+
+
+def check_with_the_full_matrix(presentation):
+    """``alexander_polynomial`` on the kept columns of its own matrix
+    equals it on a matrix built first, as ``alex --matrix`` builds it, and
+    a refusal is the same refusal."""
+    try:
+        expected = alexander_polynomial(presentation)
+    except KnotGroupsError as error:
+        expected = type(error)
+    try:
+        matrix = None
+        if len(presentation.relators) >= len(presentation.generators) - 1:
+            matrix = alexander_matrix(presentation)
+            assert len(matrix.entries) == len(matrix.rows) == len(presentation.relators)
+        got = alexander_polynomial(presentation, matrix)
+    except KnotGroupsError as error:
+        got = type(error)
+    assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(moved_presentations(), planted_relation_matrices()))
+def test_polynomial_with_the_full_matrix(presentation):
+    check_with_the_full_matrix(presentation)
+
+
+@pytest.mark.parametrize("text", [
+    "< x | x^6 >", "< x, y | x^2, y^3 >", "< x, y | >", "< x | >",
+    "< x, y | x*y^4611686018427387904, x*y^-4611686018427387904 >",
+    "< x, y | x^100000000*y*x^-100000001 >",
+])
+def test_refusals_with_the_full_matrix(text):
+    check_with_the_full_matrix(parse(text))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_tietze_moved_with_the_full_matrix(seed):
+    rng = random.Random(seed)
+    base = (TREFOIL, marked_family(1), marked_family(2), wirtinger_torus(7))[seed % 4]
+    check_with_the_full_matrix(random_moves(rng, base, rng.randint(1, 6), MOVES).presentation)
 
 
 # Moves that keep the number of relators less the number of generators: a

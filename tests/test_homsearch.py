@@ -433,7 +433,7 @@ def compile_word(word, presentation, group):
     """The flat program of ``word``, one step per syllable, the oracle of
     the straight-line one; slots are generator positions in
     ``presentation``."""
-    return tuple((presentation.generator_index(g), group.powers(e))
+    return tuple((presentation.generators.index(g), group.powers(e))
                  for g, e in word.syllables)
 
 

@@ -1,14 +1,17 @@
 """Presentation parsing, rendering, the family generator, abelianization."""
 
+import math
 import random
 import sys
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from knotgroups import presentations
 from knotgroups.errors import (
+    CoefficientOverflowError,
     DerivativeTooLargeError,
     DuplicateGeneratorError,
     InvalidParameterError,
@@ -28,6 +31,7 @@ from knotgroups.presentations import (
 )
 from knotgroups.words import Word
 from test_knot_symmetry import wirtinger_torus
+from test_tietze import MOVES, TREFOIL, marked_family, random_moves
 
 THREE_GEN_TEXT = (
     "< x,y,a | x^-1*y*x*y*x^-1*y^-1, x^-1*a*x*a^-1*x^-1*y*a*y^-1 >"
@@ -193,8 +197,8 @@ class TestFamily:
 
     def test_relator1_exponent_sums_m3(self):
         r1 = rbg_family(3).relators[0]
-        assert r1.exponent_sum("x") == -1
-        assert r1.exponent_sum("y") == 1
+        assert exponent_sum(r1, "x") == -1
+        assert exponent_sum(r1, "y") == 1
 
     def test_relator1_size_linear_in_m(self):
         # the reduced relator alternates single letters: 4m + 2 syllables
@@ -212,6 +216,11 @@ class TestFamily:
         for bad in (0, -2, "3"):
             with pytest.raises(InvalidParameterError):
                 rbg_family(bad)
+
+
+def exponent_sum(word, name):
+    """Total signed exponent of ``name`` in ``word``, letter by letter."""
+    return sum(e for g, e in word.syllables if g == name)
 
 
 def _cyclically_equal(u, v):
@@ -267,6 +276,103 @@ class TestAbelianize:
         assert report.weights == {"x": 1, "y": -1}
 
 
+def snf_abelianization(presentation):
+    """Invariant factors, free rank and weights of the presentation from
+    one Smith normal form of its whole relation matrix: the oracle of
+    ``abelianize``, which pivots out the entries +-1 first."""
+    gens = presentation.generators
+    matrix = presentation.relation_matrix()
+    d, u = smith_normal_form([[row[j] for row in matrix] for j in range(len(gens))])
+    diag = [d[i][i] for i in range(min(len(gens), len(matrix)))]
+    rank = sum(1 for x in diag if x)
+    factors = tuple(x for x in diag if x > 1)
+    weights = None
+    if len(gens) - rank == 1 and not factors:
+        row = u[rank]
+        sign = 1 if next(w for w in row if w) > 0 else -1
+        weights = {g: sign * w for g, w in zip(gens, row)}
+    return factors, len(gens) - rank, weights
+
+
+def check_against_snf(presentation):
+    report = abelianize(presentation)
+    assert (report.invariant_factors, report.free_rank, report.weights) == \
+        snf_abelianization(presentation)
+
+
+@st.composite
+def planted_relation_matrices(draw):
+    """A presentation whose relation matrix is r x g, r <= 5 and g <= 5,
+    with entries +-1 planted at random places, each relator's syllables
+    in a random order: pivots of every kind, chains of them, and remnants
+    with torsion or free rank other than 1."""
+    r = draw(st.integers(min_value=0, max_value=5))
+    g = draw(st.integers(min_value=1, max_value=5))
+    matrix = draw(st.lists(st.lists(st.integers(min_value=-6, max_value=6),
+                                    min_size=g, max_size=g), min_size=r, max_size=r))
+    for _ in range(draw(st.integers(min_value=0, max_value=r + g)) if r else 0):
+        matrix[draw(st.integers(0, r - 1))][draw(st.integers(0, g - 1))] = draw(
+            st.sampled_from((-1, 1)))
+    gens = [f"x{j}" for j in range(g)]
+    relators = [Word(draw(st.permutations([(gens[j], e) for j, e in enumerate(row) if e])))
+                for row in matrix]
+    return Presentation(gens, relators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_relation_matrices())
+def test_unit_pivots_match_the_smith_normal_form(presentation):
+    check_against_snf(presentation)
+
+
+@pytest.mark.parametrize("text", [
+    "< x | x^6 >",
+    "< x, y | x^2, y^3 >",
+    "< x, y | >",
+    "< x, y, z | x^2, y^6 >",
+    "< x, y | x*y >",
+    "< x, y, z | x*y^3*z^-2, y*z^7 >",
+    "< x, y | x^3*y^-2 >",
+    "< x, y | x^4*y^6, x^6*y^4 >",
+])
+def test_torsion_and_free_rank_match_the_smith_normal_form(text):
+    check_against_snf(parse(text))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_tietze_moved_presentations_match_the_smith_normal_form(seed):
+    rng = random.Random(seed)
+    base = (TREFOIL, marked_family(1), marked_family(2), wirtinger_torus(7))[seed % 4]
+    check_against_snf(random_moves(rng, base, rng.randint(1, 6), MOVES).presentation)
+
+
+@pytest.mark.parametrize("text", [
+    # a step on x would make y's exponent +-2^63, so it is not taken; the
+    # step on z is, and then the back-substituted weight of z is 2^63
+    "< x, y, z | x*y^4611686018427387904, x*y^-4611686018427387904*z >",
+    # every step would leave the range, so the SNF gets the whole matrix
+    "< x, y | x*y^4611686018427387904, x*y^-4611686018427387904 >",
+    "< x, y, z | x*y^4611686018427387904*z^3, x*y^-4611686018427387904*z^5 >",
+    # an exponent sum past the range is refused as it is read
+    "< x, y | x^9223372036854775808*y >",
+])
+def test_pivots_past_the_range_raise_as_the_snf_does(text):
+    presentation = parse(text)
+    with pytest.raises(CoefficientOverflowError):
+        snf_abelianization(presentation)
+    with pytest.raises(CoefficientOverflowError):
+        abelianize(presentation)
+
+
+def test_wirtinger_pivots_to_one_generator():
+    # each Wirtinger relator x(i+1) x(i) x(i+1)^-1 x(i+2)^-1 has the
+    # exponent sums +1 and -1, so n - 1 pivots leave one generator
+    for n in (3, 41, 301):
+        presentation = wirtinger_torus(n)
+        assert abelianize(presentation).weights == dict.fromkeys(presentation.generators, 1)
+    check_against_snf(wirtinger_torus(41))
+
+
 def _matrix_mul(a, b):
     return [
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
@@ -298,16 +404,33 @@ int_matrices = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def _gcd_of_minors(matrix, size):
+    """The gcd of the size x size minors of ``matrix`` (0 when all vanish)."""
+    rows, cols = range(len(matrix)), range(len(matrix[0]))
+    return math.gcd(*(_det([[matrix[i][j] for j in cs] for i in rs])
+                      for rs in combinations(rows, size) for cs in combinations(cols, size)))
+
+
 @settings(max_examples=150)
 @given(int_matrices)
 def test_smith_normal_form_properties(matrix):
-    d, u, v = smith_normal_form(matrix)
+    d, u = smith_normal_form(matrix)
     rows, cols = len(matrix), len(matrix[0])
-    # decomposition holds
-    assert _matrix_mul(_matrix_mul(u, matrix), v) == d
-    # u, v unimodular
+    # u unimodular
     assert abs(_det(u)) == 1
-    assert abs(_det(v)) == 1
+    # u @ matrix = d @ V^-1, so its row i is divisible by d_ii and zero
+    # past the rank; with the determinantal divisors below, that makes
+    # u @ matrix @ V = d for a unimodular V that the SNF does not build
+    product = _matrix_mul(u, matrix)
+    for i, row in enumerate(product):
+        pivot = d[i][i] if i < cols else 0
+        assert all(x % pivot == 0 if pivot else x == 0 for x in row)
+    # the product of the first k diagonal entries is the gcd of the k x k
+    # minors of the matrix
+    expected = 1
+    for k in range(1, min(rows, cols) + 1):
+        expected *= d[k - 1][k - 1]
+        assert _gcd_of_minors(matrix, k) == expected
     # d diagonal, nonnegative, successive divisibility
     diag = []
     for i in range(rows):
@@ -541,7 +664,7 @@ def test_relation_matrix_is_exponent_sums(rank, relators):
     fold = {g: gens[i % rank] for i, g in enumerate(NAMES)}
     pres = Presentation(gens, [Word([(fold[g], e) for g, e in raw]) for raw in relators])
     assert pres.relation_matrix() == [
-        [r.exponent_sum(g) for g in gens] for r in pres.relators
+        [exponent_sum(r, g) for g in gens] for r in pres.relators
     ]
 
 
