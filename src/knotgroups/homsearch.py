@@ -15,20 +15,19 @@ pinned:
     declaration order, and evaluates each relator as soon as its last
     generator receives a value (a static trigger table is precomputed per
     presentation), pruning dead branches early.  It walks the search up to
-    conjugacy: conjugation by an element of A that commutes with every
-    pinned image maps solutions to solutions, so the first unpinned
-    generator takes one value per orbit of that centralizer H, and each
-    solution found counts as many as its orbit holds (Holt-Eick-O'Brien,
-    *Handbook of Computational Group Theory*, 2005).  The next walked
-    generator, unless solved by deduction, takes in the same way one value
-    per orbit of H_r = C_H(r), r the first one's value, and a solution
-    counts |H-orbit of r| * |H_r-orbit of its second value|.  H_r's orbits
-    are found when the level is entered, for one r at a time: H_r = 1 when
-    r's H-orbit has |H| points, and H_r = H when it has one, so only the
-    other values of r compute a centralizer.  All homomorphisms of the
-    family's m = 1 into PSL(2,7) then take 2,387 nodes, not 8,070.  When
-    counting, a generator in no relator is not walked at all: it
-    multiplies the count by |A|, or by 1 if pinned.
+    conjugacy (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*,
+    2005): each unpinned walked level k, up to the first one solved by
+    deduction, takes one value per orbit of H_k acting by conjugation,
+    where H_0 centralizes the pinned images and H_(k+1) = C_(H_k)(v_k), v_k
+    the value of level k, so H_k fixes the values before level k and maps
+    solutions to solutions; a solution counts the product of its values'
+    orbit sizes.  H_(k+1) = 1 when v_k's H_k-orbit has |H_k| points, which
+    ends the narrowing, and H_(k+1) = H_k when it has one, whose orbits it
+    reuses; only the other values filter H_k's members and compute new
+    orbits, as the level is entered.  All homomorphisms of the family's
+    m = 1 into PSL(2,7) then take 1,576 nodes, not 8,070.  When counting, a
+    generator in no relator is not walked at all: it multiplies the count
+    by |A|, or by 1 if pinned.
 
     A later unpinned generator g is solved by deduction (same reference)
     when one relator checked at its level has every syllable on an
@@ -48,8 +47,8 @@ pinned:
 
 Both engines return identical counts and identical listings, in the same
 order: a listing maps each solution back to declaration order (backtrack
-first expands it over its H_r-orbit, then each of those over its H-orbit)
-and sorts.  The test suite leans on that.
+first expands it over its orbits, innermost level first, each row one
+packed key) and sorts.  The test suite leans on that.
 A listing stays index tuples, ``HomSearchResult.leaves``, the element index
 of each generator's image; ``HomSearchResult.assignments``, the same
 homomorphisms as ``{generator: Permutation}`` dicts, is built from the
@@ -101,6 +100,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from typing import AbstractSet, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -112,7 +112,7 @@ from .errors import (
     UnknownMarkerError,
     quoted,
 )
-from .permgroups import FiniteGroup, Permutation, product_exceeds
+from .permgroups import FiniteGroup, Permutation, _packing, product_exceeds
 from .presentations import Presentation
 from .words import Word, reduce_syllables
 
@@ -122,7 +122,7 @@ from .words import Word, reduce_syllables
 # CPython 3.11), charging a level's values and a solved level's table
 # before it walks them, so a refused search ends within about 20 s.  The
 # largest backtrack search in the test suite, < a, b, c, d, e | a*b*c*d*e >
-# into A5, counts 559,162 nodes; the next, a chain of 1200 generators,
+# into A5, counts 436,499 nodes; the next, a chain of 1200 generators,
 # 77,940, of which 71,940 are table entries.  Naive searches there walk at
 # most 60^3 = 216,000.
 MAX_SEARCH_NODES = 10**7
@@ -142,6 +142,8 @@ Program = Tuple[Step, ...]
 # product in its slot, in order, then the steps whose product is the word.
 Line = Tuple[int, Program]
 StraightLine = Tuple[Tuple[Line, ...], Program]
+# The orbits of a subgroup acting on A by conjugation (_conjugation_orbits).
+Orbits = Dict[int, List[Optional[Tuple[int, Sequence[int]]]]]
 
 # The longest block a periodic run may repeat.  A run of syllables B^k
 # (2 <= |B| <= _MAX_PERIOD, k >= 2) is found by one pattern over the word
@@ -213,19 +215,29 @@ def is_homomorphism(presentation: Presentation, group: FiniteGroup,
     )
 
 
+class _Letters(dict):
+    """One character per distinct syllable, made when it is first read."""
+
+    def __missing__(self, syllable: Tuple[str, int]) -> str:
+        if len(self) == _CHARACTERS:
+            raise ValueError("more distinct syllables than characters")
+        letter = self[syllable] = chr(len(self))
+        return letter
+
+
 def _compile(word: Word, slots: Mapping[str, int], group: FiniteGroup,
              first_temporary: int) -> StraightLine:
     """The straight-line program of ``word`` (module docstring), generator g
     read from slot ``slots[g]`` and the temporaries stored from slot
     ``first_temporary`` on."""
     syllables = word.syllables
+    letters = _Letters()
+    try:
+        spelled = "".join(map(letters.__getitem__, syllables))
+    except ValueError:  # no spelling, so no runs: the flat program
+        spelled, letters = "", dict.fromkeys(syllables)
     # one step per distinct syllable, shared by its occurrences
-    distinct = {(g, e): (slots[g], group.powers(e)) for g, e in set(syllables)}
-    step = distinct.__getitem__
-    if len(distinct) > _CHARACTERS:
-        return (), tuple(map(step, syllables))
-    letters = {s: chr(i) for i, s in enumerate(distinct)}
-    spelled = "".join(map(letters.__getitem__, syllables))
+    step = {s: (slots[s[0]], group.powers(s[1])) for s in letters}.__getitem__
     lines: List[Line] = []
     temporaries: Dict[Tuple[Tuple[str, int], ...], int] = {}
     steps: List[Step] = []
@@ -316,7 +328,7 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
           levels: Sequence[Sequence[Line]],
           solved: Sequence[Optional[Tuple[int, StraightLine]]],
           slots: int, columns: Sequence[Sequence[int]], stats: SearchStats,
-          narrowed: Optional[Tuple[int, Callable[[int], Sequence[int]]]] = None,
+          narrowed: Optional[Tuple[range, Callable[[int, int], Sequence[int]]]] = None,
           ) -> Iterator[List[int]]:
     """Depth-first walk over index assignments, without recursion.
 
@@ -329,18 +341,18 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
     level i, Q^-1 read from the slot: on the level's first entry W's value
     for each v is tabled, one node an entry, and each entry reads Q^-1, one
     relator check, and takes its values from the table.  With ``narrowed``
-    = (i, f), entering level i takes the values f(v), v the value of level
-    i - 1, instead of ``values[i]``.  Entering a level with ``counted[i]``
-    charges a node for each value it will take.  A later level's leading
-    checks that read no slot computed on it (in practice only naive's,
-    whose checks all sit on the last level) run once on entry, each
-    charged one relator check per value; one that fails skips the level.
+    = (levels, f), entering a level i in ``levels`` takes the values f(i, v),
+    v the value of level i - 1, instead of ``values[i]``.  Entering a level
+    with ``counted[i]`` charges a node for each value it will take.  A later
+    level's leading checks that read no slot computed on it (in practice
+    only naive's, whose checks all sit on the last level) run once on entry,
+    each charged one relator check per value; one that fails skips it.
     The assignment list has ``slots`` slots.  Counters go to ``stats`` when
     the walk ends, and more than ``MAX_SEARCH_NODES`` nodes are refused.
     """
     node_budget = MAX_SEARCH_NODES
     last = len(values) - 1
-    narrow_at, narrow = narrowed or (None, None)
+    narrowing, narrow = narrowed or ((), None)
     # each level's programs split into the checks run on entry and the rest
     heads: List[Sequence[Line]] = [()]
     bodies: List[Sequence[Line]] = [levels[0]]
@@ -382,8 +394,8 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
                     continue
                 level += 1
                 entering = values[level]
-                if level == narrow_at:
-                    entering = narrow(assignment[level - 1])
+                if level in narrowing:
+                    entering = narrow(level, assignment[level - 1])
                 if solved[level] is not None:
                     inverse_q, (w_lines, w) = solved[level]
                     table = tables[level]
@@ -451,10 +463,10 @@ def _deduction(word: Word, g: str, loose: AbstractSet[str]
     return ~q, w
 
 
-def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]
-                            ) -> Tuple[List[int], int]:
-    """Indices of elements generating the centralizer in A of the elements
-    of index ``fixed``, and its order.
+def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int],
+                            members: Sequence[int] = ()) -> Tuple[List[int], Sequence[int]]:
+    """Indices of elements generating the centralizer of the elements of
+    index ``fixed`` in H (of the ``members`` given, or A), and its members.
 
     When that centralizer is all of A, these are A's own generators, each a
     member of A, since only its builders make a group.  Otherwise they are
@@ -462,12 +474,12 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]
     subgroup generated so far joins the generators.
     """
     n, columns = group.order, group.columns
-    members: Sequence[int] = range(n)
+    members = members or range(n)
     for p in fixed:
         conj = group.conjugates(p)
         members = [h for h in members if conj[h] == h]
     if len(members) == n:
-        return [group.index_of(s) for s in group.generators], n
+        return [group.index_of(s) for s in group.generators], members
     gens: List[int] = []
     inside = bytearray(n)
     inside[0] = 1
@@ -489,11 +501,10 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int]
                         elements.append(y)
                         nxt.append(y)
             frontier = nxt
-    return gens, len(members)
+    return gens, members
 
 
-def _conjugation_orbits(group: FiniteGroup, gens: Sequence[int]
-                        ) -> Dict[int, List[Optional[Tuple[int, Sequence[int]]]]]:
+def _conjugation_orbits(group: FiniteGroup, gens: Sequence[int]) -> Orbits:
     """The orbits of the subgroup generated by ``gens`` acting on A by
     conjugation, x -> h*x*h^-1, found breadth first through the generators'
     conjugation tables (``FiniteGroup.conjugates``), and no other product.
@@ -501,12 +512,13 @@ def _conjugation_orbits(group: FiniteGroup, gens: Sequence[int]
     Keyed by representative (the smallest index in the orbit), in
     increasing order.  Each orbit lists how its points were reached: None
     for the representative, then (j, table) for the point table[p], p the
-    orbit's j-th point and table the conjugation table of a generator.
+    orbit's j-th point and table the conjugation table of a generator, as
+    the right operand ``permgroups._packing(|A|)`` composes a key with.
     """
     n = group.order
-    conj = list(map(group.conjugates, gens))
+    conj = list(map(_packing(n)[1], map(group.conjugates, gens)))
     seen = bytearray(n)
-    orbits: Dict[int, List[Optional[Tuple[int, Sequence[int]]]]] = {}
+    orbits: Orbits = {}
     for rep in range(n):
         if seen[rep]:
             continue
@@ -542,15 +554,14 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     then the others, each part in declaration order; a listing maps its
     leaves back to declaration order and sorts them.  Backtracking checks
     a relator at the level of its last walked generator and walks up to
-    conjugacy (module docstring): H centralizes the walked pinned images,
-    the first unpinned walked generator takes the smallest index of each
-    H-orbit, and the next, unless solved, the smallest index of each orbit
-    of H_r, the elements of H that commute with the first one's value r.
-    A solution counts the size of r's H-orbit times that of its second
-    value's H_r-orbit; a listing conjugates it once per point of the
-    H_r-orbit, then each of those once per point of the H-orbit.  When
-    counting, a generator in no relator is not walked and multiplies the
-    count by |A| (1 if pinned).
+    conjugacy (module docstring): each unpinned walked level k, up to the
+    first solved one, takes the smallest index of each orbit of H_k, the
+    elements of A that commute with the walked pinned images and the
+    values before k.  A solution counts the product of its values' orbit
+    sizes; a listing conjugates it once per point of the innermost orbit,
+    then each of those once per point of the next orbit out, and so on,
+    each row one packed key.  When counting, a generator in no relator is
+    not walked and multiplies the count by |A| (1 if pinned).
 
     A later unpinned level solved from a relator Q*W (module docstring)
     takes only the values v with W(v) = Q^-1 from a table of W's values,
@@ -565,8 +576,8 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     entering it, before any is tried.  A relator check is one relator
     evaluation, or one reading of Q^-1 on entering a solved level; a check
     run once on entering a level counts once per value the level takes.
-    Both count the reduced walk in backtrack (each orbit representative of
-    the first two walked levels one node) and every assignment in naive.
+    Both count the reduced walk in backtrack (each orbit representative one
+    node) and every assignment in naive.
     """
     pins = check_constraint(presentation, group, constraint or {})
     unpinned = [g for g in presentation.generators if g not in pins]
@@ -627,61 +638,58 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
               for split, slot in zip(splits, inverse_slots)]
     size += max((len(w[0]) for _, w in filter(None, solved)), default=0)
 
-    narrowed = None
-    # H_r's orbits on A, r the first level's value, while the next level
-    # walks them; None when it walks all of A
-    stabilizer: Optional[Dict[int, List[Optional[Tuple[int, Sequence[int]]]]]] = None
+    # at level k, chain[k] holds H_k's members, orbits and representatives,
+    # or None, and weight[k] the product of the earlier values' orbit sizes
+    chain: List[Optional[Tuple[Sequence[int], Orbits, Tuple[int, ...]]]] = [None] * len(values)
+    weight = [1] * len(values)
+    narrowed, last = None, 0
     if mode == "backtrack" and first is not None:
-        fixed = [v[0] for v in values[:first]]  # the walked pinned images
-        gens, h_order = _centralizer_generators(group, fixed)
+        gens, members = _centralizer_generators(group, [v[0] for v in values[:first]])
         orbits = _conjugation_orbits(group, gens)
-        values[first] = reps = tuple(orbits)
-        second = first + 1
+        chain[first] = members, orbits, tuple(orbits)
+        values[first] = chain[first][2]
+        # a solved level keeps its table's values and ends the chain
+        last = next((k - 1 for k in range(first + 1, len(values)) if splits[k]), len(values) - 1)
 
-        def narrow(r: int) -> Sequence[int]:
-            # the values of the level after r's: one per orbit of
-            # H_r = C_H(r), by |H_r| = |H| / |H-orbit of r|
-            nonlocal stabilizer
-            orbit_size = len(orbits[r])
-            if orbit_size == h_order:
-                stabilizer = None
-                return values[second]
-            if orbit_size == 1:
-                stabilizer = orbits
-                return reps
-            stabilizer = _conjugation_orbits(
-                group, _centralizer_generators(group, fixed + [r])[0])
-            return tuple(stabilizer)
+        def narrow(level: int, r: int) -> Sequence[int]:
+            # one value per orbit of H_level = C_H(r), H = H_(level - 1)
+            held = chain[level - 1]
+            size = len(held[1][r]) if held else 1
+            weight[level] = weight[level - 1] * size
+            if held is None or size == len(held[0]):
+                chain[level] = None  # |H_level| = |H| / |H-orbit of r| = 1
+                return values[level]
+            if size > 1:  # else H_level = H, and so are its orbits
+                gens, members = _centralizer_generators(group, [r], held[0])
+                orbits = _conjugation_orbits(group, gens)
+                held = members, orbits, tuple(orbits)
+            chain[level] = held
+            return held[2]
 
-        if second < len(values) and not splits[second]:
-            narrowed = second, narrow
-    else:
-        first = second = 0
-        orbits = {v: [None] for v in values[0]}
+        narrowed = range(first + 1, last + 1), narrow
 
     count = 0
-    leaves: List[Leaf] = []
-    # a listing walks every generator; its leaves go back to declaration order
+    keys: List = []
+    # a listing walks every generator; its leaves go back to declaration
+    # order, each packed into one key (``permgroups._packing``)
     order = [slots[g] for g in presentation.generators] if materialize else []
+    pack, _, compose = _packing(n)
     for assignment in _walk(values, counted, levels, solved, size, columns, stats,
                             narrowed):
-        orbit = orbits[assignment[first]]
-        inner = stabilizer[assignment[second]] if stabilizer else (None,)
-        count += len(orbit) * len(inner)
+        held = chain[last]
+        count += weight[last] * len(held[1][assignment[last]]) if held else weight[last]
         if materialize:
-            # one solution per point of the H_r-orbit of the second value,
-            # then each of those per point of the H-orbit of the first: the
-            # solution of the point it was reached from, conjugated by that
-            # step's generator
-            rows = [[assignment[i] for i in order]]
-            for j, table in inner[1:]:
-                rows.append([table[v] for v in rows[j]])
-            block = len(rows)
-            for j, table in orbit[1:]:
-                rows += [[table[v] for v in row]
-                         for row in rows[j * block:(j + 1) * block]]
-            leaves.extend(map(tuple, rows))
-            if len(leaves) > MAX_LISTED_HOMS:
+            orbits = [link[1][assignment[k]] for k, link in enumerate(chain) if link]
+            # one key per point of the innermost orbit, then each of those
+            # per point of the next orbit out, and so on: the key of the
+            # point it was reached from, conjugated by that step's generator
+            block = [pack(map(assignment.__getitem__, order))]
+            for orbit in reversed(orbits):
+                width = len(block)
+                for j, operand in orbit[1:]:
+                    block += map(compose, block[j * width:(j + 1) * width], repeat(operand))
+            keys += block
+            if len(keys) > MAX_LISTED_HOMS:
                 raise BudgetExceededError(
                     f"listing exceeded the limit of {MAX_LISTED_HOMS} homomorphisms"
                 )
@@ -689,8 +697,9 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
         count *= n ** free
     if not materialize:
         return HomSearchResult(count, stats)
-    leaves.sort()
-    return HomSearchResult(count, stats, leaves, group, presentation.generators)
+    keys.sort()  # as the index tuples they hold sort
+    return HomSearchResult(count, stats, list(map(tuple, keys)), group,
+                           presentation.generators)
 
 
 def _pin_from_marker(word: Word, target: Permutation

@@ -118,16 +118,21 @@ class Permutation:
         Each cycle starts at its smallest point; cycles are sorted by their
         starting point, giving a canonical form.
         """
-        images, seen, out = self._images, set(), []
-        for start in range(self.degree):
-            if start in seen or images[start] == start:
+        return tuple(map(tuple, self._cycles()))
+
+    def _cycles(self) -> List[List[int]]:
+        """``cycles()`` as lists, in one pass over the images."""
+        images, seen, out = self._images, [False] * len(self._images), []
+        for start, p in enumerate(images):
+            if p == start or seen[start]:  # a later point of a cycle already read
                 continue
-            cycle = [start]
-            while images[cycle[-1]] != start:
-                cycle.append(images[cycle[-1]])
-            seen.update(cycle)
-            out.append(tuple(p + 1 for p in cycle))
-        return tuple(out)
+            cycle = [start + 1]
+            while p != start:
+                seen[p] = True
+                cycle.append(p + 1)
+                p = images[p]
+            out.append(cycle)
+        return out
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()), 1)
@@ -175,7 +180,7 @@ class Permutation:
         return hash(self._images)
 
     def __str__(self) -> str:
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles()) or "()"
+        return "(" + ")(".join([",".join(map(str, c)) for c in self._cycles()]) + ")"
 
     def __repr__(self) -> str:
         return f"Permutation{str(self)!r}"
@@ -368,11 +373,12 @@ def _packing(degree: int):
     hashable key, ``table`` turns one, or a key, into a right operand, and
     ``compose(pack(p), table(q)) == pack(p * q)``.  Up to 256 points a key
     is a byte string, which caches its hash, and ``bytes.translate`` composes
-    through a 256-byte table; above, a key is the tuple, and a tuple of more
-    than one point composes by ``itemgetter``."""
+    through a 256-byte table; above, a key is the tuple, and composes by
+    ``itemgetter``, or by one index for a one-point key, whose image
+    ``itemgetter`` would return bare."""
     if degree <= 256:
         return bytes, lambda images: bytes(images).ljust(256, b"\0"), bytes.translate
-    return tuple, tuple, lambda p, q: itemgetter(*p)(q)
+    return tuple, tuple, lambda p, q: itemgetter(*p)(q) if len(p) > 1 else (q[p[0]],)
 
 
 class _Products:

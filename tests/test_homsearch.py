@@ -357,12 +357,14 @@ class TestImagesConjugate:
 class TestParallelism:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_node_budget_is_global(self, threads, monkeypatch):
-        # the all-homs search of F1 into A5 visits 682 nodes: x walks the 5
+        # the all-homs search of F1 into A5 visits 459 nodes: x walks the 5
         # conjugacy classes of A5, y one value per orbit of C(x) (the 5
-        # classes for x = 1, then 22, 18, 16 and 16 orbits), 77 values, and a
-        # all 60 for each of the 10 (x, y) that pass the first relator;
-        # searches run side by side on several threads share no count, so
-        # each is accepted at a limit of 682 and refused at half of it
+        # classes for x = 1, then 22, 18, 16 and 16 orbits), 77 values, and
+        # of the 10 (x, y) that pass the first relator, the 5 with y = x
+        # give a the orbits of C(x) again, 77 values, and the other 5 a
+        # trivial stabilizer, all 60 values each; searches run side by side
+        # on several threads share no count, so each is accepted at a limit
+        # of 459 and refused at half of it
         def side_by_side():
             barrier = threading.Barrier(threads)
             outcomes = [None] * threads
@@ -382,9 +384,9 @@ class TestParallelism:
                 worker.join(timeout=60)
             return outcomes
 
-        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 682)
-        assert side_by_side() == [682] * threads
-        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 682 // 2)
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 459)
+        assert side_by_side() == [459] * threads
+        monkeypatch.setattr(homsearch, "MAX_SEARCH_NODES", 459 // 2)
         assert side_by_side() == ["refused"] * threads
 
 
@@ -568,7 +570,8 @@ class TestCompiledEvaluator:
         pres = parse("< x | x^2 >")
         assert count_homs(pres, S8).count == 764
         assert passes == [0]
-        # the listing expands each orbit through the same tables
+        # the listing expands each orbit through the same tables, on tuple
+        # keys of one point each, since S8 has more than 256 elements
         listed = count_homs(pres, S8, materialize=True)
         assert listed.leaves == [(i,) for i, p in enumerate(S8.elements)
                                  if (p * p).is_identity]
@@ -753,7 +756,8 @@ class TestOrbitWeightedSearch:
     ], ids=IDS[:4])
     def test_pins_with_trivial_centralizer(self, group, literals):
         values = [parse_permutation(text, group.degree) for text in literals]
-        assert _centralizer_generators(group, [group.index_of(v) for v in values]) == ([], 1)
+        # no generator, and the identity alone as member
+        assert _centralizer_generators(group, [group.index_of(v) for v in values]) == ([], [0])
         rng = random.Random(400 + group.order)
         for _ in range(10):
             pres = self.random_presentation(rng, 3)
@@ -768,7 +772,7 @@ class TestOrbitWeightedSearch:
         # acts through its own generators
         value = parse_permutation(central, group.degree)
         assert (_centralizer_generators(group, [group.index_of(value)])
-                == ([group.index_of(s) for s in group.generators], group.order))
+                == ([group.index_of(s) for s in group.generators], list(range(group.order))))
         rng = random.Random(500 + group.order)
         for _ in range(10):
             pres = self.random_presentation(rng, 3 if group.order < 60 else 2)
@@ -815,6 +819,17 @@ class TestOrbitWeightedSearch:
             lambda mode, listing: meridian_search(F1, "meridian_B", PSL27, sigma,
                                                   mode=mode, materialize=listing))
         assert count > 0
+
+    def test_psl27_listing(self):
+        # the benchmark's listing: x walks the 6 classes of PSL(2,7), y the
+        # orbits of C(x), 197 over the 6, and of the 13 (x, y) that pass the
+        # first relator, the 6 with y = x give a the orbits of C(x) again,
+        # 197 values, and the other 7 a trivial stabilizer, 168 values each
+        naive = count_homs(F1, PSL27, mode="naive", materialize=True)
+        listed = count_homs(F1, PSL27, materialize=True)
+        assert listed.count == naive.count == len(naive.leaves) == 2688
+        assert listed.leaves == naive.leaves == sorted(naive.leaves)
+        assert listed.stats.nodes == 6 + 197 + 197 + 7 * 168 == 1576
 
 
 def _wirtinger(n):
@@ -966,12 +981,13 @@ class TestDeduction:
 
     def test_five_generator_product(self):
         # refused at the node budget before levels were solved; now a walks
-        # A5's 5 classes, b the 77 orbits of C(a) over the 5, c and d their
-        # 60 elements, and e is solved from a*b*c*d*e after a table of 60:
+        # A5's 5 classes, b the 77 orbits of C(a) over the 5, c the 3,675
+        # orbits of C(a, b) over the 77 (a, b), d the 216,341 orbits of
+        # C(a, b, c), and e is solved from a*b*c*d*e after a table of 60:
         # one value for each (a, b, c, d)
         result = count_homs(parse("< a, b, c, d, e | a*b*c*d*e >"), A5)
         assert result.count == 60 ** 4 == 12_960_000
-        assert result.stats.nodes == 5 + 77 + 4_620 + 2 * 277_200 + 60
+        assert result.stats.nodes == 5 + 77 + 3_675 + 2 * 216_341 + 60
 
     @pytest.mark.parametrize("listing", [False, True])
     @pytest.mark.parametrize("case", ["empty", "pinned"])

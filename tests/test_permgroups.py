@@ -79,6 +79,38 @@ class TestPermutation:
         assert str(p) == "(1,2)(3,4)"
         assert str(Permutation.identity(3)) == "()"
 
+    @staticmethod
+    def reference_cycles(images):
+        """Each point's cycle, followed from the point, kept when the point
+        is the cycle's smallest and not fixed."""
+        out = []
+        for start in range(len(images)):
+            cycle = [start]
+            while images[cycle[-1]] != start:
+                cycle.append(images[cycle[-1]])
+            if len(cycle) > 1 and min(cycle) == start:
+                out.append(tuple(p + 1 for p in cycle))
+        return tuple(out)
+
+    def test_cycles_and_text_against_reference(self):
+        rng = random.Random(17)
+        perms = [Permutation.identity(n) for n in (1, 2, 12)]
+        for degree in list(range(1, 13)) * 40:
+            images = list(range(degree))
+            rng.shuffle(images)
+            # keep a random set of points fixed
+            moved = sorted(rng.sample(range(degree), rng.randint(0, degree)))
+            fixed = list(range(degree))
+            for p, q in zip(moved, rng.sample(moved, len(moved))):
+                fixed[p] = q
+            perms += [Permutation(images), Permutation(fixed)]
+        assert any(p.images[0] == 0 and not p.is_identity for p in perms)
+        for p in perms:
+            cycles = self.reference_cycles(p.images)
+            assert p.cycles() == cycles
+            assert str(p) == "".join("(" + ",".join(map(str, c)) + ")" for c in cycles) or "()"
+            assert parse_permutation(str(p), p.degree) == p
+
     def test_parse_round_trip(self):
         for text in ("()", "(1,2)", "(1,5,4,3,2)", "(1,2)(3,4)"):
             assert str(parse_permutation(text, 5)) == text

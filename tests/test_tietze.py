@@ -135,10 +135,10 @@ def marked_family(m):
 
 BASES = [("trefoil", TREFOIL), ("family m=1", marked_family(1)),
          ("family m=2", marked_family(2))]
-# A5 runs the same chains as the smaller groups: the second walked level
-# takes one value per orbit of the first value's stabilizer, so a chain
+# A5 runs the same chains as the smaller groups: each walked level takes
+# one value per orbit of the stabilizer of the values before it, so a chain
 # that moves a relator's generators apart walks well under |A|^3 nodes
-# (at most 559,762 over 120 chains of 4-10 moves on family m = 2).
+# (at most 436,876 over 120 chains of 4-10 moves on family m = 2).
 GROUPS = [symmetric_group(3), alternating_group(4), symmetric_group(4),
           alternating_group(5)]
 PSL27 = group_from_spec("gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]")
@@ -188,35 +188,52 @@ def test_each_move_alone(move):
 MOVES_KEEPING_GENERATORS = tuple(m for m in MOVES if m is not add_generator)
 
 
+def named_leaves(result, names):
+    """A listing's leaves as sorted tuples of (original name, image index)."""
+    back = {new: old for old, new in names.items()}
+    return sorted(tuple(sorted(zip(map(back.get, result.generators), leaf)))
+                  for leaf in result.leaves)
+
+
 @pytest.mark.parametrize("group", [symmetric_group(4), alternating_group(5), PSL27],
                          ids=["S4", "A5", "PSL27"])
 def test_second_level_walk_against_naive(group, monkeypatch):
-    # backtrack walks the level after the first unpinned one (value r) over
-    # the orbits of H_r, the elements of H that commute with r; counts and
+    # backtrack walks each level after the first unpinned one over the
+    # orbits of H_k, the stabilizer of the values before it; counts and
     # listings of moved presentations, with no pin, a pin on each generator
-    # and each marker, must equal naive's.  Every group meets the four
-    # ways into that level: solved by deduction (the family with a pinned),
-    # r's H-orbit one point, so H_r = H (r = 1 unpinned), r's H-orbit as
-    # large as H, so H_r = 1, and a nontrivial proper H_r (an involution r
-    # unpinned)
+    # and each marker, must equal naive's.  The spy records, as (depth,
+    # case), how each such level takes its values: depth 2 right after the
+    # first unpinned level, 3 for any deeper; "solved" (its table's values,
+    # which end the chain), "trivial" (all of A, H_k = 1), "reused" (the
+    # orbits of the level before, H_k = H_(k-1)), "proper" (a nontrivial
+    # proper H_k) or "ended" (all of A, the chain having ended before).
+    # Every group meets the first four at depth 2 and the trivial, reused
+    # and proper ones at depth 3, through the family's three unpinned
+    # generators in the orders that the moves give them
     seen = set()
     walk = homsearch._walk
 
     def spy(values, counted, levels, solved, slots, columns, stats, narrowed=None):
-        first = counted.index(True) if True in counted else None
-        if first is not None and first + 1 < len(values) and solved[first + 1]:
-            assert narrowed is None  # a solved level takes its table's values
-            seen.add("solved")
+        first = counted.index(True) if True in counted else len(values)
+        depth = lambda level: min(level - first + 1, 3)
+        solved_at = [k for k in range(first + 1, len(values)) if solved[k]]
+        if solved_at:
+            seen.add((depth(solved_at[0]), "solved"))
         if narrowed:
-            at, narrow = narrowed
+            narrowing, narrow = narrowed
+            # a solved level takes its table's values
+            assert not any(solved[k] for k in narrowing)
+            taken = {first: values[first]}
 
-            def classify(r):
-                taken = narrow(r)
-                seen.add("H_r = H" if taken is values[at - 1]
-                         else "trivial" if taken is values[at] else "proper")
-                return taken
+            def classify(level, r):
+                got = taken[level] = narrow(level, r)
+                ended = level - 1 > first and taken[level - 1] is values[level - 1]
+                seen.add((depth(level), "ended" if ended
+                          else "trivial" if got is values[level]
+                          else "reused" if got is taken[level - 1] else "proper"))
+                return got
 
-            narrowed = at, classify
+            narrowed = narrowing, classify
         return walk(values, counted, levels, solved, slots, columns, stats, narrowed)
 
     monkeypatch.setattr(homsearch, "_walk", spy)
@@ -246,4 +263,21 @@ def test_second_level_walk_against_naive(group, monkeypatch):
                 listed = search("backtrack", True)
                 assert search("backtrack", False).count == listed.count == naive.count
                 assert listed.leaves == naive.leaves, pres.render()
-    assert seen == {"solved", "H_r = H", "trivial", "proper"}, seen
+    # three unpinned levels, also into PSL(2,7), where naive on a moved
+    # presentation would walk 168^3 assignments: the listing of each chain
+    # of moves must be naive's on the family, generator by generator
+    base = BASES[1][1]
+    sigma = group.elements[-1]
+    for marker in (None, "conjugate"):
+        search = lambda pres, mode, listing: (
+            meridian_search(pres, marker, group, sigma, mode=mode, materialize=listing)
+            if marker else count_homs(pres, group, mode=mode, materialize=listing))
+        naive = search(base, "naive", True)
+        expected = named_leaves(naive, {g: g for g in base.generators})
+        for _ in range(6):
+            moved = random_moves(rng, base, rng.randint(1, 5), MOVES_KEEPING_GENERATORS)
+            listed = search(moved.presentation, "backtrack", True)
+            assert search(moved.presentation, "backtrack", False).count == naive.count
+            assert named_leaves(listed, moved.names) == expected, moved.presentation.render()
+    assert {(2, "solved"), (2, "reused"), (2, "trivial"), (2, "proper"),
+            (3, "reused"), (3, "trivial"), (3, "proper")} <= seen, seen
