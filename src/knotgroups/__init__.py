@@ -44,7 +44,6 @@ from .homsearch import (
     HomSearchResult,
     SearchStats,
     count_homs,
-    is_homomorphism,
     meridian_invariant,
     meridian_search,
 )
@@ -54,7 +53,6 @@ from .permgroups import (
     Permutation,
     alternating_group,
     are_conjugate,
-    find_conjugator,
     generated_group,
     group_from_spec,
     parse_permutation,
@@ -111,13 +109,11 @@ __all__ = [
     "alternating_group",
     "are_conjugate",
     "count_homs",
-    "find_conjugator",
     "format_laurent",
     "fox_derivative",
     "gcd",
     "generated_group",
     "group_from_spec",
-    "is_homomorphism",
     "meridian_invariant",
     "meridian_search",
     "parse",

@@ -325,12 +325,6 @@ def _det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     return -det if negate else det
 
 
-def _row_set_minors(entries: Sequence[Sequence[LaurentPoly]], size: int):
-    """The determinant of each set of ``size`` rows of ``entries`` (of
-    ``size`` columns), in ``combinations`` order, as the caller reads it."""
-    return map(_det, combinations(entries, size))
-
-
 def _unit_inverse(entry: LaurentPoly) -> Optional[LaurentPoly]:
     """u^-1 for a unit u = +-t^k, and None for any other entry."""
     if len(entry._coeffs) == 1:
@@ -485,7 +479,7 @@ def alexander_polynomial(presentation: Presentation,
     # each pivot took one row and one column
     left = size - (rows - len(remnant))
     result = LaurentPoly.zero()
-    for minor in _row_set_minors(remnant, left):
+    for minor in map(_det, combinations(remnant, left)):
         result = laurent_gcd(result, minor)
         if result == phi:
             return LaurentPoly.one()

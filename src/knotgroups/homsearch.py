@@ -193,28 +193,6 @@ class HomSearchResult:
                 for leaf in self.leaves]
 
 
-def check_constraint(presentation: Presentation, group: FiniteGroup,
-                     pins: Mapping[str, Permutation]) -> Dict[str, Permutation]:
-    """Validate a pinning constraint against presentation and group."""
-    out = {}
-    for gen, value in pins.items():
-        if gen not in presentation.generators:
-            raise UnknownGeneratorError(f"pinned generator {quoted(gen)} not declared")
-        if value not in group:
-            raise NotAMemberError(f"pinned value {value} is not an element of {group.label}")
-        out[gen] = value
-    return out
-
-
-def is_homomorphism(presentation: Presentation, group: FiniteGroup,
-                    assignment: Mapping[str, Permutation]) -> bool:
-    """Whether a total generator assignment satisfies every relator."""
-    ident = group.identity
-    return all(
-        rel.evaluate(assignment, group) == ident for rel in presentation.relators
-    )
-
-
 class _Letters(dict):
     """One character per distinct syllable, made when it is first read."""
 
@@ -579,7 +557,12 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     Both count the reduced walk in backtrack (each orbit representative one
     node) and every assignment in naive.
     """
-    pins = check_constraint(presentation, group, constraint or {})
+    pins = dict(constraint or {})
+    for gen, value in pins.items():
+        if gen not in presentation.generators:
+            raise UnknownGeneratorError(f"pinned generator {quoted(gen)} not declared")
+        if value not in group:
+            raise NotAMemberError(f"pinned value {value} is not an element of {group.label}")
     unpinned = [g for g in presentation.generators if g not in pins]
     if mode == "naive" and product_exceeds([group.order] * len(unpinned), MAX_SEARCH_NODES):
         raise GroupTooLargeError(
@@ -702,19 +685,6 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
                            presentation.generators)
 
 
-def _pin_from_marker(word: Word, target: Permutation
-                     ) -> Optional[Dict[str, Permutation]]:
-    """A single-generator marker word (g or g^-1) becomes a direct pin."""
-    if len(word.syllables) != 1:
-        return None
-    gen, exp = word.syllables[0]
-    if exp == 1:
-        return {gen: target}
-    if exp == -1:
-        return {gen: ~target}
-    return None
-
-
 def meridian_search(presentation: Presentation, marker: str,
                     group: FiniteGroup, sigma: Permutation,
                     mode: str = "backtrack", materialize: bool = False
@@ -730,13 +700,11 @@ def meridian_search(presentation: Presentation, marker: str,
         raise UnknownMarkerError(
             f"no marker {quoted(marker)}; have {quoted(sorted(presentation.markers))}"
         )
-    if sigma not in group:
-        raise NotAMemberError(f"{sigma} is not an element of {group.label}")
     word = presentation.markers[marker]
-    pins = _pin_from_marker(word, sigma)
-    if pins is not None:
-        return count_homs(presentation, group, pins, mode=mode,
-                          materialize=materialize)
+    (gen, exp), *rest = word.syllables
+    if not rest and exp in (1, -1):  # g or g^-1: a direct pin
+        return count_homs(presentation, group, {gen: sigma if exp == 1 else ~sigma},
+                          mode=mode, materialize=materialize)
     c = "c"
     while c in presentation.generators:
         c += "'"

@@ -188,9 +188,6 @@ class LaurentPoly:
             return self
         return LaurentPoly._from_clean({e - lo: sign * c for e, c in self._coeffs.items()})
 
-    def is_associate(self, other: "LaurentPoly") -> bool:
-        return self.normalize_up_to_units() == other.normalize_up_to_units()
-
     def exact_divide(self, divisor: "LaurentPoly") -> Optional["LaurentPoly"]:
         """Return self / divisor when the division is exact, else None.
 
@@ -217,9 +214,6 @@ class LaurentPoly:
         offset = self.min_exp() - divisor.min_exp()
         return LaurentPoly._from_clean({i + offset: c for i, c in enumerate(quo) if c != 0})
 
-    def divides(self, other: "LaurentPoly") -> bool:
-        return other.exact_divide(self) is not None
-
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -229,6 +223,8 @@ class LaurentPoly:
         return self._coeffs == q._coeffs
 
     def __hash__(self) -> int:
+        if not self._coeffs.keys() - {0}:  # a constant equals its int
+            return hash(self._coeffs.get(0, 0))
         return hash(self.terms())
 
     def __bool__(self) -> bool:

@@ -65,7 +65,8 @@ class Permutation:
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(images)
-        if sorted(imgs) != list(range(len(imgs))):
+        # a non-int image, 1.0 say, would pass the sorted comparison
+        if not all(isinstance(i, int) for i in imgs) or sorted(imgs) != list(range(len(imgs))):
             raise InvalidParameterError(f"not a bijection of 0..{len(imgs)-1}: {imgs}")
         self._images = imgs
 
@@ -104,9 +105,6 @@ class Permutation:
     @property
     def images(self) -> Tuple[int, ...]:
         return self._images
-
-    def __call__(self, point: int) -> int:
-        return self._images[point]
 
     @property
     def is_identity(self) -> bool:
@@ -546,9 +544,8 @@ def group_from_spec(spec: str) -> FiniteGroup:
     return generated_group(degree, gens, label=s)
 
 
-def find_conjugator(g: Permutation, h: Permutation, group: FiniteGroup
-                    ) -> Optional[Permutation]:
-    """An element k of ``group`` with k * g * ~k == h, or None.
+def are_conjugate(g: Permutation, h: Permutation, group: FiniteGroup) -> bool:
+    """Whether some k in ``group`` has k * g * ~k == h.
 
     Exhaustive search over the whole element list, *not* a cycle-type
     comparison: conjugacy classes of the full symmetric group can split
@@ -558,12 +555,4 @@ def find_conjugator(g: Permutation, h: Permutation, group: FiniteGroup
     for p in (g, h):
         if p not in group:
             raise NotAMemberError(f"{p} is not an element of {group.label}")
-    for k in group.elements:
-        if k * g * ~k == h:
-            return k
-    return None
-
-
-def are_conjugate(g: Permutation, h: Permutation, group: FiniteGroup) -> bool:
-    """Whether g and h are conjugate inside ``group`` (witness discarded)."""
-    return find_conjugator(g, h, group) is not None
+    return any(k * g * ~k == h for k in group.elements)

@@ -71,7 +71,9 @@ from .errors import (
     read_decimal,
 )
 from .words import (
+    NAME_PATTERN,
     RESERVED_NAME_CHARS,
+    _RESERVED,
     Word,
     check_generator_name,
     is_generator_name,
@@ -139,11 +141,6 @@ class Presentation:
                     f"{what} uses undeclared generator {quoted(g)}"
                 )
 
-    def relation_matrix(self) -> list:
-        """Exponent-sum matrix, one row per relator, one column per generator."""
-        sums = [r.exponent_sums() for r in self.relators]
-        return [[s.get(g, 0) for g in self.generators] for s in sums]
-
     def render(self) -> str:
         """Canonical text form (grammar above), ending in a newline."""
         rel = ", ".join(str(r) for r in self.relators)
@@ -203,16 +200,14 @@ def rbg_family(m: int) -> Presentation:
 # The token parser's pattern, one token per match: a symbol (the reserved
 # name characters), an integer, a stray '-' or a name.  No alternative
 # matches whitespace, so findall skips it.
-_SYMBOLS = re.escape("".join(sorted(RESERVED_NAME_CHARS)))
-_SCAN = re.compile(rf"[{_SYMBOLS}]|-?\d+|-|[^\s{_SYMBOLS}]+")
+_SCAN = re.compile(rf"[{_RESERVED}]|-?\d+|-|[^\s{_RESERVED}]+")
 
 # The piece reader's patterns, compiled on first use by the re module's
-# cache: a name token that follows the name rule; the generator list of a
-# text; one '*'-separated piece of a word, name ['^' int]; one marker line.
-_NAME = rf"[^\s\d{_SYMBOLS}-][^\s{_SYMBOLS}]*"
-_HEAD = rf"\s*<\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*"
-_PIECE = rf"\s*({_NAME})\s*(?:\^\s*(-?\d+)\s*)?"
-_MARKER = rf"\s*meridian\s+({_NAME})\s*:(.*)"
+# cache: the generator list of a text; one '*'-separated piece of a word,
+# name ['^' int]; one marker line.
+_HEAD = rf"\s*<\s*({NAME_PATTERN}(?:\s*,\s*{NAME_PATTERN})*)\s*"
+_PIECE = rf"\s*({NAME_PATTERN})\s*(?:\^\s*(-?\d+)\s*)?"
+_MARKER = rf"\s*meridian\s+({NAME_PATTERN})\s*:(.*)"
 
 # Syllables that the powers ``(w)^k``, |k| > 1, of one text may build in total.
 MAX_WORD_SYLLABLES = 10**6

@@ -122,7 +122,7 @@ def check_alexander_matrix_entries() -> None:
         rotated = parse_laurent(EXPECTED["matrix_m1_row1_rotated"][j])
         _expect(got == exact, f"row 1 col {j}: got {got}, expected {exact}")
         _expect(
-            got.is_associate(rotated),
+            got.normalize_up_to_units() == rotated.normalize_up_to_units(),
             f"row 1 col {j}: {got} not an associate of {rotated}",
         )
 
@@ -212,7 +212,7 @@ def check_explicit_homomorphism() -> None:
     sigma = parse_permutation(EXPECTED["pinned_element"], 5)
     for m in (1, 61):
         _expect(
-            homsearch.is_homomorphism(rbg_family(m), a5, assignment),
+            all(rel.evaluate(assignment, a5) == a5.identity for rel in rbg_family(m).relators),
             f"m={m}: assignment is not a homomorphism",
         )
     _expect(
@@ -301,7 +301,8 @@ def check_property_suites() -> None:
         )
         g = laurent_gcd(p, q)
         if not g.is_zero:
-            _expect(g.divides(p) and g.divides(q), f"gcd({p}, {q}) = {g} does not divide both")
+            _expect(p.exact_divide(g) is not None and q.exact_divide(g) is not None,
+                    f"gcd({p}, {q}) = {g} does not divide both")
         else:
             _expect(p.is_zero and q.is_zero, f"gcd({p}, {q}) is zero for nonzero input")
         unit_shift = p.shift(rng.randint(-3, 3))

@@ -10,15 +10,16 @@ Words are immutable and hashable; all operations return new words.
 Generator names follow one rule, the name token of the presentation grammar
 (``presentations``): a nonempty string with no whitespace and none of the
 reserved characters ``^*(),|<>:``, not beginning with a decimal digit or
-``-`` (those begin integers).  This module owns the rule:
-``check_generator_name`` enforces it for ``Word``, ``Word.generator`` and
-``Presentation`` (generator and marker names), and the parser builds its
-scanner from ``RESERVED_NAME_CHARS``, so every accepted name reads back as
-one name token.
+``-`` (those begin integers).  This module owns the rule, as the pattern
+``NAME_PATTERN``: ``check_generator_name`` enforces it for ``Word``,
+``Word.generator`` and ``Presentation`` (generator and marker names), and
+the parser reads names by the same pattern, so every accepted name reads
+back as one name token.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Mapping, Tuple
@@ -30,16 +31,14 @@ Syllable = Tuple[str, int]
 # Characters with a fixed meaning in the presentation grammar; they can
 # never be part of a generator name.  ':' is reserved for marker lines.
 RESERVED_NAME_CHARS = frozenset("^*(),|<>:")
+_RESERVED = re.escape("".join(sorted(RESERVED_NAME_CHARS)))
+NAME_PATTERN = rf"[^\s\d{_RESERVED}-][^\s{_RESERVED}]*"
+_name_match = re.compile(NAME_PATTERN).fullmatch
 
 
 def is_generator_name(name) -> bool:
     """Whether ``name`` follows the name rule (module docstring)."""
-    if not isinstance(name, str) or not name or name[0] == "-" or name[0].isdecimal():
-        return False
-    for ch in name:
-        if ch.isspace() or ch in RESERVED_NAME_CHARS:
-            return False
-    return True
+    return isinstance(name, str) and _name_match(name) is not None
 
 
 def check_generator_name(name: str) -> str:
@@ -140,7 +139,6 @@ class Word:
         u * v     product (freely reduced)
         ~u        inverse
         u ** k    k-th power, ``u ** -1 == ~u``
-        u.conjugate(g)   returns g * u * ~g
     """
 
     __slots__ = ("_syllables", "_generators", "_counts")
@@ -222,10 +220,6 @@ class Word:
         if not isinstance(k, int):
             return NotImplemented
         return Word._trusted(power_syllables(self._syllables, k))
-
-    def conjugate(self, g: "Word") -> "Word":
-        """Conjugate by ``g``: returns ``g * self * ~g``."""
-        return g * self * ~g
 
     def evaluate(self, images: Mapping[str, object], group):
         """Substitute group elements for generators and multiply in ``group``.

