@@ -21,11 +21,16 @@ the prefix, so one pass over a relator's syllables with a running w yields
 its row of the matrix: a syllable g^k adds t^w + t^(w+a) + ... +
 t^(w+(k-1)a) to column g when k > 0, and -(t^(w-a) + ... + t^(w+ka)) when
 k < 0, then w += k*a (Fox, *Free Differential Calculus I*, 1953).  A
-syllable of weight 0 adds k*t^w.  A row is a dict of its nonzero entries
-and skips the column that the minors delete: a syllable of that generator
-only advances w.  That column is expanded only for ``alex --matrix``.
-The monomials all columns would write are bounded by
-``MAX_DERIVATIVE_TERMS``.
+syllable of weight 0 adds k*t^w.  A relator read with runs (``Word.runs``)
+is walked run by run: since d(B^k) = (1 + B + ... + B^(k-1)) dB, a block
+B repeated k times from weight w has its terms computed once, from weight
+0, and each term c*t^e is written at w + e, w + e + a(B), ...,
+w + e + (k-1)*a(B), or as k*c*t^(w+e) when a(B) = 0; then w += k*a(B).  A
+relator without runs is walked syllable by syllable.  A row is a dict of
+its nonzero entries and skips the column that the minors delete: a
+syllable of that generator only advances w.  That column is expanded only
+for ``alex --matrix``.  The monomials all columns would write are bounded
+by ``MAX_DERIVATIVE_TERMS``, counted over the runs when a relator has them.
 
 The gcd of the maximal minors of the matrix generates the first elementary
 ideal, whose normal form is the Alexander polynomial of the presented
@@ -73,7 +78,7 @@ would be mostly zero digits, is eliminated over LaurentPoly.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -171,7 +176,12 @@ def _fox_row(relator: Word, column: Mapping[str, int],
     """The nonzero abelianized derivatives of ``relator`` by the generators
     of ``column``, which maps each to its column, in one pass over its
     syllables: a dict from column to entry, in column order.  A syllable of
-    any other generator only advances the running weight."""
+    any other generator only advances the running weight.
+
+    A relator with runs (``Word.runs``) is walked run by run, and one
+    without is one run of k = 1: such a run is walked syllable by
+    syllable (``_add_terms``), and a block B repeated k > 1 times has its
+    terms computed once (``_add_repeated``)."""
     acc: Dict[int, dict] = {}
     # each generator's terms (None outside ``column``) and weight, one
     # lookup a syllable
@@ -181,7 +191,23 @@ def _fox_row(relator: Word, column: Mapping[str, int],
             j = column.get(g)
             slots[g] = (None if j is None else acc.setdefault(j, {}), weights[g])
     w = 0
-    for name, k in relator.syllables:
+    for block, k in relator.runs or ((relator.syllables, 1),):
+        w = _add_terms(block, slots, w) if k == 1 else _add_repeated(block, k, slots, w)
+    row = {}  # in column order, the order in which the pivots try a row's units
+    for j in sorted(acc):
+        terms = acc[j]
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
+        if terms:
+            row[j] = LaurentPoly._from_clean(terms)
+    return row
+
+
+def _add_terms(syllables, slots: Mapping[str, tuple], w: int) -> int:
+    """Add the abelianized derivative terms of ``syllables``, read from the
+    running weight ``w``, to the terms of ``slots`` (generator -> (terms or
+    None, weight)); returns the weight after them."""
+    for name, k in syllables:
         terms, a = slots[name]
         if terms is None:
             w += k * a
@@ -199,14 +225,34 @@ def _fox_row(relator: Word, column: Mapping[str, int],
             w += k * a
             for e in range(w, w - k * a, a):
                 terms[e] = terms.get(e, 0) - 1
-    row = {}  # in column order, the order in which the pivots try a row's units
-    for j in sorted(acc):
-        terms = acc[j]
-        if 0 in terms.values():
-            terms = {e: c for e, c in terms.items() if c}
-        if terms:
-            row[j] = LaurentPoly._from_clean(terms)
-    return row
+    return w
+
+
+def _add_repeated(block, k: int, slots: Mapping[str, tuple], w: int) -> int:
+    """``_add_terms`` for ``block`` repeated k times.  By d(uv) = du + u dv,
+    copy i of B adds t^(w + i a(B)) times the terms of B, a(B) its weight:
+    each term c t^e of B's is written once at w + e, w + e + a(B), ...,
+    w + e + (k - 1) a(B), by one C-level dict update when none of those
+    exponents is held yet, or as k c t^(w + e) when a(B) = 0."""
+    local = {g: (None if slots[g][0] is None else {}, slots[g][1]) for g, _ in block}
+    a = _add_terms(block, local, 0)
+    for g, (terms, _) in local.items():
+        if not terms:
+            continue
+        target = slots[g][0]
+        for e, c in terms.items():
+            if not c:
+                continue
+            if not a:
+                target[w + e] = target.get(w + e, 0) + k * c
+                continue
+            steps = range(w + e, w + e + k * a, a)
+            if target.keys().isdisjoint(steps):
+                target.update(zip(steps, repeat(c)))
+            else:
+                for s in steps:
+                    target[s] = target.get(s, 0) + c
+    return w + k * a
 
 
 def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:

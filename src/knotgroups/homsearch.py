@@ -454,8 +454,7 @@ def _centralizer_generators(group: FiniteGroup, fixed: Sequence[int],
     n, columns = group.order, group.columns
     members = members or range(n)
     for p in fixed:
-        conj = group.conjugates(p)
-        members = [h for h in members if conj[h] == h]
+        members = group.centralized(p, members)
     if len(members) == n:
         return [group.index_of(s) for s in group.generators], members
     gens: List[int] = []

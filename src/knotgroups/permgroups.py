@@ -244,6 +244,8 @@ class FiniteGroup:
         # per element i, the indices of i^0, i^1, ... up to its order
         self._cycles: Optional[List[List[int]]] = None
         self._powers: Dict[int, Sequence[int]] = {}
+        # per element s read so far, the index of s*x*s^-1 at position x
+        self._conjugates: Dict[int, List[int]] = {}
 
     @property
     def order(self) -> int:
@@ -293,17 +295,36 @@ class FiniteGroup:
         return table
 
     def conjugates(self, s: int) -> List[int]:
-        """The index of s*x*s^-1 for each element x, in index order: two
-        lookups an entry in the product table, or above ``TABLE_MAX_ORDER``
-        two compositions of keys and one dict lookup, with no column made."""
+        """The index of s*x*s^-1 for each element x, in index order,
+        computed once per element s and kept (``_conjugate``)."""
+        table = self._conjugates.get(s)
+        if table is None:
+            table = self._conjugates[s] = self._conjugate(s, range(self.order))
+        return table
+
+    def centralized(self, s: int, members: Sequence[int]) -> List[int]:
+        """The elements of ``members`` that commute with s, in their order:
+        read from s's kept conjugation table when it has one, or when
+        ``members`` is every element, and else from one conjugation per
+        member, with no table made."""
+        if s in self._conjugates or len(members) == self.order:
+            table = self.conjugates(s)
+            return [x for x in members if table[x] == x]
+        return [x for x, y in zip(members, self._conjugate(s, members)) if x == y]
+
+    def _conjugate(self, s: int, xs: Sequence[int]) -> List[int]:
+        """The index of s*x*s^-1 for each x of ``xs``: two lookups an entry
+        in the product table, or above ``TABLE_MAX_ORDER`` two compositions
+        of keys and one dict lookup, with no column made."""
         if self.order > TABLE_MAX_ORDER:
             pack, table, compose = _packing(self.degree)
-            key, at = self._keys[s], self._at
+            keys, at = self._keys, self._at
+            key = keys[s]
             back = table(pack(sorted(range(self.degree), key=key.__getitem__)))
-            return [at[compose(compose(key, table(x)), back)] for x in self._keys]
+            return [at[compose(compose(key, table(keys[x])), back)] for x in xs]
         columns = self.columns
         by = columns[self.powers(-1)[s]]  # x -> x*s^-1
-        return [columns[by[x]][s] for x in range(self.order)]
+        return [columns[by[x]][s] for x in xs]
 
     def _table(self) -> List[Sequence[int]]:
         n = self.order

@@ -7,6 +7,15 @@ so structural equality of reduced words is equality in the free group.
 
 Words are immutable and hashable; all operations return new words.
 
+A word read by the presentation parser may also carry the periodic runs
+it was written with: ``Word.runs`` is a tuple of (block, k), each block a
+reduced syllable tuple, whose expansion, the blocks repeated k times and
+joined in order, is exactly ``syllables``.  Only the piece reader
+(``presentations``) sets them, for a long word written with repeated
+blocks; every word operation returns a word without runs.  Equality and
+hashing read the syllables alone, and the runs only spare a pass over
+each repeated syllable in ``syllable_counts`` and in ``fox``'s rows.
+
 Generator names follow one rule, the name token of the presentation grammar
 (``presentations``): a nonempty string with no whitespace and none of the
 reserved characters ``^*(),|<>:``, not beginning with a decimal digit or
@@ -22,7 +31,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from .errors import InvalidParameterError, MissingImageError, quoted
 
@@ -139,9 +148,12 @@ class Word:
         u * v     product (freely reduced)
         ~u        inverse
         u ** k    k-th power, ``u ** -1 == ~u``
+
+    ``runs`` is None, or, for a word the piece reader read, the (block, k)
+    runs whose expansion is ``syllables`` (module docstring).
     """
 
-    __slots__ = ("_syllables", "_generators", "_counts")
+    __slots__ = ("_syllables", "_generators", "_counts", "_runs")
 
     def __init__(self, syllables: Iterable[Syllable] = ()):
         # the result keeps the given syllables, so each must be a tuple
@@ -151,16 +163,19 @@ class Word:
         self._syllables = reduced
         self._generators = None
         self._counts = None
+        self._runs = None
 
     @classmethod
-    def _trusted(cls, syllables: Tuple[Syllable, ...]) -> "Word":
+    def _trusted(cls, syllables: Tuple[Syllable, ...], runs=None) -> "Word":
         """Wrap a reduced syllable tuple whose generator names are already
         valid (the results of word operations, and parsed words whose
-        names were matched against a declared set)."""
+        names were matched against a declared set); ``runs``, if given,
+        must expand exactly to ``syllables``."""
         word = object.__new__(cls)
         word._syllables = syllables
         word._generators = None
         word._counts = None
+        word._runs = runs
         return word
 
     # -- construction helpers ------------------------------------------
@@ -180,6 +195,11 @@ class Word:
         return self._syllables
 
     @property
+    def runs(self) -> Optional[Tuple[Tuple[Tuple[Syllable, ...], int], ...]]:
+        """The (block, k) runs the word was read with, or None."""
+        return self._runs
+
+    @property
     def is_identity(self) -> bool:
         return not self._syllables
 
@@ -195,9 +215,18 @@ class Word:
 
     def syllable_counts(self) -> Tuple[Tuple[Syllable, int], ...]:
         """(syllable, occurrences) for each distinct syllable, in order of
-        first occurrence; counted at C level on first use, then kept."""
+        first occurrence; counted at C level on first use, then kept.  A
+        word with runs reads each block once, adding k for each of its
+        syllables."""
         if self._counts is None:
-            self._counts = tuple(Counter(self._syllables).items())
+            if self._runs is None:
+                self._counts = tuple(Counter(self._syllables).items())
+            else:
+                counts: dict = {}
+                for block, k in self._runs:
+                    for syllable in block:
+                        counts[syllable] = counts.get(syllable, 0) + k
+                self._counts = tuple(counts.items())
         return self._counts
 
     def exponent_sums(self) -> dict:

@@ -90,6 +90,17 @@ class TestParseCommand:
         assert code == 0
         assert out.strip() == "< x, y | x*y^1000000000*x^-1 >"
 
+    def test_million_syllable_family(self, tmp_path, capsys):
+        # family --m 250000 writes 10^6 syllables out in full: the text
+        # parses back to itself, and alex stops at MAX_DERIVATIVE_TERMS
+        text = rbg_family(250000).render()
+        assert parse(text).render() == text
+        path = write(tmp_path, "f250k.pres", text)
+        code, out, err = run(capsys, "alex", path)
+        assert (code, out) == (3, "")
+        assert err == ("error: the Fox derivatives expand to 1000010 monomials, "
+                       f"over the limit of {fox.MAX_DERIVATIVE_TERMS}\n")
+
 
 class TestAlexCommand:
     def test_family_m1(self, tmp_path, capsys):

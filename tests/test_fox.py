@@ -34,7 +34,13 @@ from knotgroups.presentations import (
 )
 from knotgroups.words import Word
 from test_knot_symmetry import torus_presentation, wirtinger_torus
-from test_presentations import planted_relation_matrices
+from test_presentations import (
+    NAMES,
+    planted_relation_matrices,
+    read_with_runs,
+    run_word_text,
+    run_words,
+)
 from test_tietze import (
     MOVES,
     TREFOIL,
@@ -190,6 +196,24 @@ class TestTermGuard:
         with pytest.raises(DerivativeTooLargeError, match="expand to 8 monomials"):
             alexander_matrix(pres)
 
+    def test_limit_is_the_same_with_runs(self, monkeypatch):
+        # (x^2 y^-1)^200 x: weights a(x) = 200, a(y) = 401, and the rows
+        # expand to 2*200 + 200 + 1 = 601 monomials, counted over the runs
+        # as over the syllables
+        text = "< x, y | " + "x^2*y^-1*" * 200 + "x >"
+        pres = parse(text)
+        assert pres.relators[0].runs is not None
+        plain = Presentation(pres.generators, [Word._trusted(pres.relators[0].syllables)])
+        assert plain.relators[0].runs is None
+        for limit, fits in ((601, True), (600, False)):
+            monkeypatch.setattr(fox, "MAX_DERIVATIVE_TERMS", limit)
+            for p in (pres, plain):
+                if fits:
+                    assert alexander_matrix(p).shape == (1, 2)
+                else:
+                    with pytest.raises(DerivativeTooLargeError, match="expand to 601 monomials"):
+                        alexander_matrix(p)
+
     def test_weight_zero_syllables_cost_one_term(self):
         # y has weight 0, so y^N contributes N*t^w in one monomial
         big = 100000000
@@ -325,8 +349,26 @@ long_words = st.lists(
 weight = st.integers(min_value=-3, max_value=3)
 
 
+def _read_run_word(segments):
+    """The word of ``segments``, each (block, k), written out as text and
+    parsed, so that it keeps the runs it was written with."""
+    text = "*".join("*".join([f"{g}^{e}" for g, e in block] * k) for block, k in segments)
+    pres = read_with_runs(f"< x, y, a | {text} >")
+    return pres.relators[0] if pres.relators else Word.identity()
+
+
+# blocks of distinct generators, so that most words keep their runs
+short_blocks = st.builds(
+    lambda names, exps: list(zip(names, exps)),
+    st.permutations(("x", "y", "a")),
+    st.lists(st.integers(min_value=-3, max_value=3).filter(bool), min_size=1, max_size=3))
+short_run_words = st.lists(st.tuples(short_blocks, st.integers(min_value=1, max_value=5)),
+                           min_size=1, max_size=3).map(_read_run_word)
+
+
 @settings(max_examples=300)
-@given(long_words, weight, weight, weight, st.sets(st.sampled_from(("x", "y", "a"))))
+@given(st.one_of(long_words, short_run_words), weight, weight, weight,
+       st.sets(st.sampled_from(("x", "y", "a"))))
 def test_one_pass_row_matches_fox_derivative(w, wx, wy, wa, skipped):
     # the row holds the nonzero derivatives by the generators of the
     # column map, in column order; the others only advance the weight
@@ -336,6 +378,25 @@ def test_one_pass_row_matches_fox_derivative(w, wx, wy, wa, skipped):
     expected = {j: abelianize_ring_element(fox_derivative(w, g), weights)
                 for j, g in enumerate(gens) if g not in skipped}
     assert row == {j: poly for j, poly in expected.items() if poly}
+    assert list(row) == sorted(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_words, st.lists(weight, min_size=len(NAMES), max_size=len(NAMES)),
+       st.sets(st.sampled_from(NAMES)))
+def test_run_rows_match_per_syllable_rows(segments, weights, skipped):
+    # a word with runs has the rows and the syllable counts, in the same
+    # order, of the same syllables without them
+    pres = read_with_runs(f"< {', '.join(NAMES)} | {run_word_text(segments)} >")
+    if not pres.relators:
+        return
+    w = pres.relators[0]
+    plain = Word._trusted(w.syllables)
+    assert w.syllable_counts() == plain.syllable_counts()
+    weights = dict(zip(NAMES, weights))
+    column = {g: j for j, g in enumerate(NAMES) if g not in skipped}
+    row = _fox_row(w, column, weights)
+    assert row == _fox_row(plain, column, weights)
     assert list(row) == sorted(row)
 
 

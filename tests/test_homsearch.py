@@ -582,6 +582,22 @@ class TestCompiledEvaluator:
                                  if (p * p).is_identity]
         assert len(listed.leaves) == 764
 
+    @pytest.mark.parametrize("degree,count", [(5, 960), (6, 13680)])
+    def test_each_conjugation_table_made_once(self, monkeypatch, degree, count):
+        # family m = 1 into S5 and S6: within one search no element's
+        # conjugation table is made twice, and a centralizer inside H
+        # conjugates H's members alone
+        group = symmetric_group(degree)
+        passes = []
+        conjugate = permgroups.FiniteGroup._conjugate
+        monkeypatch.setattr(permgroups.FiniteGroup, "_conjugate",
+                            lambda self, s, xs: passes.append((s, len(xs)))
+                            or conjugate(self, s, xs))
+        assert count_homs(rbg_family(1), group).count == count
+        tables = [s for s, size in passes if size == group.order]
+        assert len(tables) == len(set(tables)) > 0
+        assert any(size < group.order for _, size in passes)
+
     def test_word_marker_above_table_limit(self):
         # the marker x*y as meridian_search builds it: a relator x*y*c^-1
         # on a new generator c pinned to sigma

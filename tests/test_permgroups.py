@@ -315,15 +315,22 @@ class TestConjugacy:
     @pytest.mark.parametrize("points", [0, 7, 300], ids=["PSL27", "S7", "S7-on-300"])
     def test_conjugation_tables(self, points):
         # from the product table up to TABLE_MAX_ORDER, and above it from
-        # keys: bytes on 7 points, tuples on 300
-        group = PSL27 if not points else generated_group(points, [
+        # keys: bytes on 7 points, tuples on 300; each group is new, so it
+        # keeps no table yet
+        group = generated_group(7, PSL27.generators) if not points else generated_group(points, [
             Permutation((1, 0) + tuple(range(2, points))),
             Permutation((1, 2, 3, 4, 5, 6, 0) + tuple(range(7, points)))])
         assert (group.order > TABLE_MAX_ORDER) == bool(points)
         elements = group.elements
         for s in (1, len(elements) - 1):
-            assert group.conjugates(s) == [
-                group.index_of(elements[s] * x * ~elements[s]) for x in elements]
+            table = [group.index_of(elements[s] * x * ~elements[s]) for x in elements]
+            # a subset of the elements is conjugated alone, with no table kept
+            members = list(range(0, len(elements), 3))
+            assert group.centralized(s, members) == [x for x in members if table[x] == x]
+            assert s not in group._conjugates
+            assert group.conjugates(s) == table
+            assert group.conjugates(s) is group.conjugates(s)  # made once, kept
+            assert group.centralized(s, members) == [x for x in members if table[x] == x]
 
     def test_five_cycle_conjugate_to_inverse_in_a5(self):
         assert are_conjugate(SIGMA, ~SIGMA, A5)

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -794,6 +795,13 @@ DIGITS = "9" * 5000
     "< x | (x)meridian >", "< x, y | >\nmeridian m: x meridian n: y\n",
     "< x, y | >\nmeridian m: (x)meridian n: y^2", "< x | x >\nmeridian m: x\nmeridian m: x",
     "< x, meridian | x >", "< x, x | x*y >",
+    # long words whose runs merge: a block whose ends share a generator,
+    # a run followed by its inverse, x^0 inside a block, and blocks that
+    # reduce to one syllable or none
+    "< x, y | " + "x*y*x^2*" * 60 + "y >",
+    "< x, y | " + "x*y^-1*" * 60 + "y*x^-1*" * 59 + "y >",
+    "< x, y | " + "x*y^0*" * 80 + "y >",
+    "< x, y | " + "x*x^-1*" * 80 + "y*x*y*x*" * 30 + "y >",
 ])
 def test_piece_reader_pinned_texts(text):
     assert _outcome(parse, text) == _outcome(_token_parse, text)
@@ -822,6 +830,113 @@ def test_piece_reader_needs_no_token_parser(monkeypatch):
     monkeypatch.setattr(presentations, "_Parser", refuse)
     for text, pres in zip(texts, expected):
         assert _outcome(parse, text) == _outcome(lambda: pres)
+
+
+# -- runs: repeated blocks read once ----------------------------------------------
+#
+# The piece reader reads a block of pieces written out several times in a
+# row once, and the word keeps the runs (block, k) it was written with.
+# These texts repeat blocks of 1 to 8 pieces 2 to 300 times, with spaces,
+# x^1 and x^0 spellings, blocks whose ends share a generator, runs followed
+# by their inverse, runs in marker lines and faults inside runs; every word
+# is searched for runs, however short, and also at the default length.
+
+
+def read_with_runs(text):
+    """``parse(text)``, with every word searched for runs."""
+    with mock.patch.object(presentations, "_SHORT_WORD_CHARS", 0):
+        return parse(text)
+
+
+def expand_runs(word):
+    return tuple(s for block, k in word.runs for _ in range(k) for s in block)
+
+
+def _piece_text(piece):
+    name, exp, gap = piece
+    body = name if exp is None else f"{name}{gap}^{gap}{exp}"
+    return f"{gap}{body}{gap}"
+
+
+def _inverse_block(block):
+    return [(name, -(1 if exp is None else exp), gap) for name, exp, gap in reversed(block)]
+
+
+run_pieces = st.tuples(st.sampled_from(NAMES),
+                       st.sampled_from((None, None, None, 1, -1, 0, 2, -3)),
+                       st.sampled_from(("", "", " ")))
+# half the blocks have distinct generators, so that they can stay whole
+distinct_blocks = st.builds(
+    lambda names, pieces: [(name, exp, gap) for name, (_, exp, gap) in zip(names, pieces)],
+    st.permutations(NAMES), st.lists(run_pieces, min_size=2, max_size=6))
+# (kind, block, k): a "run" writes the block k times, a "wrap" too with the
+# block's first generator again at its end, a "gap" once, and an "inverse"
+# the last block's inverse k times
+run_segments = st.tuples(st.sampled_from(("run",) * 4 + ("wrap", "gap", "gap", "inverse")),
+                         st.one_of(st.lists(run_pieces, min_size=1, max_size=8), distinct_blocks),
+                         st.integers(2, 300))
+run_words = st.lists(run_segments, min_size=1, max_size=4)
+
+
+def run_word_text(segments, fault=None, rng=None):
+    """The text of a word of ``run_segments``; ``fault`` ("undeclared" or
+    "exponent") spoils one piece of one block, in every copy of it."""
+    blocks, last = [], [("x", None, "")]
+    for kind, block, k in segments:
+        if kind == "wrap":
+            block = block + [(block[0][0], None, "")]
+        elif kind == "inverse":
+            block = _inverse_block(last)
+        blocks.append([list(map(_piece_text, block)), 1 if kind == "gap" else k])
+        last = block
+    if fault:
+        pieces = rng.choice(blocks)[0]
+        at = rng.randrange(len(pieces))
+        pieces[at] = "zz" if fault == "undeclared" else pieces[at].split("^")[0] + "^²"
+    return "*".join("*".join(pieces * k) for pieces, k in blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(run_words, min_size=1, max_size=2), st.lists(run_words, max_size=2),
+       st.sampled_from((None, None, "undeclared", "exponent")), rngs)
+def test_piece_reader_reads_runs(relators, markers, fault, rng):
+    spoiled = rng.randrange(len(relators) + len(markers)) if fault else None
+    texts = [run_word_text(w, fault if i == spoiled else None, rng)
+             for i, w in enumerate(relators + markers)]
+    text = (f"< {', '.join(NAMES)} | {', '.join(texts[:len(relators)])} >\n"
+            + "".join(f"meridian mu{i}: {w}\n" for i, w in enumerate(texts[len(relators):])))
+    expected = _outcome(_token_parse, text)
+    assert _outcome(read_with_runs, text) == expected
+    assert _outcome(parse, text) == expected
+    if fault:
+        assert isinstance(expected[0], type)  # the spoiled text is refused
+        return
+    try:
+        pres = read_with_runs(text)
+    except KnotGroupsError:
+        return  # a marker that reduces to the identity
+    for word in pres.relators + tuple(pres.markers.values()):
+        if word.runs is not None:
+            assert expand_runs(word) == word.syllables
+            assert all(block for block, _ in word.runs)
+
+
+def test_long_words_carry_runs():
+    # the family's long relator is read as y (x y)^m (x^-1 y^-1)^m x^-1;
+    # the short one, and every word of a short text, carry no runs
+    for m in (29, 181):
+        long, short = parse(rbg_family(m).render()).relators
+        assert list(long.runs) == [
+            ((("y", 1),), 1), ((("x", 1), ("y", 1)), m),
+            ((("x", -1), ("y", -1)), m), ((("x", -1),), 1)]
+        assert expand_runs(long) == long.syllables == rbg_family(m).relators[0].syllables
+        assert short.runs is None
+    assert all(w.runs is None for w in parse(rbg_family(28).render()).relators)
+    # a word operation returns a word without runs, equal and hashed alike
+    long = parse(rbg_family(181).render()).relators[0]
+    plain = Word._trusted(long.syllables)
+    assert long == plain and hash(long) == hash(plain)
+    assert (long * Word.identity()).runs is None and (long ** 1).runs is None
 
 
 class TestPowers:
