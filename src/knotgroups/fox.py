@@ -21,16 +21,16 @@ the prefix, so one pass over a relator's syllables with a running w yields
 its row of the matrix: a syllable g^k adds t^w + t^(w+a) + ... +
 t^(w+(k-1)a) to column g when k > 0, and -(t^(w-a) + ... + t^(w+ka)) when
 k < 0, then w += k*a (Fox, *Free Differential Calculus I*, 1953).  A
-syllable of weight 0 adds k*t^w.  A relator read with runs (``Word.runs``)
-is walked run by run: since d(B^k) = (1 + B + ... + B^(k-1)) dB, a block
+syllable of weight 0 adds k*t^w.  A relator is walked run by run
+(``Word.runs``): since d(B^k) = (1 + B + ... + B^(k-1)) dB, a block
 B repeated k times from weight w has its terms computed once, from weight
 0, and each term c*t^e is written at w + e, w + e + a(B), ...,
-w + e + (k-1)*a(B), or as k*c*t^(w+e) when a(B) = 0; then w += k*a(B).  A
-relator without runs is walked syllable by syllable.  A row is a dict of
+w + e + (k-1)*a(B), or as k*c*t^(w+e) when a(B) = 0; then w += k*a(B), and
+a run of k = 1 is walked syllable by syllable.  A row is a dict of
 its nonzero entries and skips the column that the minors delete: a
 syllable of that generator only advances w.  That column is expanded only
 for ``alex --matrix``.  The monomials all columns would write are bounded
-by ``MAX_DERIVATIVE_TERMS``, counted over the runs when a relator has them.
+by ``MAX_DERIVATIVE_TERMS``, counted over the runs.
 
 The gcd of the maximal minors of the matrix generates the first elementary
 ideal, whose normal form is the Alexander polynomial of the presented
@@ -178,10 +178,9 @@ def _fox_row(relator: Word, column: Mapping[str, int],
     syllables: a dict from column to entry, in column order.  A syllable of
     any other generator only advances the running weight.
 
-    A relator with runs (``Word.runs``) is walked run by run, and one
-    without is one run of k = 1: such a run is walked syllable by
-    syllable (``_add_terms``), and a block B repeated k > 1 times has its
-    terms computed once (``_add_repeated``)."""
+    The relator is walked run by run (``Word.runs``): a run of k = 1
+    syllable by syllable (``_add_terms``), and a block B repeated k > 1
+    times has its terms computed once (``_add_repeated``)."""
     acc: Dict[int, dict] = {}
     # each generator's terms (None outside ``column``) and weight, one
     # lookup a syllable
@@ -191,7 +190,7 @@ def _fox_row(relator: Word, column: Mapping[str, int],
             j = column.get(g)
             slots[g] = (None if j is None else acc.setdefault(j, {}), weights[g])
     w = 0
-    for block, k in relator.runs or ((relator.syllables, 1),):
+    for block, k in relator.runs:
         w = _add_terms(block, slots, w) if k == 1 else _add_repeated(block, k, slots, w)
     row = {}  # in column order, the order in which the pivots try a row's units
     for j in sorted(acc):

@@ -25,7 +25,7 @@ pinned:
     ends the narrowing, and H_(k+1) = H_k when it has one, whose orbits it
     reuses; only the other values filter H_k's members and compute new
     orbits, as the level is entered.  All homomorphisms of the family's
-    m = 1 into PSL(2,7) then take 1,576 nodes, not 8,070.  When counting, a
+    m = 1 into PSL(2,7) then take 1,576 nodes.  When counting, a
     generator in no relator is not walked at all: it multiplies the count
     by |A|, or by 1 if pinned.
 
@@ -65,15 +65,15 @@ So a search has one kind of pin, a level with a single value, and one kind
 of condition, a relator checked at its last walked level.
 
 Both engines share one evaluator.  Each relator is compiled once per search
-into a straight-line program over the group's element indices (Lohrey, *The
-Compressed Word Problem for Groups*, 2014).  A step is one (slot, power
-table) pair and costs one lookup in the group's product table
-(``FiniteGroup.columns``).  Outside periodic runs a step is one syllable.  A
-run B^k of a block B of 2 to ``_MAX_PERIOD`` syllables, k >= 2, is one
-temporary u = B (one step per syllable of B, stored in a slot past the
-walked generators) and one step u^k through ``FiniteGroup.powers(k)``; a
-later run of B or of B's inverse reuses u.  So every run costs fewer
-lookups than it has syllables, |B| + 1 against k|B|, and the family relator
+into a straight-line program over the group's element indices from its
+runs (``Word.runs``; Lohrey, *The Compressed Word Problem for Groups*,
+2014).  A step is one (slot, power table) pair and costs one lookup in the
+group's product table (``FiniteGroup.columns``).  A run of k = 1 is one
+step per syllable.  A repeated block B^k is one temporary u = B (one step
+per syllable of B, stored in a slot past the walked generators) and one
+step u^k through ``FiniteGroup.powers(k)``; a later run of B or of B's
+inverse reuses u.  So every run costs fewer lookups than it has
+syllables, |B| + 1 against k|B|, and the family relator
 (yx)^m y (yx)^-m x^-1 costs 6 lookups for every m >= 2, not 4m + 2.
 
 The walk runs one list of programs per level (``_schedule``), in order, for
@@ -96,8 +96,6 @@ level is a solution there.
 
 from __future__ import annotations
 
-import re
-import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
@@ -145,19 +143,6 @@ StraightLine = Tuple[Tuple[Line, ...], Program]
 # The orbits of a subgroup acting on A by conjugation (_conjugation_orbits).
 Orbits = Dict[int, List[Optional[Tuple[int, Sequence[int]]]]]
 
-# The longest block a periodic run may repeat.  A run of syllables B^k
-# (2 <= |B| <= _MAX_PERIOD, k >= 2) is found by one pattern over the word
-# spelled one character per distinct syllable: at each start the shortest
-# block, repeated as often as it goes (nothing follows the repeat, so it
-# never gives a copy back).  Adjacent syllables of a reduced word never
-# repeat each other, so there is no block of one syllable.
-_MAX_PERIOD = 8
-_RUN = re.compile(r"(.{2,%d}?)\1+" % _MAX_PERIOD, re.DOTALL)
-# A word with more distinct syllables than there are characters cannot be
-# spelled, and compiles to its flat program.
-_CHARACTERS = sys.maxunicode + 1
-
-
 @dataclass
 class SearchStats:
     """Work counters of one search."""
@@ -193,49 +178,31 @@ class HomSearchResult:
                 for leaf in self.leaves]
 
 
-class _Letters(dict):
-    """One character per distinct syllable, made when it is first read."""
-
-    def __missing__(self, syllable: Tuple[str, int]) -> str:
-        if len(self) == _CHARACTERS:
-            raise ValueError("more distinct syllables than characters")
-        letter = self[syllable] = chr(len(self))
-        return letter
-
-
 def _compile(word: Word, slots: Mapping[str, int], group: FiniteGroup,
              first_temporary: int) -> StraightLine:
-    """The straight-line program of ``word`` (module docstring), generator g
-    read from slot ``slots[g]`` and the temporaries stored from slot
-    ``first_temporary`` on."""
-    syllables = word.syllables
-    letters = _Letters()
-    try:
-        spelled = "".join(map(letters.__getitem__, syllables))
-    except ValueError:  # no spelling, so no runs: the flat program
-        spelled, letters = "", dict.fromkeys(syllables)
+    """The straight-line program of ``word`` (module docstring), read from
+    its runs, generator g read from slot ``slots[g]`` and the temporaries
+    stored from slot ``first_temporary`` on."""
+    runs = word.runs
     # one step per distinct syllable, shared by its occurrences
-    step = {s: (slots[s[0]], group.powers(s[1])) for s in letters}.__getitem__
+    step = {s: (slots[s[0]], group.powers(s[1]))
+            for block, _ in runs for s in block}.__getitem__
     lines: List[Line] = []
     temporaries: Dict[Tuple[Tuple[str, int], ...], int] = {}
     steps: List[Step] = []
-    done = 0
-    for run in _RUN.finditer(spelled):
-        start, end, period = run.start(), run.end(), len(run.group(1))
-        repeats = (end - start) // period
-        block = syllables[start:start + period]
+    for block, k in runs:
+        if k == 1:
+            steps.extend(map(step, block))
+            continue
         inverse = tuple((g, -e) for g, e in reversed(block))
         if inverse in temporaries:
-            slot, repeats = temporaries[inverse], -repeats
+            slot, k = temporaries[inverse], -k
         elif block in temporaries:
             slot = temporaries[block]
         else:
             slot = temporaries[block] = first_temporary + len(lines)
             lines.append((slot, tuple(map(step, block))))
-        steps.extend(map(step, syllables[done:start]))
-        steps.append((slot, group.powers(repeats)))
-        done = end
-    steps.extend(map(step, syllables[done:]))
+        steps.append((slot, group.powers(k)))
     return tuple(lines), tuple(steps)
 
 

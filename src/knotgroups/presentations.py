@@ -43,14 +43,15 @@ than filling memory.
 Words are read as pieces: the relator block is split at ``,`` and each
 word at ``*``, and each distinct piece, ``name ['^' integer]``, is read
 once per text, so a word is one table lookup per piece and one free
-reduction.  A word of more than ``_SHORT_WORD_CHARS`` characters is first
-searched for runs, blocks of 2 to 8 pieces written out at least twice in
-a row, by one pattern over its text.  Each block is looked up and reduced
-once, its copies are made by tuple repetition, and the word keeps the
-runs it was written with (``Word.runs``), which ``fox`` and the syllable
-counts read instead of every syllable.  When a block's first and last
-syllables, or two adjacent segments, share a generator, the word is
-reduced whole instead, so its syllables never depend on the runs.
+reduction.  A word of two or more pieces is read for runs by the one run
+rule of ``words`` (``find_runs``) over its text, stripped of the
+whitespace around it: each block of 2 to 8 pieces written out at least
+twice in a row is looked up and reduced once, its copies are made by
+tuple repetition, and the word keeps the runs it was written with
+(``Word.runs``).  When a block's first and last syllables, or two
+adjacent segments, share a generator, the word is reduced whole instead,
+so its syllables never depend on the runs, and its runs are found from
+its syllables when first read.
 
 The token parser ``_Parser`` reads the same grammar token by token.  It
 is the reference the tests hold the piece reader to, and it reads every
@@ -85,6 +86,7 @@ from .words import (
     _RESERVED,
     Word,
     check_generator_name,
+    find_runs,
     is_generator_name,
     power_length,
     power_syllables,
@@ -213,21 +215,10 @@ _SCAN = re.compile(rf"[{_RESERVED}]|-?\d+|-|[^\s{_RESERVED}]+")
 
 # The piece reader's patterns, compiled on first use by the re module's
 # cache: the generator list of a text; one '*'-separated piece of a word,
-# name ['^' int]; one marker line; a run, a block of 2 to 8 pieces from a
-# piece boundary (group 1), the shortest first, written out again at least
-# once right after itself and ending at a piece boundary.
+# name ['^' int]; one marker line.
 _HEAD = rf"\s*<\s*({NAME_PATTERN}(?:\s*,\s*{NAME_PATTERN})*)\s*"
 _PIECE = rf"\s*({NAME_PATTERN})\s*(?:\^\s*(-?\d+)\s*)?"
 _MARKER = rf"\s*meridian\s+({NAME_PATTERN})\s*:(.*)"
-_RUN = r"(?<![^*])((?:[^*]+\*){1,7}?[^*]+)(?:\*\1)+(?![^*])"
-
-# Longest word text that the piece reader reads without looking for runs.
-# Finding runs costs a few microseconds more than it saves until a word
-# has some 400 characters: ``alex`` on ``family --m M``, whose long
-# relator is written with 14M + 7 characters, takes the same time either
-# way at M = 27 or 28 (385 and 399 characters; CPython 3.11, 2-vCPU Xeon),
-# and less above.
-_SHORT_WORD_CHARS = 400
 
 # Syllables that the powers ``(w)^k``, |k| > 1, of one text may build in total.
 MAX_WORD_SYLLABLES = 10**6
@@ -269,17 +260,20 @@ class _Unread(Exception):
 def _read_word(text: str, declared: set, syllables: dict) -> Word:
     """The word ``text``, without parentheses, for the generators
     ``declared`` (all valid names); ``syllables`` holds the syllable of
-    every piece read so far in the text, so each distinct piece is read once.
-    A text longer than ``_SHORT_WORD_CHARS`` is first read for runs
-    (``_read_runs``)."""
-    if len(text) > _SHORT_WORD_CHARS:
-        word = _read_runs(text, declared, syllables)
-        if word is not None:
-            return word
-    pieces = text.split("*")
-    _read_new_pieces(pieces, declared, syllables)
-    # every name was matched against the declared set, so none needs a check
-    return Word._trusted(reduce_syllables(map(syllables.__getitem__, pieces)))
+    every piece read so far in the text, so each distinct piece is read
+    once.  Stripped of the whitespace around it, a word of two or more
+    pieces is read for runs (``find_runs``); one of a single piece, or whose
+    runs merge, is reduced whole, and its runs are found when first read."""
+    def read(pieces):
+        _read_new_pieces(pieces, declared, syllables)
+        # every name was matched against the declared set, so none needs a check
+        return reduce_syllables(map(syllables.__getitem__, pieces))
+
+    text = text.strip()
+    runs = find_runs(text, read) if "*" in text else None
+    if runs is None:
+        return Word._trusted(read(text.split("*")))
+    return Word._trusted(tuple(chain.from_iterable([block * k for block, k in runs])), runs)
 
 
 def _read_new_pieces(pieces, declared: set, syllables: dict) -> None:
@@ -290,44 +284,6 @@ def _read_new_pieces(pieces, declared: set, syllables: dict) -> None:
             raise _Unread
         name, digits = match.groups()
         syllables[piece] = (name, read_decimal(digits, "", _Unread) if digits else 1)
-
-
-def _read_runs(text: str, declared: set, syllables: dict) -> Optional[Word]:
-    """The word ``text`` with the runs it is written with (``Word.runs``),
-    or None when the runs do not give its reduced form directly.
-
-    ``_RUN`` finds each block of 2 to 8 pieces written out at least twice
-    in a row; the pieces between runs are segments read once each.  Each
-    segment is reduced on its own, and the word is their expansion when no
-    block's last and first syllables, and no two adjacent segments, share
-    a generator: then nothing merges or cancels where they meet.
-    Otherwise the caller reduces the whole word."""
-    segments = []  # (pieces, k), in order
-    gap = 0  # where the text between runs resumes
-    for match in re.finditer(_RUN, text):
-        start, end = match.span()
-        if start > gap:
-            segments.append((text[gap:start - 1].split("*"), 1))
-        block = match[1]
-        segments.append((block.split("*"), (end - start + 1) // (len(block) + 1)))
-        gap = end + 1
-    if not segments:
-        return None
-    if gap <= len(text):
-        segments.append((text[gap:].split("*"), 1))
-    _read_new_pieces(chain.from_iterable([pieces for pieces, _ in segments]),
-                     declared, syllables)
-    runs = []
-    last = None  # the generator of the last syllable so far
-    for pieces, k in segments:
-        block = reduce_syllables(map(syllables.__getitem__, pieces))
-        if block:
-            if (k > 1 and block[0][0] == block[-1][0]) or block[0][0] == last:
-                return None
-            last = block[-1][0]
-            runs.append((block, k))
-    runs = tuple(runs)
-    return Word._trusted(tuple(chain.from_iterable([block * k for block, k in runs])), runs)
 
 
 def _read_pieces(text: str) -> Presentation:

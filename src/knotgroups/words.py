@@ -7,14 +7,19 @@ so structural equality of reduced words is equality in the free group.
 
 Words are immutable and hashable; all operations return new words.
 
-A word read by the presentation parser may also carry the periodic runs
-it was written with: ``Word.runs`` is a tuple of (block, k), each block a
-reduced syllable tuple, whose expansion, the blocks repeated k times and
-joined in order, is exactly ``syllables``.  Only the piece reader
-(``presentations``) sets them, for a long word written with repeated
-blocks; every word operation returns a word without runs.  Equality and
-hashing read the syllables alone, and the runs only spare a pass over
-each repeated syllable in ``syllable_counts`` and in ``fox``'s rows.
+Every word has runs, ``Word.runs``: a tuple of (block, k), each block a
+nonempty reduced syllable tuple, whose expansion, the blocks repeated k
+times and joined in order, is exactly ``syllables``.  The runs are a
+straight-line program for the word (Lohrey, *The Compressed Word Problem
+for Groups*, 2014): each block is computed once and raised to its k.  One
+rule finds them (``find_runs``): in a word written as pieces joined by
+``*``, a run is a block of 2 to 8 pieces written out at least twice in a
+row, and the pieces between runs are runs of k = 1.  The piece reader
+(``presentations``) applies it to the text a word was written with;
+every other word applies it to its syllables, spelled as ``*``-joined
+ids, one per distinct syllable, when its runs are first read.  Equality
+and hashing read the syllables alone; ``syllable_counts``, ``fox``'s rows
+and the search's compiled relators read the runs.
 
 Generator names follow one rule, the name token of the presentation grammar
 (``presentations``): a nonempty string with no whitespace and none of the
@@ -29,13 +34,15 @@ back as one name token.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from itertools import count
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import InvalidParameterError, MissingImageError, quoted
 
 Syllable = Tuple[str, int]
+# (block, k) runs whose expansion is a word's syllables (module docstring)
+Runs = Tuple[Tuple[Tuple[Syllable, ...], int], ...]
 
 # Characters with a fixed meaning in the presentation grammar; they can
 # never be part of a generator name.  ':' is reserved for marker lines.
@@ -43,6 +50,12 @@ RESERVED_NAME_CHARS = frozenset("^*(),|<>:")
 _RESERVED = re.escape("".join(sorted(RESERVED_NAME_CHARS)))
 NAME_PATTERN = rf"[^\s\d{_RESERVED}-][^\s{_RESERVED}]*"
 _name_match = re.compile(NAME_PATTERN).fullmatch
+
+# The run rule, compiled on first use by the re module's cache: a block of
+# 2 to 8 pieces from a piece boundary (group 1), the shortest first,
+# written out again at least once right after itself and ending at a
+# piece boundary.
+_RUN = r"(?<![^*])((?:[^*]+\*){1,7}?[^*]+)(?:\*\1)+(?![^*])"
 
 
 def is_generator_name(name) -> bool:
@@ -138,6 +151,40 @@ def power_syllables(s: Tuple[Syllable, ...], k: int) -> Tuple[Syllable, ...]:
     return head + middle + tail
 
 
+def find_runs(text: str, read: Callable[[List[str]], Tuple[Syllable, ...]]
+              ) -> Optional[Runs]:
+    """The runs of the nonempty word written as ``text``, pieces joined by
+    ``*``, or None when they do not give its reduced form directly.
+
+    ``_RUN`` finds each block of 2 to 8 pieces written out at least twice
+    in a row; the pieces between runs are segments of k = 1.  ``read``
+    gives the reduced syllables of one segment's pieces, so each block is
+    read once.  The runs are the segments that are not empty when no
+    block's last and first syllables, and no two adjacent segments, share
+    a generator: then nothing merges or cancels where they meet."""
+    segments = []  # (pieces, k), in order
+    gap = 0  # where the text between runs resumes
+    for match in re.finditer(_RUN, text):
+        start, end = match.span()
+        if start > gap:
+            segments.append((text[gap:start - 1].split("*"), 1))
+        block = match[1]
+        segments.append((block.split("*"), (end - start + 1) // (len(block) + 1)))
+        gap = end + 1
+    if gap <= len(text):
+        segments.append((text[gap:].split("*"), 1))
+    runs = []
+    last = None  # the generator of the last syllable so far
+    for pieces, k in segments:
+        block = read(pieces)
+        if block:
+            if (k > 1 and block[0][0] == block[-1][0]) or block[0][0] == last:
+                return None
+            last = block[-1][0]
+            runs.append((block, k))
+    return tuple(runs)
+
+
 class Word:
     """A freely reduced word on named generators.
 
@@ -149,8 +196,9 @@ class Word:
         ~u        inverse
         u ** k    k-th power, ``u ** -1 == ~u``
 
-    ``runs`` is None, or, for a word the piece reader read, the (block, k)
-    runs whose expansion is ``syllables`` (module docstring).
+    ``runs`` are the (block, k) runs whose expansion is ``syllables``
+    (module docstring), found when first read unless the piece reader
+    read them.
     """
 
     __slots__ = ("_syllables", "_generators", "_counts", "_runs")
@@ -170,7 +218,7 @@ class Word:
         """Wrap a reduced syllable tuple whose generator names are already
         valid (the results of word operations, and parsed words whose
         names were matched against a declared set); ``runs``, if given,
-        must expand exactly to ``syllables``."""
+        must expand exactly to ``syllables`` (``find_runs``)."""
         word = object.__new__(cls)
         word._syllables = syllables
         word._generators = None
@@ -195,8 +243,22 @@ class Word:
         return self._syllables
 
     @property
-    def runs(self) -> Optional[Tuple[Tuple[Tuple[Syllable, ...], int], ...]]:
-        """The (block, k) runs the word was read with, or None."""
+    def runs(self) -> Runs:
+        """The (block, k) runs of the word: those the piece reader read, or
+        else found once over the syllables spelled as ids."""
+        if self._runs is None:
+            syllables = self._syllables
+            if len(set(zip(syllables, syllables[1:]))) >= len(syllables) - 1:
+                # no pair of adjacent syllables recurs, so no block repeats
+                self._runs = ((syllables, 1),) if syllables else ()
+            else:
+                # the syllables of a reduced word meet without merging, so
+                # the rule never gives up on them
+                distinct = list(dict.fromkeys(syllables))
+                ids = dict(zip(distinct, map(str, count())))
+                self._runs = find_runs(
+                    "*".join(map(ids.__getitem__, syllables)),
+                    lambda pieces: tuple(map(distinct.__getitem__, map(int, pieces))))
         return self._runs
 
     @property
@@ -215,18 +277,14 @@ class Word:
 
     def syllable_counts(self) -> Tuple[Tuple[Syllable, int], ...]:
         """(syllable, occurrences) for each distinct syllable, in order of
-        first occurrence; counted at C level on first use, then kept.  A
-        word with runs reads each block once, adding k for each of its
-        syllables."""
+        first occurrence; counted on first use over the runs, each block
+        once, adding k for each of its syllables, then kept."""
         if self._counts is None:
-            if self._runs is None:
-                self._counts = tuple(Counter(self._syllables).items())
-            else:
-                counts: dict = {}
-                for block, k in self._runs:
-                    for syllable in block:
-                        counts[syllable] = counts.get(syllable, 0) + k
-                self._counts = tuple(counts.items())
+            counts: dict = {}
+            for block, k in self.runs:
+                for syllable in block:
+                    counts[syllable] = counts.get(syllable, 0) + k
+            self._counts = tuple(counts.items())
         return self._counts
 
     def exponent_sums(self) -> dict:

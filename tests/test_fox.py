@@ -37,7 +37,6 @@ from test_knot_symmetry import torus_presentation, wirtinger_torus
 from test_presentations import (
     NAMES,
     planted_relation_matrices,
-    read_with_runs,
     run_word_text,
     run_words,
 )
@@ -202,9 +201,9 @@ class TestTermGuard:
         # as over the syllables
         text = "< x, y | " + "x^2*y^-1*" * 200 + "x >"
         pres = parse(text)
-        assert pres.relators[0].runs is not None
-        plain = Presentation(pres.generators, [Word._trusted(pres.relators[0].syllables)])
-        assert plain.relators[0].runs is None
+        syllables = pres.relators[0].syllables
+        assert len(pres.relators[0].runs) == 2
+        plain = Presentation(pres.generators, [Word._trusted(syllables, ((syllables, 1),))])
         for limit, fits in ((601, True), (600, False)):
             monkeypatch.setattr(fox, "MAX_DERIVATIVE_TERMS", limit)
             for p in (pres, plain):
@@ -353,7 +352,7 @@ def _read_run_word(segments):
     """The word of ``segments``, each (block, k), written out as text and
     parsed, so that it keeps the runs it was written with."""
     text = "*".join("*".join([f"{g}^{e}" for g, e in block] * k) for block, k in segments)
-    pres = read_with_runs(f"< x, y, a | {text} >")
+    pres = parse(f"< x, y, a | {text} >")
     return pres.relators[0] if pres.relators else Word.identity()
 
 
@@ -387,11 +386,11 @@ def test_one_pass_row_matches_fox_derivative(w, wx, wy, wa, skipped):
 def test_run_rows_match_per_syllable_rows(segments, weights, skipped):
     # a word with runs has the rows and the syllable counts, in the same
     # order, of the same syllables without them
-    pres = read_with_runs(f"< {', '.join(NAMES)} | {run_word_text(segments)} >")
+    pres = parse(f"< {', '.join(NAMES)} | {run_word_text(segments)} >")
     if not pres.relators:
         return
     w = pres.relators[0]
-    plain = Word._trusted(w.syllables)
+    plain = Word._trusted(w.syllables, ((w.syllables, 1),))
     assert w.syllable_counts() == plain.syllable_counts()
     weights = dict(zip(NAMES, weights))
     column = {g: j for j, g in enumerate(NAMES) if g not in skipped}

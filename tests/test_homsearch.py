@@ -18,7 +18,6 @@ from knotgroups.errors import (
     UnknownMarkerError,
 )
 from knotgroups.homsearch import (
-    _MAX_PERIOD,
     _centralizer_generators,
     _compile,
     _deduction,
@@ -36,8 +35,9 @@ from knotgroups.permgroups import (
     parse_permutation,
     symmetric_group,
 )
-from knotgroups.presentations import Presentation, parse, parse_word, rbg_family
+from knotgroups.presentations import Presentation, _Parser, parse, parse_word, rbg_family
 from knotgroups.words import Word
+from test_presentations import assert_runs
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
@@ -411,9 +411,13 @@ def _random_word(rng, gens, length, max_exp=3):
     return Word([(rng.choice(gens), rng.choice(exps)) for _ in range(length)])
 
 
+# The longest block of the run rule (``words.find_runs``)
+LONGEST_BLOCK = 8
+
+
 def _planted_word(rng, gens, pieces, repeats=200):
     """A word of random syllables and planted runs: blocks of 1 to
-    _MAX_PERIOD + 1 syllables repeated 2 to ``repeats`` times, abutting, some
+    LONGEST_BLOCK + 1 syllables repeated 2 to ``repeats`` times, abutting, some
     of them the inverse of the block before (after one syllable, so that
     they do not cancel), some breaking off inside a copy so that the next
     run starts within the last one."""
@@ -429,7 +433,7 @@ def _planted_word(rng, gens, pieces, repeats=200):
             block = [(g, -e) for g, e in reversed(block)]
         else:
             block = [(rng.choice(gens), rng.choice((-70, -3, -2, -1, 1, 2, 3, 61)))
-                     for _ in range(rng.randint(1, _MAX_PERIOD + 1))]
+                     for _ in range(rng.randint(1, LONGEST_BLOCK + 1))]
         raw += block * rng.randint(2, repeats)
         if kind == 3:
             raw += block[:rng.randrange(len(block))]
@@ -442,6 +446,36 @@ def compile_word(word, presentation, group):
     ``presentation``."""
     return tuple((presentation.generators.index(g), group.powers(e))
                  for g, e in word.syllables)
+
+
+def _spaced(word, rng):
+    """The text of ``word`` with random spaces around its pieces and
+    around the whole word."""
+    pieces = str(word).split("*")
+    return rng.choice(("", " ", "   ")) + "*".join(
+        rng.choice(("", " ")) + piece + rng.choice(("", " ")) for piece in pieces
+    ) + rng.choice(("", " ", "\n "))
+
+
+def _words_of_every_producer(rng, gens, planted):
+    """Words from every producer: ``Word(...)``, ``*``, ``**``, ``~``,
+    both readers on the text of each with random spacing, ``rbg_family``,
+    the halves of ``_deduction`` and the marker relator w*c^-1."""
+    words = list(planted)
+    for u, v in zip(planted, planted[1:] + planted[:1]):
+        words += [u * v, u ** rng.choice((-3, -2, 2, 3)), ~u]
+    for word in list(words):
+        if word:
+            text = f"< {', '.join(gens)} | {_spaced(word, rng)} >"
+            words += [parse(text).relators[0], _Parser(text).parse_presentation().relators[0]]
+    for m in (1, 2, 5):
+        family = rbg_family(m)
+        words += list(family.relators) + list(family.markers.values())
+    for word in list(words):
+        for g in word.generators():
+            words += _deduction(word, g, frozenset(gens) - {g}) or ()
+        words.append(word * ~Word.generator("c"))
+    return words
 
 
 def _scheduled_value(levels, at, values, columns):
@@ -475,27 +509,35 @@ class TestCompiledEvaluator:
             got = evaluate(program, values, group.columns)
             assert group.elements[got] == word.evaluate(images, group)
 
-    # A5 stores byte columns, A6 two-byte columns; S7 has no table
-    @pytest.mark.parametrize("group", [A5, A6, S7], ids=["A5", "A6", "S7"])
+    # S4 and A5 store byte columns, A6 two-byte columns; S7 has no table
+    @pytest.mark.parametrize("group", [S4, A5, A6, S7], ids=["S4", "A5", "A6", "S7"])
     def test_planted_runs_against_both_oracles(self, group):
+        # planted runs, and the words that every producer makes of shorter
+        # ones, carry runs that expand to their syllables, and their
+        # programs evaluate as one step per syllable does
         rng = random.Random(16 + group.order)
-        pres = Presentation(self.GENS)
-        slots = {g: i for i, g in enumerate(self.GENS)}
+        planted = [_planted_word(rng, self.GENS, rng.randint(1, 6))
+                   for _ in range(12 if group is S7 else 30)]
+        short = [_planted_word(rng, self.GENS, rng.randint(1, 3), repeats=12)
+                 for _ in range(4)]
+        gens = self.GENS + ("x", "y", "a", "c")
+        pres = Presentation(gens)
+        slots = {g: i for i, g in enumerate(gens)}
         temporaries = 0
-        for _ in range(12 if group is S7 else 30):
-            word = _planted_word(rng, self.GENS, rng.randint(1, 6))
-            lines, steps = program = _compile(word, slots, group, len(self.GENS))
+        for word in planted + _words_of_every_producer(rng, gens[:-1], short):
+            assert_runs(word)
+            lines, steps = program = _compile(word, slots, group, len(gens))
             temporaries += len(lines)
             flat = compile_word(word, pres, group)
             assert len(steps) + sum(len(line) for _, line in lines) <= len(flat)
             # checked at the level of its last generator, as the walk does
             at = max(map(slots.__getitem__, word.generators()), default=0)
-            checks = [[program] if level == at else [] for level in range(3)]
-            levels, _, size = _schedule(checks, [None] * 3, group.powers(1))
+            checks = [[program] if level == at else [] for level in range(len(gens))]
+            levels, _, size = _schedule(checks, [None] * len(gens), group.powers(1))
             for _ in range(3):
-                values = [rng.randrange(group.order) for _ in self.GENS]
-                images = {g: group.elements[i] for g, i in zip(self.GENS, values)}
-                values += [0] * (size - len(self.GENS))
+                values = [rng.randrange(group.order) for _ in gens]
+                images = {g: group.elements[i] for g, i in zip(gens, values)}
+                values += [0] * (size - len(gens))
                 got = _scheduled_value(levels, at, values, group.columns)
                 assert got == evaluate(flat, values, group.columns)
                 assert group.elements[got] == word.evaluate(images, group)
@@ -503,11 +545,19 @@ class TestCompiledEvaluator:
 
     def test_family_relator_is_six_lookups(self):
         # (yx)^m y (yx)^-m x^-1: u = y*x, then u^m, y, u^-m, x^-1; from
-        # m = 2 on, where its runs first repeat, it is not flat
+        # m = 2 on, where its runs first repeat, it is not flat.  So it is
+        # parsed, with or without whitespace around its words, and built.
         slots = {"x": 0, "y": 1, "a": 2}
-        for m in (2, 3, 181):
+        for m in (2, 3, 28, 29, 181):
             family = rbg_family(m)
-            lines, steps = _compile(family.relators[0], slots, A5, 3)
+            long, short = map(str, family.relators)
+            texts = [f"<x,y,a|{long},{short}>", f"< x, y, a |   {long} ,  {short}   >",
+                     family.render()]
+            relators = [family.relators[0]] + [parse(text).relators[0] for text in texts]
+            programs = [_compile(relator, slots, A5, 3) for relator in relators]
+            assert all(relator.runs == family.relators[0].runs for relator in relators)
+            lines, steps = programs[0]
+            assert programs == [programs[0]] * len(programs)
             assert lines == ((3, ((1, A5.powers(1)), (0, A5.powers(1)))),)
             assert steps == ((3, A5.powers(m)), (1, A5.powers(1)),
                              (3, A5.powers(-m)), (0, A5.powers(-1)))
@@ -530,14 +580,6 @@ class TestCompiledEvaluator:
         relator = F1.relators[1]
         program = _compile(relator, {"x": 0, "y": 1, "a": 2}, A5, 3)
         assert program == ((), compile_word(relator, F1, A5))
-
-    def test_word_past_the_characters_is_flat(self, monkeypatch):
-        # the first relator of m = 181 has four distinct syllables
-        family = rbg_family(181)
-        monkeypatch.setattr(homsearch, "_CHARACTERS", 3)
-        program = _compile(family.relators[0], {"x": 0, "y": 1, "a": 2}, A5, 3)
-        assert program == ((), compile_word(family.relators[0], family, A5))
-        assert meridian_invariant(family, "meridian_B", A5, SIGMA) == 6
 
     @pytest.mark.parametrize("mode", ["naive", "backtrack"])
     def test_pinned_search_above_table_limit(self, mode):

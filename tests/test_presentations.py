@@ -5,7 +5,6 @@ import random
 import sys
 import time
 from itertools import combinations
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -30,7 +29,7 @@ from knotgroups.presentations import (
     rbg_family,
     smith_normal_form,
 )
-from knotgroups.words import Word
+from knotgroups.words import Word, reduce_syllables
 from test_knot_symmetry import wirtinger_torus
 from test_tietze import MOVES, TREFOIL, marked_family, random_moves
 
@@ -838,18 +837,19 @@ def test_piece_reader_needs_no_token_parser(monkeypatch):
 # row once, and the word keeps the runs (block, k) it was written with.
 # These texts repeat blocks of 1 to 8 pieces 2 to 300 times, with spaces,
 # x^1 and x^0 spellings, blocks whose ends share a generator, runs followed
-# by their inverse, runs in marker lines and faults inside runs; every word
-# is searched for runs, however short, and also at the default length.
-
-
-def read_with_runs(text):
-    """``parse(text)``, with every word searched for runs."""
-    with mock.patch.object(presentations, "_SHORT_WORD_CHARS", 0):
-        return parse(text)
+# by their inverse, runs in marker lines and faults inside runs.
 
 
 def expand_runs(word):
     return tuple(s for block, k in word.runs for _ in range(k) for s in block)
+
+
+def assert_runs(word):
+    """The runs of every word: nonempty reduced blocks, each k >= 1, that
+    expand exactly to its syllables."""
+    assert expand_runs(word) == word.syllables
+    for block, k in word.runs:
+        assert block and reduce_syllables(block) == block and k >= 1
 
 
 def _piece_text(piece):
@@ -901,42 +901,54 @@ def run_word_text(segments, fault=None, rng=None):
        st.sampled_from((None, None, "undeclared", "exponent")), rngs)
 def test_piece_reader_reads_runs(relators, markers, fault, rng):
     spoiled = rng.randrange(len(relators) + len(markers)) if fault else None
-    texts = [run_word_text(w, fault if i == spoiled else None, rng)
-             for i, w in enumerate(relators + markers)]
+    texts = [rng.choice(("", " ", "  ")) + run_word_text(w, fault if i == spoiled else None, rng)
+             + rng.choice(("", " ", "  ")) for i, w in enumerate(relators + markers)]
     text = (f"< {', '.join(NAMES)} | {', '.join(texts[:len(relators)])} >\n"
             + "".join(f"meridian mu{i}: {w}\n" for i, w in enumerate(texts[len(relators):])))
     expected = _outcome(_token_parse, text)
-    assert _outcome(read_with_runs, text) == expected
     assert _outcome(parse, text) == expected
     if fault:
         assert isinstance(expected[0], type)  # the spoiled text is refused
         return
     try:
-        pres = read_with_runs(text)
+        read = (parse(text), _token_parse(text))
     except KnotGroupsError:
         return  # a marker that reduces to the identity
-    for word in pres.relators + tuple(pres.markers.values()):
-        if word.runs is not None:
-            assert expand_runs(word) == word.syllables
-            assert all(block for block, _ in word.runs)
+    for pres in read:
+        for word in pres.relators + tuple(pres.markers.values()):
+            assert_runs(word)
 
 
 def test_long_words_carry_runs():
-    # the family's long relator is read as y (x y)^m (x^-1 y^-1)^m x^-1;
-    # the short one, and every word of a short text, carry no runs
-    for m in (29, 181):
+    # the family's long relator is read as (y x)^m y (x^-1 y^-1)^m x^-1, as
+    # it is built, the short one as one run of k = 1
+    for m in (2, 28, 29, 181):
         long, short = parse(rbg_family(m).render()).relators
         assert list(long.runs) == [
-            ((("y", 1),), 1), ((("x", 1), ("y", 1)), m),
+            ((("y", 1), ("x", 1)), m), ((("y", 1),), 1),
             ((("x", -1), ("y", -1)), m), ((("x", -1),), 1)]
+        assert long._runs is not None  # read, not found again
+        assert long.runs == rbg_family(m).relators[0].runs
         assert expand_runs(long) == long.syllables == rbg_family(m).relators[0].syllables
-        assert short.runs is None
-    assert all(w.runs is None for w in parse(rbg_family(28).render()).relators)
-    # a word operation returns a word without runs, equal and hashed alike
+        assert short.runs == ((short.syllables, 1),)
+    # equality and hashing read the syllables alone; a word operation
+    # returns a word whose runs are found from its syllables
     long = parse(rbg_family(181).render()).relators[0]
-    plain = Word._trusted(long.syllables)
+    plain = Word._trusted(long.syllables, ((long.syllables, 1),))
     assert long == plain and hash(long) == hash(plain)
-    assert (long * Word.identity()).runs is None and (long ** 1).runs is None
+    assert (long * Word.identity()).runs == (long ** 1).runs == long.runs
+    assert Word.identity().runs == ()
+
+
+def test_merged_runs_are_found_from_the_syllables():
+    # x written 50 times is a block of two pieces that reduces to x^2, whose
+    # ends share a generator, so the reader reduces the word whole and its
+    # runs are found from its syllables
+    word = parse("< x, y | " + "x*" * 50 + "y*x*" * 100 + "y >").relators[0]
+    assert word._runs is None
+    assert list(word.runs) == [((("x", 50),), 1), ((("y", 1), ("x", 1)), 100),
+                               ((("y", 1),), 1)]
+    assert_runs(word)
 
 
 class TestPowers:
