@@ -146,11 +146,10 @@ class Presentation:
         self.markers = marks
 
     def _check_support(self, w: Word, what: str) -> None:
-        for g in w.generators():
-            if g not in self._gen_index:
-                raise UnknownGeneratorError(
-                    f"{what} uses undeclared generator {quoted(g)}"
-                )
+        if not self._gen_index.keys() >= w.generators():
+            # named in syllable order, not in the set's hash-seeded order
+            g = next(g for g, _ in w.syllables if g not in self._gen_index)
+            raise UnknownGeneratorError(f"{what} uses undeclared generator {quoted(g)}")
 
     def render(self) -> str:
         """Canonical text form (grammar above), ending in a newline."""

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -426,6 +427,20 @@ class TestCountCommand:
         code, _, _ = run(capsys, "count", path, "--group", "A5", "--pin", "x")
         assert code == 2
 
+    @pytest.mark.parametrize("option, binding", [
+        ("--pin", "a=b=(1,2)"), ("--marker", "m=1=(1,2)"),
+    ])
+    def test_name_with_equals_sign(self, tmp_path, capsys, option, binding):
+        # a permutation literal holds no '=', so the binding splits at the last
+        text = "< a=b, y | a=b*y*a=b^-1*y^-1 >\nmeridian m=1: a=b\n"
+        path = write(tmp_path, "eq.pres", text)
+        s3 = permgroups.group_from_spec("S3")
+        direct = homsearch.count_homs(parse(text), s3,
+                                      {"a=b": permgroups.parse_permutation("(1,2)", 3)})
+        assert direct.count == 2
+        code, out, _ = run(capsys, "count", path, "--group", "S3", option, binding)
+        assert (code, out) == (0, "count = 2\n")
+
     def test_generator_pinned_twice_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "f1.pres", FAMILY_M1)
         code, out, err = run(capsys, "count", path, "--group", "A5",
@@ -794,6 +809,19 @@ class TestVerifyCommand:
         assert report["results"]["all_ok"] is True
         names = [c["name"] for c in report["results"]["checks"]]
         assert names == [c.name for c in quick_checks]
+        for c in report["results"]["checks"]:
+            assert c == {"name": c["name"], "passed": True, "detail": ""}
+
+    def test_verdict_reads_no_clock(self, capsys, monkeypatch):
+        # a clock that jumps 10^4 s a call changes no verdict and no byte of
+        # stdout, only the text mode's wall time on stderr
+        argvs = (("verify",), ("verify", "--json"))
+        plain = [run(capsys, *argv) for argv in argvs]
+        ticks = itertools.count(step=10 ** 4)
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        slow = [run(capsys, *argv) for argv in argvs]
+        assert [(code, out) for code, out, _ in slow] == [(0, out) for _, out, _ in plain]
+        assert [err for _, _, err in slow] == ["wall time: 10000.000s\n", ""]
 
     def test_json_runs_every_check(self, capsys):
         code, out, _ = run(capsys, "verify", "--json")
@@ -833,7 +861,7 @@ class TestVerifyCommand:
         monkeypatch.setitem(expected[table] if table else expected, key, wrong)
         code, out, _ = run(capsys, "verify", "--json")
         assert code == 1
-        failed = [c for c in json.loads(out)["results"]["checks"] if not c["ok"]]
+        failed = [c for c in json.loads(out)["results"]["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == [name]
         assert failed[0]["detail"].startswith(detail)
 

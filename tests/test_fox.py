@@ -5,7 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotgroups import errors, fox, laurent
 from knotgroups.errors import (
@@ -383,6 +383,9 @@ def test_one_pass_row_matches_fox_derivative(w, wx, wy, wa, skipped):
 @settings(max_examples=150, deadline=None)
 @given(run_words, st.lists(weight, min_size=len(NAMES), max_size=len(NAMES)),
        st.sets(st.sampled_from(NAMES)))
+# x*y1*x^-1*g-2 repeated, a(y1) = 0: the block's x terms cancel to a zero
+@example([("run", [("x", None, ""), ("y1", None, ""), ("x", -1, ""), ("g-2", None, "")], 3)],
+         [1, 0, 1, 1, 1, 1], set())
 def test_run_rows_match_per_syllable_rows(segments, weights, skipped):
     # a word with runs has the rows and the syllable counts, in the same
     # order, of the same syllables without them

@@ -13,6 +13,7 @@ from knotgroups import homsearch, permgroups
 from knotgroups.errors import (
     BudgetExceededError,
     GroupTooLargeError,
+    InvalidParameterError,
     NotAMemberError,
     UnknownGeneratorError,
     UnknownMarkerError,
@@ -112,6 +113,10 @@ class TestCountHoms:
     def test_unknown_pin_generator(self):
         with pytest.raises(UnknownGeneratorError):
             count_homs(F1, A5, {"q": SIGMA})
+
+    def test_unknown_mode(self):
+        with pytest.raises(InvalidParameterError, match="^unknown search mode 'fast'$"):
+            count_homs(F1, A5, mode="fast")
 
     def test_pin_must_be_member(self):
         with pytest.raises(NotAMemberError):

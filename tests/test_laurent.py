@@ -59,6 +59,7 @@ class TestArithmetic:
         assert zero.is_zero
         assert zero + zero == zero
         assert zero * lp({5: 7}) == zero
+        assert LaurentPoly([(0, 1), (0, -1)]) == zero
 
     def test_overflow_raises(self):
         big = lp({0: 2**62})
@@ -179,6 +180,8 @@ class TestDivision:
     def test_inexact(self):
         assert lp({0: 1, 1: 1}).exact_divide(lp({0: 2})) is None
         assert lp({2: 1}).exact_divide(lp({0: 1, 1: 1})) is None
+        # every leading term divides, and a remainder of 2 is left
+        assert lp({0: 1, 2: 1}).exact_divide(lp({0: 1, 1: 1})) is None
 
     def test_zero_cases(self):
         assert LaurentPoly.zero().exact_divide(lp({0: 3})) == LaurentPoly.zero()

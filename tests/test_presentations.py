@@ -1,7 +1,9 @@
 """Presentation parsing, rendering, the family generator, abelianization."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from itertools import combinations
@@ -1008,6 +1010,22 @@ class TestSupportCheckedOnce:
         with pytest.raises(UnknownGeneratorError,
                            match=r"^marker 'm' uses undeclared generator 'y'$"):
             Presentation(("x",), [], {"m": y})
+
+    def test_first_undeclared_generator_under_every_hash_seed(self):
+        # named in syllable order, not in the order of a hash-seeded set
+        child = (
+            "from knotgroups.presentations import Presentation\n"
+            "from knotgroups.words import Word\n"
+            "try:\n"
+            "    Presentation(('x',), [Word([('y', 1), ('z', 1), ('w', 1), ('v', 1)])])\n"
+            "except Exception as exc:\n"
+            "    print(exc)\n"
+        )
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            out = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                                 text=True, env=env, timeout=60).stdout
+            assert out == "relator uses undeclared generator 'y'\n", seed
 
     @pytest.mark.parametrize("text,column", [
         ("< x | x*y >", 9), ("< x | (x*y)^2 >", 10),
