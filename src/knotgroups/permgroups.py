@@ -16,6 +16,8 @@ conjugacy is decided by exhaustive search rather than cycle type, which
 matters in alternating groups where classes split.  Only the builders
 ``symmetric_group``, ``alternating_group`` and ``generated_group`` make a
 group, each from a set closed under products and generated by its generators.
+A product table is composed along a breadth-first tree from the identity:
+``generated_group``'s own walk, which it keeps up to ``TABLE_MAX_ORDER``.
 
 Points are 0-based internally; all I/O uses 1-based cycle notation such as
 ``(1,5,4,3,2)``, with ``()`` for the identity.  A literal (spaces removed)
@@ -217,18 +219,18 @@ class FiniteGroup:
     ``powers(e)[i]`` that of i^e, so a syllable g^e with g at index i turns
     ``acc`` into ``columns[powers(e)[i]][acc]``.  Up to ``TABLE_MAX_ORDER``
     every column is stored, one byte an entry up to order 256 and two above.
-    The column of b = p*s, for p reached earlier in a breadth-first walk and
-    s a generator, is p's column composed with the table of right
-    multiplication by s, as permutations of the indices: one C-level pass.
-    The right tables cost n*k key compositions for k generators, none when
-    ``generated_group`` recorded them.  The generators generate the group,
-    so the walk reaches every column.  Above the limit, ``_Products``
-    composes products and powers from the keys when they are read.
+    The column of b = p*s, for b's parent p in a breadth-first tree from the
+    identity and s a generator, is p's column composed with the table of
+    right multiplication by s, as permutations of the indices: one C-level
+    pass, in one loop along the tree.  ``generated_group`` hands over the
+    right tables and tree its closure formed; else the right tables cost n*k
+    key compositions for k generators, and the tree a search over them.
+    Above the limit, ``_Products`` composes from the keys when read.
     """
 
     def __init__(self, degree: int, keys: List, generators: Sequence[Permutation],
                  label: str, at: Optional[Dict] = None,
-                 right_products: Optional[List[List[int]]] = None):
+                 walk: Optional[Tuple[List[List[int]], List[Tuple[int, int, int]]]] = None):
         """Called by the builders alone, unchecked: ``keys``, the identity's
         first, are closed under products and generated by ``generators``, so
         no product leaves them; ``at`` is their index dict (made if None)."""
@@ -238,8 +240,8 @@ class FiniteGroup:
         self._pack = _packing(degree)[0]
         self._keys: List = keys
         self._at: Dict = dict(zip(keys, range(len(keys)))) if at is None else at
-        # per generator s, the index of i * s at position i, if the builder has it
-        self._right_products: Optional[List[List[int]]] = right_products
+        # the builder's right tables and tree (``generated_group``), if it has them
+        self._walk = walk
         self._columns: Optional[Sequence[Sequence[int]]] = None
         # per element i, the indices of i^0, i^1, ... up to its order
         self._cycles: Optional[List[List[int]]] = None
@@ -291,7 +293,7 @@ class FiniteGroup:
             columns = self.columns
             table = self._powers[e] = (
                 _Composed(lambda i: columns.power(i, e)) if self._cycles is None
-                else tuple(c[e % len(c)] for c in self._cycles))
+                else [c[e % len(c)] for c in self._cycles])
         return table
 
     def conjugates(self, s: int) -> List[int]:
@@ -328,31 +330,34 @@ class FiniteGroup:
 
     def _table(self) -> List[Sequence[int]]:
         n = self.order
-        rights = self._right_products
-        if rights is None:
+        if self._walk is not None:
+            rights, tree = self._walk
+        else:
             # a*s for every element a, in one C-level pass over the keys
             _, table, compose = _packing(self.degree)
             keys, at = self._keys, self._at
             rights = [list(map(at.__getitem__, map(compose, keys, repeat(table(s._images)))))
                       for s in self.generators]
+            # breadth-first from the identity: the list grows while it is walked
+            tree, walked, reached, steps = [], [0], {0}, list(enumerate(rights))
+            for p in walked:
+                for k, right in steps:
+                    if (b := right[p]) not in reached:
+                        reached.add(b)
+                        walked.append(b)
+                        tree.append((b, p, k))
         pack, table, compose = _packing(n)
         rights = [table(right) for right in rights]
-        # a column above order 256 is an image tuple while it is the parent
-        # of others, and two bytes per entry once it has been walked
-        two_bytes = struct.Struct(f"={n}H").pack
-        store = bytes if n <= 256 else lambda col: array("H", two_bytes(*col))
-        cols: List = [None] * n
-        cols[0] = pack(range(n))
-        walked = [0]
-        # the list grows while it is walked: breadth-first from the identity
-        for p in walked:
-            for right in rights:
-                b = right[p]
-                if cols[b] is None:
-                    cols[b] = compose(cols[p], right)
-                    walked.append(b)
-            cols[p] = store(cols[p])
-        return cols
+        # above order 256 a column is an image tuple until the walk passes it
+        wide, two_bytes = n > 256, struct.Struct(f"={n}H").pack
+        cols: List = [pack(range(n))] + [None] * (n - 1)
+        behind, passed = iter(tree), 0
+        for b, p, k in tree:
+            while wide and passed != p:
+                cols[passed] = array("H", two_bytes(*cols[passed]))
+                passed = next(behind)[0]
+            cols[b] = compose(cols[p], rights[k])
+        return [array("H", two_bytes(*c)) if type(c) is tuple else c for c in cols] if wide else cols
 
     def __contains__(self, p: Permutation) -> bool:
         return self._key(p) in self._at
@@ -511,8 +516,8 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
 
     Breadth-first closure starting from the identity; element order is the
     deterministic BFS discovery order.  The group keeps the walk's keys and
-    its key -> index dict as its own; the walk forms every product h*g, so
-    it also hands over their indices for the group's product table.
+    its key -> index dict as its own, and up to ``TABLE_MAX_ORDER`` (no table
+    is built above) the walk's products h*g and its tree, for its table.
     """
     if degree < 1:
         raise InvalidParameterError("degree must be at least 1")
@@ -524,24 +529,29 @@ def generated_group(degree: int, generators: Sequence[Permutation], *,
     cap = (MAX_GROUP_POINTS - _fresh_points(degree, len(gens))) // degree
     pack, table, compose = _packing(degree)
     ident = pack(range(degree))
-    seen = {ident: 0}
-    ordered = [ident]
-    tables = [table(g._images) for g in gens]
+    seen, ordered = {ident: 0}, [ident]
+    get = seen.get
     rights: List[List[int]] = [[] for _ in gens]
+    steps = [(table(g._images), r.append, k) for k, (g, r) in enumerate(zip(gens, rights))]
+    # (index, parent index, generator) of each element but 0, below the table limit
+    tree, noted = [], min(cap, TABLE_MAX_ORDER)
     # the list grows while it is walked, so h runs through the elements in
     # discovery order, and rights[k][i] is the index of ordered[i] * gens[k]
-    for h in ordered:
-        for g, right in zip(tables, rights):
+    for i, h in enumerate(ordered):
+        for g, add, k in steps:
             prod = compose(h, g)
-            at = seen.get(prod)
+            at = get(prod)
             if at is None:
                 at = seen[prod] = len(ordered)
                 ordered.append(prod)
-                if len(seen) > cap:
+                if at < noted:
+                    tree.append((at, i, k))
+                elif at >= cap:
                     raise GroupTooLargeError(
                         f"generated group exceeds cap {cap} elements on {degree} points")
-            right.append(at)
-    return FiniteGroup(degree, ordered, gens, label, seen, rights)
+            add(at)
+    walk = (rights, tree) if len(ordered) <= TABLE_MAX_ORDER else None
+    return FiniteGroup(degree, ordered, gens, label, seen, walk)
 
 
 def group_from_spec(spec: str) -> FiniteGroup:

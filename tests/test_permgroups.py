@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+import tracemalloc
 from array import array
 from itertools import permutations, product
 
@@ -424,6 +425,65 @@ class TestIndexForm:
     @pytest.mark.parametrize("group", [S4, A5, PSL27], ids=["S4", "A5", "PSL27"])
     def test_table_built_from_generators(self, group):
         self._assert_matches(group)
+
+    # each list's first 20 elements in breadth-first order, as the closure
+    # found them before its table was composed along its own tree
+    @pytest.mark.parametrize("spec, first", [
+        # a repeated generator reaches no new element
+        ("gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(3,7)(5,6),(1,2,3,4,5,6,7)]",
+         "() (1,2,3,4,5,6,7) (2,3,5)(4,7,6) (3,7)(5,6) (1,3,5,7,2,4,6) (1,3,7)(2,5,4) "
+         "(1,2,7)(3,4,6) (1,2,4)(3,6,5) (2,5,3)(4,6,7) (2,7,5)(3,6,4) (1,2,3)(4,5,7) "
+         "(2,3,6)(4,7,5) (1,4,7,3,6,2,5) (1,5,6)(2,7,3) (1,7,2,4,5,3,6) (1,4,3)(2,6,7) "
+         "(1,5,7)(3,6,4) (1,7)(2,6,5,4) (1,3,5,6,4,7,2) (1,3,7)(2,6,5)"),
+        # the identity as a generator
+        ("gen:5:[(),(1,2,3,4,5)]", "() (1,2,3,4,5) (1,3,5,2,4) (1,4,2,5,3) (1,5,4,3,2)"),
+        # the third generator is the product of the first two
+        ("gen:7:[(1,2,3,4,5,6,7),(2,3,5)(4,7,6),(1,3,7)(2,5,4),(3,7)(5,6)]",
+         "() (1,2,3,4,5,6,7) (2,3,5)(4,7,6) (1,3,7)(2,5,4) (3,7)(5,6) (1,3,5,7,2,4,6) "
+         "(1,5,6)(2,7,3) (1,2,7)(3,4,6) (1,2,4)(3,6,5) (2,5,3)(4,6,7) (1,3,4)(2,7,6) "
+         "(2,7,5)(3,6,4) (1,4,3)(2,6,7) (1,5,7)(3,6,4) (1,7,3)(2,4,5) (1,7)(2,6,5,4) "
+         "(1,2,3)(4,5,7) (2,3,6)(4,7,5) (1,3)(2,5,6,4) (1,4,7,3,6,2,5)"),
+        # A6 of order 360: two-byte columns
+        ("gen:6:[(1,2,3),(2,3,4,5,6)]",
+         "() (1,2,3) (2,3,4,5,6) (1,3,2) (1,3)(2,4,5,6) (1,2)(3,4,5,6) (2,4,6,3,5) "
+         "(1,4,5,6,2) (2,4,5,6,3) (1,4,6,3)(2,5) (1,3,4,5,6) (1,3,5,2)(4,6) (1,2,4,6)(3,5) "
+         "(2,5,3,6,4) (1,4,5,6,3) (1,5,2)(3,4,6) (1,2,4,5,6) (2,5)(4,6) (1,4,6)(2,5,3) "
+         "(1,5,3)(2,6,4)"),
+    ], ids=["repeated", "identity", "product", "A6"])
+    def test_table_of_irregular_generators(self, spec, first):
+        group = group_from_spec(spec)
+        assert " ".join(map(str, group.elements[:20])) == first
+        assert list(group.elements) == _frontier_closure(group.degree, group.generators)
+        assert all(isinstance(col, bytes) == (group.order <= 256) for col in group.columns)
+        self._assert_matches(group, exponents=(-2, -1, 0, 1, 2, 7))
+
+    def test_wide_columns_packed_once_walked(self):
+        # 2^10: 2 MiB of two-byte columns.  A column is an 8 KiB image tuple
+        # only until the walk passes it, so the build peaks near 3.5 MB; with
+        # every column a tuple until the end it peaked at 10.8 MB
+        group = group_from_spec("gen:20:[" + ",".join(
+            f"({i},{i + 1})" for i in range(1, 20, 2)) + "]")
+        assert group.order == TABLE_MAX_ORDER
+        tracemalloc.start()
+        try:
+            group.columns
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
+
+    def test_no_tree_above_the_table_limit(self):
+        # the closure notes each element's parent and generator only while
+        # a table may still be built
+        group = group_from_spec("gen:7:[(1,2,3,4,5,6,7),(1,2)]")
+        assert group.order == 5040 > TABLE_MAX_ORDER
+        assert group._walk is None
+        assert isinstance(group.columns, permgroups._Products)
+        # below it, b = p * generators[k] for each noted (b, p, k), in order
+        elems = PSL27.elements
+        assert [b for b, _, _ in PSL27._walk[1]] == list(range(1, PSL27.order))
+        for b, p, k in PSL27._walk[1]:
+            assert elems[b] == elems[p] * PSL27.generators[k]
 
     @pytest.mark.parametrize("spec", [
         # 2^8: the largest group with a byte table
