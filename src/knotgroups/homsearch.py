@@ -6,9 +6,11 @@ compute the number of such maps, optionally with some generator images
 pinned:
 
 ``naive``
-    Walks the full product of |A|^(number of unpinned generators)
-    assignments and checks every relator on each.  Transparent, and the
-    parity oracle for the other engine.
+    Walks the pinned generators first, then the others, each part in
+    declaration order and each generator over all of A, and checks each
+    relator at its last walked generator, as backtrack does, with none of
+    backtrack's reductions: no orbits, no deduction, no generator left out.
+    Transparent, and the parity oracle for the other engine.
 
 ``backtrack``
     Assigns the pinned generators first, then the others, each part in
@@ -53,9 +55,12 @@ A listing stays index tuples, ``HomSearchResult.leaves``, the element index
 of each generator's image; ``HomSearchResult.assignments``, the same
 homomorphisms as ``{generator: Permutation}`` dicts, is built from the
 leaves only when it is read, and the command line never reads it.
-The work counters (``SearchStats``) count the walk actually made, so
-backtrack's ``nodes`` and ``relator_checks`` cover the reduced walk, table
-entries included, while ``naive`` still counts every assignment.
+The work counters (``SearchStats``) of backtrack count the walk actually
+made, so its ``nodes`` and ``relator_checks`` cover the reduced walk, table
+entries included.  ``naive`` counts every assignment: |A|^(unpinned) nodes,
+and each check once for every complete assignment below its level, as if
+each assignment were checked relator by relator, in walk order, up to the
+first that fails.
 
 The meridian invariant of a marked presentation counts homomorphisms whose
 value on the marker word is a prescribed element sigma.  A marker that is a
@@ -82,16 +87,13 @@ a check that fails ends the list.  A line sits at the level of the last
 generator it reads, right before the check that reads it or after the
 level's checks when only deeper levels read it.  Lines are each temporary,
 each run of two or more steps of a check on levels before the check's, and
-a solved level's Q^-1.  So a naive search with x pinned computes the first
-family relator, which has no a, once per y, not for each of the 60 values
-of a, and a solved level reads Q^-1 from its slot.  A level's leading
-checks that read no slot computed on it run once when the level is entered,
-charged as if run for each value, and one that fails skips the level; so
-that naive search also checks that relator once per y, not at each value
-of a, and skips all 60 when it fails.  The search itself is one iterative depth-first walk
-over a list of element indices, so its depth is not bounded by the
-recursion limit; an assignment that passes the checks of the last walked
-level is a solution there.
+a solved level's Q^-1.  So with x pinned, the family relator
+x^-1 a x a^-1 x^-1 y a y^-1, checked at a, reads x^-1 y from a slot
+computed once per y, not for each of the 60 values of a, and a solved
+level reads Q^-1 from its slot.  The search itself is one iterative
+depth-first walk over a list of element indices, so its depth is not
+bounded by the recursion limit; an assignment that passes the checks of
+the last walked level is a solution there.
 """
 
 from __future__ import annotations
@@ -118,11 +120,11 @@ from .words import Word, reduce_syllables
 # search may visit, and the homomorphisms one listing may hold.  A search
 # into A5 walks 0.5 to 1.5 million nodes a second (shared 2-core x86 box,
 # CPython 3.11), charging a level's values and a solved level's table
-# before it walks them, so a refused search ends within about 20 s.  The
-# largest backtrack search in the test suite, < a, b, c, d, e | a*b*c*d*e >
-# into A5, counts 436,499 nodes; the next, a chain of 1200 generators,
-# 77,940, of which 71,940 are table entries.  Naive searches there walk at
-# most 60^3 = 216,000.
+# before it walks them: `count` of < a, b, c, d, e, f | a*b*c*d*e*f > into
+# A5 exits 3 after 3.4 to 5.5 s, whole command.  The largest backtrack
+# search in the test suite, < a, b, c, d, e | a*b*c*d*e > into A5, counts
+# 436,499 nodes; the next, a chain of 1200 generators, 77,940, of which
+# 71,940 are table entries.  Naive searches there count at most 60^3.
 MAX_SEARCH_NODES = 10**7
 MAX_LISTED_HOMS = 10**5
 
@@ -219,19 +221,21 @@ def evaluate(program: Program, values: Sequence[int],
 def _schedule(checks: Sequence[Sequence[StraightLine]],
               inverses: Sequence[Optional[StraightLine]], one: Sequence[int]
               ) -> Tuple[List[Tuple[Line, ...]], List[Optional[int]], int]:
-    """The walk's levels for the programs ``checks[i]`` checked at level i
-    and ``inverses[i]``, Q^-1 of a level i solved by deduction, slot i
-    holding level i's generator; the slot that holds each Q^-1; and the
-    number of slots they use.
+    """The walk's levels for the programs ``checks[i]``, whose last
+    generator is level i's, and ``inverses[i]``, Q^-1 of a level i solved
+    by deduction, slot i holding level i's generator; the slot that holds
+    each Q^-1; and the number of slots they use.
 
     A level is one tuple of programs (target, steps), run in order: a line
     stores its value in slot ``target``, and target 0 marks a check (slot 0
-    holds level 0's generator, and no line writes it).  Each temporary,
-    each run of two or more steps of a program on levels before its own,
-    and each Q^-1 is a line at the level of the last generator it reads
-    (level 0 if it reads none): right before the check that reads it, or
-    after the level's checks when only deeper levels read it.  A program
-    reads a run in one step through ``one`` (``FiniteGroup.powers(1)``)."""
+    holds level 0's generator, and no line writes it).  A check runs at the
+    level of its last generator, so each check past level 0 reads a slot
+    its level computes.  Each temporary, each run of two or more steps of
+    a program on levels before its own, and each Q^-1 is a line at the
+    level of the last generator it reads (level 0 if it reads none): right
+    before the check that reads it, or after the level's checks when only
+    deeper levels read it.  A program reads a run in one step through
+    ``one`` (``FiniteGroup.powers(1)``)."""
     home = list(range(len(checks)))  # the level that computes each slot
     levels: List[List[Line]] = [[] for _ in checks]
 
@@ -241,14 +245,13 @@ def _schedule(checks: Sequence[Sequence[StraightLine]],
         levels[at].append((slot, steps))
         return slot
 
-    def place(program: StraightLine, level: Optional[int] = None) -> Program:
-        # the steps of ``program`` run at ``level``, by default that of its
-        # last generator, its temporaries and earlier runs stored as lines
+    def place(program: StraightLine) -> Program:
+        # the steps of ``program`` run at the level of its last generator,
+        # its temporaries and earlier runs stored as lines
         lines, steps = program
         moved = {target: store(line) for target, line in lines}
         steps = [(moved.get(slot, slot), powers) for slot, powers in steps]
-        if level is None:
-            level = max([home[slot] for slot, _ in steps], default=0)
+        level = max([home[slot] for slot, _ in steps], default=0)
         out, run = [], []  # the program's steps, and the run being read
         # a step on this level ends a run, and one more ends the last
         for slot, powers in (*steps, (level, one)):
@@ -265,12 +268,12 @@ def _schedule(checks: Sequence[Sequence[StraightLine]],
         # Q^-1 reads only earlier levels, whose checks are placed
         inverse_slots.append(inverse and store(place(inverse)))
         for program in programs:
-            levels[level].append((0, place(program, level)))
+            levels[level].append((0, place(program)))
     return list(map(tuple, levels)), inverse_slots, len(home)
 
 
 def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
-          levels: Sequence[Sequence[Line]],
+          charges: Sequence[int], levels: Sequence[Sequence[Line]],
           solved: Sequence[Optional[Tuple[int, StraightLine]]],
           slots: int, columns: Sequence[Sequence[int]], stats: SearchStats,
           narrowed: Optional[Tuple[range, Callable[[int, int], Sequence[int]]]] = None,
@@ -288,28 +291,14 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
     relator check, and takes its values from the table.  With ``narrowed``
     = (levels, f), entering a level i in ``levels`` takes the values f(i, v),
     v the value of level i - 1, instead of ``values[i]``.  Entering a level
-    with ``counted[i]`` charges a node for each value it will take.  A later
-    level's leading checks that read no slot computed on it (in practice
-    only naive's, whose checks all sit on the last level) run once on entry,
-    each charged one relator check per value; one that fails skips it.
+    with ``counted[i]`` charges a node for each value it will take, and
+    each check run at level i counts ``charges[i]`` relator checks.
     The assignment list has ``slots`` slots.  Counters go to ``stats`` when
     the walk ends, and more than ``MAX_SEARCH_NODES`` nodes are refused.
     """
     node_budget = MAX_SEARCH_NODES
     last = len(values) - 1
     narrowing, narrow = narrowed or ((), None)
-    # each level's programs split into the checks run on entry and the rest
-    heads: List[Sequence[Line]] = [()]
-    bodies: List[Sequence[Line]] = [levels[0]]
-    for level in range(1, len(levels)):
-        programs = levels[level]
-        own = {level, *(target for target, _ in programs if target)}
-        k = 0
-        while (k < len(programs) and not programs[k][0]
-               and own.isdisjoint(slot for slot, _ in programs[k][1])):
-            k += 1
-        heads.append(programs[:k])
-        bodies.append(programs[k:])
     assignment = [0] * slots
     tables: List[Optional[Dict[int, List[int]]]] = [None] * len(values)
     todo = [iter(values[0])] + [None] * last
@@ -318,7 +307,7 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
         raise _over_budget(node_budget)
     relator_checks = level = 0
     while level >= 0:
-        programs = bodies[level]
+        programs, charge = levels[level], charges[level]
         for value in todo[level]:
             assignment[level] = value
             for target, steps in programs:
@@ -330,7 +319,7 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
                 if target:
                     assignment[target] = acc
                 else:
-                    relator_checks += 1
+                    relator_checks += charge
                     if acc:
                         break
             else:
@@ -360,11 +349,6 @@ def _walk(values: Sequence[Sequence[int]], counted: Sequence[bool],
                     nodes += len(entering)
                     if nodes > node_budget:
                         raise _over_budget(node_budget)
-                for _, steps in heads[level]:
-                    relator_checks += len(entering)
-                    if evaluate(steps, assignment, columns):
-                        entering = ()
-                        break
                 todo[level] = iter(entering)
                 break
         else:
@@ -491,21 +475,22 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     declaration order, lexicographically).
     A search refuses to visit more than ``MAX_SEARCH_NODES`` nodes, and a
     listing to hold more than ``MAX_LISTED_HOMS`` homomorphisms; ``naive``,
-    whose walk visits exactly |A|^(unpinned) nodes, compares that with
+    which counts exactly |A|^(unpinned) nodes, compares that with
     ``MAX_SEARCH_NODES`` before it starts (GroupTooLargeError).
 
     Both modes walk the pinned generators first, each at its one value,
-    then the others, each part in declaration order; a listing maps its
-    leaves back to declaration order and sorts them.  Backtracking checks
-    a relator at the level of its last walked generator and walks up to
-    conjugacy (module docstring): each unpinned walked level k, up to the
-    first solved one, takes the smallest index of each orbit of H_k, the
-    elements of A that commute with the walked pinned images and the
-    values before k.  A solution counts the product of its values' orbit
-    sizes; a listing conjugates it once per point of the innermost orbit,
-    then each of those once per point of the next orbit out, and so on,
-    each row one packed key.  When counting, a generator in no relator is
-    not walked and multiplies the count by |A| (1 if pinned).
+    then the others, each part in declaration order, and check a relator at
+    the level of its last walked generator, relators of one level in
+    declaration order; a listing maps its leaves back to declaration order
+    and sorts them.  Backtracking walks up to conjugacy (module docstring):
+    each unpinned walked level k, up to the first solved one, takes the
+    smallest index of each orbit of H_k, the elements of A that commute
+    with the walked pinned images and the values before k.  A solution
+    counts the product of its values' orbit sizes; a listing conjugates it
+    once per point of the innermost orbit, then each of those once per
+    point of the next orbit out, and so on, each row one packed key.  When
+    counting, a generator in no relator is not walked and multiplies the
+    count by |A| (1 if pinned).
 
     A later unpinned level solved from a relator Q*W (module docstring)
     takes only the values v with W(v) = Q^-1 from a table of W's values,
@@ -518,10 +503,11 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     assignment (naive); ``MAX_SEARCH_NODES`` bounds them all, charged for a
     table before it is built and for a level's values (or table hit) on
     entering it, before any is tried.  A relator check is one relator
-    evaluation, or one reading of Q^-1 on entering a solved level; a check
-    run once on entering a level counts once per value the level takes.
-    Both count the reduced walk in backtrack (each orbit representative one
-    node) and every assignment in naive.
+    evaluation, or one reading of Q^-1 on entering a solved level.  Both
+    count the reduced walk in backtrack (each orbit representative one
+    node).  Naive's nodes are |A|^(unpinned), set before its walk, and each
+    of its checks counts once for every complete assignment below the
+    check's level, so both count every assignment.
     """
     pins = dict(constraint or {})
     for gen, value in pins.items():
@@ -537,7 +523,8 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
         raise InvalidParameterError(f"unknown search mode {quoted(mode)}")
 
     n, columns = group.order, group.columns
-    stats = SearchStats()
+    # naive's nodes are its assignments, counted here and not by the walk
+    stats = SearchStats(n ** len(unpinned) if mode == "naive" else 0)
     # the walked generators, pinned first; a counting backtrack leaves out
     # the generators no relator constrains
     walked = tuple(g for g in presentation.generators if g in pins) + tuple(unpinned)
@@ -558,16 +545,17 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     # otherwise every orbit is one point
     first = next((i for i, g in enumerate(walked) if g not in pins), None)
     splits: List[Optional[Tuple[Word, Word]]] = [None] * len(values)
+    at_level: List[List[Word]] = [[] for _ in values]
+    for support, rel in zip(supports, presentation.relators):
+        at_level[max(slots[g] for g in support)].append(rel)
     if mode == "naive":
-        # a node is a complete assignment, and every relator is checked on it
-        counted = [False] * (len(values) - 1) + [True]
-        checks: List[List[StraightLine]] = [[] for _ in values]
-        checks[-1] = list(map(program, presentation.relators))
+        # a check counts once for each complete assignment below its level
+        counted = [False] * len(values)
+        charges = [n ** min(len(unpinned), len(values) - 1 - level)
+                   for level in range(len(values))]
     else:
         counted = [g not in pins for g in walked] or [False]
-        at_level: List[List[Word]] = [[] for _ in values]
-        for support, rel in zip(supports, presentation.relators):
-            at_level[max(slots[g] for g in support)].append(rel)
+        charges = [1] * len(values)
         # a level after the first unpinned one is solved from its first
         # relator whose syllables on earlier unpinned generators lie in one
         # gap between occurrences of the level's generator
@@ -579,7 +567,7 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
                 if splits[level]:
                     del at_level[level][i]
                     break
-        checks = [list(map(program, rels)) for rels in at_level]
+    checks = [list(map(program, rels)) for rels in at_level]
     inverses = [split and program(split[0]) for split in splits]
     levels, inverse_slots, size = _schedule(checks, inverses, group.powers(1))
     # W computes its own temporaries, in slots past the levels'
@@ -623,8 +611,8 @@ def count_homs(presentation: Presentation, group: FiniteGroup,
     # order, each packed into one key (``permgroups._packing``)
     order = [slots[g] for g in presentation.generators] if materialize else []
     pack, _, compose = _packing(n)
-    for assignment in _walk(values, counted, levels, solved, size, columns, stats,
-                            narrowed):
+    for assignment in _walk(values, counted, charges, levels, solved, size, columns,
+                            stats, narrowed):
         held = chain[last]
         count += weight[last] * len(held[1][assignment[last]]) if held else weight[last]
         if materialize:

@@ -38,6 +38,7 @@ from knotgroups.permgroups import (
 )
 from knotgroups.presentations import Presentation, _Parser, parse, parse_word, rbg_family
 from knotgroups.words import Word
+from test_knot_symmetry import wirtinger_torus
 from test_presentations import assert_runs
 
 S3 = symmetric_group(3)
@@ -1116,9 +1117,14 @@ class TestScheduledEvaluation:
     def _enumeration(relators, gens, group, fixed):
         """(sorted leaves, relator checks) over every assignment of
         ``gens`` extending ``fixed``: a check is one relator evaluated, in
-        order, up to the first that is not the identity."""
+        walk order, up to the first that is not the identity.  The walk
+        takes the generators of ``fixed`` first, then the others, each part
+        in declaration order, and a relator comes at its last generator,
+        ties in declaration order."""
         ident, leaves, checks = group.identity, [], 0
         free = [g for g in gens if g not in fixed]
+        walked = [g for g in gens if g in fixed] + free
+        relators = sorted(relators, key=lambda rel: max(map(walked.index, rel.generators())))
         for images in product(group.elements, repeat=len(free)):
             hom = {**fixed, **dict(zip(free, images))}
             for rel in relators:
@@ -1181,6 +1187,45 @@ class TestScheduledEvaluation:
                 found += len(leaves)
         assert found > 0
         assert lines["own level"] > 0 and lines["deeper"] > 0
+
+    @pytest.mark.parametrize("text", ["< x, y | x*y*x^-1*y^-1, x^2 >",
+                                      "< x, y | x^2, x*y*x^-1*y^-1 >"])
+    def test_naive_checks_in_walk_order(self, text):
+        # x^2 is checked at x's level, before the commutator, whichever is
+        # declared first: naive checks it on all 3600 assignments and the
+        # commutator on the 16 * 60 whose x squares to 1
+        pres = parse(text)
+        naive, back = (count_homs(pres, A5, mode=mode) for mode in ("naive", "backtrack"))
+        assert (naive.count, naive.stats.nodes, naive.stats.relator_checks) == (120, 3600, 4560)
+        assert (back.count, back.stats.nodes, back.stats.relator_checks) == (120, 28, 28)
+
+    @pytest.mark.parametrize("mode", ["naive", "backtrack"])
+    def test_no_check_left_for_a_later_level(self, mode, monkeypatch):
+        # every check past level 0 reads a slot its own level computes, the
+        # level's generator or a line stored there: none waits on a level
+        # after its last generator's
+        checked = []
+
+        def schedule(checks, inverses, one):
+            levels, slots, size = _schedule(checks, inverses, one)
+            for level, programs in enumerate(levels[1:], 1):
+                own = {level, *(target for target, _ in programs if target)}
+                for target, steps in programs:
+                    if not target:
+                        assert own.intersection(slot for slot, _ in steps), (level, steps)
+                        checked.append(level)
+            return levels, slots, size
+
+        monkeypatch.setattr(homsearch, "_schedule", schedule)
+        for m in (1, 2, 61):
+            family = rbg_family(m)
+            for pins in ({"x": SIGMA}, {"a": SIGMA}, {}):
+                count_homs(family, A5, pins, mode=mode)
+        count_homs(wirtinger_torus(5), A4, mode=mode)
+        marked = Presentation(F1.generators, F1.relators,
+                              {"w": parse_word("y*a", F1.generators)})
+        meridian_search(marked, "w", A5, SIGMA, mode=mode)
+        assert checked
 
     @pytest.mark.parametrize("mode", ["naive", "backtrack"])
     @pytest.mark.parametrize("case", ["pinned x", "solved y", "all pinned"])

@@ -213,7 +213,7 @@ def test_second_level_walk_against_naive(group, monkeypatch):
     seen = set()
     walk = homsearch._walk
 
-    def spy(values, counted, levels, solved, slots, columns, stats, narrowed=None):
+    def spy(values, counted, charges, levels, solved, slots, columns, stats, narrowed=None):
         first = counted.index(True) if True in counted else len(values)
         depth = lambda level: min(level - first + 1, 3)
         solved_at = [k for k in range(first + 1, len(values)) if solved[k]]
@@ -234,7 +234,7 @@ def test_second_level_walk_against_naive(group, monkeypatch):
                 return got
 
             narrowed = narrowing, classify
-        return walk(values, counted, levels, solved, slots, columns, stats, narrowed)
+        return walk(values, counted, charges, levels, solved, slots, columns, stats, narrowed)
 
     monkeypatch.setattr(homsearch, "_walk", spy)
     rng = random.Random(f"second level {group.label}")
